@@ -45,9 +45,6 @@ class ColourValue:
     def key(self) -> str:
         raise NotImplementedError
 
-    def to_obj(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Bit(ColourValue):
@@ -56,9 +53,6 @@ class Bit(ColourValue):
     def key(self) -> str:
         return f"bit:{self.value}"
 
-    def to_obj(self):
-        return {"kind": "bit", "value": self.value}
-
 
 @dataclass(frozen=True)
 class PhiZero(ColourValue):
@@ -66,9 +60,6 @@ class PhiZero(ColourValue):
 
     def key(self) -> str:
         return "phi:z"
-
-    def to_obj(self):
-        return {"kind": "phi-zero"}
 
 
 @dataclass(frozen=True)
@@ -84,9 +75,6 @@ class PhiTuple(ColourValue):
 
     def _compact(self) -> str:
         return f"{self.c1}{self.c2}{self.c3}{self.c4}{self.c5}"
-
-    def to_obj(self):
-        return {"kind": "phi-tuple", "components": [self.c1, self.c2, self.c3, self.c4, self.c5]}
 
 
 PhiValue = Union[PhiZero, PhiTuple]
@@ -112,18 +100,6 @@ class ThetaTuple(ColourValue):
             f"{inner},{shift},{self.phi_of_end},{self.tail}"
         )
 
-    def to_obj(self):
-        return {
-            "kind": "theta",
-            "power": self.power,
-            "end_parity": self.end_parity,
-            "gap_parity": self.gap_parity,
-            "phi_inner": self.phi_inner.to_obj(),
-            "phi_inner_shift": self.phi_inner_shift.to_obj(),
-            "phi_of_end": self.phi_of_end,
-            "tail": self.tail,
-        }
-
 
 class NuClass(Enum):
     C1 = "C1"
@@ -140,9 +116,6 @@ class NuSpecial(ColourValue):
     def key(self) -> str:
         return f"nu:s:{self.cls.value}"
 
-    def to_obj(self):
-        return {"kind": "nu-special", "cls": self.cls.value}
-
 
 @dataclass(frozen=True)
 class NuTuple(ColourValue):
@@ -155,9 +128,6 @@ class NuTuple(ColourValue):
     def key(self) -> str:
         return f"nu:t:{self.w1},{self.w2},{self.w3},{self.w4},{self.w5}"
 
-    def to_obj(self):
-        return {"kind": "nu-tuple", "components": [self.w1, self.w2, self.w3, self.w4, self.w5]}
-
 
 NuValue = Union[NuSpecial, NuTuple]
 
@@ -169,9 +139,6 @@ class MuWhole(ColourValue):
     def key(self) -> str:
         return f"mu:w:{self.nu.key()}"
 
-    def to_obj(self):
-        return {"kind": "mu-whole", "nu": self.nu.to_obj()}
-
 
 @dataclass(frozen=True)
 class MuFrac(ColourValue):
@@ -182,14 +149,6 @@ class MuFrac(ColourValue):
     def key(self) -> str:
         return f"mu:f:{self.nu.key()}|{self.phi.key()}|{self.psi_prime.key()}"
 
-    def to_obj(self):
-        return {
-            "kind": "mu-frac",
-            "nu": self.nu.to_obj(),
-            "phi": self.phi.to_obj(),
-            "psi_prime": self.psi_prime.to_obj(),
-        }
-
 
 @dataclass(frozen=True)
 class AlphaNat(ColourValue):
@@ -198,26 +157,17 @@ class AlphaNat(ColourValue):
     def key(self) -> str:
         return f"alpha:n:{self.theta.key()}"
 
-    def to_obj(self):
-        return {"kind": "alpha-nat", "theta": self.theta.to_obj()}
-
 
 @dataclass(frozen=True)
 class AlphaNegPow2(ColourValue):
     def key(self) -> str:
         return "alpha:negpow2"
 
-    def to_obj(self):
-        return {"kind": "alpha-negpow2"}
-
 
 @dataclass(frozen=True)
 class AlphaSmall(ColourValue):
     def key(self) -> str:
         return "alpha:small"
-
-    def to_obj(self):
-        return {"kind": "alpha-small"}
 
 
 @dataclass(frozen=True)
@@ -227,17 +177,11 @@ class AlphaBig(ColourValue):
     def key(self) -> str:
         return "alpha:b:" + ",".join(str(c) for c in self.components)
 
-    def to_obj(self):
-        return {"kind": "alpha-big", "components": list(self.components)}
-
 
 @dataclass(frozen=True)
 class ConstColour(ColourValue):
     def key(self) -> str:
         return "const"
-
-    def to_obj(self):
-        return {"kind": "const"}
 
 
 def colour_key(value: ColourValue) -> str:

@@ -33,7 +33,6 @@ _RATIONAL_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
 class Ordering(Enum):
     BELOW = "below"
-    EQUAL = "equal"
     ABOVE = "above"
 
 

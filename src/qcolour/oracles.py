@@ -17,9 +17,7 @@ from .colourings import (
     AlphaNat,
     AlphaNegPow2,
     AlphaSmall,
-    Bit,
     ColourValue,
-    ConstColour,
     MuFrac,
     MuWhole,
     NuClass,
@@ -311,28 +309,3 @@ def alpha_oracle(x: Rational) -> ColourValue:
         )
     )
 
-
-def oracle_fn(colouring_id: str):
-    """Mirror of ``colourings.colouring_fn`` over the naive routes."""
-
-    def phi_on_rational(x: Rational) -> ColourValue:
-        if x.denominator != 1:
-            raise DomainError(f"phi colours integers only, got {x}")
-        return Bit(phi_oracle(x.numerator))
-
-    def theta_on_rational(x: Rational) -> ColourValue:
-        if x.denominator != 1:
-            raise DomainError(f"theta colours naturals only, got {x}")
-        return theta_oracle(x.numerator)
-
-    table = {
-        "phi": phi_on_rational,
-        "theta": theta_on_rational,
-        "nu": nu_oracle,
-        "mu": mu_oracle,
-        "alpha": alpha_oracle,
-        "const": lambda x: ConstColour(),
-    }
-    if colouring_id not in table:
-        raise DomainError(f"unknown colouring id: {colouring_id!r}")
-    return table[colouring_id]

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Callable
+from math import gcd
+from typing import Callable, Iterator
 
 from .colourings import colour_key, colouring_fn
 from .core import PrimeTable, Rational, default_table, parse_rational
@@ -162,16 +163,20 @@ def check(
     xs: list[Rational],
     mode: CombinationMode,
     table: PrimeTable | None = None,
+    key_of: Callable[[Rational], str] | None = None,
 ) -> Certificate:
     """Colour every combination and report Monochromatic or the first Clash.
 
     The clash cited is the lexicographically first pair in combination order,
     which is always (0, j) for the first j whose key differs from entry 0's.
+    ``key_of``, when given, returns a value's key under this colouring; search
+    passes the keys it has already computed.
     """
-    fn = colouring_fn(colouring_id, table)
+    if key_of is None:
+        fn = colouring_fn(colouring_id, table)
+        key_of = lambda v: colour_key(fn(v))
     entries = tuple(
-        CombinationEntry(tag, value, colour_key(fn(value)))
-        for tag, value in combinations(xs, mode)
+        CombinationEntry(tag, value, key_of(value)) for tag, value in combinations(xs, mode)
     )
     verdict: Verdict
     if not entries:
@@ -263,90 +268,140 @@ class SearchResult:
         }
 
 
-def _extend_state(
-    xs: list[Rational],
-    state: tuple[str | None, list[Rational], list[Rational]],
-    x: Rational,
-    mode: CombinationMode,
-    key_of: Callable[[Rational], str],
-) -> tuple[str | None, list[Rational], list[Rational]] | None:
-    """Add x to a partial configuration; None if some new combination clashes.
+# Values coloured per pool task when the colouring pass runs in worker processes.
+COLOUR_CHUNK = 1024
 
-    State carries the shared key so far plus all subset sums and products (for
-    the pairwise mode, just the bare terms).
-    """
-    key, sums, prods = state
-    if mode is CombinationMode.PAIRWISE:
-        new_sums = [t + x for t in sums]
-        new_prods = [t * x for t in prods]
-        keep_sums, keep_prods = sums + [x], prods + [x]
-    else:
-        new_sums = [x] + [t + x for t in sums]
-        new_prods = [x] + [t * x for t in prods]
-        keep_sums, keep_prods = sums + new_sums, prods + new_prods
-    for v in itertools.chain(new_sums, new_prods):
-        k = key_of(v)
-        if key is None:
-            key = k
-        elif k != key:
-            return None
-    return key, keep_sums, keep_prods
+Pair = tuple[int, int]  # (numerator, denominator) in lowest terms, denominator > 0
 
 
-def _search_root(
-    elements: list[Rational],
-    root: int,
-    budget: int,
-    colouring_id: str,
-    mode: CombinationMode,
-    target_size: int,
-    table: PrimeTable | None,
-) -> tuple[list[list[int]], int, bool, int]:
-    """DFS below one root element; returns (hits, max_size, exhausted, nodes)."""
+def _add(x: Pair, y: Pair) -> Pair:
+    n, d = x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _mul(x: Pair, y: Pair) -> Pair:
+    g, h = gcd(x[0], y[1]), gcd(y[0], x[1])
+    return (x[0] // g) * (y[0] // h), (x[1] // h) * (y[1] // g)
+
+
+def _colour_values(colouring_id: str, values: list[Pair], table: PrimeTable) -> list[str]:
+    # colouring_fn is looked up at call time so a rebound module attribute sees every call.
     fn = colouring_fn(colouring_id, table)
-    cache: dict[Rational, str] = {}
+    return [colour_key(fn(Fraction(n, d))) for n, d in values]
 
-    def key_of(v: Rational) -> str:
-        k = cache.get(v)
+
+def _colour_chunk(args: tuple[str, int, list[Pair]]) -> list[str]:
+    colouring_id, prime_count, values = args
+    return _colour_values(colouring_id, values, PrimeTable(prime_count))
+
+
+def _colour_all(
+    colouring_id: str, values: list[Pair], workers: int, table: PrimeTable
+) -> list[str]:
+    """Colour keys of ``values``, in order; contiguous chunks on a bounded pool.
+
+    The pool never has more processes than workers asked for, CPUs present or
+    chunks to colour; when that leaves one, the pass runs in this process.
+    """
+    chunks = [values[i : i + COLOUR_CHUNK] for i in range(0, len(values), COLOUR_CHUNK)]
+    procs = min(workers, os.cpu_count() or 1, len(chunks))
+    if procs <= 1:
+        return _colour_values(colouring_id, values, table)
+    payload = [(colouring_id, table.count, chunk) for chunk in chunks]
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        return [k for keys in pool.map(_colour_chunk, payload) for k in keys]
+
+
+class _PairGraph:
+    """The colour key of every value a search meets, and its pair masks by key.
+
+    Construction colours every pairwise sum and product once (finite mode
+    adds the elements), in canonical order, into one ``value -> key`` dict.
+    ``adj[K, i]`` is the bitmask of the j > i whose pair sum and pair product
+    both have key K, so a pairwise-monochromatic configuration is a clique of
+    one key. Finite mode uses the masks as a necessary filter and colours the
+    sums and products of three or more terms as they are met.
+    """
+
+    def __init__(
+        self,
+        colouring_id: str,
+        elements: list[Rational],
+        mode: CombinationMode,
+        workers: int,
+        table: PrimeTable,
+    ):
+        self.xs = xs = [(x.numerator, x.denominator) for x in elements]
+        self.finite = mode is CombinationMode.FINITE_FSFP
+        keys: dict[Pair, str] = dict.fromkeys(xs) if self.finite else {}
+        for i, x in enumerate(xs):
+            for y in xs[i + 1 :]:
+                keys[_add(x, y)] = None
+                keys[_mul(x, y)] = None
+        values = list(keys)
+        keys.update(zip(values, _colour_all(colouring_id, values, workers, table)))
+        self.keys = keys
+        self.fn = colouring_fn(colouring_id, table)
+
+        self.adj: dict[tuple[str, int], int] = {}
+        self.edges = [0] * len(xs)  # j > i whose pair sum and product share any key
+        for i, x in enumerate(xs):
+            for j in range(i + 1, len(xs)):
+                k = keys[_add(x, xs[j])]
+                if k == keys[_mul(x, xs[j])]:
+                    self.adj[k, i] = self.adj.get((k, i), 0) | 1 << j
+                    self.edges[i] |= 1 << j
+        self.singles: dict[str, int] = {}  # finite mode: the elements of each key
+        for j, x in enumerate(xs if self.finite else ()):
+            self.singles[keys[x]] = self.singles.get(keys[x], 0) | 1 << j
+
+    def key_of(self, v: Pair) -> str:
+        k = self.keys.get(v)
         if k is None:
-            k = cache[v] = colour_key(fn(v))
+            k = self.keys[v] = colour_key(self.fn(Fraction(*v)))
         return k
 
-    hits: list[list[int]] = []
-    max_size = 0
-    nodes = 0
-    exhausted = True
+    def below(self, root: int) -> Iterator[list[int]]:
+        """Monochromatic configurations with least element ``root``, in DFS preorder."""
+        if not self.finite:
+            return self._extend([root], self.edges[root], None, [], [])
+        k = self.keys[self.xs[root]]
+        return self._extend([root], self.adj.get((k, root), 0) & self.singles[k], k, [], [])
 
-    def visit(prefix: list[int], state, last: int) -> None:
-        nonlocal max_size, nodes, exhausted
-        if nodes >= budget:
-            exhausted = False
-            return
-        nodes += 1
-        max_size = max(max_size, len(prefix))
-        if len(prefix) == target_size:
-            hits.append(list(prefix))
-        for j in range(last + 1, len(elements)):
-            nxt = _extend_state(elements, state, elements[j], mode, key_of)
-            if nxt is None:
+    def _extend(
+        self, prefix: list[int], cand: int, key: str | None, sums: list[Pair], prods: list[Pair]
+    ) -> Iterator[list[int]]:
+        """``cand`` holds the j > prefix[-1] in the pair masks of every member;
+        ``sums``/``prods`` are finite mode's sums and products over the
+        prefix's subsets of two or more terms."""
+        yield prefix
+        xs = self.xs
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            if key is None:  # the root's pair with j fixes the key
+                k = self.keys[_add(xs[prefix[0]], xs[j])]
+                yield from self._extend(
+                    prefix + [j], self.adj[k, prefix[0]] & self.adj.get((k, j), 0), k, sums, prods
+                )
                 continue
-            visit(prefix + [j], nxt, j)
-            if not exhausted:
-                return
-
-    start = _extend_state(elements, (None, [], []), elements[root], mode, key_of)
-    if start is not None:
-        visit([root], start, root)
-    return hits, max_size, exhausted, nodes
-
-
-def _search_root_packed(args) -> tuple[list[list[int]], int, bool, int]:
-    (elements_txt, root, budget, colouring_id, mode_value, target_size, prime_count) = args
-    elements = [parse_rational(s) for s in elements_txt]
-    table = PrimeTable(prime_count)
-    return _search_root(
-        elements, root, budget, colouring_id, CombinationMode(mode_value), target_size, table
-    )
+            child = cand & self.adj.get((key, j), 0)
+            if not self.finite:
+                yield from self._extend(prefix + [j], child, key, sums, prods)
+                continue
+            x = xs[j]
+            new_sums = [_add(t, x) for t in sums]
+            new_prods = [_mul(t, x) for t in prods]
+            if all(self.key_of(v) == key for v in itertools.chain(new_sums, new_prods)):
+                yield from self._extend(
+                    prefix + [j],
+                    child,
+                    key,
+                    sums + new_sums + [_add(xs[i], x) for i in prefix],
+                    prods + new_prods + [_mul(xs[i], x) for i in prefix],
+                )
 
 
 def search(
@@ -360,9 +415,10 @@ def search(
 ) -> SearchResult:
     """Bounded DFS for monochromatic configurations over the universe.
 
-    Extensions only move forward in canonical order, so every subset is
-    visited at most once; branches die as soon as a new combination's colour
-    key differs from the key fixed by the first combination seen.
+    Every pairwise sum and product is coloured once, up front (see
+    ``_PairGraph``); ``workers`` only parallelises that pass. Extensions only
+    move forward in canonical order, so every subset is visited at most once,
+    and ``nodes`` counts the configurations visited.
 
     The node budget is split statically across root elements (remainder to the
     earliest roots), which keeps certificates, max_size and node counts
@@ -376,42 +432,28 @@ def search(
         raise DomainError(f"worker count must be >= 1, got {workers}")
     table = table or default_table()
     elements = universe.elements(table)
-    roots = range(len(elements))
+    graph = _PairGraph(colouring_id, elements, mode, workers, table)
     share, extra = divmod(budget, max(1, len(elements)))
-    root_budgets = [share + (1 if r < extra else 0) for r in roots]
 
-    if workers > 1 and len(elements) > 1:
-        payload = [
-            (
-                [str(x) for x in elements],
-                r,
-                root_budgets[r],
-                colouring_id,
-                mode.value,
-                target_size,
-                table.count,
-            )
-            for r in roots
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_root = list(pool.map(_search_root_packed, payload))
-    else:
-        per_root = [
-            _search_root(elements, r, root_budgets[r], colouring_id, mode, target_size, table)
-            for r in roots
-        ]
+    def key_of(v: Rational) -> str:
+        return graph.key_of((v.numerator, v.denominator))
 
     certificates = []
     max_size = 0
     exhausted = True
     nodes = 0
-    for hits, root_max, root_exhausted, root_nodes in per_root:
-        for idx in hits:
-            certificates.append(
-                check(colouring_id, [elements[i] for i in idx], mode, table)
-            )
-        max_size = max(max_size, root_max)
-        exhausted = exhausted and root_exhausted
+    for root in range(len(elements)):
+        root_budget = share + (1 if root < extra else 0)
+        root_nodes = 0
+        for idx in graph.below(root):
+            if root_nodes >= root_budget:
+                exhausted = False
+                break
+            root_nodes += 1
+            max_size = max(max_size, len(idx))
+            if len(idx) == target_size:
+                xs = [elements[i] for i in idx]
+                certificates.append(check(colouring_id, xs, mode, table, key_of))
         nodes += root_nodes
     return SearchResult(
         certificates=certificates, max_size=max_size, exhausted=exhausted, nodes=nodes

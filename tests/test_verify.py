@@ -1,13 +1,16 @@
 """Certificates, checking, search (pruned vs naive), and the law suite."""
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from qcolour import verify
 from qcolour.colourings import big_phi
 from qcolour.core import PrimeTable
 from qcolour.digits import DigitExpansion, end2, expand, start2
@@ -193,6 +196,98 @@ class TestSearch:
             ["1", "2", "3"], ["1", "2", "4"], ["1", "3", "4"], ["2", "3", "4"],
         ]
         assert res.to_obj()["certificates"] == naive.to_obj()["certificates"]
+
+    # nodes / max_size / exhausted / certificate sequences, fixed before search
+    # coloured each pair once; the node count keeps its meaning across designs.
+    PINNED = {
+        1: (1, 1, False, []),
+        5: (5, 1, False, []),
+        17: (17, 1, False, []),
+        60: (40, 2, False, [
+            "1,6", "1,9", "2,3/2", "2,5/2", "3,4", "3,6", "4,5", "4,7/2", "5,5/4", "6,8",
+            "7,8", "7,1/2", "8,9", "8,10", "9,5/4", "1/2,9/2", "3/2,1/4", "3/2,3/4",
+            "7/2,1/4", "1/4,9/4"]),
+        200: (47, 2, True, [
+            "1,6", "1,9", "1,3/4", "1,5/4", "2,3/2", "2,5/2", "2,7/4", "2,9/4", "3,4",
+            "3,6", "3,1/2", "3,3/2", "4,5", "4,7/2", "4,9/2", "5,5/4", "6,8", "7,8",
+            "7,1/2", "8,9", "8,10", "9,5/4", "1/2,9/2", "3/2,1/4", "3/2,3/4", "7/2,1/4",
+            "1/4,9/4"]),
+    }
+
+    @pytest.mark.parametrize("budget", sorted(PINNED))
+    def test_pinned_output_at_budget(self, budget):
+        res = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
+                     budget=budget, workers=1)
+        sequences = [",".join(str(x) for x in c.sequence) for c in res.certificates]
+        assert (res.nodes, res.max_size, res.exhausted, sequences) == self.PINNED[budget]
+
+    @pytest.mark.parametrize("colouring, bounds, nodes, max_size", [
+        ("nu", (10, 4, 2), 27, 1),
+        ("mu", (12, 8, 2), 42, 1),
+        ("alpha", (12, 6, 2), 51, 2),
+    ])
+    def test_pinned_finite_mode(self, colouring, bounds, nodes, max_size):
+        res = search(colouring, UniverseSpec(*bounds), CombinationMode.FINITE_FSFP,
+                     target_size=3, budget=10**6, workers=1)
+        assert (res.nodes, res.max_size, res.exhausted, res.certificates) == (
+            nodes, max_size, True, [])
+
+    def test_pool_output_matches_in_process(self, monkeypatch):
+        # small chunks and two CPUs, so workers=2 really colours on a pool
+        monkeypatch.setattr(verify, "COLOUR_CHUNK", 32)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for mode, target in ((CombinationMode.PAIRWISE, 2), (CombinationMode.FINITE_FSFP, 3)):
+            results = [
+                search("mu", UniverseSpec(12, 8, 2), mode, target_size=target,
+                       budget=10**6, workers=w).to_obj()
+                for w in (1, 2)
+            ]
+            assert results[0] == results[1]
+
+    @pytest.mark.parametrize("cpus", [None, 1, 3, 64])
+    def test_pool_size_is_capped(self, monkeypatch, cpus):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(verify, "COLOUR_CHUNK", 64)
+        if cpus is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        res = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
+                     budget=10**6, workers=10**6)
+        pairs = list(itertools.combinations(NU_UNIVERSE.elements(), 2))
+        chunks = -(-len({x + y for x, y in pairs} | {x * y for x, y in pairs}) // 64)
+        expected = min(os.cpu_count() or 1, chunks)
+        assert sizes == ([expected] if expected > 1 else [])
+        assert all(size <= (os.cpu_count() or 1) for size in sizes)
+        assert res.to_obj() == search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE,
+                                      target_size=2, budget=10**6, workers=1).to_obj()
+
+    def test_each_value_coloured_once(self, monkeypatch):
+        real = verify.colouring_fn
+        seen = []
+
+        def counting(colouring_id, table=None):
+            fn = real(colouring_id, table)
+            return lambda x: seen.append(x) or fn(x)
+
+        monkeypatch.setattr(verify, "colouring_fn", counting)
+        search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
+               budget=10**6, workers=1)
+        pairs = list(itertools.combinations(NU_UNIVERSE.elements(), 2))
+        assert sorted(seen) == sorted({x + y for x, y in pairs} | {x * y for x, y in pairs})
 
     def test_budget_exhaustion_is_reported(self):
         res = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
