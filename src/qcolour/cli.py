@@ -25,7 +25,7 @@ from .colourings import (
     psi_prime,
 )
 from .construct import DEFAULT_SEARCH_BUDGET, extend_sum_closed
-from .core import DEFAULT_PRIME_COUNT, PrimeTable, Rational, parse_rational
+from .core import Rational, parse_rational, primorial
 from .digits import expand
 from .errors import BudgetExhaustedError, DomainError
 from .verify import CombinationMode, UniverseSpec, check, property_suite, search
@@ -38,15 +38,6 @@ def _emit(obj: dict, pretty: bool) -> None:
         print(json.dumps(obj, separators=(",", ":")))
 
 
-def _table(args: argparse.Namespace) -> PrimeTable | None:
-    index = getattr(args, "prime_index", None)
-    if index is None:
-        return None
-    if index < 1:
-        raise DomainError(f"prime index must be >= 1, got {index}")
-    return PrimeTable(max(DEFAULT_PRIME_COUNT, index))
-
-
 def _parse_int(text: str, what: str) -> int:
     try:
         return int(text, 10)
@@ -54,7 +45,7 @@ def _parse_int(text: str, what: str) -> int:
         raise DomainError(f"{what} must be an integer, got {text!r}") from None
 
 
-def _colour_one(colouring_id: str, text: str, table: PrimeTable | None):
+def _colour_one(colouring_id: str, text: str):
     if colouring_id in PAIR_IDS:
         parts = text.split(",")
         if len(parts) != 2:
@@ -67,7 +58,7 @@ def _colour_one(colouring_id: str, text: str, table: PrimeTable | None):
         return fn(a, b)
     if colouring_id == "phi":
         return Bit(phi(_parse_int(text, "phi argument")))
-    return colouring_fn(colouring_id, table)(parse_rational(text))
+    return colouring_fn(colouring_id)(parse_rational(text))
 
 
 def _read_sequence(path: str | None) -> list[Rational]:
@@ -90,26 +81,25 @@ def _read_sequence(path: str | None) -> list[Rational]:
 
 
 def _cmd_colour(args: argparse.Namespace) -> int:
-    value = _colour_one(args.colouring, args.value, _table(args))
+    value = _colour_one(args.colouring, args.value)
     _emit({"input": args.value, "colour": colour_key(value)}, args.pretty)
     return 0
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     x = parse_rational(args.value)
-    n = args.prime_index if args.prime_index is not None else 1
-    table = _table(args) or PrimeTable(DEFAULT_PRIME_COUNT)
-    exp = expand(x, n, table)
+    n = args.prime_index
+    exp = expand(x, n)
     digits = sorted(exp.digits.items(), reverse=True)
     _emit(
         {
             "input": args.value,
             "base_index": n,
-            "base": table.primorial(n),
+            "base": primorial(n),
             "digits": [[pos, digit] for pos, digit in digits],
             "leading": exp.leading(),
             "trailing": exp.trailing(),
-            "positional": exp.positional(table),
+            "positional": exp.positional(),
         },
         args.pretty,
     )
@@ -118,16 +108,18 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     xs = _read_sequence(args.file)
-    cert = check(args.colouring, xs, CombinationMode(args.mode), _table(args))
+    cert = check(args.colouring, xs, CombinationMode(args.mode))
     _emit(cert.to_obj(), args.pretty)
     return 0
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    if args.prime_index < 1:
+        raise DomainError(f"prime index must be >= 1, got {args.prime_index}")
     universe = UniverseSpec(
         numerator_bound=args.numerator_bound,
         denominator_bound=args.denominator_bound,
-        prime_index_bound=args.prime_index if args.prime_index is not None else 1,
+        prime_index_bound=args.prime_index,
         integers_only=args.integers_only,
     )
     result = search(
@@ -137,7 +129,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         target_size=args.target,
         budget=args.budget,
         workers=args.workers,
-        table=_table(args),
     )
     _emit(result.to_obj(), args.pretty)
     return 0 if result.exhausted else 3
@@ -169,19 +160,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("colour", parents=[common], help="colour one value")
     p.add_argument("--colouring", required=True, choices=UNARY_IDS + PAIR_IDS)
-    p.add_argument("--prime-index", type=int, help="prime table size for mu/alpha")
     p.add_argument("value", help="rational 'n/d', integer, or 'a,b' for pair colourings")
     p.set_defaults(fn=_cmd_colour)
 
     p = sub.add_parser("expand", parents=[common], help="digit expansion in a primorial base")
-    p.add_argument("--prime-index", type=int, help="base index n (base is P_n; default 1)")
+    p.add_argument("--prime-index", type=int, default=1, help="base index n (base is P_n)")
     p.add_argument("value")
     p.set_defaults(fn=_cmd_expand)
 
     p = sub.add_parser("check", parents=[common], help="monochromaticity certificate")
     p.add_argument("--colouring", required=True, choices=UNARY_IDS)
     p.add_argument("--mode", choices=[m.value for m in CombinationMode], default="pairwise")
-    p.add_argument("--prime-index", type=int, help="prime table size for mu/alpha")
     p.add_argument("file", nargs="?", help="terms, one per line ('#' comments); default stdin")
     p.set_defaults(fn=_cmd_check)
 
@@ -193,7 +182,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--numerator-bound", type=int, default=20)
     p.add_argument("--denominator-bound", type=int, default=1)
-    p.add_argument("--prime-index", type=int, help="universe denominators use the first n primes")
+    p.add_argument(
+        "--prime-index", type=int, default=1, help="universe denominators use the first n primes"
+    )
     p.add_argument("--integers-only", action="store_true")
     p.set_defaults(fn=_cmd_search)
 

@@ -190,26 +190,18 @@ def colour_key(value: ColourValue) -> str:
 
 # --- the colourings ----------------------------------------------------------
 
-_PHI_MEMO: dict[int, int] = {0: 0, 1: 1, 2: 0, 3: 1}
-
-
 def phi(k: int) -> int:
     """Two-colouring of the integers with phi(k+1) != phi(2k), phi(2k+1) for k not in {0,1}.
 
     Defined by phi(0)=phi(2)=0, phi(1)=phi(3)=1 and phi(m) = 1 - phi(m//2 + 1)
-    elsewhere (floor division), memoized. Dict writes are atomic, so the memo
-    is safe to share between threads.
+    elsewhere (floor division); evaluated in closed form by its zones. For
+    k >= 0 the 1-set is {1, 3} and [2^(2t+2)+2, 2^(2t+3)+1]; for k < 0 it is
+    [-(2^(2t+2)-2), -(2^(2t+1)-1)], t >= 0.
     """
     check_exponent(k)
-    chain = []
-    while k not in _PHI_MEMO:
-        chain.append(k)
-        k = k // 2 + 1
-    v = _PHI_MEMO[k]
-    for m in reversed(chain):
-        v = 1 - v
-        _PHI_MEMO[m] = v
-    return v
+    if k >= 0:
+        return 1 if k in (1, 3) or (k >= 6 and (k - 2).bit_length() % 2 == 1) else 0
+    return 1 if (1 - k).bit_length() % 2 == 0 else 0
 
 
 def big_phi(a: int, b: int) -> PhiValue:
@@ -292,35 +284,37 @@ def nu(x: Rational) -> NuValue:
 
 def mu(x: Rational, table: PrimeTable | None = None) -> ColourValue:
     """nu plus, below 1, the pair colours of the leading/trailing digit positions."""
+    # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     if x >= 1:
         return MuWhole(nu=nu(x))
-    n = minimal_base_index(x, table)
-    s = s_frac(x, n, table)
-    e = e_frac(x, n, table)
+    n = minimal_base_index(x)
+    s = s_frac(x, n)
+    e = e_frac(x, n)
     return MuFrac(nu=nu(x), phi=big_phi(-s, -e), psi_prime=psi_prime(-s, -e))
 
 
 def alpha(x: Rational, table: PrimeTable | None = None) -> ColourValue:
     """Four-case colouring of the positive rationals."""
+    # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     if x.denominator == 1:
         return AlphaNat(theta=theta(x.numerator))
     if is_power_of_two(x):  # denominator > 1, so x = 2^k with k < 0
         return AlphaNegPow2()
     if x <= 2:
         return AlphaSmall()
-    return AlphaBig(components=_alpha_prime(x, table))
+    return AlphaBig(components=_alpha_prime(x))
 
 
-def _alpha_prime(x: Rational, table: PrimeTable | None = None) -> tuple[int, ...]:
-    r = minimal_base_index(x, table)
+def _alpha_prime(x: Rational) -> tuple[int, ...]:
+    r = minimal_base_index(x)
     a = a_exponent(x)
     b = b_exponent(x)
     c = c_exponent(x)
     whole, frac = floor_frac(x)
-    er_w = e_int(whole, r, table)
-    e2_w = e_int(whole, 1, table)
-    er_w1 = e_int(whole + 1, r, table)
-    e2_w1 = e_int(whole + 1, 1, table)
+    er_w = e_int(whole, r)
+    e2_w = e_int(whole, 1)
+    er_w1 = e_int(whole + 1, r)
+    e2_w1 = e_int(whole + 1, 1)
     return (
         a % 2,
         a_exponent(frac) % 2,
@@ -458,6 +452,7 @@ def _theta_on_rational(x: Rational) -> ColourValue:
 
 def colouring_fn(colouring_id: str, table: PrimeTable | None = None) -> Callable[[Rational], ColourValue]:
     """Resolve a colouring id to a function on positive rationals."""
+    # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     if colouring_id == "phi":
         return _phi_on_rational
     if colouring_id == "theta":
@@ -465,9 +460,9 @@ def colouring_fn(colouring_id: str, table: PrimeTable | None = None) -> Callable
     if colouring_id == "nu":
         return nu
     if colouring_id == "mu":
-        return lambda x: mu(x, table)
+        return mu
     if colouring_id == "alpha":
-        return lambda x: alpha(x, table)
+        return alpha
     if colouring_id == "const":
         return lambda x: ConstColour()
     if colouring_id in PAIR_IDS:

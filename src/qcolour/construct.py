@@ -17,7 +17,6 @@ pins the fourth, and keeping every subset sum of the |a|'s inside the
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -25,21 +24,16 @@ from typing import Iterator
 from .colourings import NuTuple, colour_key, nu, phi
 from .core import (
     Ordering,
-    PrimeTable,
     Rational,
     a_exponent,
     cmp_c5_boundary,
     cmp_pow2_half,
     minimal_base_index,
+    nth_prime,
     pow2,
 )
 from .digits import b_exponent, c_exponent, e_frac, s_frac
-from .errors import (
-    BudgetExhaustedError,
-    DomainError,
-    InternalInvariantError,
-    TableExhaustedError,
-)
+from .errors import BudgetExhaustedError, DomainError, InternalInvariantError
 from .verify import (
     Certificate,
     CombinationEntry,
@@ -83,11 +77,11 @@ class BlockSystem:
             if max(earlier) >= min(later):
                 raise DomainError("blocks must be strictly ordered")
 
-    def base_terms(self, table: PrimeTable) -> list[Rational]:
-        return [Fraction(1, table.nth(r)) for r in self.base_indices]
+    def base_terms(self) -> list[Rational]:
+        return [Fraction(1, nth_prime(r)) for r in self.base_indices]
 
-    def terms(self, table: PrimeTable) -> list[Rational]:
-        base = self.base_terms(table)
+    def terms(self) -> list[Rational]:
+        base = self.base_terms()
         out = []
         for block in self.blocks:
             y = Fraction(1)
@@ -135,41 +129,23 @@ class ConstructResult:
         }
 
 
-def reciprocal_prime_indices(
-    count: int, budget: int | None = None, table: PrimeTable | None = None
-) -> list[int]:
+def reciprocal_prime_indices(count: int) -> list[int]:
     """Indices r_1 < ... < r_count with Σ 1/p_{r_i} < 1/2, prefix-stable.
 
     r_1 = 2 (term 1/3); for i ≥ 2 the smallest unused index whose prime is
     at least 6·i·(i−1), so the tail after 1/3 is bounded by the telescoping
-    sum Σ 1/(6·i·(i−1)) = 1/6. ``budget`` optionally caps the largest index.
+    sum Σ 1/(6·i·(i−1)) = 1/6. An index past ``core.PRIME_CAP`` raises
+    ``TableExhaustedError``.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    table = table or _table_for_terms(count)
-    cap = budget if budget is not None else table.count
     out = [2]
     for i in range(2, count + 1):
-        bound = 6 * i * (i - 1)
-        j = bisect_left(table.primes, bound)
-        r = max(j + 1, out[-1] + 1)
-        if r > cap or r > table.count:
-            raise TableExhaustedError(
-                f"term {i} needs prime index {r}, beyond limit {min(cap, table.count)}"
-            )
+        r = out[-1] + 1
+        while nth_prime(r) < 6 * i * (i - 1):
+            r += 1
         out.append(r)
     return out
-
-
-def _table_for_terms(count: int) -> PrimeTable:
-    """A prime table comfortably covering the first ``count`` base terms."""
-    bound = 6 * (count + 1) * count + 100
-    n = max(64, int(bound / max(1.0, math.log(bound) - 1.1)) + 32)
-    table = PrimeTable(n)
-    while table.primes[-1] < bound:
-        n = int(n * 1.4) + 16
-        table = PrimeTable(n)
-    return table
 
 
 def openness_radius(x: Rational) -> OpennessRadius:
@@ -199,13 +175,13 @@ def openness_radius(x: Rational) -> OpennessRadius:
     return OpennessRadius(center=x, radius=min(gaps) / 2, key=colour_key(value))
 
 
-def minimal_digit_fact(z: Rational, table: PrimeTable | None = None) -> bool:
+def minimal_digit_fact(z: Rational) -> bool:
     """True iff z's expansion in its minimal primorial base is the single
     position −1 span: s_k(z) = e_k(z) = −1."""
     if not 0 < z < 1:
         raise DomainError(f"value must be in (0,1), got {z}")
-    k = minimal_base_index(z, table)
-    return s_frac(z, k, table) == -1 and e_frac(z, k, table) == -1
+    k = minimal_base_index(z)
+    return s_frac(z, k) == -1 and e_frac(z, k) == -1
 
 
 class _Budget:
@@ -278,15 +254,13 @@ def _search_blocks(
     m: int,
     budget_limit: int,
     pool_size: int | None,
-    table: PrimeTable | None,
     delta_rule: bool,
-) -> tuple[BlockSystem, list[Rational], str, PrimeTable]:
+) -> tuple[BlockSystem, list[Rational], str]:
     if m < 1:
         raise DomainError(f"term count must be >= 1, got {m}")
     pool_size = pool_size if pool_size is not None else 16 + 14 * m
-    table = table or _table_for_terms(pool_size)
-    indices = reciprocal_prime_indices(pool_size, table=table)
-    base_primes = [table.nth(r) for r in indices]
+    indices = reciprocal_prime_indices(pool_size)
+    base_primes = [nth_prime(r) for r in indices]
 
     y1 = Fraction(1, 3)
     target = colour_key(nu(y1))
@@ -379,17 +353,16 @@ def _search_blocks(
         base_indices=tuple(indices[:max_pos]),
         blocks=tuple(lv.block for lv in levels),
     )
-    return system, ys, target, table
+    return system, ys, target
 
 
 def find_product_subsystem(
     m: int,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     pool_size: int | None = None,
-    table: PrimeTable | None = None,
 ) -> ProductSystem:
     """Blocks whose 2^m − 1 derived products all share one ν tuple key."""
-    system, ys, key, table = _search_blocks(m, search_budget, pool_size, table, False)
+    system, ys, key = _search_blocks(m, search_budget, pool_size, False)
     products = tuple(
         CombinationEntry(tag, value, colour_key(nu(value)))
         for tag, value in combinations(ys, CombinationMode.FINITE_FSFP)
@@ -404,7 +377,6 @@ def extend_sum_closed(
     m: int,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     pool_size: int | None = None,
-    table: PrimeTable | None = None,
 ) -> ConstructResult:
     """Terms whose finite sums and products are μ-monochromatic, certified.
 
@@ -413,8 +385,8 @@ def extend_sum_closed(
     all current subset sums (and below the current terms), so every sum stays
     in the shared ν class; the final certificate re-checks everything under μ.
     """
-    system, ys, key, table = _search_blocks(m, search_budget, pool_size, table, True)
-    certificate = check("mu", ys, CombinationMode.FINITE_FSFP, table)
+    system, ys, key = _search_blocks(m, search_budget, pool_size, True)
+    certificate = check("mu", ys, CombinationMode.FINITE_FSFP)
     if not isinstance(certificate.verdict, Monochromatic):
         raise InternalInvariantError(
             f"constructed terms fail the μ check: {certificate.verdict}"

@@ -3,17 +3,19 @@
 Rationals are plain ``fractions.Fraction`` values (exact, arbitrary precision,
 always reduced); this module adds the domain-checked constructors, the dyadic
 shape predicates (powers of two, two-digit and all-ones binary forms), exact
-comparisons against the two quadratic-surd boundary families, and the prime /
-primorial table.
+comparisons against the two quadratic-surd boundary families, and the one
+prime table, grown on demand up to ``PRIME_CAP`` primes.
 """
 
 from __future__ import annotations
 
-import bisect
+import functools
+import itertools
 import math
 import re
 from enum import Enum
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import (
     DomainError,
@@ -152,7 +154,10 @@ def cmp_c5_boundary(x: Rational, a: int, c: int) -> Ordering:
 
 # --- prime / primorial table -------------------------------------------------
 
+#: Primes the shared table starts with; it doubles from here as inputs need.
 DEFAULT_PRIME_COUNT = 64
+#: The shared table never holds more primes than this; the last is 180,503.
+PRIME_CAP = 2**14
 
 
 def _first_primes(count: int) -> list[int]:
@@ -173,82 +178,94 @@ def _first_primes(count: int) -> list[int]:
 
 
 class PrimeTable:
-    """Read-only table of the first ``count`` primes and their prefix products."""
+    """The first ``count`` primes."""
 
     def __init__(self, count: int = DEFAULT_PRIME_COUNT):
         self.primes = _first_primes(count)
-        self._primorials = [1]
-        for p in self.primes:
-            self._primorials.append(self._primorials[-1] * p)
 
     @property
     def count(self) -> int:
         return len(self.primes)
 
-    def nth(self, n: int) -> int:
-        """The n-th prime, 1-based."""
-        if n < 1:
-            raise DomainError(f"prime index must be >= 1, got {n}")
-        if n > self.count:
-            raise TableExhaustedError(f"prime index {n} beyond table of {self.count}")
-        return self.primes[n - 1]
 
-    def primorial(self, n: int) -> int:
-        """Product of the first n primes."""
-        if n < 1:
-            raise DomainError(f"primorial index must be >= 1, got {n}")
-        if n > self.count:
-            raise TableExhaustedError(f"primorial index {n} beyond table of {self.count}")
-        return self._primorials[n]
-
-    def index_of(self, p: int) -> int:
-        """1-based index of the prime p, or raise if p is not in the table."""
-        i = bisect.bisect_left(self.primes, p)
-        if i < self.count and self.primes[i] == p:
-            return i + 1
-        raise UnsupportedPrimeError(f"{p} is not a prime in the table")
-
-
-_default_table: PrimeTable | None = None
+_shared = PrimeTable()
 
 
 def default_table() -> PrimeTable:
-    global _default_table
-    if _default_table is None:
-        _default_table = PrimeTable(DEFAULT_PRIME_COUNT)
-    return _default_table
+    """The one table the package reads primes from, as far as it has grown."""
+    return _shared
 
 
-def nth_prime(n: int, table: PrimeTable | None = None) -> int:
-    return (table or default_table()).nth(n)
+def _primes_through(n: int) -> list[int]:
+    """The shared primes, grown to at least ``n`` of them by sieving afresh.
+
+    The list is replaced whole, never appended to, so a reader holding the
+    old list still holds a correct prefix of the primes.
+    """
+    if n > PRIME_CAP:
+        raise TableExhaustedError(f"prime index {n} beyond the cap of {PRIME_CAP} primes")
+    primes = _shared.primes
+    if len(primes) < n:
+        primes = _shared.primes = _first_primes(min(PRIME_CAP, max(n, 2 * len(primes))))
+    return primes
 
 
-def primorial(n: int, table: PrimeTable | None = None) -> int:
-    return (table or default_table()).primorial(n)
+def iter_primes() -> Iterator[int]:
+    """The primes in order, up to the cap, growing the shared table as they are read."""
+    primes = _shared.primes
+    return itertools.chain(primes, itertools.chain.from_iterable(_primes_past(len(primes))))
+
+
+def _primes_past(done: int) -> Iterator[Iterator[int]]:
+    """The primes after the first ``done``, as one iterator per growth step,
+    so that reading a prime runs no Python code."""
+    while done < PRIME_CAP:
+        primes = _primes_through(done + 1)
+        yield itertools.islice(primes, done, None)
+        done = len(primes)
+
+
+def nth_prime(n: int) -> int:
+    """The n-th prime, 1-based."""
+    if n < 1:
+        raise DomainError(f"prime index must be >= 1, got {n}")
+    return _primes_through(n)[n - 1]
+
+
+@functools.lru_cache(maxsize=32)
+def primorial(n: int) -> int:
+    """Product of the first n primes, computed when asked for.
+
+    The 32 most recently used are kept, at most about 1 MiB at the cap, since
+    one certificate's values tend to share a base.
+    """
+    if n < 1:
+        raise DomainError(f"primorial index must be >= 1, got {n}")
+    return math.prod(_primes_through(n)[:n])
 
 
 def minimal_base_index(x: Rational, table: PrimeTable | None = None) -> int:
     """Smallest n such that every prime factor of the denominator is <= the n-th prime.
 
-    Returns 1 for integers (denominator 1) by convention.
+    Returns 1 for integers (denominator 1) by convention. A denominator with a
+    prime factor past the cap is rejected only after every prime up to the cap
+    has been divided out.
     """
+    # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     _require_positive(x)
-    table = table or default_table()
     d = x.denominator
     if d == 1:
         return 1
-    best = 0
-    for i, p in enumerate(table.primes, start=1):
-        if d == 1:
-            break
-        while d % p == 0:
+    for i, p in enumerate(iter_primes(), start=1):
+        if d % p == 0:
             d //= p
-            best = i
-    if d != 1:
-        raise UnsupportedPrimeError(
-            f"denominator of {x} has a prime factor beyond the table (residue {d})"
-        )
-    return max(best, 1)
+            while d % p == 0:
+                d //= p
+            if d == 1:
+                return i
+    raise UnsupportedPrimeError(
+        f"denominator of {x} has a prime factor beyond the first {PRIME_CAP} primes (residue {d})"
+    )
 
 
 def floor_frac(x: Rational) -> tuple[int, Rational]:

@@ -15,11 +15,12 @@ from .core import (
     Rational,
     a_exponent,
     check_exponent,
-    default_table,
     floor_frac,
     is_power_of_two,
+    iter_primes,
     minimal_base_index,
     pow2,
+    primorial,
 )
 from .errors import DomainError, InternalInvariantError, UnsupportedPrimeError
 
@@ -128,19 +129,19 @@ class DigitExpansion:
     def trailing(self) -> int:
         return min(self.digits)
 
-    def value(self, table: PrimeTable | None = None) -> Rational:
-        base = (table or default_table()).primorial(self.base_index)
+    def value(self) -> Rational:
+        base = primorial(self.base_index)
         total = Fraction(0)
         for pos, digit in self.digits.items():
             total += digit * (Fraction(base) ** pos)
         return total
 
-    def positional(self, table: PrimeTable | None = None) -> str:
+    def positional(self) -> str:
         """Positional string with an explicit radix point.
 
         Digits are concatenated for bases up to 10 and comma-separated above.
         """
-        base = (table or default_table()).primorial(self.base_index)
+        base = primorial(self.base_index)
         hi = max(self.leading(), 0)
         whole = [str(self.digits.get(p, 0)) for p in range(hi, -1, -1)]
         frac = []
@@ -150,11 +151,21 @@ class DigitExpansion:
         return sep.join(whole) + "." + sep.join(frac)
 
 
+#: Bases P_n with more decimal digits than this are refused before expanding:
+#: a digit can be nearly as long as the base, and CPython by default will not
+#: print an int of more than 4,300 digits. A constant gives every interpreter
+#: the same answer.
+MAX_BASE_DIGITS = 4300
+_BASE_LIMIT = 10**MAX_BASE_DIGITS
+
+
 def expand(x: Rational, n: int, table: PrimeTable | None = None) -> DigitExpansion:
     """Greedy exact base-P_n expansion of a positive rational."""
-    table = table or default_table()
-    base = table.primorial(n)
-    if minimal_base_index(x, table) > n:
+    # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
+    base = primorial(n)
+    if base >= _BASE_LIMIT:
+        raise DomainError(f"base P_{n} has more than {MAX_BASE_DIGITS} decimal digits")
+    if minimal_base_index(x) > n:
         raise UnsupportedPrimeError(f"{x} has no terminating base-P_{n} expansion")
     whole, frac = floor_frac(x)
     digits: dict[int, int] = {}
@@ -177,8 +188,9 @@ def expand(x: Rational, n: int, table: PrimeTable | None = None) -> DigitExpansi
 
 def s_frac(x: Rational, n: int, table: PrimeTable | None = None) -> int:
     """Leading nonzero digit position of x in base P_n, for 0 < x < 1."""
-    _check_frac_domain(x, n, table)
-    base = (table or default_table()).primorial(n)
+    # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
+    _check_frac_domain(x, n)
+    base = primorial(n)
     level = Fraction(1, base)
     s = -1
     while x < level:
@@ -194,10 +206,13 @@ def e_frac(x: Rational, n: int, table: PrimeTable | None = None) -> int:
     Computed as minus the smallest u with x·P_n^u integral (the base is
     squarefree, so u is the largest prime-power exponent in the denominator).
     """
-    _check_frac_domain(x, n, table)
+    # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
+    _check_frac_domain(x, n)
     d = x.denominator
     u = 0
-    for p in (table or default_table()).primes[:n]:
+    for p in iter_primes():
+        if d == 1:
+            break
         v = 0
         while d % p == 0:
             d //= p
@@ -206,18 +221,18 @@ def e_frac(x: Rational, n: int, table: PrimeTable | None = None) -> int:
     return -u
 
 
-def _check_frac_domain(x: Rational, n: int, table: PrimeTable | None) -> None:
+def _check_frac_domain(x: Rational, n: int) -> None:
     if not 0 < x < 1:
         raise DomainError(f"need 0 < x < 1, got {x}")
-    if minimal_base_index(x, table or default_table()) > n:
+    if minimal_base_index(x) > n:
         raise UnsupportedPrimeError(f"{x} has no terminating base-P_{n} expansion")
 
 
-def e_int(m: int, n: int, table: PrimeTable | None = None) -> int:
+def e_int(m: int, n: int) -> int:
     """Largest k with P_n^k dividing the natural number m."""
     if m < 1:
         raise DomainError(f"need a natural number, got {m}")
-    base = (table or default_table()).primorial(n)
+    base = primorial(n)
     k = 0
     while m % base == 0:
         m //= base

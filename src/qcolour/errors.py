@@ -16,11 +16,11 @@ class PositionOverflowError(DomainError):
 
 
 class UnsupportedPrimeError(DomainError):
-    """A denominator involves a prime beyond the configured prime table."""
+    """A denominator involves a prime beyond the first ``core.PRIME_CAP`` primes."""
 
 
 class TableExhaustedError(DomainError):
-    """The prime table ran out before a request could be satisfied."""
+    """A prime index beyond ``core.PRIME_CAP`` was asked for."""
 
 
 class BudgetExhaustedError(QcolourError):

@@ -34,27 +34,11 @@ _SCAN_LIMIT = 10_000
 
 
 def phi_oracle(k: int) -> int:
-    """Closed-form zone description of the two-colouring of the integers.
-
-    For k >= 0 the 1-set is {1} ∪ {3} ∪ ⋃_t [2^(2t+2)+2, 2^(2t+3)+1]; for
-    k < 0 it is ⋃_t [-(2^(2t+2)-2), -(2^(2t+1)-1)].
-    """
-    if k >= 0:
-        if k in (1, 3):
-            return 1
-        t = 0
-        while 2 ** (2 * t + 2) + 2 <= k:
-            if k <= 2 ** (2 * t + 3) + 1:
-                return 1
-            t += 1
-        return 0
-    n = -k
-    t = 0
-    while 2 ** (2 * t + 1) - 1 <= n:
-        if n <= 2 ** (2 * t + 2) - 2:
-            return 1
-        t += 1
-    return 0
+    """The defining recurrence, without a memo: phi(0..3) = 0, 1, 0, 1, and
+    otherwise phi(k) = 1 - phi(k//2 + 1), which reaches 0..3 from either side."""
+    if 0 <= k <= 3:
+        return k % 2
+    return 1 - phi_oracle(k // 2 + 1)
 
 
 def _bits(m: int) -> str:

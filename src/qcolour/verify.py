@@ -24,7 +24,7 @@ from math import gcd
 from typing import Callable, Iterator
 
 from .colourings import colour_key, colouring_fn
-from .core import PrimeTable, Rational, default_table, parse_rational
+from .core import PrimeTable, Rational, iter_primes, parse_rational, primorial
 from .digits import end2, expand, start2
 from .errors import DomainError
 
@@ -128,11 +128,18 @@ def _subsets(k: int, mode: CombinationMode) -> list[tuple[int, ...]]:
     return out
 
 
+#: Finite mode takes at most this many terms: k terms have 2·(2^k − 1)
+#: combinations, so each term past the cap would double the work and output.
+FINITE_TERM_CAP = 16
+
+
 def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, Rational]]:
     """All (tag, value) pairs for the mode, sums block first, then products.
 
     Subsets are ordered by (size, positions); tags are 1-based, e.g. "s:1,3".
     """
+    if mode is CombinationMode.FINITE_FSFP and len(xs) > FINITE_TERM_CAP:
+        raise DomainError(f"finite mode takes at most {FINITE_TERM_CAP} terms, got {len(xs)}")
     if len(set(xs)) != len(xs):
         raise DomainError("sequence terms must be distinct")
     subsets = _subsets(len(xs), mode)
@@ -162,7 +169,7 @@ def check(
     colouring_id: str,
     xs: list[Rational],
     mode: CombinationMode,
-    table: PrimeTable | None = None,
+    *,
     key_of: Callable[[Rational], str] | None = None,
 ) -> Certificate:
     """Colour every combination and report Monochromatic or the first Clash.
@@ -173,7 +180,7 @@ def check(
     passes the keys it has already computed.
     """
     if key_of is None:
-        fn = colouring_fn(colouring_id, table)
+        fn = colouring_fn(colouring_id)
         key_of = lambda v: colour_key(fn(v))
     entries = tuple(
         CombinationEntry(tag, value, key_of(value)) for tag, value in combinations(xs, mode)
@@ -204,6 +211,7 @@ def validate(
     table: PrimeTable | None = None,
 ) -> bool:
     """Recompute everything from the sequence alone; true iff it all matches."""
+    # ``table`` is ignored; perfbench/gate.py passes one until the benchmark is next revised.
 
     def fail(why: str) -> bool:
         if reasons is not None:
@@ -211,7 +219,7 @@ def validate(
         return False
 
     try:
-        expected = check(cert.colouring_id, list(cert.sequence), cert.mode, table)
+        expected = check(cert.colouring_id, list(cert.sequence), cert.mode)
     except DomainError as exc:
         return fail(f"recomputation failed: {exc}")
     if expected.combinations != cert.combinations:
@@ -232,14 +240,14 @@ class UniverseSpec:
     prime_index_bound: int = 1
     integers_only: bool = False
 
-    def elements(self, table: PrimeTable | None = None) -> list[Rational]:
+    def elements(self) -> list[Rational]:
         """All admissible x = n/d in lowest terms, ordered by (d, n)."""
-        table = table or default_table()
         admissible: list[int] = []
         for d in range(1, 2 if self.integers_only else self.denominator_bound + 1):
             left = d
-            for i in range(self.prime_index_bound):
-                p = table.nth(i + 1)
+            for i, p in enumerate(iter_primes()):
+                if i >= self.prime_index_bound or p > left:
+                    break
                 while left % p == 0:
                     left //= p
             if left == 1:
@@ -285,20 +293,17 @@ def _mul(x: Pair, y: Pair) -> Pair:
     return (x[0] // g) * (y[0] // h), (x[1] // h) * (y[1] // g)
 
 
-def _colour_values(colouring_id: str, values: list[Pair], table: PrimeTable) -> list[str]:
+def _colour_values(colouring_id: str, values: list[Pair]) -> list[str]:
     # colouring_fn is looked up at call time so a rebound module attribute sees every call.
-    fn = colouring_fn(colouring_id, table)
+    fn = colouring_fn(colouring_id)
     return [colour_key(fn(Fraction(n, d))) for n, d in values]
 
 
-def _colour_chunk(args: tuple[str, int, list[Pair]]) -> list[str]:
-    colouring_id, prime_count, values = args
-    return _colour_values(colouring_id, values, PrimeTable(prime_count))
+def _colour_chunk(args: tuple[str, list[Pair]]) -> list[str]:
+    return _colour_values(*args)
 
 
-def _colour_all(
-    colouring_id: str, values: list[Pair], workers: int, table: PrimeTable
-) -> list[str]:
+def _colour_all(colouring_id: str, values: list[Pair], workers: int) -> list[str]:
     """Colour keys of ``values``, in order; contiguous chunks on a bounded pool.
 
     The pool never has more processes than workers asked for, CPUs present or
@@ -307,8 +312,8 @@ def _colour_all(
     chunks = [values[i : i + COLOUR_CHUNK] for i in range(0, len(values), COLOUR_CHUNK)]
     procs = min(workers, os.cpu_count() or 1, len(chunks))
     if procs <= 1:
-        return _colour_values(colouring_id, values, table)
-    payload = [(colouring_id, table.count, chunk) for chunk in chunks]
+        return _colour_values(colouring_id, values)
+    payload = [(colouring_id, chunk) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=procs) as pool:
         return [k for keys in pool.map(_colour_chunk, payload) for k in keys]
 
@@ -330,7 +335,6 @@ class _PairGraph:
         elements: list[Rational],
         mode: CombinationMode,
         workers: int,
-        table: PrimeTable,
     ):
         self.xs = xs = [(x.numerator, x.denominator) for x in elements]
         self.finite = mode is CombinationMode.FINITE_FSFP
@@ -340,9 +344,9 @@ class _PairGraph:
                 keys[_add(x, y)] = None
                 keys[_mul(x, y)] = None
         values = list(keys)
-        keys.update(zip(values, _colour_all(colouring_id, values, workers, table)))
+        keys.update(zip(values, _colour_all(colouring_id, values, workers)))
         self.keys = keys
-        self.fn = colouring_fn(colouring_id, table)
+        self.fn = colouring_fn(colouring_id)
 
         self.adj: dict[tuple[str, int], int] = {}
         self.edges = [0] * len(xs)  # j > i whose pair sum and product share any key
@@ -411,7 +415,6 @@ def search(
     target_size: int,
     budget: int,
     workers: int = 1,
-    table: PrimeTable | None = None,
 ) -> SearchResult:
     """Bounded DFS for monochromatic configurations over the universe.
 
@@ -430,9 +433,12 @@ def search(
         raise DomainError(f"budget must be >= 1, got {budget}")
     if workers < 1:
         raise DomainError(f"worker count must be >= 1, got {workers}")
-    table = table or default_table()
-    elements = universe.elements(table)
-    graph = _PairGraph(colouring_id, elements, mode, workers, table)
+    if mode is CombinationMode.FINITE_FSFP and target_size > FINITE_TERM_CAP:
+        raise DomainError(
+            f"finite mode takes at most {FINITE_TERM_CAP} terms, got target size {target_size}"
+        )
+    elements = universe.elements()
+    graph = _PairGraph(colouring_id, elements, mode, workers)
     share, extra = divmod(budget, max(1, len(elements)))
 
     def key_of(v: Rational) -> str:
@@ -453,7 +459,7 @@ def search(
             max_size = max(max_size, len(idx))
             if len(idx) == target_size:
                 xs = [elements[i] for i in idx]
-                certificates.append(check(colouring_id, xs, mode, table, key_of))
+                certificates.append(check(colouring_id, xs, mode, key_of=key_of))
         nodes += root_nodes
     return SearchResult(
         certificates=certificates, max_size=max_size, exhausted=exhausted, nodes=nodes
@@ -465,7 +471,6 @@ def naive_search(
     universe: UniverseSpec,
     mode: CombinationMode,
     target_size: int,
-    table: PrimeTable | None = None,
 ) -> SearchResult:
     """Reference search: test every candidate subset from scratch via check.
 
@@ -474,13 +479,12 @@ def naive_search(
     monochromatic); each candidate is still verified in full, with no shared
     state. Intended for small universes in tests.
     """
-    table = table or default_table()
-    elements = universe.elements(table)
+    elements = universe.elements()
     certificates = []
     max_size = 0
     level: list[tuple[int, ...]] = []
     for i in range(len(elements)):
-        cert = check(colouring_id, [elements[i]], mode, table)
+        cert = check(colouring_id, [elements[i]], mode)
         if isinstance(cert.verdict, Monochromatic):
             level.append((i,))
     max_size = 1 if level else 0
@@ -489,7 +493,7 @@ def naive_search(
         for idx in level:
             for j in range(idx[-1] + 1, len(elements)):
                 candidate = idx + (j,)
-                cert = check(colouring_id, [elements[i] for i in candidate], mode, table)
+                cert = check(colouring_id, [elements[i] for i in candidate], mode)
                 if isinstance(cert.verdict, Monochromatic):
                     nxt.append(candidate)
                     if len(candidate) == target_size:
@@ -555,7 +559,6 @@ def property_suite(
     seed: int,
     sample_count: int,
     overrides: dict[str, Callable] | None = None,
-    table: PrimeTable | None = None,
 ) -> PropertyReport:
     """Seeded randomized checks of the digit-arithmetic laws.
 
@@ -564,19 +567,18 @@ def property_suite(
     """
     if sample_count < 1:
         raise DomainError(f"sample count must be >= 1, got {sample_count}")
-    table = table or default_table()
     overrides = overrides or {}
     f_end2: Callable[[int], int] = overrides.get("end2", end2)
     f_start2: Callable[[int], int] = overrides.get("start2", start2)
     f_expand = overrides.get("expand", expand)
 
     def last_digit(x: Rational, n: int) -> tuple[int, int]:
-        digits = f_expand(x, n, table).digits
+        digits = f_expand(x, n).digits
         pos = min(digits)
         return pos, digits[pos]
 
     def lead_pos(x: Rational, n: int) -> int:
-        return max(f_expand(x, n, table).digits)
+        return max(f_expand(x, n).digits)
 
     laws: list[LawResult] = []
 
@@ -628,7 +630,7 @@ def property_suite(
 
     def primorial_end(rng: random.Random) -> str | None:
         t = rng.randint(1, 3)
-        base = table.primorial(t)
+        base = primorial(t)
         for _ in range(200):
             x = _random_terminating(rng, base)
             y = _random_terminating(rng, base)
@@ -642,7 +644,7 @@ def property_suite(
 
     def primorial_start(rng: random.Random) -> str | None:
         t = rng.randint(1, 3)
-        base = table.primorial(t)
+        base = primorial(t)
         x = _random_terminating(rng, base)
         y = _random_terminating(rng, base)
         sx, sy = lead_pos(x, t), lead_pos(y, t)

@@ -5,8 +5,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from qcolour.core import PrimeTable
-
 CRITERIA_KEY = pytest.StashKey[dict]()
 
 
@@ -40,8 +38,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number in sorted(results):
         description, status = results[number]
         terminalreporter.write_line(f"[criterion {number:2d}] {status}  {description}")
-
-
-@pytest.fixture(scope="session")
-def table():
-    return PrimeTable(64)

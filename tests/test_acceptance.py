@@ -16,7 +16,7 @@ from fractions import Fraction
 from qcolour import oracles
 from qcolour.colourings import big_phi, colour_key, nu, phi, psi, psi_prime, theta
 from qcolour.construct import extend_sum_closed, minimal_digit_fact, openness_radius
-from qcolour.core import PrimeTable
+from qcolour.core import nth_prime
 from qcolour.digits import binary_profile, expand
 from qcolour.errors import DomainError
 from qcolour.verify import (
@@ -38,7 +38,7 @@ def elapsed(t0: float) -> float:
     return time.perf_counter() - t0
 
 
-def test_criterion_1_worked_values(criterion, table):
+def test_criterion_1_worked_values(criterion):
     with criterion(1, "worked binary-profile and base-expansion values, sub-millisecond"):
         binary_profile(2)  # warm-up so timings measure the calls, not imports
         t0 = time.perf_counter()
@@ -47,9 +47,9 @@ def test_criterion_1_worked_values(criterion, table):
         assert (profile.start, profile.end, profile.gap) == (7, 1, 4)
 
         x = Fraction(149) + Fraction(1, 96)
-        expand(x, 2, table)  # warm-up
+        expand(x, 2)  # warm-up
         t0 = time.perf_counter()
-        d = expand(x, 2, table)
+        d = expand(x, 2)
         assert elapsed(t0) < 1e-3
         assert d.leading() == 2 and d.trailing() == -5
 
@@ -110,10 +110,10 @@ def _random_supported_rational(rng: random.Random, primes: list[int]) -> Fractio
     return Fraction(rng.randint(1, 10**6), den)
 
 
-def test_criterion_5_oracle_equivalence(criterion, table):
+def test_criterion_5_oracle_equivalence(criterion):
     with criterion(5, "structured colourings agree with naive oracles on 1e4 inputs each"):
         t0 = time.perf_counter()
-        small_primes = [table.nth(i) for i in range(1, 13)]
+        small_primes = [nth_prime(i) for i in range(1, 13)]
 
         rng = random.Random("acceptance5:phi")
         for _ in range(10_000):
@@ -140,12 +140,12 @@ def test_criterion_5_oracle_equivalence(criterion, table):
         rng = random.Random("acceptance5:mu")
         for _ in range(10_000):
             x = _random_supported_rational(rng, small_primes)
-            assert mu(x, table) == oracles.mu_oracle(x)
+            assert mu(x) == oracles.mu_oracle(x)
 
         rng = random.Random("acceptance5:alpha")
         for _ in range(10_000):
             x = _random_supported_rational(rng, small_primes)
-            assert alpha(x, table) == oracles.alpha_oracle(x)
+            assert alpha(x) == oracles.alpha_oracle(x)
         assert elapsed(t0) < 60.0
 
 
@@ -187,8 +187,6 @@ def test_criterion_7_search_vs_oracle(criterion):
 
 def test_criterion_8_constructor(criterion):
     with criterion(8, "2- and 3-term sum/product systems certify monochromatic in budget"):
-        big = PrimeTable(1300)
-
         t0 = time.perf_counter()
         two = extend_sum_closed(2)
         assert elapsed(t0) < 10.0
@@ -201,9 +199,9 @@ def test_criterion_8_constructor(criterion):
             assert isinstance(cert.verdict, Monochromatic) and not cert.verdict.empty
             assert cert.verdict.key.startswith("mu:f:")
             assert len(cert.combinations) == entry_count
-            assert validate(cert, table=big)
+            assert validate(cert)
             for _, value in combinations(list(result.terms), CombinationMode.FINITE_FSFP):
-                assert minimal_digit_fact(value, big)
+                assert minimal_digit_fact(value)
         # two terms give four distinct combined values: y1, y2, y1+y2, y1*y2
         assert len({entry.value for entry in two.certificate.combinations}) == 4
 

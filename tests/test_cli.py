@@ -4,8 +4,14 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
+
+from qcolour import cli, core, oracles
+from qcolour.colourings import colour_key
+from qcolour.verify import Certificate, validate
 
 CMD = [sys.executable, "-m", "qcolour"]
 
@@ -43,6 +49,39 @@ class TestColour:
         assert proc.returncode == 2
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "colouring, value, oracle",
+        [("mu", "1/313", oracles.mu_oracle), ("alpha", "1000/313", oracles.alpha_oracle)],
+    )
+    def test_primes_past_the_first_64(self, colouring, value, oracle):
+        proc = run_cli("colour", "--colouring", colouring, value)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["colour"] == colour_key(oracle(Fraction(value)))
+
+    def test_prime_past_the_cap_same_error_at_any_table_size(self, monkeypatch, capsys):
+        # 1,000,003 is prime and past the cap; 7,919 is the 1,000th prime
+        def colour_errors() -> list[str]:
+            errors = []
+            for value in ("1/1000003", f"1/{7919 * 1000003}"):
+                t0 = time.perf_counter()
+                assert cli.main(["colour", "--colouring", "mu", value]) == 2
+                assert time.perf_counter() - t0 < 1.0
+                out, err = capsys.readouterr()
+                assert out == ""
+                errors.append(err)
+            return errors
+
+        monkeypatch.setattr(core, "_shared", core.PrimeTable())
+        before = colour_errors()
+        monkeypatch.setattr(core, "_shared", core.PrimeTable())
+        assert cli.main(["construct", "--terms", "3"]) == 0
+        capsys.readouterr()
+        assert core.DEFAULT_PRIME_COUNT < core.default_table().count < core.PRIME_CAP
+        after = colour_errors()
+        assert before == after
+        for err in after:
+            assert f"first {core.PRIME_CAP} primes (residue 1000003)" in err
+
     def test_pretty_same_object(self):
         compact = run_cli("colour", "--colouring", "mu", "5/6")
         pretty = run_cli("colour", "--colouring", "mu", "5/6", "--pretty")
@@ -70,6 +109,15 @@ class TestExpand:
         proc = run_cli("expand", "--prime-index", "1", "1/3")
         assert proc.returncode == 2 and proc.stdout == ""
 
+    def test_base_digit_limit(self):
+        # P_1229 has 4,298 decimal digits, P_1230 more than 4,300
+        proc = run_cli("expand", "--prime-index", "1229", "1/3")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["base_index"] == 1229
+        proc = run_cli("expand", "--prime-index", "1230", "1/3")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "4300 decimal digits" in proc.stderr
+
 
 class TestCheck:
     def test_clash_from_stdin(self):
@@ -94,6 +142,16 @@ class TestCheck:
     def test_empty_sequence_rejected(self):
         proc = run_cli("check", "--colouring", "nu", stdin="# nothing\n")
         assert proc.returncode == 2
+
+    def test_finite_term_cap(self):
+        terms = "".join(f"{n}\n" for n in range(1, 18))
+        proc = run_cli("check", "--colouring", "const", "--mode", "finite", stdin=terms)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "at most 16 terms" in proc.stderr
+        proc = run_cli("check", "--colouring", "const", "--mode", "finite",
+                       stdin=terms.rsplit("17\n", 1)[0])
+        assert proc.returncode == 0
+        assert len(json.loads(proc.stdout)["combinations"]) == 2 * (2**16 - 1)
 
 
 class TestSearch:
@@ -126,6 +184,14 @@ class TestConstruct:
         assert obj["terms"] == ["1/3", "1/2069271737"]
         verdict = obj["certificate"]["verdict"]
         assert verdict["monochromatic"]["key"].startswith("mu:f:")
+
+    @pytest.mark.parametrize("terms", ["2", "3", "4"])
+    def test_certificate_validates_with_defaults(self, terms):
+        proc = run_cli("construct", "--terms", terms)
+        assert proc.returncode == 0
+        cert = Certificate.from_obj(json.loads(proc.stdout)["certificate"])
+        reasons: list[str] = []
+        assert validate(cert, reasons), reasons
 
     def test_budget_exhaustion_exit_3(self):
         proc = run_cli("construct", "--terms", "3", "--budget", "5")

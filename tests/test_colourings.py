@@ -63,6 +63,12 @@ class TestPhi:
     def test_matches_zone_oracle(self, k):
         assert phi(k) == oracles.phi_oracle(k)
 
+    def test_matches_oracle_on_seeded_62_bit_sample(self):
+        rng = random.Random("phi:62-bit")
+        ks = list(range(-5000, 5001))
+        ks += [rng.randint(-(2**62) + 1, 2**62 - 1) for _ in range(20_000)]
+        assert [phi(k) for k in ks] == [oracles.phi_oracle(k) for k in ks]
+
 
 class TestPairColourings:
     def test_zero_class(self):
@@ -193,27 +199,27 @@ class TestMu:
             (Fraction(1, 3), "mu:f:nu:t:0,1,2,1,1|phi:z|phi:t:0,1,0,0,0"),
         ],
     )
-    def test_frozen_fractional_keys(self, x, key, table):
-        assert colour_key(mu(x, table)) == key
+    def test_frozen_fractional_keys(self, x, key):
+        assert colour_key(mu(x)) == key
 
-    def test_fractional_positions_feed_pair_colours(self, table):
+    def test_fractional_positions_feed_pair_colours(self):
         x = Fraction(5, 8)  # 0.101 in the minimal (binary) base: s=-1, e=-3
-        v = mu(x, table)
+        v = mu(x)
         assert isinstance(v, MuFrac)
         assert v.phi == big_phi(1, 3) and v.psi_prime == psi_prime(1, 3)
 
-    def test_matches_oracle_on_grid(self, table):
+    def test_matches_oracle_on_grid(self):
         for x in GRID:
-            assert mu(x, table) == oracles.mu_oracle(x)
+            assert mu(x) == oracles.mu_oracle(x)
 
 
 class TestAlpha:
-    def test_case_split(self, table):
-        assert isinstance(alpha(Fraction(7), table), AlphaNat)
-        assert isinstance(alpha(Fraction(1, 4), table), AlphaNegPow2)
-        assert isinstance(alpha(Fraction(2, 3), table), AlphaSmall)
-        assert isinstance(alpha(Fraction(3, 2), table), AlphaSmall)
-        assert isinstance(alpha(Fraction(5, 2), table), AlphaBig)
+    def test_case_split(self):
+        assert isinstance(alpha(Fraction(7)), AlphaNat)
+        assert isinstance(alpha(Fraction(1, 4)), AlphaNegPow2)
+        assert isinstance(alpha(Fraction(2, 3)), AlphaSmall)
+        assert isinstance(alpha(Fraction(3, 2)), AlphaSmall)
+        assert isinstance(alpha(Fraction(5, 2)), AlphaBig)
 
     @pytest.mark.parametrize(
         "x, key",
@@ -224,26 +230,26 @@ class TestAlpha:
             (Fraction(5, 2), "alpha:b:1,1,1,1,1,0,0,1,0,0,0,1,0"),
         ],
     )
-    def test_frozen_keys(self, x, key, table):
-        assert colour_key(alpha(x, table)) == key
+    def test_frozen_keys(self, x, key):
+        assert colour_key(alpha(x)) == key
 
-    def test_big_tuple_has_13_components(self, table):
-        v = alpha(Fraction(11, 4), table)
+    def test_big_tuple_has_13_components(self):
+        v = alpha(Fraction(11, 4))
         assert isinstance(v, AlphaBig) and len(v.components) == 13
 
-    def test_matches_oracle_on_grid(self, table):
+    def test_matches_oracle_on_grid(self):
         for x in GRID:
-            assert alpha(x, table) == oracles.alpha_oracle(x)
+            assert alpha(x) == oracles.alpha_oracle(x)
 
 
 class TestKeys:
-    def test_round_trip_everywhere(self, table):
+    def test_round_trip_everywhere(self):
         rng = random.Random(7)
         values = [theta(rng.randint(1, 10**6)) for _ in range(50)]
         values += [big_phi(rng.randint(0, 50), rng.randint(0, 50)) for _ in range(50)]
         values += [nu(x) for x in GRID[:100]]
-        values += [mu(x, table) for x in GRID[:100]]
-        values += [alpha(x, table) for x in GRID[:100]]
+        values += [mu(x) for x in GRID[:100]]
+        values += [alpha(x) for x in GRID[:100]]
         values.append(ConstColour())
         for v in values:
             key = colour_key(v)
@@ -257,14 +263,14 @@ class TestKeys:
 
 
 class TestRegistry:
-    def test_ids_dispatch(self, table):
-        assert colouring_fn("nu", table)(Fraction(11, 4)) == nu(Fraction(11, 4))
-        assert colouring_fn("mu", table)(Fraction(5, 6)) == mu(Fraction(5, 6), table)
-        assert colouring_fn("const", table)(Fraction(9, 7)) == ConstColour()
+    def test_ids_dispatch(self):
+        assert colouring_fn("nu")(Fraction(11, 4)) == nu(Fraction(11, 4))
+        assert colouring_fn("mu")(Fraction(5, 6)) == mu(Fraction(5, 6))
+        assert colouring_fn("const")(Fraction(9, 7)) == ConstColour()
 
-    def test_integer_colourings_reject_fractions(self, table):
+    def test_integer_colourings_reject_fractions(self):
         for cid in ("phi", "theta"):
-            fn = colouring_fn(cid, table)
+            fn = colouring_fn(cid)
             assert fn(Fraction(6)) is not None
             with pytest.raises(DomainError):
                 fn(Fraction(3, 2))

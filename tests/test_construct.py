@@ -16,7 +16,7 @@ from qcolour.construct import (
     openness_radius,
     reciprocal_prime_indices,
 )
-from qcolour.core import PrimeTable
+from qcolour.core import PRIME_CAP, nth_prime
 from qcolour.errors import BudgetExhaustedError, DomainError, TableExhaustedError
 from qcolour.verify import CombinationMode, Monochromatic, combinations, validate
 
@@ -36,25 +36,25 @@ class TestReciprocalPrimeIndices:
         assert all(a < b for a, b in zip(long, long[1:]))
 
     def test_reciprocal_sum_stays_below_half(self):
-        table = PrimeTable(1300)
         total = sum(
-            (Fraction(1, table.nth(r)) for r in reciprocal_prime_indices(40, table=table)),
-            Fraction(0),
+            (Fraction(1, nth_prime(r)) for r in reciprocal_prime_indices(40)), Fraction(0)
         )
         assert total < Fraction(1, 2)
 
     def test_exhaustion(self):
+        # term 174 needs a prime of at least 6·174·173 = 180,612, past the cap
+        assert reciprocal_prime_indices(173)[-1] <= PRIME_CAP
         with pytest.raises(TableExhaustedError):
-            reciprocal_prime_indices(4, table=PrimeTable(10))
+            reciprocal_prime_indices(174)
         with pytest.raises(DomainError):
             reciprocal_prime_indices(0)
 
 
 class TestBlockSystem:
-    def test_terms(self, table):
+    def test_terms(self):
         system = BlockSystem(base_indices=(2, 6, 12), blocks=((1,), (2, 3)))
-        assert system.base_terms(table) == [Fraction(1, 3), Fraction(1, 13), Fraction(1, 37)]
-        assert system.terms(table) == [Fraction(1, 3), Fraction(1, 481)]
+        assert system.base_terms() == [Fraction(1, 3), Fraction(1, 13), Fraction(1, 37)]
+        assert system.terms() == [Fraction(1, 3), Fraction(1, 481)]
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -100,17 +100,17 @@ class TestOpennessRadius:
 
 
 class TestMinimalDigitFact:
-    def test_last_digit_position(self, table):
-        assert minimal_digit_fact(Fraction(1, 3), table)
-        assert minimal_digit_fact(Fraction(5, 6), table)
-        assert minimal_digit_fact(Fraction(1, 2), table)
-        assert not minimal_digit_fact(Fraction(1, 4), table)
-        assert not minimal_digit_fact(Fraction(5, 8), table)
+    def test_last_digit_position(self):
+        assert minimal_digit_fact(Fraction(1, 3))
+        assert minimal_digit_fact(Fraction(5, 6))
+        assert minimal_digit_fact(Fraction(1, 2))
+        assert not minimal_digit_fact(Fraction(1, 4))
+        assert not minimal_digit_fact(Fraction(5, 8))
 
-    def test_domain(self, table):
+    def test_domain(self):
         for bad in (Fraction(3, 2), Fraction(1), Fraction(0)):
             with pytest.raises(DomainError):
-                minimal_digit_fact(bad, table)
+                minimal_digit_fact(bad)
 
 
 class TestProductSubsystem:
@@ -143,10 +143,9 @@ class TestSumClosedExtension:
         assert cert.mode is CombinationMode.FINITE_FSFP
         assert cert.verdict == Monochromatic(key=MU_KEY)
         assert len(cert.combinations) == 6
-        table = PrimeTable(1300)
-        assert validate(cert, table=table)
+        assert validate(cert)
         for _, value in combinations(list(res.terms), CombinationMode.FINITE_FSFP):
-            assert minimal_digit_fact(value, table)
+            assert minimal_digit_fact(value)
 
     def test_budget_failure_reports_depth(self):
         with pytest.raises(BudgetExhaustedError) as info:

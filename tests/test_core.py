@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcolour.core import (
+    PRIME_CAP,
     Ordering,
-    PrimeTable,
     a_exponent,
     cmp_c5_boundary,
     cmp_pow2_half,
-    default_table,
     floor_frac,
     in_C3,
     in_C4,
@@ -123,23 +122,22 @@ class TestDyadicHelpers:
 
 
 class TestPrimeTable:
-    def test_first_primes(self, table):
-        assert [table.nth(i) for i in range(1, 7)] == [2, 3, 5, 7, 11, 13]
+    def test_first_primes(self):
+        assert [nth_prime(i) for i in range(1, 7)] == [2, 3, 5, 7, 11, 13]
         assert nth_prime(64) == 311
 
-    def test_primorials(self, table):
+    def test_primorials(self):
         assert [primorial(n) for n in range(1, 5)] == [2, 6, 30, 210]
-        assert table.primorial(3) == 30
-
-    def test_index_of(self, table):
-        assert table.index_of(13) == 6
-        with pytest.raises(UnsupportedPrimeError):
-            table.index_of(4)
+        with pytest.raises(DomainError):
+            primorial(0)
 
     def test_exhaustion(self):
-        small = PrimeTable(3)
+        # the table grows on demand, up to the cap and no further
+        assert nth_prime(PRIME_CAP) == 180_503
+        with pytest.raises(TableExhaustedError, match=f"cap of {PRIME_CAP} primes"):
+            nth_prime(PRIME_CAP + 1)
         with pytest.raises(TableExhaustedError):
-            small.nth(4)
+            primorial(PRIME_CAP + 1)
 
     @pytest.mark.parametrize(
         "x, n",
@@ -152,12 +150,16 @@ class TestPrimeTable:
             (Fraction(9, 77), 5),
         ],
     )
-    def test_minimal_base_index(self, x, n, table):
-        assert minimal_base_index(x, table) == n
+    def test_minimal_base_index(self, x, n):
+        assert minimal_base_index(x) == n
 
     def test_minimal_base_unsupported_prime(self):
-        with pytest.raises(UnsupportedPrimeError):
-            minimal_base_index(Fraction(1, 313), PrimeTable(64))
+        # 313 is the 65th prime and 180,503 the last one under the cap
+        assert minimal_base_index(Fraction(1, 313)) == 65
+        assert minimal_base_index(Fraction(1, 180_503)) == PRIME_CAP
+        for den in (180_511, 2 * 180_511):  # the first prime past the cap
+            with pytest.raises(UnsupportedPrimeError, match=f"first {PRIME_CAP} primes"):
+                minimal_base_index(Fraction(1, den))
 
     @given(
         num=st.integers(1, 500),
@@ -166,15 +168,15 @@ class TestPrimeTable:
         k=st.integers(0, 2),
     )
     @settings(deadline=None)
-    def test_minimal_base_strips_exactly(self, table, num, i, j, k):
+    def test_minimal_base_strips_exactly(self, num, i, j, k):
         # denominator built from the first three primes: index is the largest used
         den = 2**i * 3**j * 5**k
         x = make_rational(num * den + num, den)  # keep it reduced-ish but arbitrary
-        n = minimal_base_index(x, table)
+        n = minimal_base_index(x)
         d = x.denominator
         for p in [2, 3, 5, 7, 11][:n]:
             while d % p == 0:
                 d //= p
         assert d == 1
         if n > 1:
-            assert x.denominator % table.nth(n) == 0
+            assert x.denominator % nth_prime(n) == 0

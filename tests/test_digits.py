@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcolour.core import minimal_base_index
+from qcolour.core import minimal_base_index, primorial
 from qcolour.digits import (
     b_exponent,
     binary_profile,
@@ -90,22 +90,22 @@ tiny = st.integers(0, 4)
 
 
 class TestExpansion:
-    def test_worked_expansion(self, table):
+    def test_worked_expansion(self):
         x = Fraction(149) + Fraction(1, 96)
-        d = expand(x, 2, table)
+        d = expand(x, 2)
         assert d.leading() == 2 and d.trailing() == -5
         assert d.digits == {2: 4, 0: 5, -3: 2, -4: 1, -5: 3}
         assert d.positional() == "405.00213"
-        assert d.value(table) == x
+        assert d.value() == x
 
-    def test_binary_base(self, table):
-        d = expand(Fraction(11, 4), 1, table)  # 10.11
+    def test_binary_base(self):
+        d = expand(Fraction(11, 4), 1)  # 10.11
         assert d.digits == {1: 1, -1: 1, -2: 1}
         assert (d.leading(), d.trailing()) == (1, -2)
 
-    def test_non_terminating_rejected(self, table):
+    def test_non_terminating_rejected(self):
         with pytest.raises(DomainError):
-            expand(Fraction(1, 3), 1, table)
+            expand(Fraction(1, 3), 1)
 
     @given(
         num=st.integers(1, 10**6),
@@ -113,28 +113,28 @@ class TestExpansion:
         n=st.integers(1, 3),
     )
     @settings(deadline=None)
-    def test_round_trip(self, table, num, i, j, k, n):
+    def test_round_trip(self, num, i, j, k, n):
         den = 2**i * 3**j * 5**k
         x = Fraction(num, den)
-        base_n = max(n, minimal_base_index(x, table))
-        d = expand(x, base_n, table)
-        assert d.value(table) == x
-        base = table.primorial(base_n)
+        base_n = max(n, minimal_base_index(x))
+        d = expand(x, base_n)
+        assert d.value() == x
+        base = primorial(base_n)
         assert all(0 < digit < base for digit in d.digits.values())
 
 
 class TestPositionFunctions:
-    def test_fractional_positions(self, table):
-        assert s_frac(Fraction(1, 4), 2, table) == -1
-        assert e_frac(Fraction(1, 4), 2, table) == -2
-        assert s_frac(Fraction(5, 6), 2, table) == -1
-        assert e_frac(Fraction(5, 6), 2, table) == -1
+    def test_fractional_positions(self):
+        assert s_frac(Fraction(1, 4), 2) == -1
+        assert e_frac(Fraction(1, 4), 2) == -2
+        assert s_frac(Fraction(5, 6), 2) == -1
+        assert e_frac(Fraction(5, 6), 2) == -1
 
-    def test_integer_end(self, table):
-        assert e_int(96, 1, table) == 5
-        assert e_int(96, 2, table) == 1
-        assert e_int(5, 1, table) == 0
+    def test_integer_end(self):
+        assert e_int(96, 1) == 5
+        assert e_int(96, 2) == 1
+        assert e_int(5, 1) == 0
 
-    def test_whole_inputs_rejected_for_frac(self, table):
+    def test_whole_inputs_rejected_for_frac(self):
         with pytest.raises(DomainError):
-            s_frac(Fraction(3, 2), 2, table)
+            s_frac(Fraction(3, 2), 2)

@@ -12,7 +12,6 @@ import pytest
 
 from qcolour import verify
 from qcolour.colourings import big_phi
-from qcolour.core import PrimeTable
 from qcolour.digits import DigitExpansion, end2, expand, start2
 from qcolour.errors import DomainError
 from qcolour.verify import (
@@ -29,12 +28,6 @@ from qcolour.verify import (
     search,
     validate,
 )
-
-
-@pytest.fixture(scope="module")
-def big_table():
-    # constructed sequences factor through primes past the default table
-    return PrimeTable(200)
 
 
 class TestCombinations:
@@ -59,6 +52,12 @@ class TestCombinations:
         with pytest.raises(DomainError):
             combinations([Fraction(2), Fraction(2)], CombinationMode.PAIRWISE)
 
+    def test_finite_term_cap(self):
+        xs = [Fraction(n) for n in range(1, verify.FINITE_TERM_CAP + 2)]
+        with pytest.raises(DomainError, match="at most 16 terms"):
+            combinations(xs, CombinationMode.FINITE_FSFP)
+        assert len(combinations(xs, CombinationMode.PAIRWISE)) == 2 * 17 * 16 // 2
+
 
 class TestCheck:
     def test_clash_pair(self):
@@ -78,9 +77,9 @@ class TestCheck:
         assert cert.verdict == Monochromatic(key=None, empty=True)
         assert cert.combinations == ()
 
-    def test_constructed_pair_stays_monochromatic(self, big_table):
+    def test_constructed_pair_stays_monochromatic(self):
         ys = [Fraction(1, 3), Fraction(1, 2069271737)]
-        cert = check("mu", ys, CombinationMode.FINITE_FSFP, big_table)
+        cert = check("mu", ys, CombinationMode.FINITE_FSFP)
         assert cert.verdict == Monochromatic(key="mu:f:nu:t:0,1,2,1,1|phi:z|phi:t:0,1,0,0,0")
         assert len(cert.combinations) == 6
 
@@ -110,15 +109,15 @@ class TestCertificateSerialization:
             "verdict": {"clash": [0, 1]},
         }
 
-    def test_validate_accepts_genuine(self, big_table):
+    def test_validate_accepts_genuine(self):
         for cert in (
             check("nu", [Fraction(2), Fraction(4)], CombinationMode.PAIRWISE),
-            check("mu", [Fraction(1, 3), Fraction(1, 2)], CombinationMode.FINITE_FSFP, big_table),
+            check("mu", [Fraction(1, 3), Fraction(1, 2)], CombinationMode.FINITE_FSFP),
         ):
             reasons: list[str] = []
-            assert validate(cert, reasons, big_table) and reasons == []
+            assert validate(cert, reasons) and reasons == []
 
-    def test_validate_rejects_tampering(self, big_table):
+    def test_validate_rejects_tampering(self):
         cert = check("nu", [Fraction(2), Fraction(4)], CombinationMode.PAIRWISE)
         entry = cert.combinations[0]
 
@@ -132,7 +131,7 @@ class TestCertificateSerialization:
         wrong_verdict = replace(cert, verdict=Monochromatic(key="nu:s:C1"))
         for bad in (tampered_colour, tampered_value, dropped, wrong_verdict):
             reasons = []
-            assert not validate(bad, reasons, big_table)
+            assert not validate(bad, reasons)
             assert reasons
 
     def test_from_obj_rejects_malformed(self):
@@ -279,8 +278,8 @@ class TestSearch:
         real = verify.colouring_fn
         seen = []
 
-        def counting(colouring_id, table=None):
-            fn = real(colouring_id, table)
+        def counting(colouring_id):
+            fn = real(colouring_id)
             return lambda x: seen.append(x) or fn(x)
 
         monkeypatch.setattr(verify, "colouring_fn", counting)
@@ -303,6 +302,15 @@ class TestSearch:
             with pytest.raises(DomainError):
                 search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE,
                        **{"target_size": 2, "budget": 100, "workers": 1, **kwargs})
+
+    def test_finite_target_above_term_cap_rejected_before_colouring(self, monkeypatch):
+        def refuse(colouring_id):
+            raise AssertionError("coloured before the target size was checked")
+
+        monkeypatch.setattr(verify, "colouring_fn", refuse)
+        with pytest.raises(DomainError, match="at most 16 terms"):
+            search("nu", NU_UNIVERSE, CombinationMode.FINITE_FSFP,
+                   target_size=verify.FINITE_TERM_CAP + 1, budget=100, workers=1)
 
 
 class TestPropertySuite:
@@ -347,8 +355,8 @@ class TestPropertySuite:
         assert "binary-product-start" in failed
 
     def test_shifted_expansion_is_caught(self):
-        def shifted(x, n, table=None):
-            d = expand(x, n, table)
+        def shifted(x, n):
+            d = expand(x, n)
             return DigitExpansion(d.base_index, {p + 1: v for p, v in d.digits.items()})
 
         report = property_suite(seed=1, sample_count=300, overrides={"expand": shifted})
