@@ -34,7 +34,6 @@ from .digits import (
     e_int,
     epsilon_exponent,
     expand,
-    r_ratio,
     right_left_disjoint,
     s_frac,
 )

@@ -16,6 +16,7 @@ from .core import (
     PrimeTable,
     Rational,
     a_exponent,
+    base_index_and_exponent,
     check_exponent,
     cmp_c5_boundary,
     cmp_pow2_half,
@@ -24,17 +25,17 @@ from .core import (
     is_power_of_two,
     floor_frac,
     minimal_base_index,
+    primorial,
 )
 from .digits import (
     b_exponent,
     binary_profile,
     c_exponent,
-    e_frac,
     e_int,
+    end2,
     epsilon_exponent,
-    r_ratio,
+    leading_frac_position,
     right_left_disjoint,
-    s_frac,
 )
 from .errors import DomainError
 
@@ -287,10 +288,9 @@ def mu(x: Rational, table: PrimeTable | None = None) -> ColourValue:
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     if x >= 1:
         return MuWhole(nu=nu(x))
-    n = minimal_base_index(x)
-    s = s_frac(x, n)
-    e = e_frac(x, n)
-    return MuFrac(nu=nu(x), phi=big_phi(-s, -e), psi_prime=psi_prime(-s, -e))
+    n, u = base_index_and_exponent(x)  # the trailing digit sits at position -u
+    s = leading_frac_position(x, primorial(n))
+    return MuFrac(nu=nu(x), phi=big_phi(-s, u), psi_prime=psi_prime(-s, u))
 
 
 def alpha(x: Rational, table: PrimeTable | None = None) -> ColourValue:
@@ -312,18 +312,16 @@ def _alpha_prime(x: Rational) -> tuple[int, ...]:
     c = c_exponent(x)
     whole, frac = floor_frac(x)
     er_w = e_int(whole, r)
-    e2_w = e_int(whole, 1)
     er_w1 = e_int(whole + 1, r)
-    e2_w1 = e_int(whole + 1, 1)
     return (
         a % 2,
         a_exponent(frac) % 2,
         epsilon_exponent(frac) % 2,
         er_w % 2,
-        e2_w % 2,
+        end2(whole) % 2,  # the exponent of P_1 = 2
         er_w1 % 2,
-        e2_w1 % 2,
-        a_exponent(r_ratio(x)) % 3,
+        end2(whole + 1) % 2,
+        (b - a) % 3,  # a((x - 2^a) / 2^a) = a(x - 2^a) - a
         0 if whole & (whole - 1) == 0 else 1,
         0 if a - b > er_w else 1,
         0 if a - b > er_w1 else 1,

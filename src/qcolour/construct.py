@@ -26,13 +26,14 @@ from .core import (
     Ordering,
     Rational,
     a_exponent,
+    base_index_and_exponent,
     cmp_c5_boundary,
     cmp_pow2_half,
-    minimal_base_index,
     nth_prime,
     pow2,
+    primorial,
 )
-from .digits import b_exponent, c_exponent, e_frac, s_frac
+from .digits import b_exponent, c_exponent, leading_frac_position
 from .errors import BudgetExhaustedError, DomainError, InternalInvariantError
 from .verify import (
     Certificate,
@@ -180,8 +181,8 @@ def minimal_digit_fact(z: Rational) -> bool:
     position −1 span: s_k(z) = e_k(z) = −1."""
     if not 0 < z < 1:
         raise DomainError(f"value must be in (0,1), got {z}")
-    k = minimal_base_index(z)
-    return s_frac(z, k) == -1 and e_frac(z, k) == -1
+    k, u = base_index_and_exponent(z)
+    return u == 1 and leading_frac_position(z, primorial(k)) == -1
 
 
 class _Budget:
@@ -250,15 +251,10 @@ class _Level:
     j: int
 
 
-def _search_blocks(
-    m: int,
-    budget_limit: int,
-    pool_size: int | None,
-    delta_rule: bool,
-) -> tuple[BlockSystem, list[Rational], str]:
+def _search_blocks(m: int, budget_limit: int, delta_rule: bool) -> tuple[BlockSystem, list[Rational], str]:
     if m < 1:
         raise DomainError(f"term count must be >= 1, got {m}")
-    pool_size = pool_size if pool_size is not None else 16 + 14 * m
+    pool_size = 16 + 14 * m
     indices = reciprocal_prime_indices(pool_size)
     base_primes = [nth_prime(r) for r in indices]
 
@@ -356,13 +352,9 @@ def _search_blocks(
     return system, ys, target
 
 
-def find_product_subsystem(
-    m: int,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-    pool_size: int | None = None,
-) -> ProductSystem:
+def find_product_subsystem(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> ProductSystem:
     """Blocks whose 2^m − 1 derived products all share one ν tuple key."""
-    system, ys, key = _search_blocks(m, search_budget, pool_size, False)
+    system, ys, key = _search_blocks(m, search_budget, False)
     products = tuple(
         CombinationEntry(tag, value, colour_key(nu(value)))
         for tag, value in combinations(ys, CombinationMode.FINITE_FSFP)
@@ -373,11 +365,7 @@ def find_product_subsystem(
     return ProductSystem(system=system, terms=tuple(ys), key=key, products=products)
 
 
-def extend_sum_closed(
-    m: int,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-    pool_size: int | None = None,
-) -> ConstructResult:
+def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> ConstructResult:
     """Terms whose finite sums and products are μ-monochromatic, certified.
 
     Runs the product-subsystem search with the sum-closure rule folded in:
@@ -385,7 +373,7 @@ def extend_sum_closed(
     all current subset sums (and below the current terms), so every sum stays
     in the shared ν class; the final certificate re-checks everything under μ.
     """
-    system, ys, key = _search_blocks(m, search_budget, pool_size, True)
+    system, ys, key = _search_blocks(m, search_budget, True)
     certificate = check("mu", ys, CombinationMode.FINITE_FSFP)
     if not isinstance(certificate.verdict, Monochromatic):
         raise InternalInvariantError(

@@ -30,6 +30,12 @@ Rational = Fraction
 #: Exponents/digit positions are confined to a signed 64-bit-safe window.
 EXPONENT_LIMIT = 2**62
 
+#: Integers of more decimal digits than this are refused: CPython by default
+#: will not convert one to or from a string, and a constant gives every
+#: interpreter the same answer.
+MAX_DIGITS = 4300
+_DIGIT_LIMIT = 10**MAX_DIGITS
+
 _RATIONAL_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
 
@@ -42,6 +48,13 @@ def check_exponent(value: int) -> int:
     """Return ``value`` unchanged, rejecting anything outside the 64-bit window."""
     if not -EXPONENT_LIMIT < value < EXPONENT_LIMIT:
         raise PositionOverflowError(f"exponent {value} outside ±2^62")
+    return value
+
+
+def check_digits(value: int, what: str) -> int:
+    """Return ``value`` unchanged, rejecting more than ``MAX_DIGITS`` decimal digits."""
+    if value >= _DIGIT_LIMIT:
+        raise DomainError(f"{what} has more than {MAX_DIGITS} decimal digits")
     return value
 
 
@@ -59,6 +72,8 @@ def parse_rational(text: str) -> Rational:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise DomainError(f"not a positive rational: {text!r}")
+    if max(len(part or "") for part in m.groups()) > MAX_DIGITS:
+        raise DomainError(f"numerator or denominator has more than {MAX_DIGITS} decimal digits")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
     return make_rational(num, den)
@@ -104,7 +119,8 @@ def is_power_of_two(x: Rational) -> bool:
     return (n == 1 or d == 1) and (n & (n - 1)) == 0 and (d & (d - 1)) == 0
 
 
-def _is_dyadic(x: Rational) -> bool:
+def is_dyadic(x: Rational) -> bool:
+    """True iff the denominator of x is a power of two."""
     d = x.denominator
     return (d & (d - 1)) == 0
 
@@ -112,7 +128,7 @@ def _is_dyadic(x: Rational) -> bool:
 def in_C3(x: Rational) -> bool:
     """True iff x = 2^k + 2^l with integers l < k (two binary digits)."""
     _require_positive(x)
-    if not _is_dyadic(x):
+    if not is_dyadic(x):
         return False
     return bin(x.numerator).count("1") == 2
 
@@ -120,7 +136,7 @@ def in_C3(x: Rational) -> bool:
 def in_C4(x: Rational) -> bool:
     """True iff x = 2^k - 2^l with integers l < k (a contiguous run of 1s)."""
     _require_positive(x)
-    if not _is_dyadic(x):
+    if not is_dyadic(x):
         return False
     n = x.numerator
     n >>= (n & -n).bit_length() - 1  # strip trailing zeros
@@ -244,28 +260,47 @@ def primorial(n: int) -> int:
     return math.prod(_primes_through(n)[:n])
 
 
-def minimal_base_index(x: Rational, table: PrimeTable | None = None) -> int:
-    """Smallest n such that every prime factor of the denominator is <= the n-th prime.
+def divide_out_primes(d: int, count: int = PRIME_CAP) -> tuple[int, int, int]:
+    """Divide the first ``count`` primes out of the natural number ``d``; never raises.
 
-    Returns 1 for integers (denominator 1) by convention. A denominator with a
-    prime factor past the cap is rejected only after every prime up to the cap
-    has been divided out.
+    Returns the residue, the 1-based index of the largest prime divided out
+    and the largest exponent of any prime divided out (0 and 0 if none).
     """
-    # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
-    _require_positive(x)
-    d = x.denominator
     if d == 1:
-        return 1
-    for i, p in enumerate(iter_primes(), start=1):
+        return 1, 0, 0
+    index = exponent = 0
+    for i, p in enumerate(itertools.islice(iter_primes(), max(count, 0)), start=1):
         if d % p == 0:
             d //= p
+            e = 1
             while d % p == 0:
                 d //= p
+                e += 1
+            index = i
+            exponent = max(exponent, e)
             if d == 1:
-                return i
-    raise UnsupportedPrimeError(
-        f"denominator of {x} has a prime factor beyond the first {PRIME_CAP} primes (residue {d})"
-    )
+                break
+    return d, index, exponent
+
+
+def base_index_and_exponent(x: Rational) -> tuple[int, int]:
+    """``minimal_base_index(x)`` and the largest prime exponent u of the denominator,
+    from one walk; P_n is squarefree, so u is the least power with x·P_n^u integral.
+    A prime factor past the cap is rejected after every prime up to it is divided out."""
+    _require_positive(x)
+    residue, n, u = divide_out_primes(x.denominator)
+    if residue != 1:
+        raise UnsupportedPrimeError(
+            f"denominator of {x} has a prime factor beyond the first {PRIME_CAP} primes"
+            f" (residue {residue})"
+        )
+    return max(n, 1), u
+
+
+def minimal_base_index(x: Rational, table: PrimeTable | None = None) -> int:
+    """Smallest n with every prime factor of the denominator <= the n-th prime; 1 for integers."""
+    # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
+    return base_index_and_exponent(x)[0]
 
 
 def floor_frac(x: Rational) -> tuple[int, Rational]:

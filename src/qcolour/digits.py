@@ -2,7 +2,7 @@
 
 Binary start/end/gap profiles for naturals, primorial-base expansions with
 signed digit positions for rationals, and the derived exponent functions
-``b``/``c``/``epsilon``/``r`` used by the colourings.
+``b``/``c``/``epsilon`` used by the colourings.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from .core import (
     PrimeTable,
     Rational,
     a_exponent,
+    check_digits,
     check_exponent,
+    divide_out_primes,
     floor_frac,
     is_power_of_two,
-    iter_primes,
-    minimal_base_index,
     pow2,
     primorial,
 )
@@ -108,14 +108,6 @@ def epsilon_exponent(f: Rational) -> int:
     return check_exponent(e)
 
 
-def r_ratio(x: Rational) -> Rational:
-    """(x - 2^a) / 2^a, strictly inside (0, 1)."""
-    if is_power_of_two(x):
-        raise DomainError(f"r-ratio undefined on powers of two: {x}")
-    a = a_exponent(x)
-    return (x - pow2(a)) / pow2(a)
-
-
 @dataclass(frozen=True)
 class DigitExpansion:
     """Sparse base-P_n expansion: only nonzero digits, keyed by signed position."""
@@ -151,22 +143,11 @@ class DigitExpansion:
         return sep.join(whole) + "." + sep.join(frac)
 
 
-#: Bases P_n with more decimal digits than this are refused before expanding:
-#: a digit can be nearly as long as the base, and CPython by default will not
-#: print an int of more than 4,300 digits. A constant gives every interpreter
-#: the same answer.
-MAX_BASE_DIGITS = 4300
-_BASE_LIMIT = 10**MAX_BASE_DIGITS
-
-
 def expand(x: Rational, n: int, table: PrimeTable | None = None) -> DigitExpansion:
     """Greedy exact base-P_n expansion of a positive rational."""
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
-    base = primorial(n)
-    if base >= _BASE_LIMIT:
-        raise DomainError(f"base P_{n} has more than {MAX_BASE_DIGITS} decimal digits")
-    if minimal_base_index(x) > n:
-        raise UnsupportedPrimeError(f"{x} has no terminating base-P_{n} expansion")
+    base = check_digits(primorial(n), f"base P_{n}")  # its digits must print
+    _trailing_exponent(x, n)  # the domain check
     whole, frac = floor_frac(x)
     digits: dict[int, int] = {}
     pos = 0
@@ -189,12 +170,17 @@ def expand(x: Rational, n: int, table: PrimeTable | None = None) -> DigitExpansi
 def s_frac(x: Rational, n: int, table: PrimeTable | None = None) -> int:
     """Leading nonzero digit position of x in base P_n, for 0 < x < 1."""
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
-    _check_frac_domain(x, n)
-    base = primorial(n)
-    level = Fraction(1, base)
+    e_frac(x, n)  # the domain checks
+    return leading_frac_position(x, primorial(n))
+
+
+def leading_frac_position(x: Rational, base: int) -> int:
+    """Leading nonzero digit position of 0 < x < 1 in ``base``, unchecked:
+    minus the least k with x·base^k >= 1."""
+    num, den = x.numerator * base, x.denominator
     s = -1
-    while x < level:
-        level /= base
+    while num < den:
+        num *= base
         s -= 1
         check_exponent(s)
     return s
@@ -207,25 +193,17 @@ def e_frac(x: Rational, n: int, table: PrimeTable | None = None) -> int:
     squarefree, so u is the largest prime-power exponent in the denominator).
     """
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
-    _check_frac_domain(x, n)
-    d = x.denominator
-    u = 0
-    for p in iter_primes():
-        if d == 1:
-            break
-        v = 0
-        while d % p == 0:
-            d //= p
-            v += 1
-        u = max(u, v)
-    return -u
-
-
-def _check_frac_domain(x: Rational, n: int) -> None:
     if not 0 < x < 1:
         raise DomainError(f"need 0 < x < 1, got {x}")
-    if minimal_base_index(x) > n:
+    return -_trailing_exponent(x, n)
+
+
+def _trailing_exponent(x: Rational, n: int) -> int:
+    """The least u with x·P_n^u integral; rejects x with no terminating base-P_n expansion."""
+    residue, _, u = divide_out_primes(x.denominator, n)
+    if residue != 1:
         raise UnsupportedPrimeError(f"{x} has no terminating base-P_{n} expansion")
+    return u
 
 
 def e_int(m: int, n: int) -> int:

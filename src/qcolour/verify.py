@@ -24,7 +24,7 @@ from math import gcd
 from typing import Callable, Iterator
 
 from .colourings import colour_key, colouring_fn
-from .core import PrimeTable, Rational, iter_primes, parse_rational, primorial
+from .core import PrimeTable, Rational, check_digits, is_dyadic, iter_primes, parse_rational, primorial
 from .digits import end2, expand, start2
 from .errors import DomainError
 
@@ -137,6 +137,7 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
     """All (tag, value) pairs for the mode, sums block first, then products.
 
     Subsets are ordered by (size, positions); tags are 1-based, e.g. "s:1,3".
+    A value too long to print (see ``core.MAX_DIGITS``) is refused.
     """
     if mode is CombinationMode.FINITE_FSFP and len(xs) > FINITE_TERM_CAP:
         raise DomainError(f"finite mode takes at most {FINITE_TERM_CAP} terms, got {len(xs)}")
@@ -147,7 +148,9 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
     for prefix, reduce in (("s", sum_of), ("p", product_of)):
         for idx in subsets:
             tag = f"{prefix}:{','.join(str(i + 1) for i in idx)}"
-            out.append((tag, reduce([xs[i] for i in idx])))
+            value = reduce([xs[i] for i in idx])
+            check_digits(max(value.numerator, value.denominator), f"combination {tag}")
+            out.append((tag, value))
     return out
 
 
@@ -231,6 +234,10 @@ def validate(
     return True
 
 
+#: A search universe holds at most this many elements; it colours every pair.
+UNIVERSE_CAP = 512
+
+
 @dataclass(frozen=True)
 class UniverseSpec:
     """Finite window of positive rationals, in canonical enumeration order."""
@@ -241,22 +248,22 @@ class UniverseSpec:
     integers_only: bool = False
 
     def elements(self) -> list[Rational]:
-        """All admissible x = n/d in lowest terms, ordered by (d, n)."""
-        admissible: list[int] = []
-        for d in range(1, 2 if self.integers_only else self.denominator_bound + 1):
-            left = d
-            for i, p in enumerate(iter_primes()):
-                if i >= self.prime_index_bound or p > left:
-                    break
-                while left % p == 0:
-                    left //= p
-            if left == 1:
-                admissible.append(d)
-        out = []
-        for d in admissible:
-            for n in range(1, self.numerator_bound + 1):
-                if gcd(n, d) == 1:
-                    out.append(Fraction(n, d))
+        """All x = n/d in lowest terms with d a product of the first
+        ``prime_index_bound`` primes, ordered by (d, n); at most ``UNIVERSE_CAP``."""
+        dens = [1]
+        primes = () if self.integers_only else iter_primes()
+        for p in itertools.islice(primes, max(self.prime_index_bound, 0)):
+            if p > self.denominator_bound or len(dens) > UNIVERSE_CAP:
+                break
+            for d in dens[:]:
+                while d * p <= self.denominator_bound and len(dens) <= UNIVERSE_CAP:
+                    d *= p
+                    dens.append(d)
+        top = self.numerator_bound + 1
+        values = (Fraction(n, d) for d in sorted(dens) for n in range(1, top) if gcd(n, d) == 1)
+        out = list(itertools.islice(values, UNIVERSE_CAP + 1))
+        if len(dens) > UNIVERSE_CAP or len(out) > UNIVERSE_CAP:
+            raise DomainError(f"universe has more than {UNIVERSE_CAP} elements or denominators")
         return out
 
 
@@ -664,7 +671,7 @@ def property_suite(
         if triple is None:
             return None
         alpha_, beta_, gamma_, x, y, z = triple
-        ok = all(v > 0 and _dyadic(v) for v in (x, y, z))
+        ok = all(v > 0 and is_dyadic(v) for v in (x, y, z))
         return None if ok else f"alpha={alpha_} beta={beta_} gamma={gamma_}"
 
     run("disjoint-support-sum", disjoint_sum)
@@ -675,11 +682,6 @@ def property_suite(
     run("primorial-product-start", primorial_start)
     run("c3-dyadic-closure", c3_closure)
     return PropertyReport(seed=seed, samples=sample_count, laws=tuple(laws))
-
-
-def _dyadic(x: Rational) -> bool:
-    d = x.denominator
-    return d & (d - 1) == 0
 
 
 def c3_triple(

@@ -82,6 +82,13 @@ class TestColour:
         for err in after:
             assert f"first {core.PRIME_CAP} primes (residue 1000003)" in err
 
+    def test_input_digit_limit(self):
+        proc = run_cli("colour", "--colouring", "nu", "1" * 4300)
+        assert proc.returncode == 0
+        proc = run_cli("colour", "--colouring", "nu", "1" * 4301)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: numerator or denominator has more than 4300 decimal digits\n"
+
     def test_pretty_same_object(self):
         compact = run_cli("colour", "--colouring", "mu", "5/6")
         pretty = run_cli("colour", "--colouring", "mu", "5/6", "--pretty")
@@ -153,6 +160,13 @@ class TestCheck:
         assert proc.returncode == 0
         assert len(json.loads(proc.stdout)["combinations"]) == 2 * (2**16 - 1)
 
+    def test_combination_digit_limit(self):
+        # each term prints, but their product has 4,400 digits
+        terms = f"{10**2199 + 1}\n{10**2199 + 3}\n"
+        proc = run_cli("check", "--colouring", "nu", stdin=terms)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: combination p:1,2 has more than 4300 decimal digits\n"
+
 
 class TestSearch:
     def test_exhaustive_exit_0(self):
@@ -173,6 +187,13 @@ class TestSearch:
         assert proc.returncode == 3
         obj = json.loads(proc.stdout)
         assert obj["exhausted"] is False and obj["nodes"] <= 5
+
+    def test_universe_cap(self, capsys):
+        t0 = time.perf_counter()
+        assert cli.main(["search", "--colouring", "nu", "--numerator-bound", "100000"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and "more than 512 elements" in err
 
 
 class TestConstruct:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcolour import oracles
+from qcolour import core, oracles
 from qcolour.colourings import (
     AlphaBig,
     AlphaNat,
@@ -211,6 +211,20 @@ class TestMu:
     def test_matches_oracle_on_grid(self):
         for x in GRID:
             assert mu(x) == oracles.mu_oracle(x)
+
+    def test_walks_the_primes_once_per_value_below_one(self, monkeypatch):
+        walks = []
+        real = core.iter_primes
+
+        def counting():
+            walks.append(None)
+            return real()
+
+        monkeypatch.setattr(core, "iter_primes", counting)
+        for x in GRID + [Fraction(1, 313), Fraction(7, 2 * 3**5 * 180_503)]:
+            walks.clear()
+            mu(x)
+            assert len(walks) == (1 if x < 1 else 0), x
 
 
 class TestAlpha:

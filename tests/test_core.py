@@ -1,19 +1,25 @@
 """Exact rational primitives: parsing, dyadic helpers, prime table."""
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcolour import oracles
 from qcolour.core import (
+    MAX_DIGITS,
     PRIME_CAP,
     Ordering,
     a_exponent,
+    base_index_and_exponent,
     cmp_c5_boundary,
     cmp_pow2_half,
+    divide_out_primes,
     floor_frac,
     in_C3,
     in_C4,
@@ -180,3 +186,58 @@ class TestPrimeTable:
         assert d == 1
         if n > 1:
             assert x.denominator % nth_prime(n) == 0
+
+
+def _brute_walk(d: int, count: int) -> tuple[int, int, int]:
+    """Factor d by trial division by every integer; split off the first ``count`` primes."""
+    residue, index, exponent = 1, 0, 0
+    q = 2
+    while d > 1:
+        e = 0
+        while d % q == 0:
+            d //= q
+            e += 1
+        if e:
+            i = sum(1 for _ in itertools.takewhile(lambda p: p <= q, oracles._prime_gen()))
+            if i <= count:
+                index, exponent = max(index, i), max(exponent, e)
+            else:
+                residue *= q**e
+        q += 1
+    return residue, index, exponent
+
+
+class TestPrimeWalk:
+    def test_matches_scan_and_brute_force(self):
+        rng = random.Random(11)
+        primes = list(itertools.islice(oracles._prime_gen(), 200))
+        for _ in range(300):
+            d = math.prod(rng.choice(primes) ** rng.randint(1, 4) for _ in range(rng.randint(0, 4)))
+            count = rng.choice([0, 1, 3, 25, 200, PRIME_CAP])
+            assert divide_out_primes(d, count) == _brute_walk(d, count), (d, count)
+            x = Fraction(rng.randint(1, d), d)
+            assert base_index_and_exponent(x)[0] == oracles._minimal_base_scan(x)
+
+    def test_cap_edges(self):
+        # 180,503 is the last prime under the cap and 180,511 the first past it
+        assert divide_out_primes(180_503) == (1, PRIME_CAP, 1)
+        assert divide_out_primes(2**5 * 3 * 180_503**2) == (1, PRIME_CAP, 5)
+        assert divide_out_primes(9 * 180_511) == (180_511, 2, 2)
+        assert divide_out_primes(180_511**2) == (180_511**2, 0, 0)
+        assert divide_out_primes(1) == (1, 0, 0)
+        assert divide_out_primes(12, 1) == (3, 1, 2)
+
+    def test_base_index_and_exponent(self):
+        assert base_index_and_exponent(Fraction(7)) == (1, 0)
+        assert base_index_and_exponent(Fraction(14305, 96)) == (2, 5)
+        assert base_index_and_exponent(Fraction(1, 180_503)) == (PRIME_CAP, 1)
+        with pytest.raises(UnsupportedPrimeError, match=r"primes \(residue 180511\)$"):
+            base_index_and_exponent(Fraction(1, 4 * 180_511))
+
+
+class TestDigitLimit:
+    def test_parse_refuses_long_terms_before_converting(self):
+        assert parse_rational("7" * MAX_DIGITS + "/" + "3" * MAX_DIGITS).denominator > 1
+        for text in ("7" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1)):
+            with pytest.raises(DomainError, match=f"more than {MAX_DIGITS} decimal digits"):
+                parse_rational(text)

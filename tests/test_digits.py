@@ -17,7 +17,6 @@ from qcolour.digits import (
     end2,
     epsilon_exponent,
     expand,
-    r_ratio,
     right_left_disjoint,
     s_frac,
     start2,
@@ -81,9 +80,6 @@ class TestIntervalExponents:
         assert epsilon_exponent(Fraction(5, 6)) == -2
         with pytest.raises(DomainError):
             epsilon_exponent(Fraction(11, 4))
-
-    def test_r_ratio(self):
-        assert r_ratio(Fraction(11, 4)) == Fraction(3, 8)
 
 
 tiny = st.integers(0, 4)

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -153,6 +155,36 @@ class TestUniverse:
     def test_denominators_restricted_to_prime_window(self):
         spec = UniverseSpec(numerator_bound=2, denominator_bound=12, prime_index_bound=1)
         assert sorted({x.denominator for x in spec.elements()}) == [1, 2, 4, 8]
+
+    def test_matches_trial_division_reference(self):
+        def reference(n_bound, d_bound, k, integers_only):
+            out = []
+            for d in range(1, 2 if integers_only else d_bound + 1):
+                left = d
+                for p in (2, 3, 5, 7, 11)[:k]:
+                    while left % p == 0:
+                        left //= p
+                if left == 1:
+                    out += [Fraction(n, d) for n in range(1, n_bound + 1) if math.gcd(n, d) == 1]
+            return out
+
+        for args in itertools.product((0, 1, 7, 20, 60), (1, 2, 12, 60, 97), range(6), (False, True)):
+            want = reference(*args)
+            if len(want) > verify.UNIVERSE_CAP:
+                with pytest.raises(DomainError, match="more than 512"):
+                    UniverseSpec(*args).elements()
+            else:
+                assert UniverseSpec(*args).elements() == want, args
+
+    def test_cap_bounds_the_cost(self):
+        t0 = time.perf_counter()
+        for spec in (UniverseSpec(100_000), UniverseSpec(0, 10**12, 6), UniverseSpec(30, 10**12)):
+            with pytest.raises(DomainError, match="more than 512"):
+                spec.elements()
+        powers = UniverseSpec(1, 10**12).elements()
+        assert powers == [Fraction(1, 2**e) for e in range(40)]
+        assert len(UniverseSpec(512).elements()) == 512
+        assert time.perf_counter() - t0 < 1.0
 
 
 NU_UNIVERSE = UniverseSpec(numerator_bound=10, denominator_bound=4)
