@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (a Clash verdict is a successful analysis), 2 usage or
 domain errors, 3 search/construction budget exhaustion (including a
-non-exhaustive search summary). Output keys are emitted in a fixed order;
-``--pretty`` only adds whitespace.
+non-exhaustive search summary), 141 stdout closed early by its reader.
+Output keys are emitted in a fixed order; ``--pretty`` only adds whitespace.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ from .verify import CombinationMode, UniverseSpec, check, property_suite, search
 
 
 def _emit(obj: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, indent=2))
-    else:
-        print(json.dumps(obj, separators=(",", ":")))
+    text = json.dumps(obj, indent=2) if pretty else json.dumps(obj, separators=(",", ":"))
+    print(text, flush=True)  # a closed pipe fails here, inside main
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -203,16 +201,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except BudgetExhaustedError as exc:
-        _emit(
-            {"budget_exhausted": {"message": str(exc), "best_depth": exc.best_depth}},
-            args.pretty,
-        )
-        return 3
+        try:
+            return args.fn(args)
+        except BudgetExhaustedError as exc:
+            _emit(
+                {"budget_exhausted": {"message": str(exc), "best_depth": exc.best_depth}},
+                args.pretty,
+            )
+            return 3
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: exit quietly, as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the flush at interpreter exit cannot fail
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

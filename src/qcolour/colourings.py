@@ -15,25 +15,22 @@ from .core import (
     Ordering,
     PrimeTable,
     Rational,
-    a_exponent,
     base_index_and_exponent,
     check_exponent,
     cmp_c5_boundary,
     cmp_pow2_half,
     in_C3,
     in_C4,
+    is_dyadic,
     is_power_of_two,
-    floor_frac,
     minimal_base_index,
     primorial,
 )
 from .digits import (
-    b_exponent,
+    abc_exponents,
     binary_profile,
-    c_exponent,
     e_int,
     end2,
-    epsilon_exponent,
     leading_frac_position,
     right_left_disjoint,
 )
@@ -265,28 +262,24 @@ def nu(x: Rational) -> NuValue:
     """
     if is_power_of_two(x):
         return NuSpecial(NuClass.C1)
-    # C2 = {2^(k+1/2)} and C5 (the surd family) contain no rationals.
-    c3, c4 = in_C3(x), in_C4(x)
-    if c3 and not c4:
-        return NuSpecial(NuClass.C3mC4)
-    if c4:
-        return NuSpecial(NuClass.C4mC1)
-    a = a_exponent(x)
-    b = b_exponent(x)
-    c = c_exponent(x)
+    # C2 = {2^(k+1/2)} and C5 (the surd family) hold no rationals, C3 and C4 only dyadic ones.
+    if is_dyadic(x):
+        c3, c4 = in_C3(x), in_C4(x)
+        if c3 and not c4:
+            return NuSpecial(NuClass.C3mC4)
+        if c4:
+            return NuSpecial(NuClass.C4mC1)
+    a, b, c = abc_exponents(x.numerator, x.denominator)
     w1 = 0 if cmp_pow2_half(x, a) is Ordering.BELOW else 1
-    w3 = (a - b) % 3
-    if cmp_c5_boundary(x, a, c) is Ordering.BELOW:
-        w5 = (a - c) % 3
-    else:
-        w5 = (a - c - 1) % 3
-    return NuTuple(w1=w1, w2=phi(a), w3=w3, w4=(a - c) % 3, w5=w5)
+    w4 = (a - c) % 3
+    w5 = w4 if cmp_c5_boundary(x, a, c) is Ordering.BELOW else (w4 - 1) % 3
+    return NuTuple(w1=w1, w2=phi(a), w3=(a - b) % 3, w4=w4, w5=w5)
 
 
 def mu(x: Rational, table: PrimeTable | None = None) -> ColourValue:
     """nu plus, below 1, the pair colours of the leading/trailing digit positions."""
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
-    if x >= 1:
+    if x.numerator >= x.denominator:
         return MuWhole(nu=nu(x))
     n, u = base_index_and_exponent(x)  # the trailing digit sits at position -u
     s = leading_frac_position(x, primorial(n))
@@ -296,27 +289,29 @@ def mu(x: Rational, table: PrimeTable | None = None) -> ColourValue:
 def alpha(x: Rational, table: PrimeTable | None = None) -> ColourValue:
     """Four-case colouring of the positive rationals."""
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
-    if x.denominator == 1:
-        return AlphaNat(theta=theta(x.numerator))
+    n, d = x.numerator, x.denominator
+    if d == 1:
+        return AlphaNat(theta=theta(n))
     if is_power_of_two(x):  # denominator > 1, so x = 2^k with k < 0
         return AlphaNegPow2()
-    if x <= 2:
+    if n <= 2 * d:
         return AlphaSmall()
     return AlphaBig(components=_alpha_prime(x))
 
 
 def _alpha_prime(x: Rational) -> tuple[int, ...]:
     r = minimal_base_index(x)
-    a = a_exponent(x)
-    b = b_exponent(x)
-    c = c_exponent(x)
-    whole, frac = floor_frac(x)
+    n, d = x.numerator, x.denominator
+    a, b, c = abc_exponents(n, d)
+    whole, rem = divmod(n, d)
+    # For f = rem/d in (0, 1): a(f) = b(1 + f) and epsilon(f) = c(1 + f) + 1.
+    _, a_f, c_1f = abc_exponents(d + rem, d)
     er_w = e_int(whole, r)
     er_w1 = e_int(whole + 1, r)
     return (
         a % 2,
-        a_exponent(frac) % 2,
-        epsilon_exponent(frac) % 2,
+        a_f % 2,
+        (c_1f + 1) % 2,
         er_w % 2,
         end2(whole) % 2,  # the exponent of P_1 = 2
         er_w1 % 2,

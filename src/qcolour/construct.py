@@ -33,7 +33,7 @@ from .core import (
     pow2,
     primorial,
 )
-from .digits import b_exponent, c_exponent, leading_frac_position
+from .digits import abc_exponents, leading_frac_position
 from .errors import BudgetExhaustedError, DomainError, InternalInvariantError
 from .verify import (
     Certificate,
@@ -161,7 +161,7 @@ def openness_radius(x: Rational) -> OpennessRadius:
     value = nu(x)
     if not isinstance(value, NuTuple):
         raise DomainError(f"{x} lies in a special class; no open neighbourhood")
-    a, b, c = a_exponent(x), b_exponent(x), c_exponent(x)
+    a, b, c = abc_exponents(x.numerator, x.denominator)
     gaps = [
         pow2(a + 1) - x,
         pow2(a) + pow2(b + 1) - x,

@@ -88,7 +88,7 @@ def pow2(e: int) -> Rational:
 
 
 def _require_positive(x: Rational) -> None:
-    if x <= 0:
+    if x.numerator <= 0:
         raise DomainError(f"expected a positive rational, got {x}")
 
 
@@ -96,14 +96,16 @@ def a_exponent(x: Rational) -> int:
     """The unique a with 2^a <= x < 2^(a+1)."""
     _require_positive(x)
     n, d = x.numerator, x.denominator
-    a = n.bit_length() - d.bit_length()
-    # The bit-length estimate can be off by one; fix by exact comparison.
-    if _cmp_pow2(n, d, a) < 0:
-        a -= 1
-    elif _cmp_pow2(n, d, a + 1) >= 0:
-        a += 1
-    assert _cmp_pow2(n, d, a) >= 0 and _cmp_pow2(n, d, a + 1) < 0
+    a = log2_floor(n, d)
+    if _cmp_pow2(n, d, a) < 0 or _cmp_pow2(n, d, a + 1) >= 0:
+        raise InternalInvariantError(f"a-exponent self-check failed for {x}")
     return check_exponent(a)
+
+
+def log2_floor(n: int, d: int) -> int:
+    """⌊log₂(n/d)⌋ for positive, not necessarily coprime, integers n and d."""
+    a = n.bit_length() - d.bit_length()  # the answer is a or a - 1
+    return a - 1 if _cmp_pow2(n, d, a) < 0 else a
 
 
 def _cmp_pow2(n: int, d: int, e: int) -> int:
@@ -128,44 +130,37 @@ def is_dyadic(x: Rational) -> bool:
 def in_C3(x: Rational) -> bool:
     """True iff x = 2^k + 2^l with integers l < k (two binary digits)."""
     _require_positive(x)
-    if not is_dyadic(x):
-        return False
-    return bin(x.numerator).count("1") == 2
+    return is_dyadic(x) and x.numerator.bit_count() == 2
 
 
 def in_C4(x: Rational) -> bool:
     """True iff x = 2^k - 2^l with integers l < k (a contiguous run of 1s)."""
     _require_positive(x)
-    if not is_dyadic(x):
-        return False
-    n = x.numerator
-    n >>= (n & -n).bit_length() - 1  # strip trailing zeros
-    return (n & (n + 1)) == 0  # all-ones
+    odd = x.numerator // (x.numerator & -x.numerator)  # the numerator without trailing zeros
+    return is_dyadic(x) and odd & (odd + 1) == 0  # all ones
 
 
 def cmp_pow2_half(x: Rational, k: int) -> Ordering:
-    """Compare x against 2^(k+1/2) exactly, via x^2 vs 2^(2k+1)."""
+    """Compare x = n/d against 2^(k+1/2) exactly, via n^2 vs d^2·2^(2k+1)."""
     _require_positive(x)
     check_exponent(k)
-    sq = x * x
-    sign = _cmp_pow2(sq.numerator, sq.denominator, 2 * k + 1)
+    sign = _cmp_pow2(x.numerator**2, x.denominator**2, 2 * k + 1)
     if sign == 0:
         raise InternalInvariantError(f"rational {x} equals 2^({k}+1/2)")
     return Ordering.BELOW if sign < 0 else Ordering.ABOVE
 
 
 def cmp_c5_boundary(x: Rational, a: int, c: int) -> Ordering:
-    """Compare x against 2^(a+1)·(1-2^(c-a))^(1/2), via x^2 vs 2^(2a+2)-2^(a+c+2)."""
+    """Compare x = n/d against 2^(a+1)·(1-2^(c-a))^(1/2), via n^2 vs d^2·(2^(a-c)-1)·2^(a+c+2)."""
     _require_positive(x)
     check_exponent(a)
     check_exponent(c)
     if c >= a:
         raise DomainError(f"need c < a, got c={c}, a={a}")
-    bound = pow2(2 * a + 2) - pow2(a + c + 2)
-    sq = x * x
-    if sq == bound:
+    sign = _cmp_pow2(x.numerator**2, x.denominator**2 * ((1 << (a - c)) - 1), a + c + 2)
+    if sign == 0:
         raise InternalInvariantError(f"rational {x} sits on the surd boundary ({a},{c})")
-    return Ordering.BELOW if sq < bound else Ordering.ABOVE
+    return Ordering.BELOW if sign < 0 else Ordering.ABOVE
 
 
 # --- prime / primorial table -------------------------------------------------

@@ -13,13 +13,12 @@ from fractions import Fraction
 from .core import (
     PrimeTable,
     Rational,
-    a_exponent,
     check_digits,
     check_exponent,
     divide_out_primes,
     floor_frac,
     is_power_of_two,
-    pow2,
+    log2_floor,
     primorial,
 )
 from .errors import DomainError, InternalInvariantError, UnsupportedPrimeError
@@ -76,36 +75,43 @@ def b_exponent(x: Rational) -> int:
     """The unique b with 2^a + 2^b <= x < 2^a + 2^(b+1), a = a_exponent(x)."""
     if is_power_of_two(x):
         raise DomainError(f"b-exponent undefined on powers of two: {x}")
-    a = a_exponent(x)
-    b = a_exponent(x - pow2(a))
-    if not pow2(a) + pow2(b) <= x < pow2(a) + pow2(b + 1):
-        raise InternalInvariantError(f"b-exponent self-check failed for {x}")
-    return b
+    return abc_exponents(x.numerator, x.denominator)[1]
 
 
 def c_exponent(x: Rational) -> int:
     """The unique c < a with 2^(a+1) - 2^(c+1) <= x < 2^(a+1) - 2^c."""
     if is_power_of_two(x):
         raise DomainError(f"c-exponent undefined on powers of two: {x}")
-    a = a_exponent(x)
-    w = pow2(a + 1) - x
-    j = a_exponent(w)
-    c = j - 1 if w == pow2(j) else j
-    if not (c < a and pow2(a + 1) - pow2(c + 1) <= x < pow2(a + 1) - pow2(c)):
-        raise InternalInvariantError(f"c-exponent self-check failed for {x}")
-    return check_exponent(c)
+    return abc_exponents(x.numerator, x.denominator)[2]
+
+
+def abc_exponents(n: int, d: int) -> tuple[int, int, int]:
+    """(a, b, c) of x = n/d > 0, not a power of two, in integers: x·2^(-a) = sn/sd is in
+    [1, 2), b - a = ⌊log₂((sn - sd)/sd)⌋, and c - a is the k < 0 with 2^k < wn/sd <= 2^(k+1)
+    for wn = 2·sd - sn."""
+    a = check_exponent(log2_floor(n, d))
+    sn, sd = (n, d << a) if a >= 0 else (n << -a, d)
+    if not sd <= sn < sd << 1:
+        raise InternalInvariantError(f"a-exponent self-check failed for {Fraction(n, d)}")
+    t = sn - sd
+    i = log2_floor(t, sd)
+    if not (i < 0 and t << -i >= sd > t << (-i - 1)):
+        raise InternalInvariantError(f"b-exponent self-check failed for {Fraction(n, d)}")
+    wn = 2 * sd - sn
+    j = log2_floor(wn, sd)
+    k = j - 1 if j <= 0 and wn << -j == sd else j
+    if not (k < 0 and wn << -k > sd >= wn << (-k - 1)):
+        raise InternalInvariantError(f"c-exponent self-check failed for {Fraction(n, d)}")
+    return a, check_exponent(a + i), check_exponent(a + k)
 
 
 def epsilon_exponent(f: Rational) -> int:
-    """The unique e with 1 - 2^e <= f < 1 - 2^(e-1), for 0 < f < 1."""
-    if not 0 < f < 1:
+    """The unique e with 1 - 2^e <= f < 1 - 2^(e-1), for 0 < f < 1: e - 1 is
+    the c-exponent of 1 + f, as 2 - 2^e <= 1 + f < 2 - 2^(e-1)."""
+    n, d = f.numerator, f.denominator
+    if not 0 < n < d:
         raise DomainError(f"epsilon-exponent needs 0 < f < 1, got {f}")
-    w = 1 - f
-    j = a_exponent(w)
-    e = j if w == pow2(j) else j + 1
-    if not 1 - pow2(e) <= f < 1 - pow2(e - 1):
-        raise InternalInvariantError(f"epsilon-exponent self-check failed for {f}")
-    return check_exponent(e)
+    return abc_exponents(n + d, d)[2] + 1
 
 
 @dataclass(frozen=True)

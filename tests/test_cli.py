@@ -231,6 +231,37 @@ class TestProperties:
         assert all(law["passed"] for law in obj["laws"])
 
 
+class TestClosedStdout:
+    """A reader that goes away early ends the command with 141 (128 + SIGPIPE), stderr empty."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("properties", "--seed", "1", "--samples", "1000"),
+            ("search", "--colouring", "nu", "--numerator-bound", "6", "--budget", "1",
+             "--workers", "1"),  # a partial result, exit 3
+            ("construct", "--terms", "5", "--budget", "1000"),  # BudgetExhaustedError's payload
+        ],
+    )
+    def test_read_end_closed_before_any_output(self, args):
+        proc = subprocess.Popen(CMD + list(args), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=120), stderr) == (141, b"")
+
+    def test_piped_into_head(self):
+        # Two megabytes of certificate cannot fit in the pipe once head has gone.
+        terms = "".join(f"{i}\n" for i in range(1, 201)).encode()
+        qc = subprocess.Popen(CMD + ["check", "--colouring", "const"], stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = subprocess.Popen(["head", "-c", "10"], stdin=qc.stdout, stdout=subprocess.PIPE)
+        qc.stdout.close()
+        qc.stdin.write(terms)
+        qc.stdin.close()
+        assert head.communicate(timeout=120)[0] == b'{"colourin'
+        assert (qc.wait(timeout=120), qc.stderr.read()) == (141, b"")
+
+
 @pytest.mark.parametrize(
     "args, stdin",
     [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcolour import core, oracles
+from qcolour import colourings, core, digits, oracles
 from qcolour.colourings import (
     AlphaBig,
     AlphaNat,
@@ -254,6 +254,53 @@ class TestAlpha:
     def test_matches_oracle_on_grid(self):
         for x in GRID:
             assert alpha(x) == oracles.alpha_oracle(x)
+
+
+def _seeded_values(count: int) -> list[Fraction]:
+    """Positive rationals of 8- to 80-bit numerators over small-prime denominators,
+    integers and values below 1 included."""
+    rng = random.Random("colourings:kernel")
+    out = []
+    for _ in range(count):
+        den = 2 ** rng.randint(0, 24) * 3 ** rng.randint(0, 3) * rng.choice([1, 1, 5, 7, 11])
+        out.append(Fraction(rng.randint(1, 2 ** rng.choice([8, 24, 80])), den))
+    return out
+
+
+SEEDED = _seeded_values(5000)
+
+
+class TestIntegerKernelDifferential:
+    def test_nu_mu_alpha_match_oracles_on_seeded_values(self):
+        for x in SEEDED:
+            assert nu(x) == oracles.nu_oracle(x), x
+            assert mu(x) == oracles.mu_oracle(x), x
+            assert alpha(x) == oracles.alpha_oracle(x), x
+
+    def test_exact_gaps_and_far_exponents(self):
+        two = Fraction(2)
+        xs = [m + 1 - two**j for m in (2, 3, 5, 12) for j in range(-30, 0)]  # 1 - frac = 2^j
+        xs += [Fraction(2**41 + 2 * k + 1, 3**k) * two**e for k in (1, 5) for e in (-1000, 998)]
+        for x in xs:
+            assert (nu(x), mu(x), alpha(x)) == (
+                oracles.nu_oracle(x), oracles.mu_oracle(x), oracles.alpha_oracle(x)
+            ), x
+
+    def test_colour_path_does_no_fraction_arithmetic(self, monkeypatch):
+        xs = SEEDED[:2000]
+        expected = [(nu(x), mu(x), alpha(x)) for x in xs]
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic on the colour path")
+
+        for module in (core, digits, colourings):
+            if hasattr(module, "pow2"):
+                monkeypatch.setattr(module, "pow2", refuse)
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                   "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__pow__",
+                   "__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Fraction, op, refuse)
+        assert [(nu(x), mu(x), alpha(x)) for x in xs] == expected
 
 
 class TestKeys:

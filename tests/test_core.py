@@ -24,6 +24,7 @@ from qcolour.core import (
     in_C3,
     in_C4,
     is_power_of_two,
+    log2_floor,
     make_rational,
     minimal_base_index,
     nth_prime,
@@ -82,6 +83,14 @@ class TestDyadicHelpers:
     def test_a_exponent_brackets(self, x):
         a = a_exponent(x)
         assert pow2(a) <= x < pow2(a + 1)
+
+    def test_log2_floor_on_unreduced_pairs(self):
+        rng = random.Random("core:log2_floor")
+        for _ in range(3000):
+            n, d = rng.randint(1, 2 ** rng.randint(1, 90)), rng.randint(1, 2 ** rng.randint(1, 90))
+            m = rng.choice([1, 2, 6, 2**40, 3**30])
+            k = log2_floor(m * n, m * d)
+            assert 2**k * d <= n < 2 ** (k + 1) * d if k >= 0 else d <= n * 2**-k < 2 * d
 
     def test_pow2(self):
         assert pow2(5) == 32
