@@ -53,9 +53,6 @@ class OpennessRadius:
     radius: Rational
     key: str
 
-    def to_obj(self) -> dict:
-        return {"center": str(self.center), "radius": str(self.radius), "key": self.key}
-
 
 @dataclass(frozen=True)
 class BlockSystem:
@@ -186,12 +183,10 @@ def minimal_digit_fact(z: Rational) -> bool:
 
 
 class _Budget:
+    """Units left; each block-search node and each yielded block costs one."""
+
     def __init__(self, limit: int):
         self.left = limit
-
-    def spend(self, amount: int = 1) -> bool:
-        self.left -= amount
-        return self.left >= 0
 
 
 def _blocks_in_window(
@@ -200,32 +195,39 @@ def _blocks_in_window(
     """Subsets of pool (position, prime) whose product lies in [lo, hi].
 
     Yielded in (max position, then include-first DFS) order so early blocks
-    leave as much of the pool as possible for later levels. Float logs steer
-    the pruning; membership is decided on the exact integer product.
+    leave as much of the pool as possible for later levels. Each visited node
+    spends one budget unit before any test. Float logs steer the pruning;
+    membership is decided on the exact integer product, built from the
+    chosen cons list only at nodes inside the float window.
     """
     if lo > hi or not pool:
         return
     logs = [math.log2(p) for _, p in pool]
     t_lo, t_hi = math.log2(lo) - 1e-9, math.log2(hi) + 1e-9
-
-    def dfs(i: int, h: int, cur_log: float, cur: int, chosen: list[int]):
-        if not budget.spend():
-            raise BudgetExhaustedError("block enumeration budget exhausted")
-        if t_lo <= cur_log <= t_hi and lo <= cur <= hi:
-            yield tuple(sorted(chosen + [pool[h][0]])), cur
-        if i >= h or cur_log > t_hi:
-            return
-        remaining = _suffix[i] - _suffix[h]
-        if cur_log + remaining < t_lo:
-            return
-        yield from dfs(i + 1, h, cur_log + logs[i], cur * pool[i][1], chosen + [pool[i][0]])
-        yield from dfs(i + 1, h, cur_log, cur, chosen)
-
-    _suffix = [0.0] * (len(pool) + 1)
+    suffix = [0.0] * (len(pool) + 1)
     for i in range(len(pool) - 1, -1, -1):
-        _suffix[i] = _suffix[i + 1] + logs[i]
+        suffix[i] = suffix[i + 1] + logs[i]
     for h in range(len(pool)):
-        yield from dfs(0, h, logs[h], pool[h][1], [])
+        # (next index, log of the product, chosen as (index, parent) or None)
+        stack = [(0, logs[h], None)]
+        while stack:
+            i, cur_log, chosen = stack.pop()
+            budget.left -= 1
+            if budget.left < 0:
+                raise BudgetExhaustedError("block enumeration budget exhausted")
+            if t_lo <= cur_log <= t_hi:
+                cur, block, node = pool[h][1], [pool[h][0]], chosen
+                while node:
+                    k, node = node
+                    cur *= pool[k][1]
+                    block.append(pool[k][0])
+                if lo <= cur <= hi:
+                    yield tuple(sorted(block)), cur
+            if i >= h or cur_log > t_hi or cur_log + (suffix[i] - suffix[h]) < t_lo:
+                continue
+            # the include child goes on top, so it is visited first
+            stack.append((i + 1, cur_log, chosen))
+            stack.append((i + 1, cur_log + logs[i], (i, chosen)))
 
 
 def _mantissa_window(n: int, j: int) -> tuple[int, int]:
@@ -292,7 +294,8 @@ def _search_blocks(m: int, budget_limit: int, delta_rule: bool) -> tuple[BlockSy
                     try:
                         candidates = _blocks_in_window(pool, lo, hi, budget)
                         for block, prod in candidates:
-                            if not budget.spend():
+                            budget.left -= 1
+                            if budget.left < 0:
                                 raise BudgetExhaustedError("budget exhausted")
                             y = Fraction(1, prod)
                             if not _accepts(y, bound):
@@ -335,10 +338,6 @@ def _search_blocks(m: int, budget_limit: int, delta_rule: bool) -> tuple[BlockSy
             del subset_sums[(len(subset_sums) - 1) // 2 :]
 
     if not extend(2):
-        if budget.left < 0:
-            raise BudgetExhaustedError(
-                f"search budget exhausted at depth {best_depth}", best_depth=best_depth
-            )
         raise BudgetExhaustedError(
             f"pool of {pool_size} terms exhausted at depth {best_depth}",
             best_depth=best_depth,

@@ -1,11 +1,15 @@
 """Block systems, openness radii, and the sum/product sequence constructor."""
 from __future__ import annotations
 
+import hashlib
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from qcolour import construct
 from qcolour.colourings import colour_key, nu
 from qcolour.construct import (
     BlockSystem,
@@ -151,3 +155,112 @@ class TestSumClosedExtension:
         with pytest.raises(BudgetExhaustedError) as info:
             extend_sum_closed(3, search_budget=3)
         assert info.value.best_depth >= 1
+
+
+def _brute_force_blocks(pool, lo, hi):
+    """{pool index h: {(block, product)}} over every subset whose max index is h."""
+    out = {}
+    for h in range(len(pool)):
+        for size in range(h + 1):
+            for rest in itertools.combinations(range(h), size):
+                chosen = rest + (h,)
+                product = math.prod(pool[k][1] for k in chosen)
+                if lo <= product <= hi:
+                    block = tuple(pool[k][0] for k in chosen)
+                    out.setdefault(h, set()).add((block, product))
+    return out
+
+
+def _drain(pool, lo, hi, limit):
+    budget = construct._Budget(limit)
+    return list(construct._blocks_in_window(pool, lo, hi, budget)), limit - budget.left
+
+
+def _seeded_windows(seed):
+    """Small (position, prime) pools with windows around random subset products."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 14)
+    primes = sorted(rng.sample([nth_prime(r) for r in range(2, 200)], size))
+    first = rng.randint(1, 40)
+    pool = [(first + k, p) for k, p in enumerate(primes)]
+    subset = rng.sample(primes, rng.randint(1, size))
+    centre = math.prod(subset)
+    shape = rng.randrange(3)
+    if shape == 0:  # a single point: only the exact product decides
+        lo = hi = centre + rng.choice((-1, 0, 0, 1))
+    elif shape == 1:
+        width = max(1, centre >> rng.randint(3, 12))
+        lo, hi = centre - rng.randint(0, width), centre + rng.randint(0, width)
+    else:
+        lo, hi = centre // rng.randint(2, 50), centre * rng.randint(1, 50)
+    return pool, lo, hi
+
+
+class TestBlocksInWindow:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_brute_force(self, seed):
+        pool, lo, hi = _seeded_windows(seed)
+        got, _ = _drain(pool, lo, hi, 10**9)
+        index_of = {t: k for k, (t, _) in enumerate(pool)}
+        primes = dict(pool)
+        maxima = [index_of[block[-1]] for block, _ in got]
+        assert maxima == sorted(maxima), "blocks must come grouped by max position"
+        by_max = {}
+        for block, product in got:
+            assert list(block) == sorted(set(block))
+            assert product == math.prod(primes[t] for t in block)
+            assert lo <= product <= hi
+            by_max.setdefault(index_of[block[-1]], set()).add((block, product))
+        assert by_max == _brute_force_blocks(pool, lo, hi)
+
+    @pytest.mark.parametrize("seed", range(0, 60, 7))
+    def test_budget_is_the_node_count(self, seed):
+        pool, lo, hi = _seeded_windows(seed)
+        blocks, spent = _drain(pool, lo, hi, 10**9)
+        assert spent >= 1
+        assert _drain(pool, lo, hi, spent) == (blocks, spent)
+        with pytest.raises(BudgetExhaustedError):
+            _drain(pool, lo, hi, spent - 1)
+
+    def test_empty_window_or_pool_spends_nothing(self):
+        pool = [(1, 3), (2, 5)]
+        assert _drain(pool, 16, 15, 0) == ([], 0)
+        assert _drain([], 1, 100, 0) == ([], 0)
+
+    def test_trace_of_a_construct_round_is_pinned(self, monkeypatch):
+        # (lo, hi, nodes spent, yields) for every call in extend_sum_closed(2..4);
+        # any change to the visit order or the node count moves the digest.
+        calls = []
+        inner = construct._blocks_in_window
+
+        def recording(pool, lo, hi, budget):
+            record = [lo, hi, 0, []]
+            calls.append(record)
+            gen = inner(pool, lo, hi, budget)
+            while True:
+                before = budget.left
+                item = next(gen, None)
+                record[2] += before - budget.left
+                if item is None:
+                    return
+                record[3].append(item)
+                yield item
+
+        monkeypatch.setattr(construct, "_blocks_in_window", recording)
+        for m in (2, 3, 4):
+            extend_sum_closed(m)
+        assert [c[2] for c in calls] == [
+            319, 319, 659, 659, 1825,
+            333, 333, 673, 673, 1825, 36735,
+            347, 347, 687, 687, 1825, 36735, 167879,
+        ]
+        digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+        assert digest == "611ec4d9f8c7db4ad181d1c52e736c4bd6a6f148573db73cbd53e53287253448"
+
+
+class TestBudgetContract:
+    def test_four_terms_need_exactly_208510_units(self):
+        assert len(extend_sum_closed(4, search_budget=208_510).terms) == 4
+        with pytest.raises(BudgetExhaustedError) as info:
+            extend_sum_closed(4, search_budget=208_509)
+        assert info.value.best_depth == 3
