@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -119,12 +120,19 @@ class Certificate:
         return Certificate.from_obj(obj)
 
 
-def _subsets(k: int, mode: CombinationMode) -> list[tuple[int, ...]]:
+def _steps(k: int, mode: CombinationMode) -> list[tuple[str, int, int]]:
+    """(positions, prefix, last) of each subset in (size, positions) order, where
+    ``positions`` is the tag body, e.g. "1,3". Pairwise, ``prefix`` is the first
+    position; finite, it is the bitmask of the subset without its last position
+    (0 for a singleton), which comes earlier in this order."""
     if mode is CombinationMode.PAIRWISE:
-        return list(itertools.combinations(range(k), 2))
-    out: list[tuple[int, ...]] = []
+        return [(f"{i + 1},{j + 1}", i, j) for i, j in itertools.combinations(range(k), 2)]
+    positions, out = [""] * (1 << k), []
     for size in range(1, k + 1):
-        out.extend(itertools.combinations(range(k), size))
+        for bits in itertools.combinations([1 << i for i in range(k)], size):
+            mask, prefix, last = sum(bits), sum(bits[:-1]), bits[-1].bit_length() - 1
+            positions[mask] = f"{positions[prefix]},{last + 1}" if prefix else str(last + 1)
+            out.append((positions[mask], prefix, last))
     return out
 
 
@@ -137,35 +145,28 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
     """All (tag, value) pairs for the mode, sums block first, then products.
 
     Subsets are ordered by (size, positions); tags are 1-based, e.g. "s:1,3".
-    A value too long to print (see ``core.MAX_DIGITS``) is refused.
+    Each value of two or more terms is one exact ``+`` or ``·`` of its prefix
+    subset's value with its last term. A value too long to print (see
+    ``core.MAX_DIGITS``) is refused as it is produced, so no operand is longer.
     """
-    if mode is CombinationMode.FINITE_FSFP and len(xs) > FINITE_TERM_CAP:
+    finite = mode is CombinationMode.FINITE_FSFP
+    if finite and len(xs) > FINITE_TERM_CAP:
         raise DomainError(f"finite mode takes at most {FINITE_TERM_CAP} terms, got {len(xs)}")
     if len(set(xs)) != len(xs):
         raise DomainError("sequence terms must be distinct")
-    subsets = _subsets(len(xs), mode)
+    terms = [Fraction(x) for x in xs]
+    steps = _steps(len(xs), mode)
     out = []
-    for prefix, reduce in (("s", sum_of), ("p", product_of)):
-        for idx in subsets:
-            tag = f"{prefix}:{','.join(str(i + 1) for i in idx)}"
-            value = reduce([xs[i] for i in idx])
+    for block, op in (("s:", operator.add), ("p:", operator.mul)):
+        table = [Fraction(0)] * (1 << len(xs)) if finite else terms
+        for positions, prefix, last in steps:
+            value = terms[last] if finite and not prefix else op(table[prefix], terms[last])
+            if finite:
+                table[prefix | 1 << last] = value
+            tag = block + positions
             check_digits(max(value.numerator, value.denominator), f"combination {tag}")
             out.append((tag, value))
     return out
-
-
-def sum_of(values: list[Rational]) -> Rational:
-    total = Fraction(0)
-    for v in values:
-        total += v
-    return total
-
-
-def product_of(values: list[Rational]) -> Rational:
-    total = Fraction(1)
-    for v in values:
-        total *= v
-    return total
 
 
 def check(
@@ -329,7 +330,8 @@ class _PairGraph:
     """The colour key of every value a search meets, and its pair masks by key.
 
     Construction colours every pairwise sum and product once (finite mode
-    adds the elements), in canonical order, into one ``value -> key`` dict.
+    adds the elements), in canonical order, into one ``value -> key`` dict,
+    where a value maps to itself until coloured so that each is held once.
     ``adj[K, i]`` is the bitmask of the j > i whose pair sum and pair product
     both have key K, so a pairwise-monochromatic configuration is a clique of
     one key. Finite mode uses the masks as a necessary filter and colours the
@@ -345,11 +347,9 @@ class _PairGraph:
     ):
         self.xs = xs = [(x.numerator, x.denominator) for x in elements]
         self.finite = mode is CombinationMode.FINITE_FSFP
-        keys: dict[Pair, str] = dict.fromkeys(xs) if self.finite else {}
-        for i, x in enumerate(xs):
-            for y in xs[i + 1 :]:
-                keys[_add(x, y)] = None
-                keys[_mul(x, y)] = None
+        keys: dict = {x: x for x in xs} if self.finite else {}
+        pairs = [keys.setdefault(v, v) for i, x in enumerate(xs) for y in xs[i + 1 :]
+                 for v in (_add(x, y), _mul(x, y))]  # each pair's sum, then its product
         values = list(keys)
         keys.update(zip(values, _colour_all(colouring_id, values, workers)))
         self.keys = keys
@@ -357,12 +357,12 @@ class _PairGraph:
 
         self.adj: dict[tuple[str, int], int] = {}
         self.edges = [0] * len(xs)  # j > i whose pair sum and product share any key
-        for i, x in enumerate(xs):
-            for j in range(i + 1, len(xs)):
-                k = keys[_add(x, xs[j])]
-                if k == keys[_mul(x, xs[j])]:
-                    self.adj[k, i] = self.adj.get((k, i), 0) | 1 << j
-                    self.edges[i] |= 1 << j
+        it = iter(pairs)
+        for (i, j), total, product in zip(itertools.combinations(range(len(xs)), 2), it, it):
+            k = keys[total]
+            if k == keys[product]:
+                self.adj[k, i] = self.adj.get((k, i), 0) | 1 << j
+                self.edges[i] |= 1 << j
         self.singles: dict[str, int] = {}  # finite mode: the elements of each key
         for j, x in enumerate(xs if self.finite else ()):
             self.singles[keys[x]] = self.singles.get(keys[x], 0) | 1 << j

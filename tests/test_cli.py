@@ -1,6 +1,7 @@
 """End-to-end CLI contract: JSON bodies, exit codes, byte stability."""
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -166,6 +167,44 @@ class TestCheck:
         proc = run_cli("check", "--colouring", "nu", stdin=terms)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: combination p:1,2 has more than 4300 decimal digits\n"
+
+    @pytest.mark.parametrize(
+        "terms, tag",
+        [
+            ([f"1/{10**1500 + c}" for c in (1, 3, 7)], "s:1,2,3"),  # sums of 1,500-digit denominators
+            ([str(10**1450 + c) for c in (1, 3, 7)], "p:1,2,3"),  # products of 1,451-digit integers
+        ],
+    )
+    def test_combination_digit_limit_past_two_terms(self, terms, tag):
+        stdin = "".join(f"{t}\n" for t in terms)
+        proc = run_cli("check", "--colouring", "nu", "--mode", "pairwise", stdin=stdin)
+        assert proc.returncode == 0  # every pair prints
+        proc = run_cli("check", "--colouring", "nu", "--mode", "finite", stdin=stdin)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: combination {tag} has more than 4300 decimal digits\n"
+
+    @pytest.mark.parametrize(
+        "colouring, terms, digest",
+        [
+            ("nu", "11/8 1/7 1/16 17/12 1 8 19 5/2 1/24 13/2 19/8",
+             "4b9882850184604cbbca4bceaf47e37993c8634dbf2344a7076a490f77dad335"),
+            ("mu", "1/16 31 3/4 5 4 1 8 18 25/126 27/2 39/7",
+             "7c7deba4d5ba4133655fae56a731f3f063c8c5f87b9cd7f033b828a4930b49f3"),
+            ("alpha", "29 10 7/4 4/7 1/42 11/4 13/210 1/16 3/16 3/70 3/8",
+             "201a3b25ec63079effd5e1372b2f24a0c1e0270734617f7f683e83c1f92d94fa"),
+            ("theta", "15 31 36 5 18 14 35 2 37 9 34",
+             "79a0113b367976f5b33ad08b2df6df8ed4c4428fa3f10f9c0ad9744016c3532a"),
+            ("phi", "29 16 4 3 12 19 24 34 37 9 6",
+             "27991ae73f67deab3a5db7c438b377e11872c946a22a49e5e1508c5f61921cd9"),
+        ],
+    )
+    def test_finite_output_pinned(self, colouring, terms, digest, tmp_path, capsys):
+        # 11 seeded terms, 4,094 combinations: the digest pins every tag, value and key
+        seq = tmp_path / "seq.txt"
+        seq.write_text("\n".join(terms.split()) + "\n")
+        assert cli.main(["check", "--colouring", colouring, "--mode", "finite", str(seq)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSearch:

@@ -1,9 +1,11 @@
 """Certificates, checking, search (pruned vs naive), and the law suite."""
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import time
@@ -59,6 +61,32 @@ class TestCombinations:
         with pytest.raises(DomainError, match="at most 16 terms"):
             combinations(xs, CombinationMode.FINITE_FSFP)
         assert len(combinations(xs, CombinationMode.PAIRWISE)) == 2 * 17 * 16 // 2
+
+    @pytest.mark.parametrize("naturals", [False, True])
+    @pytest.mark.parametrize("mode", list(CombinationMode))
+    def test_matches_from_scratch_reduction(self, mode, naturals):
+        # each value is built from its prefix subset; the reference folds every subset anew
+        rng = random.Random(f"combinations:{mode.value}:{naturals}")
+        for k in range(13):
+            pool = (
+                range(1, 60) if naturals
+                else {Fraction(rng.randint(1, 50), 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2)
+                               * 5 ** rng.randint(0, 1)) for _ in range(80)}
+            )
+            xs = rng.sample(sorted(pool), k)
+            if naturals:
+                xs = [int(x) for x in xs]
+            sizes = [2] if mode is CombinationMode.PAIRWISE else range(1, k + 1)
+            subsets = [idx for size in sizes for idx in itertools.combinations(range(k), size)]
+            expected = [
+                (f"{block}:{','.join(str(i + 1) for i in idx)}",
+                 functools.reduce(op, [xs[i] for i in idx], Fraction(unit)))
+                for block, op, unit in (("s", operator.add, 0), ("p", operator.mul, 1))
+                for idx in subsets
+            ]
+            got = combinations(xs, mode)
+            assert got == expected
+            assert all(type(value) is Fraction for _, value in got)
 
 
 class TestCheck:
