@@ -284,7 +284,7 @@ class SearchResult:
         }
 
 
-# Values coloured per pool task when the colouring pass runs in worker processes.
+# Values per pool task; contiguous 1,024-value tasks beat one equal slice per process.
 COLOUR_CHUNK = 1024
 
 Pair = tuple[int, int]  # (numerator, denominator) in lowest terms, denominator > 0
@@ -307,23 +307,22 @@ def _colour_values(colouring_id: str, values: list[Pair]) -> list[str]:
     return [colour_key(fn(Fraction(n, d))) for n, d in values]
 
 
-def _colour_chunk(args: tuple[str, list[Pair]]) -> list[str]:
-    return _colour_values(*args)
+def _colour_all(colouring_id: str, values: list[Pair]) -> list[str]:
+    """Colour keys of ``values``, in order; on a process pool once there are many.
 
-
-def _colour_all(colouring_id: str, values: list[Pair], workers: int) -> list[str]:
-    """Colour keys of ``values``, in order; contiguous chunks on a bounded pool.
-
-    The pool never has more processes than workers asked for, CPUs present or
-    chunks to colour; when that leaves one, the pass runs in this process.
+    Each process colours at least four chunks and there are no more processes
+    than usable CPUs, so on 2 CPUs the pool starts from 7,169 values. Measured
+    there, it first pays between 6,291 values (theta to 150: 95 -> 124 ms on
+    the pool) and 7,587 (nu (30, 20, 3): 149 -> 119 ms).
     """
     chunks = [values[i : i + COLOUR_CHUNK] for i in range(0, len(values), COLOUR_CHUNK)]
-    procs = min(workers, os.cpu_count() or 1, len(chunks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    procs = min(cpus, len(chunks) // 4)
     if procs <= 1:
         return _colour_values(colouring_id, values)
-    payload = [(colouring_id, chunk) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=procs) as pool:
-        return [k for keys in pool.map(_colour_chunk, payload) for k in keys]
+        keyed = pool.map(_colour_values, itertools.repeat(colouring_id), chunks)
+        return [k for keys in keyed for k in keys]
 
 
 class _PairGraph:
@@ -343,7 +342,6 @@ class _PairGraph:
         colouring_id: str,
         elements: list[Rational],
         mode: CombinationMode,
-        workers: int,
     ):
         self.xs = xs = [(x.numerator, x.denominator) for x in elements]
         self.finite = mode is CombinationMode.FINITE_FSFP
@@ -351,7 +349,7 @@ class _PairGraph:
         pairs = [keys.setdefault(v, v) for i, x in enumerate(xs) for y in xs[i + 1 :]
                  for v in (_add(x, y), _mul(x, y))]  # each pair's sum, then its product
         values = list(keys)
-        keys.update(zip(values, _colour_all(colouring_id, values, workers)))
+        keys.update(zip(values, _colour_all(colouring_id, values)))
         self.keys = keys
         self.fn = colouring_fn(colouring_id)
 
@@ -426,13 +424,12 @@ def search(
     """Bounded DFS for monochromatic configurations over the universe.
 
     Every pairwise sum and product is coloured once, up front (see
-    ``_PairGraph``); ``workers`` only parallelises that pass. Extensions only
-    move forward in canonical order, so every subset is visited at most once,
-    and ``nodes`` counts the configurations visited.
-
-    The node budget is split statically across root elements (remainder to the
-    earliest roots), which keeps certificates, max_size and node counts
-    identical for any worker count.
+    ``_PairGraph``). Extensions only move forward in canonical order, so every
+    subset is visited at most once, and ``nodes`` counts the configurations
+    visited. The node budget is split statically across root elements
+    (remainder to the earliest roots); that split defines the pinned ``nodes``
+    and which certificates appear, in which order, when the budget runs out.
+    ``workers`` is validated and otherwise ignored.
     """
     if target_size < 2:
         raise DomainError(f"target size must be >= 2, got {target_size}")
@@ -445,7 +442,7 @@ def search(
             f"finite mode takes at most {FINITE_TERM_CAP} terms, got target size {target_size}"
         )
     elements = universe.elements()
-    graph = _PairGraph(colouring_id, elements, mode, workers)
+    graph = _PairGraph(colouring_id, elements, mode)
     share, extra = divmod(budget, max(1, len(elements)))
 
     def key_of(v: Rational) -> str:

@@ -234,6 +234,12 @@ class TestSearch:
         out, err = capsys.readouterr()
         assert out == "" and "more than 512 elements" in err
 
+    def test_workers_below_one_exit_2(self, capsys):
+        # --workers picks nothing but is still validated
+        assert cli.main(["search", "--colouring", "nu", "--workers", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "worker count must be >= 1, got 0" in err
+
 
 class TestConstruct:
     def test_two_terms(self):

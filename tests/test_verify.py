@@ -218,6 +218,39 @@ class TestUniverse:
 NU_UNIVERSE = UniverseSpec(numerator_bound=10, denominator_bound=4)
 
 
+def _set_cpus(monkeypatch, cpus):
+    """Make both the installed and the usable CPU count read ``cpus``."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """The ``max_workers`` of every pool the colouring pass starts, through a
+    fake pool that colours in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestSearch:
     def test_pruned_matches_naive(self):
         pruned = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
@@ -292,47 +325,62 @@ class TestSearch:
             nodes, max_size, True, [])
 
     def test_pool_output_matches_in_process(self, monkeypatch):
-        # small chunks and two CPUs, so workers=2 really colours on a pool
-        monkeypatch.setattr(verify, "COLOUR_CHUNK", 32)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        for mode, target in ((CombinationMode.PAIRWISE, 2), (CombinationMode.FINITE_FSFP, 3)):
-            results = [
-                search("mu", UniverseSpec(12, 8, 2), mode, target_size=target,
-                       budget=10**6, workers=w).to_obj()
-                for w in (1, 2)
-            ]
-            assert results[0] == results[1]
+        started = []
 
-    @pytest.mark.parametrize("cpus", [None, 1, 3, 64])
-    def test_pool_size_is_capped(self, monkeypatch, cpus):
-        sizes = []
-
-        class RecordingPool:
+        class RecordingPool(verify.ProcessPoolExecutor):
             def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(verify, "COLOUR_CHUNK", 64)
+        # small chunks, so the 420-value universe has the 4 chunks per process a pool needs
+        monkeypatch.setattr(verify, "COLOUR_CHUNK", 32)
+        for mode, target in ((CombinationMode.PAIRWISE, 2), (CombinationMode.FINITE_FSFP, 3)):
+            results = []
+            for cpus in (1, 2):
+                _set_cpus(monkeypatch, cpus)
+                results.append(search("mu", UniverseSpec(12, 8, 2), mode, target_size=target,
+                                      budget=10**6, workers=1).to_obj())
+            assert results[0] == results[1]
+        assert started == [2, 2]  # a real two-process pool in both modes
+
+    @pytest.mark.parametrize("cpus", [None, 1, 3, 64])
+    def test_pool_size_is_capped(self, monkeypatch, recorded_pools, cpus):
+        monkeypatch.setattr(verify, "COLOUR_CHUNK", 4)
         if cpus is not None:
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        res = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
-                     budget=10**6, workers=10**6)
+            _set_cpus(monkeypatch, cpus)
+        results = [search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
+                          budget=10**6, workers=w).to_obj() for w in (1, 2, 10**6)]
         pairs = list(itertools.combinations(NU_UNIVERSE.elements(), 2))
-        chunks = -(-len({x + y for x, y in pairs} | {x * y for x, y in pairs}) // 64)
-        expected = min(os.cpu_count() or 1, chunks)
-        assert sizes == ([expected] if expected > 1 else [])
-        assert all(size <= (os.cpu_count() or 1) for size in sizes)
-        assert res.to_obj() == search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE,
-                                      target_size=2, budget=10**6, workers=1).to_obj()
+        chunks = -(-len({x + y for x, y in pairs} | {x * y for x, y in pairs}) // 4)
+        expected = min(_usable_cpus(), chunks // 4)
+        assert recorded_pools == ([expected] * 3 if expected > 1 else [])
+        assert all(size <= _usable_cpus() for size in recorded_pools)
+        assert results[0] == results[1] == results[2]
+
+    # the benchmark's search universes: 647 to 6,291 values, each too few to pay for a pool
+    BENCH_UNIVERSES = [
+        ("nu", UniverseSpec(18, 8, 3)), ("mu", UniverseSpec(18, 8, 3)),
+        ("nu", UniverseSpec(16, 10, 3)), ("mu", UniverseSpec(16, 10, 3)),
+        ("alpha", UniverseSpec(16, 8, 2)), ("alpha", UniverseSpec(20, 6, 2)),
+        ("theta", UniverseSpec(numerator_bound=150, integers_only=True)),
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 10**6])
+    def test_benchmark_universes_start_no_pool(self, monkeypatch, recorded_pools, workers):
+        _set_cpus(monkeypatch, 64)
+        for colouring, universe in self.BENCH_UNIVERSES:
+            search(colouring, universe, CombinationMode.PAIRWISE, target_size=3, budget=1,
+                   workers=workers)
+        assert recorded_pools == []
+
+    def test_pool_follows_usable_cpus_not_installed_ones(self, monkeypatch, recorded_pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(verify, "_colour_values", lambda cid, values: ["k"] * len(values))
+        cap = verify.UNIVERSE_CAP * (verify.UNIVERSE_CAP - 1)  # every pair's sum and product
+        assert verify._colour_all("nu", [(n, 1) for n in range(1, cap + 1)]) == ["k"] * cap
+        assert recorded_pools == []
 
     def test_each_value_coloured_once(self, monkeypatch):
         real = verify.colouring_fn
