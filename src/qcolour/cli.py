@@ -14,15 +14,13 @@ import os
 import sys
 
 from .colourings import (
+    PAIR_COLOURINGS,
     PAIR_IDS,
     UNARY_IDS,
     Bit,
-    big_phi,
     colour_key,
     colouring_fn,
     phi,
-    psi,
-    psi_prime,
 )
 from .construct import DEFAULT_SEARCH_BUDGET, extend_sum_closed
 from .core import Rational, parse_rational, primorial
@@ -44,7 +42,7 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def _colour_one(colouring_id: str, text: str):
-    if colouring_id in PAIR_IDS:
+    if colouring_id in PAIR_COLOURINGS:
         parts = text.split(",")
         if len(parts) != 2:
             raise DomainError(
@@ -52,8 +50,7 @@ def _colour_one(colouring_id: str, text: str):
             )
         a = _parse_int(parts[0], "first component")
         b = _parse_int(parts[1], "second component")
-        fn = {"bigphi": big_phi, "psi": psi, "psiprime": psi_prime}[colouring_id]
-        return fn(a, b)
+        return PAIR_COLOURINGS[colouring_id](a, b)
     if colouring_id == "phi":
         return Bit(phi(_parse_int(text, "phi argument")))
     return colouring_fn(colouring_id)(parse_rational(text))

@@ -425,11 +425,6 @@ def parse_colour_key(text: str) -> ColourValue:
 
 # --- registry for the value-colouring engines --------------------------------
 
-#: ids accepted by check/search: each maps a positive rational to a ColourValue.
-UNARY_IDS = ("phi", "theta", "nu", "mu", "alpha", "const")
-#: ids that colour pairs of integers; usable with `colour` only.
-PAIR_IDS = ("bigphi", "psi", "psiprime")
-
 
 def _phi_on_rational(x: Rational) -> ColourValue:
     if x.denominator != 1:
@@ -443,21 +438,30 @@ def _theta_on_rational(x: Rational) -> ColourValue:
     return theta(x.numerator)
 
 
+#: colourings accepted by check/search: each maps a positive rational to a ColourValue.
+UNARY_COLOURINGS: dict[str, Callable[[Rational], ColourValue]] = {
+    "phi": _phi_on_rational,
+    "theta": _theta_on_rational,
+    "nu": nu,
+    "mu": mu,
+    "alpha": alpha,
+    "const": lambda x: ConstColour(),
+}
+#: colourings of pairs of integers; usable with `colour` only.
+PAIR_COLOURINGS: dict[str, Callable[[int, int], PhiValue]] = {
+    "bigphi": big_phi,
+    "psi": psi,
+    "psiprime": psi_prime,
+}
+UNARY_IDS = tuple(UNARY_COLOURINGS)
+PAIR_IDS = tuple(PAIR_COLOURINGS)
+
+
 def colouring_fn(colouring_id: str, table: PrimeTable | None = None) -> Callable[[Rational], ColourValue]:
     """Resolve a colouring id to a function on positive rationals."""
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
-    if colouring_id == "phi":
-        return _phi_on_rational
-    if colouring_id == "theta":
-        return _theta_on_rational
-    if colouring_id == "nu":
-        return nu
-    if colouring_id == "mu":
-        return mu
-    if colouring_id == "alpha":
-        return alpha
-    if colouring_id == "const":
-        return lambda x: ConstColour()
-    if colouring_id in PAIR_IDS:
+    if colouring_id in UNARY_COLOURINGS:
+        return UNARY_COLOURINGS[colouring_id]
+    if colouring_id in PAIR_COLOURINGS:
         raise DomainError(f"colouring {colouring_id!r} applies to pairs, not single values")
     raise DomainError(f"unknown colouring id: {colouring_id!r}")

@@ -231,10 +231,10 @@ def _blocks_in_window(
 
 
 def _mantissa_window(n: int, j: int) -> tuple[int, int]:
-    """Integer products P with 2^n/P ∈ [1 + 2^(−j), 1 + 1.25·2^(−j)]."""
-    lo = pow2(n) / (1 + Fraction(5, 4) * pow2(-j))
-    hi = pow2(n) / (1 + pow2(-j))
-    return math.ceil(lo), math.floor(hi)
+    """Integer products P with 2^n/P ∈ [1 + 2^(−j), 1 + 1.25·2^(−j)], for j ≥ 0."""
+    lo = -(-(1 << (n + j + 2)) // ((1 << (j + 2)) + 5))
+    hi = (1 << (n + j)) // ((1 << j) + 1)
+    return lo, hi
 
 
 def _zone_ok(prev_ns: list[int], n: int) -> bool:
@@ -264,80 +264,65 @@ def _search_blocks(m: int, budget_limit: int, delta_rule: bool) -> tuple[BlockSy
     target = colour_key(nu(y1))
     budget = _Budget(budget_limit)
     levels = [_Level(block=(1,), y=y1, n=2, j=2)]
-    subset_sums = [y1]
     radii: dict[Rational, Rational] = {}
     best_depth = 1
 
-    def delta_bound() -> Rational:
-        for s in subset_sums:
-            if s not in radii:
-                radii[s] = openness_radius(s).radius
-        return min(min(radii[s] for s in subset_sums), levels[-1].y) / 2
-
-    def extend(level: int) -> bool:
+    def extend(level: int, sums: list[Rational], products: list[Rational]) -> bool:
+        """``products`` holds every nonempty subset product of the accepted
+        terms and, under the δ rule, ``sums`` every nonempty subset sum."""
         nonlocal best_depth
         if level > m:
             return True
-        bound = delta_bound() if delta_rule else None
+        last = levels[-1]
+        bound = None
+        if delta_rule:
+            for s in sums:
+                if s not in radii:
+                    radii[s] = openness_radius(s).radius
+            bound = min(min(radii[s] for s in sums), last.y) / 2
         prev_ns = [lv.n for lv in levels]
-        first_pos = max(levels[-1].block) + 1
+        first_pos = max(last.block) + 1
         pool = [(t, base_primes[t - 1]) for t in range(first_pos, pool_size + 1)]
         weight = sum(math.log2(p) for _, p in pool)
-        n = prev_ns[-1] + 1
+        n = last.n + 1
         n_cap = int(weight)
         if bound is not None:
             n = max(n, 2 - a_exponent(bound))
         while n <= n_cap:
             if _zone_ok(prev_ns, n):
-                for j in (levels[-1].j + 3, levels[-1].j + 6):
+                for j in (last.j + 3, last.j + 6):
                     lo, hi = _mantissa_window(n, j)
-                    try:
-                        candidates = _blocks_in_window(pool, lo, hi, budget)
-                        for block, prod in candidates:
-                            budget.left -= 1
-                            if budget.left < 0:
-                                raise BudgetExhaustedError("budget exhausted")
-                            y = Fraction(1, prod)
-                            if not _accepts(y, bound):
-                                continue
-                            levels.append(_Level(block=block, y=y, n=n, j=j))
-                            _absorb(y)
-                            best_depth = max(best_depth, level)
-                            if extend(level + 1):
-                                return True
-                            levels.pop()
-                            _shed()
-                    except BudgetExhaustedError as exc:
-                        raise BudgetExhaustedError(
-                            f"search budget exhausted at depth {best_depth}",
-                            best_depth=best_depth,
-                        ) from exc
+                    for block, prod in _blocks_in_window(pool, lo, hi, budget):
+                        budget.left -= 1
+                        if budget.left < 0:
+                            raise BudgetExhaustedError("budget exhausted")
+                        y = Fraction(1, prod)
+                        if bound is not None and not y < bound:
+                            continue
+                        if colour_key(nu(y)) != target:
+                            continue
+                        if any(colour_key(nu(p * y)) != target for p in products):
+                            continue
+                        new_sums = [y] + [s + y for s in sums] if delta_rule else []
+                        for s in new_sums:
+                            if colour_key(nu(s)) != target:
+                                raise InternalInvariantError(f"sum {s} left the target class")
+                        levels.append(_Level(block=block, y=y, n=n, j=j))
+                        best_depth = max(best_depth, level)
+                        new_products = [y] + [p * y for p in products]
+                        if extend(level + 1, sums + new_sums, products + new_products):
+                            return True
+                        levels.pop()
             n += 1
         return False
 
-    def _accepts(y: Rational, bound: Rational | None) -> bool:
-        if bound is not None and not y < bound:
-            return False
-        if colour_key(nu(y)) != target:
-            return False
-        products = [Fraction(1)]
-        for lv in levels:
-            products += [p * lv.y for p in products]
-        return all(colour_key(nu(p * y)) == target for p in products[1:])
-
-    def _absorb(y: Rational) -> None:
-        if delta_rule:
-            new_sums = [y] + [s + y for s in subset_sums]
-            for s in new_sums:
-                if colour_key(nu(s)) != target:
-                    raise InternalInvariantError(f"sum {s} left the target class")
-            subset_sums.extend(new_sums)
-
-    def _shed() -> None:
-        if delta_rule:
-            del subset_sums[(len(subset_sums) - 1) // 2 :]
-
-    if not extend(2):
+    try:
+        found = extend(2, [y1], [y1])
+    except BudgetExhaustedError as exc:
+        raise BudgetExhaustedError(
+            f"search budget exhausted at depth {best_depth}", best_depth=best_depth
+        ) from exc
+    if not found:
         raise BudgetExhaustedError(
             f"pool of {pool_size} terms exhausted at depth {best_depth}",
             best_depth=best_depth,

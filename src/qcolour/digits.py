@@ -16,7 +16,6 @@ from .core import (
     check_digits,
     check_exponent,
     divide_out_primes,
-    floor_frac,
     is_power_of_two,
     log2_floor,
     primorial,
@@ -29,14 +28,12 @@ class BinaryProfile:
     """Positions of the significant binary digits of a natural number.
 
     ``end``/``start`` are the rightmost/leftmost 1 positions, ``gap`` the
-    distance between the two most significant 1s (None for powers of two),
-    ``next_digit`` the bit immediately left of the end position.
+    distance between the two most significant 1s (None for powers of two).
     """
 
     end: int
     start: int
     gap: int | None
-    next_digit: int
     power_of_two: bool
 
 
@@ -48,8 +45,7 @@ def binary_profile(m: int) -> BinaryProfile:
     ptwo = m & (m - 1) == 0
     rest = m ^ (1 << start)
     gap = None if ptwo else start - (rest.bit_length() - 1)
-    next_digit = (m >> (end + 1)) & 1
-    return BinaryProfile(end=end, start=start, gap=gap, next_digit=next_digit, power_of_two=ptwo)
+    return BinaryProfile(end=end, start=start, gap=gap, power_of_two=ptwo)
 
 
 def end2(m: int) -> int:
@@ -154,7 +150,9 @@ def expand(x: Rational, n: int, table: PrimeTable | None = None) -> DigitExpansi
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     base = check_digits(primorial(n), f"base P_{n}")  # its digits must print
     _trailing_exponent(x, n)  # the domain check
-    whole, frac = floor_frac(x)
+    if x.numerator <= 0:
+        raise DomainError(f"expected a positive rational, got {x}")
+    whole, num = divmod(x.numerator, x.denominator)
     digits: dict[int, int] = {}
     pos = 0
     while whole:
@@ -163,10 +161,8 @@ def expand(x: Rational, n: int, table: PrimeTable | None = None) -> DigitExpansi
             digits[check_exponent(pos)] = d
         pos += 1
     pos = -1
-    while frac:
-        frac *= base
-        d = int(frac)
-        frac -= d
+    while num:
+        d, num = divmod(num * base, x.denominator)
         if d:
             digits[check_exponent(pos)] = d
         pos -= 1

@@ -265,6 +265,27 @@ class TestConstruct:
         obj = json.loads(proc.stdout)
         assert obj["budget_exhausted"]["best_depth"] >= 1
 
+    @pytest.mark.parametrize(
+        "terms, digest",
+        [
+            ("3", "a54b2b290a83f07dd531a1c554b26425f930922db8b6b550eff5e8eee008ef3c"),
+            ("4", "e529abd70eac0dcccc347509d8ef2976832b43a04e0cb0e89c205cf0ce53619b"),
+        ],
+    )
+    def test_stdout_pinned(self, terms, digest):
+        # a search that picked other valid blocks would still validate; this would not
+        proc = run_cli("construct", "--terms", terms)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("terms, budget", [("4", "208509"), ("5", "200000")])
+    def test_budget_exhaustion_payload_pinned(self, terms, budget):
+        proc = run_cli("construct", "--terms", terms, "--budget", budget)
+        assert (proc.returncode, proc.stderr) == (3, "")
+        assert proc.stdout == (
+            '{"budget_exhausted":{"message":"search budget exhausted at depth 3","best_depth":3}}\n'
+        )
+
 
 class TestProperties:
     def test_deterministic_across_runs(self):

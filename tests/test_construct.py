@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -256,6 +257,42 @@ class TestBlocksInWindow:
         ]
         digest = hashlib.sha256(repr(calls).encode()).hexdigest()
         assert digest == "611ec4d9f8c7db4ad181d1c52e736c4bd6a6f148573db73cbd53e53287253448"
+
+
+class TestColourCalls:
+    """ν and openness-radius calls per term count, counted through the module
+    attributes (as perfbench's tracer counts them); the cumulative figures
+    over m = 2..4 are 58 and 11 for the sum-closed round."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = {"nu": 0, "openness_radius": 0}
+        for name in calls:
+            inner = getattr(construct, name)
+
+            def counted(x, name=name, inner=inner):
+                calls[name] += 1
+                return inner(x)
+
+            monkeypatch.setattr(construct, name, counted)
+        return calls
+
+    def test_sum_closed_round(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        seen = []
+        for m in (2, 3, 4):
+            extend_sum_closed(m)
+            seen.append((calls["nu"], calls["openness_radius"]))
+        assert seen == [(6, 1), (22, 4), (58, 11)]
+
+    def test_product_round(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        digests = []
+        for m in (2, 3, 4):
+            obj = find_product_subsystem(m).to_obj()
+            digests.append(hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16])
+        assert (calls["nu"], calls["openness_radius"]) == (50, 0)
+        assert digests == ["db1bcdf4e91c16e9", "4ff994ed75f861ef", "36a6463c982f3f64"]
 
 
 class TestBudgetContract:

@@ -52,7 +52,9 @@ class TestBinaryProfile:
     )
     def test_profiles(self, m, start, end, gap, nxt):
         p = binary_profile(m)
-        assert (p.start, p.end, p.gap, p.next_digit) == (start, end, gap, nxt)
+        assert (p.start, p.end, p.gap) == (start, end, gap)
+        # the bit left of the end position is read by the pair colouring, not the profile
+        assert colourings.big_phi(m, 2 * m).c3 == nxt
         assert p.power_of_two == (gap is None)
         assert (start2(m), end2(m)) == (start, end)
 
@@ -64,7 +66,6 @@ class TestBinaryProfile:
         assert p.end == (m & -m).bit_length() - 1
         rest = m - (1 << p.start)
         assert p.gap == (None if rest == 0 else p.start - rest.bit_length() + 1)
-        assert p.next_digit == (m >> (p.end + 1)) & 1
 
     def test_right_left_disjoint(self):
         # 0 exactly when the second support sits strictly left of the first
@@ -261,6 +262,11 @@ class TestExpansion:
     def test_non_terminating_rejected(self):
         with pytest.raises(DomainError):
             expand(Fraction(1, 3), 1)
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(-5, 4), Fraction(-3)])
+    def test_non_positive_rejected(self, x):
+        with pytest.raises(DomainError, match="expected a positive rational"):
+            expand(x, 1)
 
     @given(
         num=st.integers(1, 10**6),
