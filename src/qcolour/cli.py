@@ -23,7 +23,7 @@ from .colourings import (
     phi,
 )
 from .construct import DEFAULT_SEARCH_BUDGET, extend_sum_closed
-from .core import Rational, parse_rational, primorial
+from .core import MAX_DIGITS, Rational, parse_rational, primorial
 from .digits import expand
 from .errors import BudgetExhaustedError, DomainError
 from .verify import CombinationMode, UniverseSpec, check, property_suite, search
@@ -35,6 +35,8 @@ def _emit(obj: dict, pretty: bool) -> None:
 
 
 def _parse_int(text: str, what: str) -> int:
+    if sum(map(str.isdigit, text)) > MAX_DIGITS:
+        raise DomainError(f"{what} has more than {MAX_DIGITS} decimal digits")
     try:
         return int(text, 10)
     except ValueError:
@@ -186,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", parents=[common], help="sum-and-product monochromatic terms")
     p.add_argument("--terms", type=int, required=True, help="number of terms m")
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET, help="at least 1")
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("properties", parents=[common], help="run the seeded digit-law suite")

@@ -23,12 +23,9 @@ from typing import Iterator
 
 from .colourings import NuTuple, colour_key, nu, phi
 from .core import (
-    Ordering,
     Rational,
     a_exponent,
     base_index_and_exponent,
-    cmp_c5_boundary,
-    cmp_pow2_half,
     nth_prime,
     pow2,
     primorial,
@@ -164,9 +161,9 @@ def openness_radius(x: Rational) -> OpennessRadius:
         pow2(a) + pow2(b + 1) - x,
         pow2(a + 1) - pow2(c) - x,
     ]
-    if cmp_pow2_half(x, a) is Ordering.BELOW:
+    if value.w1 == 0:  # x < 2^(a+1/2)
         gaps.append((pow2(2 * a + 1) - x * x) / pow2(a + 2))
-    l = c if cmp_c5_boundary(x, a, c) is Ordering.BELOW else c - 1
+    l = c if value.w5 == value.w4 else c - 1  # x below the surd boundary (a, c)
     gaps.append((pow2(2 * a + 2) - pow2(a + l + 2) - x * x) / pow2(a + 2))
     if any(g <= 0 for g in gaps):
         raise InternalInvariantError(f"non-positive boundary gap at {x}")
@@ -237,14 +234,6 @@ def _mantissa_window(n: int, j: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _zone_ok(prev_ns: list[int], n: int) -> bool:
-    """Every subset sum of |a|-values containing n must colour 1 under φ."""
-    sums = {0}
-    for p in prev_ns:
-        sums |= {s + p for s in sums}
-    return all(phi(-(s + n)) == 1 for s in sums)
-
-
 @dataclass
 class _Level:
     block: tuple[int, ...]
@@ -256,6 +245,8 @@ class _Level:
 def _search_blocks(m: int, budget_limit: int, delta_rule: bool) -> tuple[BlockSystem, list[Rational], str]:
     if m < 1:
         raise DomainError(f"term count must be >= 1, got {m}")
+    if budget_limit < 1:
+        raise DomainError(f"budget must be >= 1, got {budget_limit}")
     pool_size = 16 + 14 * m
     indices = reciprocal_prime_indices(pool_size)
     base_primes = [nth_prime(r) for r in indices]
@@ -267,9 +258,10 @@ def _search_blocks(m: int, budget_limit: int, delta_rule: bool) -> tuple[BlockSy
     radii: dict[Rational, Rational] = {}
     best_depth = 1
 
-    def extend(level: int, sums: list[Rational], products: list[Rational]) -> bool:
+    def extend(level: int, sums: list[Rational], products: list[Rational], zone: set[int]) -> bool:
         """``products`` holds every nonempty subset product of the accepted
-        terms and, under the δ rule, ``sums`` every nonempty subset sum."""
+        terms, under the δ rule ``sums`` every nonempty subset sum, and
+        ``zone`` every subset sum of their |a|-exponents n, 0 included."""
         nonlocal best_depth
         if level > m:
             return True
@@ -280,7 +272,6 @@ def _search_blocks(m: int, budget_limit: int, delta_rule: bool) -> tuple[BlockSy
                 if s not in radii:
                     radii[s] = openness_radius(s).radius
             bound = min(min(radii[s] for s in sums), last.y) / 2
-        prev_ns = [lv.n for lv in levels]
         first_pos = max(last.block) + 1
         pool = [(t, base_primes[t - 1]) for t in range(first_pos, pool_size + 1)]
         weight = sum(math.log2(p) for _, p in pool)
@@ -289,7 +280,7 @@ def _search_blocks(m: int, budget_limit: int, delta_rule: bool) -> tuple[BlockSy
         if bound is not None:
             n = max(n, 2 - a_exponent(bound))
         while n <= n_cap:
-            if _zone_ok(prev_ns, n):
+            if all(phi(-(s + n)) == 1 for s in zone):
                 for j in (last.j + 3, last.j + 6):
                     lo, hi = _mantissa_window(n, j)
                     for block, prod in _blocks_in_window(pool, lo, hi, budget):
@@ -310,14 +301,15 @@ def _search_blocks(m: int, budget_limit: int, delta_rule: bool) -> tuple[BlockSy
                         levels.append(_Level(block=block, y=y, n=n, j=j))
                         best_depth = max(best_depth, level)
                         new_products = [y] + [p * y for p in products]
-                        if extend(level + 1, sums + new_sums, products + new_products):
+                        new_zone = zone | {s + n for s in zone}
+                        if extend(level + 1, sums + new_sums, products + new_products, new_zone):
                             return True
                         levels.pop()
             n += 1
         return False
 
     try:
-        found = extend(2, [y1], [y1])
+        found = extend(2, [y1], [y1], {0, 2})
     except BudgetExhaustedError as exc:
         raise BudgetExhaustedError(
             f"search budget exhausted at depth {best_depth}", best_depth=best_depth

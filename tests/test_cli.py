@@ -90,6 +90,16 @@ class TestColour:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: numerator or denominator has more than 4300 decimal digits\n"
 
+    @pytest.mark.parametrize("colouring, value, what", [
+        ("bigphi", "1," + "9" * 5000, "second component"),
+        ("phi", "9" * 4301, "phi argument"),
+    ], ids=["bigphi", "phi"])
+    def test_integer_digit_limit(self, capsys, colouring, value, what):
+        assert cli.main(["colour", "--colouring", colouring, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {what} has more than 4300 decimal digits\n"
+
     def test_pretty_same_object(self):
         compact = run_cli("colour", "--colouring", "mu", "5/6")
         pretty = run_cli("colour", "--colouring", "mu", "5/6", "--pretty")
@@ -264,6 +274,12 @@ class TestConstruct:
         assert proc.returncode == 3
         obj = json.loads(proc.stdout)
         assert obj["budget_exhausted"]["best_depth"] >= 1
+
+    @pytest.mark.parametrize("terms, budget", [("3", "0"), ("3", "-5"), ("1", "0")])
+    def test_budget_below_one_exit_2(self, capsys, terms, budget):
+        assert cli.main(["construct", "--terms", terms, "--budget", budget]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: budget must be >= 1, got {budget}\n"
 
     @pytest.mark.parametrize(
         "terms, digest",

@@ -152,6 +152,16 @@ class TestSumClosedExtension:
         for _, value in combinations(list(res.terms), CombinationMode.FINITE_FSFP):
             assert minimal_digit_fact(value)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected_before_the_pool(self, monkeypatch, budget):
+        def refuse(count):
+            raise AssertionError("pool built before the budget was checked")
+
+        monkeypatch.setattr(construct, "reciprocal_prime_indices", refuse)
+        for build in (extend_sum_closed, find_product_subsystem):
+            with pytest.raises(DomainError, match=f"budget must be >= 1, got {budget}"):
+                build(1, search_budget=budget)
+
     def test_budget_failure_reports_depth(self):
         with pytest.raises(BudgetExhaustedError) as info:
             extend_sum_closed(3, search_budget=3)
@@ -293,6 +303,43 @@ class TestColourCalls:
             digests.append(hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16])
         assert (calls["nu"], calls["openness_radius"]) == (50, 0)
         assert digests == ["db1bcdf4e91c16e9", "4ff994ed75f861ef", "36a6463c982f3f64"]
+
+
+class TestForcedBacktrack:
+    """A level whose pool holds no block sends the search back a level."""
+
+    @pytest.fixture
+    def starved(self, monkeypatch):
+        inner = construct._blocks_in_window
+
+        def no_blocks_from_14(pool, lo, hi, budget):
+            if pool[0][0] == 14:  # the pool after the first level-2 answer (2, 7, 11, 13)
+                return
+            yield from inner(pool, lo, hi, budget)
+
+        monkeypatch.setattr(construct, "_blocks_in_window", no_blocks_from_14)
+
+    @staticmethod
+    def _digest(obj) -> str:
+        return hashlib.sha256(json.dumps(obj.to_obj()).encode()).hexdigest()[:16]
+
+    def test_three_terms_back_up_to_level_two(self, starved):
+        res = extend_sum_closed(3)
+        assert res.system.blocks == (
+            (1,), (2, 8, 9, 14), (15, 17, 19, 22, 23, 24, 25, 26, 27, 28, 30),
+        )
+        assert validate(res.certificate)
+        assert self._digest(res) == "278c25bbb1dcad3c"
+
+    def test_outputs_pinned(self, starved):
+        products = find_product_subsystem(3)
+        assert products.system.blocks[1] == (2, 8, 9, 14)
+        assert {e.colour for e in products.products} == {products.key}
+        four = extend_sum_closed(4)
+        assert validate(four.certificate)
+        assert [self._digest(products), self._digest(four)] == [
+            "5aca440cd8ddb24c", "e87dd2127e30e917",
+        ]
 
 
 class TestBudgetContract:

@@ -324,6 +324,19 @@ class TestSearch:
         assert (res.nodes, res.max_size, res.exhausted, res.certificates) == (
             nodes, max_size, True, [])
 
+    @pytest.mark.parametrize("colouring, universe, count", [
+        ("phi", UniverseSpec(numerator_bound=40, integers_only=True), 6),
+        ("alpha", UniverseSpec(16, 8, 2), 8),
+        ("const", UniverseSpec(6, 2, 1), 84),
+    ])
+    def test_finite_mode_matches_naive(self, colouring, universe, count):
+        got = search(colouring, universe, CombinationMode.FINITE_FSFP, target_size=3,
+                     budget=10**6, workers=1).to_obj()
+        want = naive_search(colouring, universe, CombinationMode.FINITE_FSFP, 3).to_obj()
+        assert got.pop("nodes") > 0 and want.pop("nodes") == -1
+        assert got == want
+        assert len(got["certificates"]) == count
+
     def test_pool_output_matches_in_process(self, monkeypatch):
         started = []
 
@@ -441,10 +454,9 @@ class TestPropertySuite:
         b = property_suite(seed=7, sample_count=100).to_obj()
         assert a == b
 
-    def test_shifted_end_is_caught(self):
-        report = property_suite(
-            seed=1, sample_count=300, overrides={"end2": lambda m: end2(m) + 1}
-        )
+    def test_shifted_end_is_caught(self, monkeypatch):
+        monkeypatch.setattr(verify, "end2", lambda m: end2(m) + 1)
+        report = property_suite(seed=1, sample_count=300)
         failed = {law.name for law in report.laws if not law.passed}
         assert "binary-product-end" in failed
         assert "same-end-carry" in failed
@@ -455,19 +467,19 @@ class TestPropertySuite:
             if not law.passed:
                 assert law.counterexample
 
-    def test_shifted_start_is_caught(self):
-        report = property_suite(
-            seed=1, sample_count=300, overrides={"start2": lambda m: start2(m) + 1}
-        )
+    def test_shifted_start_is_caught(self, monkeypatch):
+        monkeypatch.setattr(verify, "start2", lambda m: start2(m) + 1)
+        report = property_suite(seed=1, sample_count=300)
         failed = {law.name for law in report.laws if not law.passed}
         assert "binary-product-start" in failed
 
-    def test_shifted_expansion_is_caught(self):
+    def test_shifted_expansion_is_caught(self, monkeypatch):
         def shifted(x, n):
             d = expand(x, n)
             return DigitExpansion(d.base_index, {p + 1: v for p, v in d.digits.items()})
 
-        report = property_suite(seed=1, sample_count=300, overrides={"expand": shifted})
+        monkeypatch.setattr(verify, "expand", shifted)
+        report = property_suite(seed=1, sample_count=300)
         failed = {law.name for law in report.laws if not law.passed}
         assert "primorial-product-end" in failed
         assert "binary-product-end" not in failed
