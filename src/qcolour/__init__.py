@@ -13,11 +13,9 @@ from .core import (
     cmp_c5_boundary,
     cmp_pow2_half,
     default_table,
-    floor_frac,
     in_C3,
     in_C4,
     is_power_of_two,
-    make_rational,
     minimal_base_index,
     nth_prime,
     parse_rational,
@@ -25,7 +23,6 @@ from .core import (
     primorial,
 )
 from .digits import (
-    BinaryProfile,
     DigitExpansion,
     b_exponent,
     binary_profile,
@@ -65,7 +62,6 @@ from .verify import (
     Clash,
     CombinationEntry,
     CombinationMode,
-    LawResult,
     Monochromatic,
     PropertyReport,
     SearchResult,
@@ -82,9 +78,7 @@ from .construct import (
     BlockSystem,
     ConstructResult,
     OpennessRadius,
-    ProductSystem,
     extend_sum_closed,
-    find_product_subsystem,
     minimal_digit_fact,
     openness_radius,
     reciprocal_prime_indices,

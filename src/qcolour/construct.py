@@ -1,11 +1,12 @@
 """Build finite sequences in (0,1) whose sums and products are μ-monochromatic.
 
 The recipe: base terms are reciprocals of primes chosen so their sum stays
-below 1/2; blocks of base terms are multiplied into derived terms y_n whose
-ν colours all agree (including every product of the y's); the sum side is
-then closed by keeping each new term below half the openness radius of every
-subset sum so far. Everything is exact rational arithmetic; floats appear
-only as search heuristics, never in accepted answers.
+below 1/2; one search multiplies disjoint blocks of base terms into derived
+terms y_n, accepting a y_n only if its ν colour and that of every product
+with earlier y's agree and it lies below half the openness radius of every
+subset sum so far, so the sums keep that colour too. Everything is exact
+rational arithmetic; floats appear only as search heuristics, never in
+accepted answers.
 
 The block search targets the "low corner" band: a term y = 2^a·M with
 mantissa M ∈ (1, 1.5) and M² < 2 pins three of ν's tuple components, the
@@ -34,11 +35,9 @@ from .digits import abc_exponents, leading_frac_position
 from .errors import BudgetExhaustedError, DomainError, InternalInvariantError
 from .verify import (
     Certificate,
-    CombinationEntry,
     CombinationMode,
     Monochromatic,
     check,
-    combinations,
 )
 
 DEFAULT_SEARCH_BUDGET = 250_000
@@ -89,22 +88,6 @@ class BlockSystem:
         return {
             "base_indices": list(self.base_indices),
             "blocks": [list(b) for b in self.blocks],
-        }
-
-
-@dataclass(frozen=True)
-class ProductSystem:
-    system: BlockSystem
-    terms: tuple[Rational, ...]
-    key: str
-    products: tuple[CombinationEntry, ...]
-
-    def to_obj(self) -> dict:
-        return {
-            "system": self.system.to_obj(),
-            "terms": [str(y) for y in self.terms],
-            "key": self.key,
-            "products": [e.to_obj() for e in self.products],
         }
 
 
@@ -242,43 +225,48 @@ class _Level:
     j: int
 
 
-def _search_blocks(m: int, budget_limit: int, delta_rule: bool) -> tuple[BlockSystem, list[Rational], str]:
+def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> ConstructResult:
+    """Terms whose finite sums and products are μ-monochromatic, certified.
+
+    One depth-first search over disjoint blocks: each accepted term's ν key,
+    and that of its products with every earlier subset product, must match
+    the first term's, and the term must lie below half the smallest openness
+    radius over all current subset sums (and below the current terms), so
+    every sum stays in the shared ν class; the final certificate re-checks
+    everything under μ.
+    """
     if m < 1:
         raise DomainError(f"term count must be >= 1, got {m}")
-    if budget_limit < 1:
-        raise DomainError(f"budget must be >= 1, got {budget_limit}")
+    if search_budget < 1:
+        raise DomainError(f"budget must be >= 1, got {search_budget}")
     pool_size = 16 + 14 * m
     indices = reciprocal_prime_indices(pool_size)
     base_primes = [nth_prime(r) for r in indices]
 
     y1 = Fraction(1, 3)
     target = colour_key(nu(y1))
-    budget = _Budget(budget_limit)
+    budget = _Budget(search_budget)
     levels = [_Level(block=(1,), y=y1, n=2, j=2)]
     radii: dict[Rational, Rational] = {}
     best_depth = 1
 
     def extend(level: int, sums: list[Rational], products: list[Rational], zone: set[int]) -> bool:
-        """``products`` holds every nonempty subset product of the accepted
-        terms, under the δ rule ``sums`` every nonempty subset sum, and
-        ``zone`` every subset sum of their |a|-exponents n, 0 included."""
+        """``sums`` and ``products`` hold every nonempty subset sum and product
+        of the accepted terms, and ``zone`` every subset sum of their
+        |a|-exponents n, 0 included."""
         nonlocal best_depth
         if level > m:
             return True
         last = levels[-1]
-        bound = None
-        if delta_rule:
-            for s in sums:
-                if s not in radii:
-                    radii[s] = openness_radius(s).radius
-            bound = min(min(radii[s] for s in sums), last.y) / 2
+        for s in sums:
+            if s not in radii:
+                radii[s] = openness_radius(s).radius
+        bound = min(min(radii[s] for s in sums), last.y) / 2
         first_pos = max(last.block) + 1
         pool = [(t, base_primes[t - 1]) for t in range(first_pos, pool_size + 1)]
         weight = sum(math.log2(p) for _, p in pool)
-        n = last.n + 1
+        n = max(last.n + 1, 2 - a_exponent(bound))
         n_cap = int(weight)
-        if bound is not None:
-            n = max(n, 2 - a_exponent(bound))
         while n <= n_cap:
             if all(phi(-(s + n)) == 1 for s in zone):
                 for j in (last.j + 3, last.j + 6):
@@ -288,13 +276,13 @@ def _search_blocks(m: int, budget_limit: int, delta_rule: bool) -> tuple[BlockSy
                         if budget.left < 0:
                             raise BudgetExhaustedError("budget exhausted")
                         y = Fraction(1, prod)
-                        if bound is not None and not y < bound:
+                        if y >= bound:
                             continue
                         if colour_key(nu(y)) != target:
                             continue
                         if any(colour_key(nu(p * y)) != target for p in products):
                             continue
-                        new_sums = [y] + [s + y for s in sums] if delta_rule else []
+                        new_sums = [y] + [s + y for s in sums]
                         for s in new_sums:
                             if colour_key(nu(s)) != target:
                                 raise InternalInvariantError(f"sum {s} left the target class")
@@ -325,36 +313,11 @@ def _search_blocks(m: int, budget_limit: int, delta_rule: bool) -> tuple[BlockSy
         base_indices=tuple(indices[:max_pos]),
         blocks=tuple(lv.block for lv in levels),
     )
-    return system, ys, target
-
-
-def find_product_subsystem(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> ProductSystem:
-    """Blocks whose 2^m − 1 derived products all share one ν tuple key."""
-    system, ys, key = _search_blocks(m, search_budget, False)
-    products = tuple(
-        CombinationEntry(tag, value, colour_key(nu(value)))
-        for tag, value in combinations(ys, CombinationMode.FINITE_FSFP)
-        if tag.startswith("p")
-    )
-    if any(e.colour != key for e in products):
-        raise InternalInvariantError("accepted product system is not monochromatic")
-    return ProductSystem(system=system, terms=tuple(ys), key=key, products=products)
-
-
-def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> ConstructResult:
-    """Terms whose finite sums and products are μ-monochromatic, certified.
-
-    Runs the product-subsystem search with the sum-closure rule folded in:
-    each accepted term must lie below half the smallest openness radius over
-    all current subset sums (and below the current terms), so every sum stays
-    in the shared ν class; the final certificate re-checks everything under μ.
-    """
-    system, ys, key = _search_blocks(m, search_budget, True)
     certificate = check("mu", ys, CombinationMode.FINITE_FSFP)
     if not isinstance(certificate.verdict, Monochromatic):
         raise InternalInvariantError(
             f"constructed terms fail the μ check: {certificate.verdict}"
         )
     return ConstructResult(
-        system=system, terms=tuple(ys), key=key, certificate=certificate
+        system=system, terms=tuple(ys), key=target, certificate=certificate
     )

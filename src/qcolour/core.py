@@ -297,9 +297,3 @@ def minimal_base_index(x: Rational, table: PrimeTable | None = None) -> int:
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     return base_index_and_exponent(x)[0]
 
-
-def floor_frac(x: Rational) -> tuple[int, Rational]:
-    """Split x into (integer part, fractional part), both exact."""
-    _require_positive(x)
-    whole, rem = divmod(x.numerator, x.denominator)
-    return whole, Fraction(rem, x.denominator)

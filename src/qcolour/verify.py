@@ -140,6 +140,11 @@ def _steps(k: int, mode: CombinationMode) -> list[tuple[str, int, int]]:
 #: combinations, so each term past the cap would double the work and output.
 FINITE_TERM_CAP = 16
 
+#: A search universe holds at most this many elements; it colours every pair.
+#: Pairwise mode takes at most this many terms, so a search certificate always
+#: fits: k terms have k·(k − 1) combinations.
+UNIVERSE_CAP = 512
+
 
 def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, Rational]]:
     """All (tag, value) pairs for the mode, sums block first, then products.
@@ -152,6 +157,8 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
     finite = mode is CombinationMode.FINITE_FSFP
     if finite and len(xs) > FINITE_TERM_CAP:
         raise DomainError(f"finite mode takes at most {FINITE_TERM_CAP} terms, got {len(xs)}")
+    if not finite and len(xs) > UNIVERSE_CAP:
+        raise DomainError(f"pairwise mode takes at most {UNIVERSE_CAP} terms, got {len(xs)}")
     if len(set(xs)) != len(xs):
         raise DomainError("sequence terms must be distinct")
     terms = [Fraction(x) for x in xs]
@@ -233,10 +240,6 @@ def validate(
     if expected.verdict != cert.verdict:
         return fail(f"verdict mismatch: expected {expected.verdict}, found {cert.verdict}")
     return True
-
-
-#: A search universe holds at most this many elements; it colours every pair.
-UNIVERSE_CAP = 512
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,12 @@ class TestCheck:
         assert proc.returncode == 0
         assert len(json.loads(proc.stdout)["combinations"]) == 2 * (2**16 - 1)
 
+    def test_pairwise_term_cap(self):
+        terms = "".join(f"{n}\n" for n in range(1, 514))
+        proc = run_cli("check", "--colouring", "const", stdin=terms)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: pairwise mode takes at most 512 terms, got 513\n"
+
     def test_combination_digit_limit(self):
         # each term prints, but their product has 4,400 digits
         terms = f"{10**2199 + 1}\n{10**2199 + 3}\n"

@@ -16,7 +16,6 @@ from qcolour.construct import (
     BlockSystem,
     OpennessRadius,
     extend_sum_closed,
-    find_product_subsystem,
     minimal_digit_fact,
     openness_radius,
     reciprocal_prime_indices,
@@ -118,29 +117,15 @@ class TestMinimalDigitFact:
                 minimal_digit_fact(bad)
 
 
-class TestProductSubsystem:
-    def test_single_term(self):
-        ps = find_product_subsystem(1, search_budget=1000)
-        assert ps.system.blocks == ((1,),)
-        assert ps.terms == (Fraction(1, 3),)
-        assert ps.key == "nu:t:0,1,2,1,1"
-
-    def test_two_terms_frozen(self):
-        ps = find_product_subsystem(2, search_budget=250_000)
-        assert ps.system.blocks == ((1,), (2, 7, 11, 13))
-        assert ps.system.base_indices[:6] == (2, 6, 12, 21, 31, 42)
-        assert ps.terms == (Fraction(1, 3), Y2)
-        # every product over nonempty subsets carries the target colour
-        assert [e.tag for e in ps.products] == ["p:1", "p:2", "p:1,2"]
-        assert {e.colour for e in ps.products} == {"nu:t:0,1,2,1,1"}
-
-    def test_deterministic(self):
-        a = find_product_subsystem(2, search_budget=250_000).to_obj()
-        b = find_product_subsystem(2, search_budget=250_000).to_obj()
-        assert a == b
-
-
 class TestSumClosedExtension:
+    def test_single_term(self):
+        res = extend_sum_closed(1, search_budget=1000)
+        assert res.system.blocks == ((1,),)
+        assert res.terms == (Fraction(1, 3),)
+        assert res.key == "nu:t:0,1,2,1,1"
+        assert res.certificate.verdict == Monochromatic(key=MU_KEY)
+        assert validate(res.certificate)
+
     def test_two_terms(self):
         res = extend_sum_closed(2, search_budget=250_000)
         assert res.terms == (Fraction(1, 3), Y2)
@@ -158,9 +143,8 @@ class TestSumClosedExtension:
             raise AssertionError("pool built before the budget was checked")
 
         monkeypatch.setattr(construct, "reciprocal_prime_indices", refuse)
-        for build in (extend_sum_closed, find_product_subsystem):
-            with pytest.raises(DomainError, match=f"budget must be >= 1, got {budget}"):
-                build(1, search_budget=budget)
+        with pytest.raises(DomainError, match=f"budget must be >= 1, got {budget}"):
+            extend_sum_closed(1, search_budget=budget)
 
     def test_budget_failure_reports_depth(self):
         with pytest.raises(BudgetExhaustedError) as info:
@@ -295,15 +279,6 @@ class TestColourCalls:
             seen.append((calls["nu"], calls["openness_radius"]))
         assert seen == [(6, 1), (22, 4), (58, 11)]
 
-    def test_product_round(self, monkeypatch):
-        calls = self._counting(monkeypatch)
-        digests = []
-        for m in (2, 3, 4):
-            obj = find_product_subsystem(m).to_obj()
-            digests.append(hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16])
-        assert (calls["nu"], calls["openness_radius"]) == (50, 0)
-        assert digests == ["db1bcdf4e91c16e9", "4ff994ed75f861ef", "36a6463c982f3f64"]
-
 
 class TestForcedBacktrack:
     """A level whose pool holds no block sends the search back a level."""
@@ -332,14 +307,9 @@ class TestForcedBacktrack:
         assert self._digest(res) == "278c25bbb1dcad3c"
 
     def test_outputs_pinned(self, starved):
-        products = find_product_subsystem(3)
-        assert products.system.blocks[1] == (2, 8, 9, 14)
-        assert {e.colour for e in products.products} == {products.key}
         four = extend_sum_closed(4)
         assert validate(four.certificate)
-        assert [self._digest(products), self._digest(four)] == [
-            "5aca440cd8ddb24c", "e87dd2127e30e917",
-        ]
+        assert self._digest(four) == "e87dd2127e30e917"
 
 
 class TestBudgetContract:

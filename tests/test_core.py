@@ -20,7 +20,6 @@ from qcolour.core import (
     cmp_c5_boundary,
     cmp_pow2_half,
     divide_out_primes,
-    floor_frac,
     in_C3,
     in_C4,
     is_power_of_two,
@@ -128,12 +127,6 @@ class TestDyadicHelpers:
         assert cmp_c5_boundary(Fraction(7, 2), 2, 0) is Ordering.BELOW
         with pytest.raises(DomainError):
             cmp_c5_boundary(Fraction(7, 2), 2, 2)
-
-    @given(positive_rationals)
-    @settings(deadline=None)
-    def test_floor_frac(self, x):
-        whole, frac = floor_frac(x)
-        assert whole == math.floor(x) and whole + frac == x and 0 <= frac < 1
 
 
 class TestPrimeTable:

@@ -62,6 +62,20 @@ class TestCombinations:
             combinations(xs, CombinationMode.FINITE_FSFP)
         assert len(combinations(xs, CombinationMode.PAIRWISE)) == 2 * 17 * 16 // 2
 
+    def test_pairwise_term_cap_before_any_step(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def refuse(k, mode):
+            raise Reached(k)
+
+        monkeypatch.setattr(verify, "_steps", refuse)
+        xs = [Fraction(n) for n in range(1, verify.UNIVERSE_CAP + 2)]
+        with pytest.raises(DomainError, match="pairwise mode takes at most 512 terms, got 513"):
+            combinations(xs, CombinationMode.PAIRWISE)
+        with pytest.raises(Reached):  # the cap itself is admitted
+            combinations(xs[:-1], CombinationMode.PAIRWISE)
+
     @pytest.mark.parametrize("naturals", [False, True])
     @pytest.mark.parametrize("mode", list(CombinationMode))
     def test_matches_from_scratch_reduction(self, mode, naturals):
