@@ -23,10 +23,10 @@ from .colourings import (
     phi,
 )
 from .construct import DEFAULT_SEARCH_BUDGET, extend_sum_closed
-from .core import MAX_DIGITS, Rational, parse_rational, primorial
+from .core import MAX_DIGITS, parse_rational, primorial
 from .digits import expand
 from .errors import BudgetExhaustedError, DomainError
-from .verify import CombinationMode, UniverseSpec, check, property_suite, search
+from .verify import CombinationMode, UniverseSpec, check, check_term_count, property_suite, search
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -58,7 +58,7 @@ def _colour_one(colouring_id: str, text: str):
     return colouring_fn(colouring_id)(parse_rational(text))
 
 
-def _read_sequence(path: str | None) -> list[Rational]:
+def _read_sequence(path: str | None) -> list[str]:
     if path is None or path == "-":
         lines = sys.stdin.read().splitlines()
     else:
@@ -67,11 +67,7 @@ def _read_sequence(path: str | None) -> list[Rational]:
                 lines = fh.read().splitlines()
         except OSError as exc:
             raise DomainError(f"cannot read {path}: {exc}") from None
-    out = []
-    for line in lines:
-        text = line.split("#", 1)[0].strip()
-        if text:
-            out.append(parse_rational(text))
+    out = [text for text in (line.split("#", 1)[0].strip() for line in lines) if text]
     if not out:
         raise DomainError("no terms supplied")
     return out
@@ -104,8 +100,10 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    xs = _read_sequence(args.file)
-    cert = check(args.colouring, xs, CombinationMode(args.mode))
+    mode = CombinationMode(args.mode)
+    texts = _read_sequence(args.file)
+    check_term_count(len(texts), mode)
+    cert = check(args.colouring, [parse_rational(t) for t in texts], mode)
     _emit(cert.to_obj(), args.pretty)
     return 0
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .colourings import colour_key, colouring_fn
 from .core import PrimeTable, Rational, check_digits, is_dyadic, iter_primes, parse_rational, primorial
@@ -146,6 +145,48 @@ FINITE_TERM_CAP = 16
 UNIVERSE_CAP = 512
 
 
+def check_term_count(count: int, mode: CombinationMode) -> None:
+    """Refuse more terms than the mode takes, before anything is built from them."""
+    cap = FINITE_TERM_CAP if mode is CombinationMode.FINITE_FSFP else UNIVERSE_CAP
+    if count > cap:
+        raise DomainError(f"{mode.value} mode takes at most {cap} terms, got {count}")
+
+
+Pair = tuple[int, int]  # (numerator, denominator) in lowest terms, denominator > 0
+
+
+def _add(x: Pair, y: Pair) -> Pair:
+    n, d = x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _mul(x: Pair, y: Pair) -> Pair:
+    g, h = gcd(x[0], y[1]), gcd(y[0], x[1])
+    return (x[0] // g) * (y[0] // h), (x[1] // h) * (y[1] // g)
+
+
+def _pair_combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, Pair]]:
+    """``combinations`` with each value a reduced pair."""
+    check_term_count(len(xs), mode)
+    if len(set(xs)) != len(xs):
+        raise DomainError("sequence terms must be distinct")
+    finite = mode is CombinationMode.FINITE_FSFP
+    terms = [(x.numerator, x.denominator) for x in xs]
+    steps = _steps(len(xs), mode)
+    out = []
+    for block, op in (("s:", _add), ("p:", _mul)):
+        table = [(0, 1)] * (1 << len(xs)) if finite else terms
+        for positions, prefix, last in steps:
+            value = terms[last] if finite and not prefix else op(table[prefix], terms[last])
+            if finite:
+                table[prefix | 1 << last] = value
+            tag = block + positions
+            check_digits(max(value), f"combination {tag}")
+            out.append((tag, value))
+    return out
+
+
 def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, Rational]]:
     """All (tag, value) pairs for the mode, sums block first, then products.
 
@@ -154,59 +195,26 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
     subset's value with its last term. A value too long to print (see
     ``core.MAX_DIGITS``) is refused as it is produced, so no operand is longer.
     """
-    finite = mode is CombinationMode.FINITE_FSFP
-    if finite and len(xs) > FINITE_TERM_CAP:
-        raise DomainError(f"finite mode takes at most {FINITE_TERM_CAP} terms, got {len(xs)}")
-    if not finite and len(xs) > UNIVERSE_CAP:
-        raise DomainError(f"pairwise mode takes at most {UNIVERSE_CAP} terms, got {len(xs)}")
-    if len(set(xs)) != len(xs):
-        raise DomainError("sequence terms must be distinct")
-    terms = [Fraction(x) for x in xs]
-    steps = _steps(len(xs), mode)
-    out = []
-    for block, op in (("s:", operator.add), ("p:", operator.mul)):
-        table = [Fraction(0)] * (1 << len(xs)) if finite else terms
-        for positions, prefix, last in steps:
-            value = terms[last] if finite and not prefix else op(table[prefix], terms[last])
-            if finite:
-                table[prefix | 1 << last] = value
-            tag = block + positions
-            check_digits(max(value.numerator, value.denominator), f"combination {tag}")
-            out.append((tag, value))
-    return out
+    return [(tag, Fraction(*value)) for tag, value in _pair_combinations(xs, mode)]
 
 
 def check(
-    colouring_id: str,
-    xs: list[Rational],
-    mode: CombinationMode,
-    *,
-    key_of: Callable[[Rational], str] | None = None,
+    colouring_id: str, xs: list[Rational], mode: CombinationMode,
+    *, keys: dict[Pair, str] | None = None,
 ) -> Certificate:
     """Colour every combination and report Monochromatic or the first Clash.
 
     The clash cited is the lexicographically first pair in combination order,
     which is always (0, j) for the first j whose key differs from entry 0's.
-    ``key_of``, when given, returns a value's key under this colouring; search
-    passes the keys it has already computed.
+    Each distinct value is coloured once, into ``keys``: a fresh dict unless
+    given; search gives the keys it has already computed.
     """
-    if key_of is None:
-        fn = colouring_fn(colouring_id)
-        key_of = lambda v: colour_key(fn(v))
-    entries = tuple(
-        CombinationEntry(tag, value, key_of(value)) for tag, value in combinations(xs, mode)
-    )
-    verdict: Verdict
-    if not entries:
-        verdict = Monochromatic(key=None, empty=True)
-    else:
-        clash_at = next(
-            (j for j, e in enumerate(entries) if e.colour != entries[0].colour), None
-        )
-        if clash_at is None:
-            verdict = Monochromatic(key=entries[0].colour)
-        else:
-            verdict = Clash(0, clash_at)
+    pairs = _pair_combinations(xs, mode)
+    keys = _colour_new(colouring_id, {} if keys is None else keys, (v for _, v in pairs))
+    entries = tuple(CombinationEntry(tag, Fraction(*value), keys[value]) for tag, value in pairs)
+    first = entries[0].colour if entries else None
+    clash_at = next((j for j, e in enumerate(entries) if e.colour != first), None)
+    verdict: Verdict = Monochromatic(first, not entries) if clash_at is None else Clash(0, clash_at)
     return Certificate(
         colouring_id=colouring_id,
         mode=mode,
@@ -290,19 +298,6 @@ class SearchResult:
 # Values per pool task; contiguous 1,024-value tasks beat one equal slice per process.
 COLOUR_CHUNK = 1024
 
-Pair = tuple[int, int]  # (numerator, denominator) in lowest terms, denominator > 0
-
-
-def _add(x: Pair, y: Pair) -> Pair:
-    n, d = x[0] * y[1] + y[0] * x[1], x[1] * y[1]
-    g = gcd(n, d)
-    return n // g, d // g
-
-
-def _mul(x: Pair, y: Pair) -> Pair:
-    g, h = gcd(x[0], y[1]), gcd(y[0], x[1])
-    return (x[0] // g) * (y[0] // h), (x[1] // h) * (y[1] // g)
-
 
 def _colour_values(colouring_id: str, values: list[Pair]) -> list[str]:
     # colouring_fn is looked up at call time so a rebound module attribute sees every call.
@@ -319,8 +314,10 @@ def _colour_all(colouring_id: str, values: list[Pair]) -> list[str]:
     the pool) and 7,587 (nu (30, 20, 3): 149 -> 119 ms).
     """
     chunks = [values[i : i + COLOUR_CHUNK] for i in range(0, len(values), COLOUR_CHUNK)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    procs = min(cpus, len(chunks) // 4)
+    procs = len(chunks) // 4
+    if procs > 1:  # a pool could start: no more processes than usable CPUs
+        affinity = getattr(os, "sched_getaffinity", None)
+        procs = min(procs, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if procs <= 1:
         return _colour_values(colouring_id, values)
     with ProcessPoolExecutor(max_workers=procs) as pool:
@@ -328,16 +325,26 @@ def _colour_all(colouring_id: str, values: list[Pair]) -> list[str]:
         return [k for keys in keyed for k in keys]
 
 
+def _colour_new(
+    colouring_id: str, keys: dict[Pair, str], values: Iterable[Pair]
+) -> dict[Pair, str]:
+    """``keys``, after colouring into it each of ``values`` that is not a key
+    yet, once and in first-seen order, through ``_colour_all``."""
+    new = [v for v in dict.fromkeys(values) if v not in keys]
+    keys.update(zip(new, _colour_all(colouring_id, new)))
+    return keys
+
+
 class _PairGraph:
     """The colour key of every value a search meets, and its pair masks by key.
 
     Construction colours every pairwise sum and product once (finite mode
-    adds the elements), in canonical order, into one ``value -> key`` dict,
-    where a value maps to itself until coloured so that each is held once.
-    ``adj[K, i]`` is the bitmask of the j > i whose pair sum and pair product
-    both have key K, so a pairwise-monochromatic configuration is a clique of
-    one key. Finite mode uses the masks as a necessary filter and colours the
-    sums and products of three or more terms as they are met.
+    adds the elements), in canonical order, into one ``value -> key`` dict;
+    equal values are held as one object. ``adj[K, i]`` is the bitmask of the
+    j > i whose pair sum and pair product both have key K, so a
+    pairwise-monochromatic configuration is a clique of one key. Finite mode
+    uses the masks as a necessary filter and colours the sums and products of
+    three or more terms as they are met.
     """
 
     def __init__(
@@ -346,15 +353,13 @@ class _PairGraph:
         elements: list[Rational],
         mode: CombinationMode,
     ):
+        self.colouring_id = colouring_id
         self.xs = xs = [(x.numerator, x.denominator) for x in elements]
         self.finite = mode is CombinationMode.FINITE_FSFP
-        keys: dict = {x: x for x in xs} if self.finite else {}
-        pairs = [keys.setdefault(v, v) for i, x in enumerate(xs) for y in xs[i + 1 :]
+        held: dict[Pair, Pair] = {x: x for x in xs} if self.finite else {}
+        pairs = [held.setdefault(v, v) for i, x in enumerate(xs) for y in xs[i + 1 :]
                  for v in (_add(x, y), _mul(x, y))]  # each pair's sum, then its product
-        values = list(keys)
-        keys.update(zip(values, _colour_all(colouring_id, values)))
-        self.keys = keys
-        self.fn = colouring_fn(colouring_id)
+        self.keys = keys = _colour_new(colouring_id, {}, held)
 
         self.adj: dict[tuple[str, int], int] = {}
         self.edges = [0] * len(xs)  # j > i whose pair sum and product share any key
@@ -369,10 +374,9 @@ class _PairGraph:
             self.singles[keys[x]] = self.singles.get(keys[x], 0) | 1 << j
 
     def key_of(self, v: Pair) -> str:
-        k = self.keys.get(v)
-        if k is None:
-            k = self.keys[v] = colour_key(self.fn(Fraction(*v)))
-        return k
+        if v not in self.keys:
+            _colour_new(self.colouring_id, self.keys, (v,))
+        return self.keys[v]
 
     def below(self, root: int) -> Iterator[list[int]]:
         """Monochromatic configurations with least element ``root``, in DFS preorder."""
@@ -446,9 +450,6 @@ def search(
     graph = _PairGraph(colouring_id, elements, mode)
     share, extra = divmod(budget, max(1, len(elements)))
 
-    def key_of(v: Rational) -> str:
-        return graph.key_of((v.numerator, v.denominator))
-
     certificates = []
     max_size = 0
     exhausted = True
@@ -464,7 +465,7 @@ def search(
             max_size = max(max_size, len(idx))
             if len(idx) == target_size:
                 xs = [elements[i] for i in idx]
-                certificates.append(check(colouring_id, xs, mode, key_of=key_of))
+                certificates.append(check(colouring_id, xs, mode, keys=graph.keys))
         nodes += root_nodes
     return SearchResult(
         certificates=certificates, max_size=max_size, exhausted=exhausted, nodes=nodes

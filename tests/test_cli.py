@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -176,6 +177,18 @@ class TestCheck:
         proc = run_cli("check", "--colouring", "const", stdin=terms)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: pairwise mode takes at most 512 terms, got 513\n"
+
+    @pytest.mark.parametrize("mode, cap", [("pairwise", 512), ("finite", 16)])
+    def test_term_cap_before_any_term_is_parsed(self, monkeypatch, capsys, mode, cap):
+        def refuse(text):
+            raise AssertionError(f"parsed {text!r} before the term cap")
+
+        monkeypatch.setattr(cli, "parse_rational", refuse)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{n}\n" for n in range(cap + 1))))
+        assert cli.main(["check", "--colouring", "const", "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {mode} mode takes at most {cap} terms, got {cap + 1}\n"
 
     def test_combination_digit_limit(self):
         # each term prints, but their product has 4,400 digits

@@ -131,6 +131,33 @@ class TestCheck:
         with pytest.raises(DomainError):
             check("bigphi", [Fraction(2)], CombinationMode.PAIRWISE)
 
+    def test_each_distinct_value_coloured_once(self, monkeypatch):
+        real = verify.colouring_fn
+        seen = []
+
+        def counting(colouring_id):
+            fn = real(colouring_id)
+            return lambda x: seen.append(x) or fn(x)
+
+        monkeypatch.setattr(verify, "colouring_fn", counting)
+        xs = [Fraction(n) for n in range(1, 17)]
+        cert = check("nu", xs, CombinationMode.FINITE_FSFP)
+        assert len(cert.combinations) == 131_070
+        assert len(seen) == len(set(seen)) == 4_297
+        assert set(seen) == {e.value for e in cert.combinations}
+
+    def test_pool_output_matches_in_process(self, monkeypatch, recorded_pools):
+        # 8-value chunks, so the check's distinct values fill the 4 chunks per process a pool needs
+        monkeypatch.setattr(verify, "COLOUR_CHUNK", 8)
+        xs = [Fraction(n, 3) for n in (1, 2, 4, 5, 7, 8, 10, 11)]
+        certs = []
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            certs.append(check("mu", xs, CombinationMode.FINITE_FSFP))
+        assert recorded_pools == [2]
+        assert certs[0] == certs[1]
+        assert isinstance(certs[0].verdict, Clash)
+
 
 class TestCertificateSerialization:
     def test_json_round_trip(self):
@@ -409,7 +436,11 @@ class TestSearch:
         assert verify._colour_all("nu", [(n, 1) for n in range(1, cap + 1)]) == ["k"] * cap
         assert recorded_pools == []
 
-    def test_each_value_coloured_once(self, monkeypatch):
+    @pytest.mark.parametrize("mode, colouring, universe, target", [
+        (CombinationMode.PAIRWISE, "nu", NU_UNIVERSE, 2),
+        (CombinationMode.FINITE_FSFP, "alpha", UniverseSpec(16, 8, 2), 3),
+    ], ids=["pairwise", "finite"])
+    def test_each_value_coloured_once(self, monkeypatch, mode, colouring, universe, target):
         real = verify.colouring_fn
         seen = []
 
@@ -418,10 +449,11 @@ class TestSearch:
             return lambda x: seen.append(x) or fn(x)
 
         monkeypatch.setattr(verify, "colouring_fn", counting)
-        search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
-               budget=10**6, workers=1)
-        pairs = list(itertools.combinations(NU_UNIVERSE.elements(), 2))
-        assert sorted(seen) == sorted({x + y for x, y in pairs} | {x * y for x, y in pairs})
+        res = search(colouring, universe, mode, target_size=target, budget=10**6, workers=1)
+        assert res.certificates and len(seen) == len(set(seen))
+        if mode is CombinationMode.PAIRWISE:
+            pairs = list(itertools.combinations(universe.elements(), 2))
+            assert sorted(seen) == sorted({x + y for x, y in pairs} | {x * y for x, y in pairs})
 
     def test_budget_exhaustion_is_reported(self):
         res = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
