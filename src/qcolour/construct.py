@@ -24,15 +24,17 @@ from typing import Iterator
 
 from .colourings import NuTuple, colour_key, nu, phi
 from .core import (
+    PRIME_CAP,
     Rational,
     a_exponent,
     base_index_and_exponent,
+    iter_primes,
     nth_prime,
     pow2,
     primorial,
 )
 from .digits import abc_exponents, leading_frac_position
-from .errors import BudgetExhaustedError, DomainError, InternalInvariantError
+from .errors import BudgetExhaustedError, DomainError, InternalInvariantError, TableExhaustedError
 from .verify import (
     Certificate,
     CombinationMode,
@@ -76,13 +78,7 @@ class BlockSystem:
 
     def terms(self) -> list[Rational]:
         base = self.base_terms()
-        out = []
-        for block in self.blocks:
-            y = Fraction(1)
-            for t in block:
-                y *= base[t - 1]
-            out.append(y)
-        return out
+        return [math.prod(base[t - 1] for t in block) for block in self.blocks]
 
     def to_obj(self) -> dict:
         return {
@@ -115,14 +111,19 @@ def reciprocal_prime_indices(count: int) -> list[int]:
     sum Σ 1/(6·i·(i−1)) = 1/6. An index past ``core.PRIME_CAP`` raises
     ``TableExhaustedError``.
     """
+    return [r for r, _ in _reciprocal_primes(count)]
+
+
+def _reciprocal_primes(count: int) -> list[tuple[int, int]]:
+    """The pairs (r_i, p_{r_i}) of ``reciprocal_prime_indices``, in one walk over the primes."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    out = [2]
-    for i in range(2, count + 1):
-        r = out[-1] + 1
-        while nth_prime(r) < 6 * i * (i - 1):
-            r += 1
-        out.append(r)
+    walk = enumerate(iter_primes(), 1)
+    # term i + 1 takes the next prime at least 6·(i + 1)·i, and term 1 the prime 3 (r_1 = 2)
+    bounds = [max(3, 6 * i * (i + 1)) for i in range(count)]
+    out = [next(((r, p) for r, p in walk if p >= b), None) for b in bounds]
+    if out[-1] is None:
+        raise TableExhaustedError(f"prime index {PRIME_CAP + 1} beyond the cap of {PRIME_CAP} primes")
     return out
 
 
@@ -178,7 +179,8 @@ def _blocks_in_window(
     leave as much of the pool as possible for later levels. Each visited node
     spends one budget unit before any test. Float logs steer the pruning;
     membership is decided on the exact integer product, built from the
-    chosen cons list only at nodes inside the float window.
+    chosen cons list only at nodes inside the float window. A popped node
+    walks its include chain in place, so only exclude children are pushed.
     """
     if lo > hi or not pool:
         return
@@ -187,27 +189,33 @@ def _blocks_in_window(
     suffix = [0.0] * (len(pool) + 1)
     for i in range(len(pool) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + logs[i]
+    left = budget.left  # synced around each yield, where the consumer spends (so no finally)
     for h in range(len(pool)):
+        gap = [s - suffix[h] for s in suffix[:h]]  # gap[i] = suffix[i] - suffix[h]
         # (next index, log of the product, chosen as (index, parent) or None)
         stack = [(0, logs[h], None)]
         while stack:
             i, cur_log, chosen = stack.pop()
-            budget.left -= 1
-            if budget.left < 0:
-                raise BudgetExhaustedError("block enumeration budget exhausted")
-            if t_lo <= cur_log <= t_hi:
-                cur, block, node = pool[h][1], [pool[h][0]], chosen
-                while node:
-                    k, node = node
-                    cur *= pool[k][1]
-                    block.append(pool[k][0])
-                if lo <= cur <= hi:
-                    yield tuple(sorted(block)), cur
-            if i >= h or cur_log > t_hi or cur_log + (suffix[i] - suffix[h]) < t_lo:
-                continue
-            # the include child goes on top, so it is visited first
-            stack.append((i + 1, cur_log, chosen))
-            stack.append((i + 1, cur_log + logs[i], (i, chosen)))
+            while True:
+                left -= 1
+                if left < 0:
+                    budget.left = left
+                    raise BudgetExhaustedError("block enumeration budget exhausted")
+                if t_lo <= cur_log <= t_hi:
+                    cur, block, node = pool[h][1], [pool[h][0]], chosen
+                    while node:
+                        k, node = node
+                        cur *= pool[k][1]
+                        block.append(pool[k][0])
+                    if lo <= cur <= hi:
+                        budget.left = left
+                        yield tuple(sorted(block)), cur
+                        left = budget.left
+                if i >= h or cur_log > t_hi or cur_log + gap[i] < t_lo:
+                    break
+                stack.append((i + 1, cur_log, chosen))
+                i, cur_log, chosen = i + 1, cur_log + logs[i], (i, chosen)
+    budget.left = left
 
 
 def _mantissa_window(n: int, j: int) -> tuple[int, int]:
@@ -240,8 +248,10 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
     if search_budget < 1:
         raise DomainError(f"budget must be >= 1, got {search_budget}")
     pool_size = 16 + 14 * m
-    indices = reciprocal_prime_indices(pool_size)
-    base_primes = [nth_prime(r) for r in indices]
+    try:
+        indices, base_primes = zip(*_reciprocal_primes(pool_size))
+    except TableExhaustedError as exc:
+        raise DomainError(f"term count {m} needs {pool_size} reciprocal primes: {exc}") from exc
 
     y1 = Fraction(1, 3)
     target = colour_key(nu(y1))

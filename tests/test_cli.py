@@ -300,6 +300,16 @@ class TestConstruct:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: budget must be >= 1, got {budget}\n"
 
+    def test_pool_past_the_prime_cap_names_the_term_count(self, capsys):
+        # 12 terms take a pool of 16 + 14·12 = 184 reciprocal primes; only 173 fit under the cap
+        assert cli.main(["construct", "--terms", "12"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: term count 12 needs 184 reciprocal primes:"
+            " prime index 16385 beyond the cap of 16384 primes\n"
+        )
+
     @pytest.mark.parametrize(
         "terms, digest",
         [

@@ -53,6 +53,19 @@ class TestReciprocalPrimeIndices:
         with pytest.raises(DomainError):
             reciprocal_prime_indices(0)
 
+    def test_one_walk_matches_the_definition(self):
+        # r_1 = 2; r_i is the smallest index after r_{i−1} whose prime is at least 6·i·(i−1)
+        defined = [2]
+        for i in range(2, 174):
+            r = defined[-1] + 1
+            while nth_prime(r) < 6 * i * (i - 1):
+                r += 1
+            defined.append(r)
+        for count in range(1, 174):
+            expected = defined[:count]
+            assert reciprocal_prime_indices(count) == expected
+            assert construct._reciprocal_primes(count) == [(r, nth_prime(r)) for r in expected]
+
 
 class TestBlockSystem:
     def test_terms(self):
@@ -191,6 +204,61 @@ def _seeded_windows(seed):
     return pool, lo, hi
 
 
+def _reference_blocks(pool, lo, hi, budget):
+    """The block enumerator as a plain stack DFS that pushes both children of
+    every internal node: the node order and spend the fast one must keep."""
+    if lo > hi or not pool:
+        return
+    logs = [math.log2(p) for _, p in pool]
+    t_lo, t_hi = math.log2(lo) - 1e-9, math.log2(hi) + 1e-9
+    suffix = [0.0] * (len(pool) + 1)
+    for i in range(len(pool) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + logs[i]
+    for h in range(len(pool)):
+        stack = [(0, logs[h], None)]
+        while stack:
+            i, cur_log, chosen = stack.pop()
+            budget.left -= 1
+            if budget.left < 0:
+                raise BudgetExhaustedError("block enumeration budget exhausted")
+            if t_lo <= cur_log <= t_hi:
+                cur, block, node = pool[h][1], [pool[h][0]], chosen
+                while node:
+                    k, node = node
+                    cur *= pool[k][1]
+                    block.append(pool[k][0])
+                if lo <= cur <= hi:
+                    yield tuple(sorted(block)), cur
+            if i >= h or cur_log > t_hi or cur_log + (suffix[i] - suffix[h]) < t_lo:
+                continue
+            stack.append((i + 1, cur_log, chosen))
+            stack.append((i + 1, cur_log + logs[i], (i, chosen)))
+
+
+def _offers(enumerate_blocks, pool, lo, hi, limit):
+    """(block, product, budget left after the yield) per block, with the
+    consumer spending one unit per block as the constructor does; then
+    whether the enumerator raised, and the budget left at the end."""
+    budget = construct._Budget(limit)
+    seen = []
+    try:
+        for block, product in enumerate_blocks(pool, lo, hi, budget):
+            seen.append((block, product, budget.left))
+            budget.left -= 1
+    except BudgetExhaustedError:
+        return seen, True, budget.left
+    return seen, False, budget.left
+
+
+def _reference_cases():
+    """Each seeded window over its sorted pool and over the same primes shuffled."""
+    for seed in range(60):
+        pool, lo, hi = _seeded_windows(seed)
+        shuffled = random.Random(seed).sample([p for _, p in pool], len(pool))
+        yield seed, "sorted", pool, lo, hi
+        yield seed, "shuffled", [(t, p) for (t, _), p in zip(pool, shuffled)], lo, hi
+
+
 class TestBlocksInWindow:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_brute_force(self, seed):
@@ -216,6 +284,34 @@ class TestBlocksInWindow:
         assert _drain(pool, lo, hi, spent) == (blocks, spent)
         with pytest.raises(BudgetExhaustedError):
             _drain(pool, lo, hi, spent - 1)
+
+    @pytest.mark.parametrize(
+        "pool, lo, hi, seed",
+        [pytest.param(pool, lo, hi, seed, id=f"{seed}-{order}")
+         for seed, order, pool, lo, hi in _reference_cases()],
+    )
+    def test_node_for_node_as_the_reference(self, pool, lo, hi, seed):
+        unlimited = 10**9
+        expected = _offers(_reference_blocks, pool, lo, hi, unlimited)
+        assert _offers(construct._blocks_in_window, pool, lo, hi, unlimited) == expected
+        full = unlimited - expected[2]
+        budgets = range(1, full + 1)
+        if full > 1000:  # every budget would cost full²/2 nodes; take a seeded sample
+            budgets = sorted({1, full - 1, full, *random.Random(seed).sample(budgets, 12)})
+        for limit in budgets:
+            assert _offers(construct._blocks_in_window, pool, lo, hi, limit) == _offers(
+                _reference_blocks, pool, lo, hi, limit
+            ), f"budget {limit}"
+
+    def test_close_after_a_yield_keeps_the_consumer_spend(self):
+        pool, lo, hi = _seeded_windows(15)
+        budget = construct._Budget(100)
+        gen = construct._blocks_in_window(pool, lo, hi, budget)
+        next(gen)
+        after_yield = budget.left
+        budget.left -= 1  # the consumer's unit for the block it was offered
+        gen.close()
+        assert budget.left == after_yield - 1
 
     def test_empty_window_or_pool_spends_nothing(self):
         pool = [(1, 3), (2, 5)]
@@ -251,6 +347,35 @@ class TestBlocksInWindow:
         ]
         digest = hashlib.sha256(repr(calls).encode()).hexdigest()
         assert digest == "611ec4d9f8c7db4ad181d1c52e736c4bd6a6f148573db73cbd53e53287253448"
+
+    def test_trace_of_the_m5_exhaustion_is_pinned(self, monkeypatch):
+        # the same record for extend_sum_closed(5, 2_000_000), perfbench's fixed
+        # job, which reaches the deep windows of depth 4 before the budget runs
+        # out; the last call's nodes after its last yield go unrecorded, as
+        # next() raises there
+        calls = []
+        inner = construct._blocks_in_window
+
+        def recording(pool, lo, hi, budget):
+            record = [lo, hi, 0, []]
+            calls.append(record)
+            gen = inner(pool, lo, hi, budget)
+            while True:
+                before = budget.left
+                item = next(gen, None)
+                record[2] += before - budget.left
+                if item is None:
+                    return
+                record[3].append(item)
+                yield item
+
+        monkeypatch.setattr(construct, "_blocks_in_window", recording)
+        with pytest.raises(BudgetExhaustedError) as info:
+            extend_sum_closed(5, 2_000_000)
+        assert info.value.best_depth == 4
+        assert [c[2] for c in calls] == [361, 361, 701, 701, 1825, 36735, 1947738]
+        digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+        assert digest == "4cbd072e741ef1227e111d6a3c6685656a61b2ee4da031d304e659817e34741a"
 
 
 class TestColourCalls:
