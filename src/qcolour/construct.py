@@ -78,7 +78,13 @@ class BlockSystem:
 
     def terms(self) -> list[Rational]:
         base = self.base_terms()
-        return [math.prod(base[t - 1] for t in block) for block in self.blocks]
+        out = []
+        for block in self.blocks:
+            y = Fraction(1)
+            for t in block:
+                y *= base[t - 1]
+            out.append(y)
+        return out
 
     def to_obj(self) -> dict:
         return {
@@ -119,11 +125,14 @@ def _reciprocal_primes(count: int) -> list[tuple[int, int]]:
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     walk = enumerate(iter_primes(), 1)
-    # term i + 1 takes the next prime at least 6·(i + 1)·i, and term 1 the prime 3 (r_1 = 2)
-    bounds = [max(3, 6 * i * (i + 1)) for i in range(count)]
-    out = [next(((r, p) for r, p in walk if p >= b), None) for b in bounds]
-    if out[-1] is None:
-        raise TableExhaustedError(f"prime index {PRIME_CAP + 1} beyond the cap of {PRIME_CAP} primes")
+    out = []
+    for i in range(count):
+        # term i + 1 takes the next prime at least 6·(i + 1)·i, and term 1 the prime 3 (r_1 = 2)
+        bound = max(3, 6 * i * (i + 1))
+        hit = next(((r, p) for r, p in walk if p >= bound), None)
+        if hit is None:  # the walk stopped at the cap
+            raise TableExhaustedError(f"prime index {PRIME_CAP + 1} beyond the cap of {PRIME_CAP} primes")
+        out.append(hit)
     return out
 
 

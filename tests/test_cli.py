@@ -310,6 +310,16 @@ class TestConstruct:
             " prime index 16385 beyond the cap of 16384 primes\n"
         )
 
+    def test_huge_term_count_refused_at_the_prime_cap(self, capsys):
+        # the pool walk stops at the cap, so the refusal costs no more than m = 12's
+        assert cli.main(["construct", "--terms", "1000000000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: term count 1000000000 needs 14000000016 reciprocal primes:"
+            " prime index 16385 beyond the cap of 16384 primes\n"
+        )
+
     @pytest.mark.parametrize(
         "terms, digest",
         [

@@ -159,6 +159,15 @@ class TestSumClosedExtension:
         with pytest.raises(DomainError, match=f"budget must be >= 1, got {budget}"):
             extend_sum_closed(1, search_budget=budget)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected_before_the_prime_walk(self, monkeypatch, budget):
+        def refuse(count):
+            raise AssertionError("pool built before the budget was checked")
+
+        monkeypatch.setattr(construct, "_reciprocal_primes", refuse)
+        with pytest.raises(DomainError, match=f"budget must be >= 1, got {budget}"):
+            extend_sum_closed(1, search_budget=budget)
+
     def test_budget_failure_reports_depth(self):
         with pytest.raises(BudgetExhaustedError) as info:
             extend_sum_closed(3, search_budget=3)
@@ -259,6 +268,31 @@ def _reference_cases():
         yield seed, "shuffled", [(t, p) for (t, _), p in zip(pool, shuffled)], lo, hi
 
 
+def _recorder(calls):
+    """A stand-in for the block enumerator that appends [lo, hi, nodes spent,
+    yields] to ``calls`` for each call. Spends are read around every step of
+    the enumerator, the one that raises included, so the consumer's units
+    are not counted and no node is missed."""
+    inner = construct._blocks_in_window
+
+    def recording(pool, lo, hi, budget):
+        record = [lo, hi, 0, []]
+        calls.append(record)
+        gen = inner(pool, lo, hi, budget)
+        while True:
+            before = budget.left
+            try:
+                item = next(gen, None)
+            finally:
+                record[2] += before - budget.left
+            if item is None:
+                return
+            record[3].append(item)
+            yield item
+
+    return recording
+
+
 class TestBlocksInWindow:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_brute_force(self, seed):
@@ -351,31 +385,18 @@ class TestBlocksInWindow:
     def test_trace_of_the_m5_exhaustion_is_pinned(self, monkeypatch):
         # the same record for extend_sum_closed(5, 2_000_000), perfbench's fixed
         # job, which reaches the deep windows of depth 4 before the budget runs
-        # out; the last call's nodes after its last yield go unrecorded, as
-        # next() raises there
+        # out inside the last call
         calls = []
-        inner = construct._blocks_in_window
-
-        def recording(pool, lo, hi, budget):
-            record = [lo, hi, 0, []]
-            calls.append(record)
-            gen = inner(pool, lo, hi, budget)
-            while True:
-                before = budget.left
-                item = next(gen, None)
-                record[2] += before - budget.left
-                if item is None:
-                    return
-                record[3].append(item)
-                yield item
-
-        monkeypatch.setattr(construct, "_blocks_in_window", recording)
+        monkeypatch.setattr(construct, "_blocks_in_window", _recorder(calls))
         with pytest.raises(BudgetExhaustedError) as info:
             extend_sum_closed(5, 2_000_000)
         assert info.value.best_depth == 4
-        assert [c[2] for c in calls] == [361, 361, 701, 701, 1825, 36735, 1947738]
+        assert [c[2] for c in calls] == [361, 361, 701, 701, 1825, 36735, 1959300]
+        # every unit is on the record: the nodes, one per offered block, and
+        # the node that overdrew the budget
+        assert sum(c[2] + len(c[3]) for c in calls) == 2_000_001
         digest = hashlib.sha256(repr(calls).encode()).hexdigest()
-        assert digest == "4cbd072e741ef1227e111d6a3c6685656a61b2ee4da031d304e659817e34741a"
+        assert digest == "39b2335eca54bcaec10ed449f1e24eecf9398a9a2bf0e14b649d0411ea939428"
 
 
 class TestColourCalls:
