@@ -42,7 +42,6 @@ from .colourings import (
     colouring_fn,
     mu,
     nu,
-    parse_colour_key,
     phi,
     psi,
     psi_prime,

@@ -2,7 +2,7 @@
 
 Every colouring returns a ``ColourValue``; ``colour_key`` maps values to the
 canonical strings used as equality tokens everywhere else (verification,
-search pruning, CLI output), and ``parse_colour_key`` inverts them.
+search pruning, CLI output).
 """
 
 from __future__ import annotations
@@ -323,104 +323,6 @@ def _alpha_prime(x: Rational) -> tuple[int, ...]:
         0 if a - c > er_w else 1,
         0 if a - c > er_w1 else 1,
     )
-
-
-# --- key parsing -------------------------------------------------------------
-
-
-def _component(text: str, limit: int) -> int:
-    """One bounded key component; anything outside 0..limit is a bad key."""
-    if text.isdigit() and int(text) <= limit:
-        return int(text)
-    raise DomainError(f"bad colour-key component: {text!r}")
-
-
-def _parse_phi(text: str) -> PhiValue:
-    if text == "phi:z":
-        return PHI_ZERO
-    if text.startswith("phi:t:"):
-        parts = text[len("phi:t:") :].split(",")
-        if len(parts) == 5:
-            return PhiTuple(*(_component(t, 1) for t in parts))
-    raise DomainError(f"bad pair-colour key: {text!r}")
-
-
-def _parse_compact_phi(text: str) -> PhiValue:
-    if text == "z":
-        return PHI_ZERO
-    if len(text) == 5 and all(ch in "01" for ch in text):
-        return PhiTuple(*(int(ch) for ch in text))
-    raise DomainError(f"bad embedded pair-colour key: {text!r}")
-
-
-def _parse_theta(text: str) -> ThetaTuple:
-    body = text[len("theta:") :]
-    parts = body.split(",")
-    if len(parts) != 7:
-        raise DomainError(f"bad theta key: {text!r}")
-    return ThetaTuple(
-        power=_component(parts[0], 1),
-        end_parity=_component(parts[1], 1),
-        gap_parity=_component(parts[2], 1),
-        phi_inner=_parse_compact_phi(parts[3]),
-        phi_inner_shift=_parse_compact_phi(parts[4]),
-        phi_of_end=_component(parts[5], 1),
-        tail=_component(parts[6], 1),
-    )
-
-
-def _parse_nu(text: str) -> NuValue:
-    if text.startswith("nu:s:"):
-        try:
-            return NuSpecial(NuClass(text[len("nu:s:") :]))
-        except ValueError:
-            raise DomainError(f"bad nu class key: {text!r}") from None
-    if text.startswith("nu:t:"):
-        parts = text[len("nu:t:") :].split(",")
-        if len(parts) == 5:
-            limits = (1, 1, 2, 2, 2)
-            return NuTuple(*(_component(t, lim) for t, lim in zip(parts, limits)))
-    raise DomainError(f"bad nu key: {text!r}")
-
-
-def parse_colour_key(text: str) -> ColourValue:
-    """Inverse of ``colour_key`` on canonical keys."""
-    if text == "const":
-        return ConstColour()
-    if text.startswith("bit:"):
-        v = text[len("bit:") :]
-        if v in ("0", "1"):
-            return Bit(int(v))
-        raise DomainError(f"bad bit key: {text!r}")
-    if text.startswith("phi:"):
-        return _parse_phi(text)
-    if text.startswith("theta:"):
-        return _parse_theta(text)
-    if text.startswith("nu:"):
-        return _parse_nu(text)
-    if text.startswith("mu:w:"):
-        return MuWhole(nu=_parse_nu(text[len("mu:w:") :]))
-    if text.startswith("mu:f:"):
-        parts = text[len("mu:f:") :].split("|")
-        if len(parts) == 3:
-            return MuFrac(
-                nu=_parse_nu(parts[0]),
-                phi=_parse_phi(parts[1]),
-                psi_prime=_parse_phi(parts[2]),
-            )
-        raise DomainError(f"bad mu key: {text!r}")
-    if text == "alpha:negpow2":
-        return AlphaNegPow2()
-    if text == "alpha:small":
-        return AlphaSmall()
-    if text.startswith("alpha:n:"):
-        return AlphaNat(theta=_parse_theta(text[len("alpha:n:") :]))
-    if text.startswith("alpha:b:"):
-        parts = tuple(_component(t, 2) for t in text[len("alpha:b:") :].split(","))
-        if len(parts) == 13:
-            return AlphaBig(components=parts)
-        raise DomainError(f"bad alpha key: {text!r}")
-    raise DomainError(f"unknown colour key: {text!r}")
 
 
 # --- registry for the value-colouring engines --------------------------------

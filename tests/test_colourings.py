@@ -1,6 +1,7 @@
 """Colouring families: structured implementations, keys, oracle agreement."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,24 +11,27 @@ from hypothesis import strategies as st
 
 from qcolour import colourings, core, digits, oracles
 from qcolour.colourings import (
+    PHI_ZERO,
     AlphaBig,
     AlphaNat,
     AlphaNegPow2,
     AlphaSmall,
+    Bit,
     ConstColour,
     MuFrac,
     MuWhole,
+    NuClass,
     NuSpecial,
     NuTuple,
     PhiTuple,
     PhiZero,
+    ThetaTuple,
     alpha,
     big_phi,
     colour_key,
     colouring_fn,
     mu,
     nu,
-    parse_colour_key,
     phi,
     psi,
     psi_prime,
@@ -304,23 +308,32 @@ class TestIntegerKernelDifferential:
 
 
 class TestKeys:
-    def test_round_trip_everywhere(self):
-        rng = random.Random(7)
-        values = [theta(rng.randint(1, 10**6)) for _ in range(50)]
-        values += [big_phi(rng.randint(0, 50), rng.randint(0, 50)) for _ in range(50)]
-        values += [nu(x) for x in GRID[:100]]
-        values += [mu(x) for x in GRID[:100]]
-        values += [alpha(x) for x in GRID[:100]]
-        values.append(ConstColour())
+    def test_distinct_values_have_distinct_keys(self):
+        # Values are built from their components, so a key that drops or merges
+        # any component collides; one dict spans every colouring.
+        phis = [PHI_ZERO] + [PhiTuple(*bits) for bits in itertools.product((0, 1), repeat=5)]
+        few_phis = [PHI_ZERO, PhiTuple(0, 0, 0, 0, 0)]
+        few_phis += [PhiTuple(*(int(i == j) for j in range(5))) for i in range(5)]
+        nus = [NuSpecial(cls) for cls in NuClass]
+        nus += [NuTuple(*w) for w in itertools.product((0, 1), (0, 1), *[range(3)] * 3)]
+        thetas = [
+            ThetaTuple(power, end, gap, inner, shift, phi_end, tail)
+            for power, end, gap, phi_end, tail in itertools.product((0, 1), repeat=5)
+            for inner, shift in itertools.product(few_phis, repeat=2)
+        ]
+        bigs = {tuple(v if j == i else 0 for j in range(13)) for i in range(13) for v in range(3)}
+        values = phis + nus + thetas
+        values += [MuWhole(v) for v in nus]
+        values += [MuFrac(v, a, b) for v in nus for a, b in itertools.product(few_phis, repeat=2)]
+        values += [AlphaNat(t) for t in thetas]
+        values += [AlphaBig(c) for c in sorted(bigs)]
+        values += [Bit(0), Bit(1), ConstColour(), AlphaNegPow2(), AlphaSmall()]
+        assert len(phis) == 33 and len(nus) == 5 + 108 and len(bigs) == 27
+        assert len(set(values)) == len(values)
+        seen = {}
         for v in values:
-            key = colour_key(v)
-            assert parse_colour_key(key) == v
-            assert colour_key(parse_colour_key(key)) == key
-
-    def test_rejects_garbage(self):
-        for text in ("", "nu:", "phi:t:9,9,9,9,9", "mu:f:nu:s:C1", "wat:1"):
-            with pytest.raises(DomainError):
-                parse_colour_key(text)
+            other = seen.setdefault(colour_key(v), v)
+            assert other == v, (colour_key(v), other, v)
 
 
 class TestRegistry:
