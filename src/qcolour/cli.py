@@ -9,6 +9,7 @@ Output keys are emitted in a fixed order; ``--pretty`` only adds whitespace.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -58,16 +59,27 @@ def _colour_one(colouring_id: str, text: str):
     return colouring_fn(colouring_id)(parse_rational(text))
 
 
-def _read_sequence(path: str | None) -> list[str]:
-    if path is None or path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise DomainError(f"cannot read {path}: {exc}") from None
-    out = [text for text in (line.split("#", 1)[0].strip() for line in lines) if text]
+#: ``check`` refuses a longer line; two ``MAX_DIGITS``-digit integers fit many times over.
+MAX_LINE = 2**16
+
+
+def _read_sequence(path: str | None, mode: CombinationMode) -> list[str]:
+    """The terms, one per line; reading stops at the first term past the mode's cap."""
+    stdin = path is None or path == "-"
+    out: list[str] = []
+    try:
+        with contextlib.nullcontext(sys.stdin) if stdin else open(path, encoding="utf-8") as fh:
+            while line := fh.readline(MAX_LINE + 2):
+                if len(line.rstrip("\n")) > MAX_LINE:
+                    raise DomainError(f"a line has more than {MAX_LINE} characters")
+                # \f, \v and the other breaks str.splitlines knows end a term too
+                for piece in line.splitlines():
+                    text = piece.split("#", 1)[0].strip()
+                    if text:
+                        out.append(text)
+                        check_term_count(len(out), mode)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {'stdin' if stdin else path}: {exc}") from None
     if not out:
         raise DomainError("no terms supplied")
     return out
@@ -101,8 +113,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     mode = CombinationMode(args.mode)
-    texts = _read_sequence(args.file)
-    check_term_count(len(texts), mode)
+    texts = _read_sequence(args.file, mode)
     cert = check(args.colouring, [parse_rational(t) for t in texts], mode)
     _emit(cert.to_obj(), args.pretty)
     return 0

@@ -27,7 +27,7 @@ from .colourings import (
     PhiValue,
     ThetaTuple,
 )
-from .core import Rational
+from .core import PRIME_CAP, Rational
 from .errors import DomainError, InternalInvariantError
 
 _SCAN_LIMIT = 10_000
@@ -206,7 +206,7 @@ def _minimal_base_scan(x: Rational) -> int:
             best = index
         if d == 1:
             return best
-        if index > 1000:
+        if index > PRIME_CAP:
             raise DomainError(f"denominator of {x} not supported by the oracle")
 
 

@@ -190,6 +190,48 @@ class TestCheck:
         assert out == ""
         assert err == f"error: {mode} mode takes at most {cap} terms, got {cap + 1}\n"
 
+    @pytest.mark.parametrize("mode, cap", [("pairwise", 512), ("finite", 16)])
+    def test_endless_stdin_read_only_past_the_cap(self, monkeypatch, capsys, mode, cap):
+        class Endless(io.StringIO):
+            lines = 0
+
+            def readline(self, size=-1):
+                self.lines += 1
+                return "1\n"
+
+        stdin = Endless()
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert cli.main(["check", "--colouring", "const", "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {mode} mode takes at most {cap} terms, got {cap + 1}\n"
+        assert stdin.lines == cap + 1 and not stdin.closed
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * (cli.MAX_LINE + 1) + "\n", "2\n" + "\0" * (3 * cli.MAX_LINE)],
+        ids=["one-long-term", "endless-line"],
+    )
+    def test_line_cap(self, monkeypatch, capsys, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli.main(["check", "--colouring", "const"]) == 2
+        assert capsys.readouterr() == ("", f"error: a line has more than {cli.MAX_LINE} characters\n")
+        # a line of exactly the cap is read
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2 #" + "x" * (cli.MAX_LINE - 3) + "\n"))
+        assert cli.main(["check", "--colouring", "const"]) == 0
+
+    def test_non_utf8_input(self, monkeypatch, capsys, tmp_path):
+        seq = tmp_path / "seq.txt"
+        seq.write_bytes(b"2\n\xff\n")
+        proc = run_cli("check", "--colouring", "const", str(seq))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot read {seq}: 'utf-8' codec can't decode")
+        stdin = io.TextIOWrapper(io.BytesIO(b"2\n\xff\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert cli.main(["check", "--colouring", "const"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot read stdin: 'utf-8' codec")
+
     def test_combination_digit_limit(self):
         # each term prints, but their product has 4,400 digits
         terms = f"{10**2199 + 1}\n{10**2199 + 3}\n"

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from qcolour import construct
-from qcolour.colourings import colour_key, nu
+from qcolour import construct, oracles
+from qcolour.colourings import colour_key, mu, nu
 from qcolour.construct import (
     BlockSystem,
     OpennessRadius,
@@ -151,15 +151,6 @@ class TestSumClosedExtension:
             assert minimal_digit_fact(value)
 
     @pytest.mark.parametrize("budget", [0, -5])
-    def test_budget_below_one_rejected_before_the_pool(self, monkeypatch, budget):
-        def refuse(count):
-            raise AssertionError("pool built before the budget was checked")
-
-        monkeypatch.setattr(construct, "reciprocal_prime_indices", refuse)
-        with pytest.raises(DomainError, match=f"budget must be >= 1, got {budget}"):
-            extend_sum_closed(1, search_budget=budget)
-
-    @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_rejected_before_the_prime_walk(self, monkeypatch, budget):
         def refuse(count):
             raise AssertionError("pool built before the budget was checked")
@@ -167,6 +158,13 @@ class TestSumClosedExtension:
         monkeypatch.setattr(construct, "_reciprocal_primes", refuse)
         with pytest.raises(DomainError, match=f"budget must be >= 1, got {budget}"):
             extend_sum_closed(1, search_budget=budget)
+
+    def test_four_term_sums_and_products_match_the_mu_oracle(self):
+        # The full sum and product have 671-bit denominators with primes past the 1,000th.
+        res = extend_sum_closed(4)
+        values = {e.tag: e.value for e in res.certificate.combinations}
+        for tag in ("s:1,2,3,4", "p:1,2,3,4"):
+            assert oracles.mu_oracle(values[tag]) == mu(values[tag])
 
     def test_budget_failure_reports_depth(self):
         with pytest.raises(BudgetExhaustedError) as info:
