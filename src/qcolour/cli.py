@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,9 @@ from .construct import DEFAULT_SEARCH_BUDGET, extend_sum_closed
 from .core import MAX_DIGITS, parse_rational, primorial
 from .digits import expand
 from .errors import BudgetExhaustedError, DomainError
-from .verify import CombinationMode, UniverseSpec, check, check_term_count, property_suite, search
+from .verify import (
+    CombinationMode, UniverseSpec, check, check_term_count, property_suite, search, term_cap,
+)
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -61,15 +64,24 @@ def _colour_one(colouring_id: str, text: str):
 
 #: ``check`` refuses a longer line; two ``MAX_DIGITS``-digit integers fit many times over.
 MAX_LINE = 2**16
+#: ``check`` reads at most this many lines, blank and comment lines included, per term
+#: the mode takes, so a stream of comments alone is refused too.
+LINES_PER_TERM = 64
 
 
 def _read_sequence(path: str | None, mode: CombinationMode) -> list[str]:
-    """The terms, one per line; reading stops at the first term past the mode's cap."""
+    """The terms, one per line; reading stops at the first term past the mode's cap,
+    or at the first line past ``LINES_PER_TERM`` times that cap."""
     stdin = path is None or path == "-"
+    max_lines = LINES_PER_TERM * term_cap(mode)
     out: list[str] = []
     try:
         with contextlib.nullcontext(sys.stdin) if stdin else open(path, encoding="utf-8") as fh:
+            lines = 0
             while line := fh.readline(MAX_LINE + 2):
+                lines += 1
+                if lines > max_lines:
+                    raise DomainError(f"{mode.value} mode reads at most {max_lines} lines")
                 if len(line.rstrip("\n")) > MAX_LINE:
                     raise DomainError(f"a line has more than {MAX_LINE} characters")
                 # \f, \v and the other breaks str.splitlines knows end a term too
@@ -152,6 +164,7 @@ def _cmd_properties(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcolour",

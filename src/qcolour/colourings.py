@@ -7,33 +7,24 @@ search pruning, CLI output).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
 
 from .core import (
-    Ordering,
     PrimeTable,
     Rational,
     base_index_and_exponent,
+    below_surd,
     check_exponent,
-    cmp_c5_boundary,
-    cmp_pow2_half,
-    in_C3,
-    in_C4,
-    is_dyadic,
-    is_power_of_two,
+    is_power_of_two_int,
     minimal_base_index,
+    one_run,
     primorial,
+    two_ones,
 )
-from .digits import (
-    abc_exponents,
-    binary_profile,
-    e_int,
-    end2,
-    leading_frac_position,
-    right_left_disjoint,
-)
+from .digits import abc_exponents, binary_positions, e_int, leading_frac_position
 from .errors import DomainError
 
 
@@ -78,6 +69,7 @@ class PhiTuple(ColourValue):
 PhiValue = Union[PhiZero, PhiTuple]
 
 PHI_ZERO = PhiZero()
+_PHI_TUPLES = {bits: PhiTuple(*bits) for bits in itertools.product((0, 1), repeat=5)}
 
 
 @dataclass(frozen=True)
@@ -128,6 +120,9 @@ class NuTuple(ColourValue):
 
 
 NuValue = Union[NuSpecial, NuTuple]
+
+NU_C1, NU_C3mC4, NU_C4mC1 = (NuSpecial(c) for c in (NuClass.C1, NuClass.C3mC4, NuClass.C4mC1))
+_NU_TUPLES = {w: NuTuple(*w) for w in itertools.product((0, 1), (0, 1), *[range(3)] * 3)}
 
 
 @dataclass(frozen=True)
@@ -209,13 +204,8 @@ def big_phi(a: int, b: int) -> PhiValue:
     if a == 0 or b == 0 or a >= b:
         return PHI_ZERO
     ea, eb = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1
-    return PhiTuple(
-        c1=ea % 2,
-        c2=eb % 2,
-        c3=(a >> (ea + 1)) & 1,
-        c4=(b >> (eb + 1)) & 1,
-        c5=right_left_disjoint(a, b),
-    )
+    disjoint = 0 if b & -b > a else 1  # right_left_disjoint(a, b): b's lowest 1 above a's top
+    return _PHI_TUPLES[ea % 2, eb % 2, (a >> (ea + 1)) & 1, (b >> (eb + 1)) & 1, disjoint]
 
 
 def psi(a: int, b: int) -> PhiValue:
@@ -236,20 +226,16 @@ def theta(m: int) -> ThetaTuple:
     On powers of two the gap is undefined; the gap-parity and tail components
     are fixed to 0 there (the power flag already isolates those inputs).
     """
-    prof = binary_profile(m)
-    if prof.power_of_two:
-        gap_parity, tail = 0, 0
-    else:
-        gap_parity = prof.gap % 2
-        tail = 0 if prof.gap == 1 else 1
+    end, start, gap = binary_positions(m)
+    power = gap is None
     return ThetaTuple(
-        power=1 if prof.power_of_two else 0,
-        end_parity=prof.end % 2,
-        gap_parity=gap_parity,
-        phi_inner=big_phi(prof.end, prof.start),
-        phi_inner_shift=big_phi(prof.end, prof.start + 1),
-        phi_of_end=phi(prof.end),
-        tail=tail,
+        power=1 if power else 0,
+        end_parity=end % 2,
+        gap_parity=0 if power else gap % 2,
+        phi_inner=big_phi(end, start),
+        phi_inner_shift=big_phi(end, start + 1),
+        phi_of_end=phi(end),
+        tail=0 if power or gap == 1 else 1,
     )
 
 
@@ -260,20 +246,23 @@ def nu(x: Rational) -> NuValue:
     half-power class, two-digit-not-run, run-not-power, then the (empty on
     rationals) surd class; all remaining rationals get a tuple.
     """
-    if is_power_of_two(x):
-        return NuSpecial(NuClass.C1)
-    # C2 = {2^(k+1/2)} and C5 (the surd family) hold no rationals, C3 and C4 only dyadic ones.
-    if is_dyadic(x):
-        c3, c4 = in_C3(x), in_C4(x)
-        if c3 and not c4:
-            return NuSpecial(NuClass.C3mC4)
-        if c4:
-            return NuSpecial(NuClass.C4mC1)
-    a, b, c = abc_exponents(x.numerator, x.denominator)
-    w1 = 0 if cmp_pow2_half(x, a) is Ordering.BELOW else 1
+    n, d = x.numerator, x.denominator
+    if n < 1:
+        raise DomainError(f"expected a positive rational, got {x}")
+    # C2 = {2^(k+1/2)} and C5 (the surd family) hold no rationals; C1, C3 and C4 only dyadic ones.
+    if is_power_of_two_int(d):
+        if is_power_of_two_int(n):
+            return NU_C1
+        if one_run(n):  # before C3, so a value in both (3·2^k) gets C4∖C1
+            return NU_C4mC1
+        if two_ones(n):
+            return NU_C3mC4
+    a, b, c = abc_exponents(n, d)
+    nn, dd = n * n, d * d
+    w1 = 0 if below_surd(nn, dd, a, a - 1) else 1  # the 2^(a+1/2) boundary
     w4 = (a - c) % 3
-    w5 = w4 if cmp_c5_boundary(x, a, c) is Ordering.BELOW else (w4 - 1) % 3
-    return NuTuple(w1=w1, w2=phi(a), w3=(a - b) % 3, w4=w4, w5=w5)
+    w5 = w4 if below_surd(nn, dd, a, c) else (w4 - 1) % 3
+    return _NU_TUPLES[w1, phi(a), (a - b) % 3, w4, w5]
 
 
 def mu(x: Rational, table: PrimeTable | None = None) -> ColourValue:
@@ -291,33 +280,35 @@ def alpha(x: Rational, table: PrimeTable | None = None) -> ColourValue:
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     n, d = x.numerator, x.denominator
     if d == 1:
-        return AlphaNat(theta=theta(n))
-    if is_power_of_two(x):  # denominator > 1, so x = 2^k with k < 0
+        return AlphaNat(theta=theta(n))  # theta refuses n < 1
+    if n < 1:
+        raise DomainError(f"expected a positive rational, got {x}")
+    if n == 1 and is_power_of_two_int(d):  # x = 2^k with k < 0
         return AlphaNegPow2()
     if n <= 2 * d:
         return AlphaSmall()
-    return AlphaBig(components=_alpha_prime(x))
+    return AlphaBig(components=_alpha_prime(x, n, d))
 
 
-def _alpha_prime(x: Rational) -> tuple[int, ...]:
+def _alpha_prime(x: Rational, n: int, d: int) -> tuple[int, ...]:
     r = minimal_base_index(x)
-    n, d = x.numerator, x.denominator
     a, b, c = abc_exponents(n, d)
     whole, rem = divmod(n, d)
+    after = whole + 1
     # For f = rem/d in (0, 1): a(f) = b(1 + f) and epsilon(f) = c(1 + f) + 1.
     _, a_f, c_1f = abc_exponents(d + rem, d)
     er_w = e_int(whole, r)
-    er_w1 = e_int(whole + 1, r)
+    er_w1 = e_int(after, r)
     return (
         a % 2,
         a_f % 2,
         (c_1f + 1) % 2,
         er_w % 2,
-        end2(whole) % 2,  # the exponent of P_1 = 2
+        ((whole & -whole).bit_length() - 1) % 2,  # end2(whole), the exponent of P_1 = 2
         er_w1 % 2,
-        end2(whole + 1) % 2,
+        ((after & -after).bit_length() - 1) % 2,
         (b - a) % 3,  # a((x - 2^a) / 2^a) = a(x - 2^a) - a
-        0 if whole & (whole - 1) == 0 else 1,
+        0 if is_power_of_two_int(whole) else 1,
         0 if a - b > er_w else 1,
         0 if a - b > er_w1 else 1,
         0 if a - c > er_w else 1,

@@ -117,37 +117,48 @@ def _cmp_pow2(n: int, d: int, e: int) -> int:
 def is_power_of_two(x: Rational) -> bool:
     """True iff x = 2^k for some integer k (class C1)."""
     _require_positive(x)
-    n, d = x.numerator, x.denominator
-    return (n == 1 or d == 1) and (n & (n - 1)) == 0 and (d & (d - 1)) == 0
+    return is_dyadic(x) and is_power_of_two_int(x.numerator)
 
 
 def is_dyadic(x: Rational) -> bool:
     """True iff the denominator of x is a power of two."""
-    d = x.denominator
-    return (d & (d - 1)) == 0
+    return is_power_of_two_int(x.denominator)
+
+
+def is_power_of_two_int(m: int) -> bool:
+    """True iff the natural number m is a power of two."""
+    return m & (m - 1) == 0
 
 
 def in_C3(x: Rational) -> bool:
     """True iff x = 2^k + 2^l with integers l < k (two binary digits)."""
     _require_positive(x)
-    return is_dyadic(x) and x.numerator.bit_count() == 2
+    return is_dyadic(x) and two_ones(x.numerator)
 
 
 def in_C4(x: Rational) -> bool:
     """True iff x = 2^k - 2^l with integers l < k (a contiguous run of 1s)."""
     _require_positive(x)
-    odd = x.numerator // (x.numerator & -x.numerator)  # the numerator without trailing zeros
-    return is_dyadic(x) and odd & (odd + 1) == 0  # all ones
+    return is_dyadic(x) and one_run(x.numerator)
+
+
+def two_ones(n: int) -> bool:
+    """C3 on a dyadic n/d: the natural number n has exactly two binary 1s."""
+    return n.bit_count() == 2
+
+
+def one_run(n: int) -> bool:
+    """C4 on a dyadic n/d: the binary 1s of the natural number n are contiguous."""
+    odd = n // (n & -n)  # n without trailing zeros
+    return odd & (odd + 1) == 0  # all ones
 
 
 def cmp_pow2_half(x: Rational, k: int) -> Ordering:
     """Compare x = n/d against 2^(k+1/2) exactly, via n^2 vs d^2·2^(2k+1)."""
     _require_positive(x)
     check_exponent(k)
-    sign = _cmp_pow2(x.numerator**2, x.denominator**2, 2 * k + 1)
-    if sign == 0:
-        raise InternalInvariantError(f"rational {x} equals 2^({k}+1/2)")
-    return Ordering.BELOW if sign < 0 else Ordering.ABOVE
+    below = below_surd(x.numerator**2, x.denominator**2, k, k - 1)
+    return Ordering.BELOW if below else Ordering.ABOVE
 
 
 def cmp_c5_boundary(x: Rational, a: int, c: int) -> Ordering:
@@ -157,10 +168,19 @@ def cmp_c5_boundary(x: Rational, a: int, c: int) -> Ordering:
     check_exponent(c)
     if c >= a:
         raise DomainError(f"need c < a, got c={c}, a={a}")
-    sign = _cmp_pow2(x.numerator**2, x.denominator**2 * ((1 << (a - c)) - 1), a + c + 2)
+    below = below_surd(x.numerator**2, x.denominator**2, a, c)
+    return Ordering.BELOW if below else Ordering.ABOVE
+
+
+def below_surd(nn: int, dd: int, a: int, c: int) -> bool:
+    """Whether n/d < 2^(a+1)·(1-2^(c-a))^(1/2), from nn = n^2 and dd = d^2, for c < a.
+
+    At c = a - 1 the boundary is 2^(a+1/2), the half-power one.
+    """
+    sign = _cmp_pow2(nn, dd * ((1 << (a - c)) - 1), a + c + 2)
     if sign == 0:
-        raise InternalInvariantError(f"rational {x} sits on the surd boundary ({a},{c})")
-    return Ordering.BELOW if sign < 0 else Ordering.ABOVE
+        raise InternalInvariantError(f"rational of square {nn}/{dd} on the surd boundary ({a},{c})")
+    return sign < 0
 
 
 # --- prime / primorial table -------------------------------------------------

@@ -38,14 +38,17 @@ class BinaryProfile:
 
 
 def binary_profile(m: int) -> BinaryProfile:
+    end, start, gap = binary_positions(m)
+    return BinaryProfile(end=end, start=start, gap=gap, power_of_two=gap is None)
+
+
+def binary_positions(m: int) -> tuple[int, int, int | None]:
+    """``(end, start, gap)`` of the natural number m, as in ``BinaryProfile``."""
     if m < 1:
         raise DomainError(f"need a natural number, got {m}")
-    end = (m & -m).bit_length() - 1
     start = m.bit_length() - 1
-    ptwo = m & (m - 1) == 0
-    rest = m ^ (1 << start)
-    gap = None if ptwo else start - (rest.bit_length() - 1)
-    return BinaryProfile(end=end, start=start, gap=gap, power_of_two=ptwo)
+    rest = m ^ (1 << start)  # m without its leading 1
+    return (m & -m).bit_length() - 1, start, start - rest.bit_length() + 1 if rest else None
 
 
 def end2(m: int) -> int:

@@ -145,9 +145,14 @@ FINITE_TERM_CAP = 16
 UNIVERSE_CAP = 512
 
 
+def term_cap(mode: CombinationMode) -> int:
+    """The most terms the mode takes."""
+    return FINITE_TERM_CAP if mode is CombinationMode.FINITE_FSFP else UNIVERSE_CAP
+
+
 def check_term_count(count: int, mode: CombinationMode) -> None:
     """Refuse more terms than the mode takes, before anything is built from them."""
-    cap = FINITE_TERM_CAP if mode is CombinationMode.FINITE_FSFP else UNIVERSE_CAP
+    cap = term_cap(mode)
     if count > cap:
         raise DomainError(f"{mode.value} mode takes at most {cap} terms, got {count}")
 
@@ -207,11 +212,13 @@ def check(
     The clash cited is the lexicographically first pair in combination order,
     which is always (0, j) for the first j whose key differs from entry 0's.
     Each distinct value is coloured once, into ``keys``: a fresh dict unless
-    given; search gives the keys it has already computed.
+    given; search gives the keys it has already computed. Entries of equal
+    value share one ``Fraction``.
     """
     pairs = _pair_combinations(xs, mode)
-    keys = _colour_new(colouring_id, {} if keys is None else keys, (v for _, v in pairs))
-    entries = tuple(CombinationEntry(tag, Fraction(*value), keys[value]) for tag, value in pairs)
+    values = {v: Fraction(*v) for v in dict.fromkeys(v for _, v in pairs)}
+    keys = _colour_new(colouring_id, {} if keys is None else keys, values)
+    entries = tuple(CombinationEntry(tag, values[v], keys[v]) for tag, v in pairs)
     first = entries[0].colour if entries else None
     clash_at = next((j for j, e in enumerate(entries) if e.colour != first), None)
     verdict: Verdict = Monochromatic(first, not entries) if clash_at is None else Clash(0, clash_at)
@@ -310,8 +317,8 @@ def _colour_all(colouring_id: str, values: list[Pair]) -> list[str]:
 
     Each process colours at least four chunks and there are no more processes
     than usable CPUs, so on 2 CPUs the pool starts from 7,169 values. Measured
-    there, it first pays between 6,291 values (theta to 150: 95 -> 124 ms on
-    the pool) and 7,587 (nu (30, 20, 3): 149 -> 119 ms).
+    there, it first pays between 6,291 values (theta to 150: 44.9 -> 62.5 ms on
+    the pool) and 7,587 (nu (30, 20, 3): 49.6 -> 40.6 ms).
     """
     chunks = [values[i : i + COLOUR_CHUNK] for i in range(0, len(values), COLOUR_CHUNK)]
     procs = len(chunks) // 4

@@ -220,6 +220,18 @@ class TestCheck:
         monkeypatch.setattr(sys, "stdin", io.StringIO("2 #" + "x" * (cli.MAX_LINE - 3) + "\n"))
         assert cli.main(["check", "--colouring", "const"]) == 0
 
+    @pytest.mark.parametrize("mode, cap", [("pairwise", 512), ("finite", 16)])
+    def test_comment_lines_count_towards_the_line_cap(self, monkeypatch, capsys, mode, cap):
+        limit = cli.LINES_PER_TERM * cap
+        # the last line allowed holds the only term
+        monkeypatch.setattr(sys, "stdin", io.StringIO("#\n" * (limit - 1) + "2\n"))
+        assert cli.main(["check", "--colouring", "const", "--mode", mode]) == 0
+        capsys.readouterr()
+        # one line more, and it is refused before that term is read
+        monkeypatch.setattr(sys, "stdin", io.StringIO("#\n" * limit + "2\n"))
+        assert cli.main(["check", "--colouring", "const", "--mode", mode]) == 2
+        assert capsys.readouterr() == ("", f"error: {mode} mode reads at most {limit} lines\n")
+
     def test_non_utf8_input(self, monkeypatch, capsys, tmp_path):
         seq = tmp_path / "seq.txt"
         seq.write_bytes(b"2\n\xff\n")
@@ -382,6 +394,21 @@ class TestConstruct:
         assert proc.stdout == (
             '{"budget_exhausted":{"message":"search budget exhausted at depth 3","best_depth":3}}\n'
         )
+
+
+class TestMain:
+    def test_repeated_calls_in_one_process(self, capsys):
+        argv = ["colour", "--colouring", "nu", "11/4"]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == first == ('{"input":"11/4","colour":"nu:t:0,1,2,1,1"}\n', "")
+        # a usage error still exits 2, and the next call is unaffected
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["colour", "--colouring", "zeta", "3"])
+        assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: qcolour")
+        assert cli.main(argv) == 0 and capsys.readouterr() == first
+        assert cli._build_parser() is cli._build_parser()  # built once per process
 
 
 class TestProperties:

@@ -274,6 +274,26 @@ def _seeded_values(count: int) -> list[Fraction]:
 SEEDED = _seeded_values(5000)
 
 
+def _seeded_naturals(count: int) -> list[int]:
+    """Naturals below 2^200: dense ones, one to three 1s (powers of two and two-digit
+    numbers included) and single runs of 1s, at every bit length."""
+    rng = random.Random("colourings:naturals")
+    out = []
+    for _ in range(count):
+        bits = rng.randint(1, 200)
+        shape = rng.randrange(3)
+        if shape == 0:
+            out.append(rng.randrange(1 << (bits - 1), 1 << bits))
+        elif shape == 1:
+            out.append(sum(1 << p for p in rng.sample(range(bits), min(bits, rng.randint(1, 3)))))
+        else:
+            out.append((1 << bits) - (1 << rng.randrange(bits)))
+    return out
+
+
+NATURALS = _seeded_naturals(2000)
+
+
 class TestIntegerKernelDifferential:
     def test_nu_mu_alpha_match_oracles_on_seeded_values(self):
         for x in SEEDED:
@@ -305,6 +325,40 @@ class TestIntegerKernelDifferential:
                    "__lt__", "__le__", "__gt__", "__ge__"):
             monkeypatch.setattr(Fraction, op, refuse)
         assert [(nu(x), mu(x), alpha(x)) for x in xs] == expected
+
+
+    def test_theta_and_pair_colourings_match_oracles_below_2_200(self):
+        for m in NATURALS:
+            assert theta(m) == oracles.theta_oracle(m), m
+        for a, b in zip(NATURALS, NATURALS[1:]):
+            # as drawn, ordered, and with b's support moved left of a's
+            for p, q in ((a, b), (min(a, b), max(a, b)), (a, b << a.bit_length())):
+                assert big_phi(p, q) == oracles.big_phi_oracle(p, q), (p, q)
+                assert psi_prime(p, q) == oracles.psi_prime_oracle(p, q), (p, q)
+
+    def test_wrapper_predicates_agree_with_the_kernel(self):
+        for x in SEEDED + GRID:
+            v = nu(x)
+            c1, c3, c4 = core.is_power_of_two(x), core.in_C3(x), core.in_C4(x)
+            assert (c3 or c4) <= core.is_dyadic(x), x
+            special = {NuClass.C1: c1, NuClass.C3mC4: c3 and not c4, NuClass.C4mC1: c4 and not c1}
+            if isinstance(v, NuSpecial):
+                assert special[v.cls], x
+                continue
+            assert not (c1 or c3 or c4), x
+            a, b, c = digits.abc_exponents(x.numerator, x.denominator)
+            assert v.w1 == (core.cmp_pow2_half(x, a) is core.Ordering.ABOVE), x
+            below = core.cmp_c5_boundary(x, a, c) is core.Ordering.BELOW
+            assert v.w5 == (v.w4 if below else (v.w4 - 1) % 3), x
+        for m in NATURALS + [x.numerator for x in SEEDED]:
+            p, t = digits.binary_profile(m), theta(m)
+            assert t.power == p.power_of_two == (p.gap is None), m
+            assert (t.end_parity, t.gap_parity) == (p.end % 2, (p.gap or 0) % 2), m
+            assert t.phi_inner == big_phi(p.end, p.start), m
+        for a, b in zip(NATURALS, NATURALS[1:]):
+            for p, q in ((min(a, b), max(a, b)), (a, b << a.bit_length())):
+                if p < q:
+                    assert digits.right_left_disjoint(p, q) == big_phi(p, q).c5, (p, q)
 
 
 class TestKeys:

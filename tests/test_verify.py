@@ -145,6 +145,8 @@ class TestCheck:
         assert len(cert.combinations) == 131_070
         assert len(seen) == len(set(seen)) == 4_297
         assert set(seen) == {e.value for e in cert.combinations}
+        # entries of equal value share one Fraction
+        assert len({id(e.value) for e in cert.combinations}) == 4_297
 
     def test_pool_output_matches_in_process(self, monkeypatch, recorded_pools):
         # 8-value chunks, so the check's distinct values fill the 4 chunks per process a pool needs
