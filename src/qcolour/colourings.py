@@ -270,8 +270,12 @@ def mu(x: Rational, table: PrimeTable | None = None) -> ColourValue:
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     if x.numerator >= x.denominator:
         return MuWhole(nu=nu(x))
-    n, u = base_index_and_exponent(x)  # the trailing digit sits at position -u
-    s = leading_frac_position(x, primorial(n))
+    return mu_below_one(x, *base_index_and_exponent(x))
+
+
+def mu_below_one(x: Rational, n: int, u: int) -> MuFrac:
+    """mu of 0 < x < 1 from its denominator's minimal base index n and largest prime exponent u."""
+    s = leading_frac_position(x, primorial(n))  # the trailing digit sits at position -u
     return MuFrac(nu=nu(x), phi=big_phi(-s, u), psi_prime=psi_prime(-s, u))
 
 

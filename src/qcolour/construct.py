@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .colourings import NuTuple, colour_key, nu, phi
+from .colourings import NuTuple, colour_key, mu_below_one, nu, phi
 from .core import (
     PRIME_CAP,
     Rational,
@@ -30,7 +30,6 @@ from .core import (
     base_index_and_exponent,
     iter_primes,
     nth_prime,
-    pow2,
     primorial,
 )
 from .digits import abc_exponents, leading_frac_position
@@ -149,18 +148,18 @@ def openness_radius(x: Rational) -> OpennessRadius:
     if not isinstance(value, NuTuple):
         raise DomainError(f"{x} lies in a special class; no open neighbourhood")
     a, b, c = abc_exponents(x.numerator, x.denominator)
-    gaps = [
-        pow2(a + 1) - x,
-        pow2(a) + pow2(b + 1) - x,
-        pow2(a + 1) - pow2(c) - x,
-    ]
-    if value.w1 == 0:  # x < 2^(a+1/2)
-        gaps.append((pow2(2 * a + 1) - x * x) / pow2(a + 2))
     l = c if value.w5 == value.w4 else c - 1  # x below the surd boundary (a, c)
-    gaps.append((pow2(2 * a + 2) - pow2(a + l + 2) - x * x) / pow2(a + 2))
-    if any(g <= 0 for g in gaps):
+    # Each gap times d²·2^(a+2−e) is an integer; p[k] is 2^k, nd is 2^(a+2)·x and nn is x², so scaled.
+    e = min(0, 2 * a + 1, a + b + 3, a + l + 2)
+    dd, nd, nn = x.denominator**2, x.numerator * x.denominator << a + 2 - e, x.numerator**2 << -e
+    p = {k: dd << k - e for k in (2 * a + 1, 2 * a + 2, 2 * a + 3, a + b + 3, a + c + 2, a + l + 2)}
+    gaps = [p[2 * a + 3] - nd, p[2 * a + 2] + p[a + b + 3] - nd, p[2 * a + 3] - p[a + c + 2] - nd]
+    gaps.append(p[2 * a + 2] - p[a + l + 2] - nn)
+    if value.w1 == 0:  # x < 2^(a+1/2)
+        gaps.append(p[2 * a + 1] - nn)
+    if min(gaps) <= 0:
         raise InternalInvariantError(f"non-positive boundary gap at {x}")
-    return OpennessRadius(center=x, radius=min(gaps) / 2, key=colour_key(value))
+    return OpennessRadius(center=x, radius=Fraction(min(gaps), dd << a + 3 - e), key=colour_key(value))
 
 
 def minimal_digit_fact(z: Rational) -> bool:
@@ -170,6 +169,13 @@ def minimal_digit_fact(z: Rational) -> bool:
         raise DomainError(f"value must be in (0,1), got {z}")
     k, u = base_index_and_exponent(z)
     return u == 1 and leading_frac_position(z, primorial(k)) == -1
+
+
+def _block_key(v: Rational, blocks: int, k: int) -> str:
+    """μ's key of v < 1 from (k, 1), checked: v's denominator divides ``blocks`` and holds p_k."""
+    if not (v < 1 and blocks % v.denominator == 0 and v.denominator % nth_prime(k) == 0):
+        raise InternalInvariantError(f"{v} has no block denominator of base index {k}")
+    return colour_key(mu_below_one(v, k, 1))
 
 
 class _Budget:
@@ -269,13 +275,13 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
     radii: dict[Rational, Rational] = {}
     best_depth = 1
 
-    def extend(level: int, sums: list[Rational], products: list[Rational], zone: set[int]) -> bool:
-        """``sums`` and ``products`` hold every nonempty subset sum and product
-        of the accepted terms, and ``zone`` every subset sum of their
-        |a|-exponents n, 0 included."""
+    def extend(level: int, sums: list[Rational], products: list[Rational], zone: set[int]):
+        """``sums`` and ``products`` hold every nonempty subset sum and product of the
+        accepted terms, and ``zone`` every subset sum of their |a|-exponents n, 0
+        included; the first two are returned once all m terms are in, else None."""
         nonlocal best_depth
         if level > m:
-            return True
+            return sums, products
         last = levels[-1]
         for s in sums:
             if s not in radii:
@@ -309,11 +315,11 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
                         best_depth = max(best_depth, level)
                         new_products = [y] + [p * y for p in products]
                         new_zone = zone | {s + n for s in zone}
-                        if extend(level + 1, sums + new_sums, products + new_products, new_zone):
-                            return True
+                        if found := extend(level + 1, sums + new_sums, products + new_products, new_zone):
+                            return found
                         levels.pop()
             n += 1
-        return False
+        return None
 
     try:
         found = extend(2, [y1], [y1], {0, 2})
@@ -332,7 +338,12 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
         base_indices=tuple(indices[:max_pos]),
         blocks=tuple(lv.block for lv in levels),
     )
-    certificate = check("mu", ys, CombinationMode.FINITE_FSFP)
+    keys, blocks = {}, 1  # μ keys without a walk: found[i][2^t − 1 : 2^(t+1) − 1] end in term t
+    for t, lv in enumerate(levels):
+        blocks *= lv.y.denominator  # D_t: squarefree, its largest prime p_k at the block's last position
+        for v in found[0][2**t - 1 : 2 ** (t + 1) - 1] + found[1][2**t - 1 : 2 ** (t + 1) - 1]:
+            keys[v.numerator, v.denominator] = _block_key(v, blocks, indices[max(lv.block) - 1])
+    certificate = check("mu", ys, CombinationMode.FINITE_FSFP, keys=keys)
     if not isinstance(certificate.verdict, Monochromatic):
         raise InternalInvariantError(
             f"constructed terms fail the μ check: {certificate.verdict}"

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from qcolour import construct, oracles
-from qcolour.colourings import colour_key, mu, nu
+from qcolour import construct, core, digits, oracles
+from qcolour.colourings import colour_key, mu, mu_below_one, nu
 from qcolour.construct import (
     BlockSystem,
     OpennessRadius,
@@ -20,8 +20,14 @@ from qcolour.construct import (
     openness_radius,
     reciprocal_prime_indices,
 )
-from qcolour.core import PRIME_CAP, nth_prime
-from qcolour.errors import BudgetExhaustedError, DomainError, TableExhaustedError
+from qcolour.core import PRIME_CAP, base_index_and_exponent, nth_prime, pow2
+from qcolour.digits import abc_exponents
+from qcolour.errors import (
+    BudgetExhaustedError,
+    DomainError,
+    InternalInvariantError,
+    TableExhaustedError,
+)
 from qcolour.verify import CombinationMode, Monochromatic, combinations, validate
 
 MU_KEY = "mu:f:nu:t:0,1,2,1,1|phi:z|phi:t:0,1,0,0,0"
@@ -462,3 +468,120 @@ class TestBudgetContract:
         with pytest.raises(BudgetExhaustedError) as info:
             extend_sum_closed(4, search_budget=208_509)
         assert info.value.best_depth == 3
+
+
+def _fraction_radius(x):
+    """The openness radius by the Fraction formula: pow2 powers, then squares,
+    differences and divisions of rationals for each gap."""
+    value = nu(x)
+    a, b, c = abc_exponents(x.numerator, x.denominator)
+    gaps = [pow2(a + 1) - x, pow2(a) + pow2(b + 1) - x, pow2(a + 1) - pow2(c) - x]
+    if value.w1 == 0:
+        gaps.append((pow2(2 * a + 1) - x * x) / pow2(a + 2))
+    l = c if value.w5 == value.w4 else c - 1
+    gaps.append((pow2(2 * a + 2) - pow2(a + l + 2) - x * x) / pow2(a + 2))
+    return min(gaps) / 2
+
+
+class TestIntegerOpennessRadius:
+    """The integer gaps give exactly the radius of the Fraction formula, which
+    feeds the bound, its a-exponent and so the order of the block search."""
+
+    def test_seeded_tuple_class_values(self):
+        rng = random.Random(16)
+        seen, w1 = 0, set()
+        while seen < 400:
+            scale = rng.choice([Fraction(1), Fraction(2**40), Fraction(1, 2**40)])
+            x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) * scale
+            try:
+                got = openness_radius(x)
+            except DomainError:
+                continue
+            seen += 1
+            w1.add(nu(x).w1)
+            assert got.radius == _fraction_radius(x), x
+        assert w1 == {0, 1}
+
+    def test_every_subset_sum_of_the_construct_rounds(self, monkeypatch):
+        met = []
+        inner = construct.openness_radius
+
+        def recording(x):
+            met.append(inner(x))
+            return met[-1]
+
+        monkeypatch.setattr(construct, "openness_radius", recording)
+        for m in (2, 3, 4):
+            extend_sum_closed(m)
+        assert len(met) == 11
+        for got in met:
+            assert got.radius == _fraction_radius(got.center), got.center
+
+
+def _derived_base_indices(res):
+    """Per certificate entry: the base index of the largest position in its
+    highest term's block, read from the tag and the block system."""
+    out = []
+    for entry in res.certificate.combinations:
+        top = max(int(t) for t in entry.tag[2:].split(","))
+        block = res.system.blocks[top - 1]
+        out.append((entry, res.system.base_indices[max(block) - 1]))
+    return out
+
+
+#: sha256 of json.dumps(extend_sum_closed(m).to_obj()), first 16 hex digits
+RESULT_DIGESTS = {
+    1: "429b3f9d2285d5fd",
+    2: "1f2482a49159d4ef",
+    3: "1e794f1842a0032c",
+    4: "df98b5f7d07b6801",
+}
+
+
+class TestCertificateKeysFromBlocks:
+    """The final μ certificate is keyed from each value's known (k, 1)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_derived_equals_walked(self, m):
+        res = extend_sum_closed(m)
+        for entry, k in _derived_base_indices(res):
+            assert base_index_and_exponent(entry.value) == (k, 1), entry.tag
+            assert colour_key(mu_below_one(entry.value, k, 1)) == entry.colour
+            assert entry.colour == colour_key(mu(entry.value)), entry.tag
+
+    def test_no_prime_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a value was walked over the primes")
+
+        monkeypatch.setattr(core, "divide_out_primes", refuse)
+        monkeypatch.setattr(digits, "divide_out_primes", refuse)
+        for m, digest in RESULT_DIGESTS.items():
+            res = extend_sum_closed(m)
+            assert hashlib.sha256(json.dumps(res.to_obj()).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_keys_match_the_mu_oracle(self, m):
+        for entry in extend_sum_closed(m).certificate.combinations:
+            assert entry.colour == colour_key(oracles.mu_oracle(entry.value)), entry.tag
+
+    # positions 1, 2, 3 of the base sequence hold 3, 13 and 37 (indices 2, 6, 12)
+    @pytest.mark.parametrize(
+        "v",
+        [
+            Fraction(1, 13 * 37 * 5),  # 5 is in no block
+            Fraction(1, 13 * 37 * 37),  # a block prime squared
+            Fraction(1, 3 * 13),  # without p_k = 37
+            Fraction(3 * 13 * 37 + 1, 3 * 13 * 37),  # not below 1
+        ],
+    )
+    def test_guard_refuses_before_keying(self, monkeypatch, v):
+        def unreachable(*args):
+            raise AssertionError("keyed past the guard")
+
+        monkeypatch.setattr(construct, "mu_below_one", unreachable)
+        with pytest.raises(InternalInvariantError):
+            construct._block_key(v, 3 * 13 * 37, 12)
+
+    def test_guard_passes_a_block_value(self):
+        v = Fraction(1, 3 * 37) + Fraction(1, 13 * 37)
+        assert construct._block_key(v, 3 * 13 * 37, 12) == colour_key(mu(v))
