@@ -140,9 +140,10 @@ def openness_radius(x: Rational) -> OpennessRadius:
 
     The nearest colour boundary above x in each family is computed in closed
     form: the next power of two, the next two-digit point 2^a + 2^(b+1), the
-    next point 2^(a+1) − 2^c below a power of two, and the two quadratic-surd
-    boundaries, whose gaps are under-approximated by (S − x²)/2^(a+2) to stay
-    rational. δ is half the smallest gap.
+    next point 2^(a+1) − 2^c below a power of two, and the next quadratic-surd
+    boundary 2^(a+1)·(1 − 2^(l−a))^(1/2), which is 2^(a+1/2) at l = a − 1; its
+    gap is under-approximated by (S − x²)/2^(a+2) to stay rational. δ is half
+    the smallest gap.
     """
     value = nu(x)
     if not isinstance(value, NuTuple):
@@ -150,13 +151,11 @@ def openness_radius(x: Rational) -> OpennessRadius:
     a, b, c = abc_exponents(x.numerator, x.denominator)
     l = c if value.w5 == value.w4 else c - 1  # x below the surd boundary (a, c)
     # Each gap times d²·2^(a+2−e) is an integer; p[k] is 2^k, nd is 2^(a+2)·x and nn is x², so scaled.
-    e = min(0, 2 * a + 1, a + b + 3, a + l + 2)
+    e = min(0, a + b + 3, a + l + 2)
     dd, nd, nn = x.denominator**2, x.numerator * x.denominator << a + 2 - e, x.numerator**2 << -e
-    p = {k: dd << k - e for k in (2 * a + 1, 2 * a + 2, 2 * a + 3, a + b + 3, a + c + 2, a + l + 2)}
+    p = {k: dd << k - e for k in (2 * a + 2, 2 * a + 3, a + b + 3, a + c + 2, a + l + 2)}
     gaps = [p[2 * a + 3] - nd, p[2 * a + 2] + p[a + b + 3] - nd, p[2 * a + 3] - p[a + c + 2] - nd]
     gaps.append(p[2 * a + 2] - p[a + l + 2] - nn)
-    if value.w1 == 0:  # x < 2^(a+1/2)
-        gaps.append(p[2 * a + 1] - nn)
     if min(gaps) <= 0:
         raise InternalInvariantError(f"non-positive boundary gap at {x}")
     return OpennessRadius(center=x, radius=Fraction(min(gaps), dd << a + 3 - e), key=colour_key(value))

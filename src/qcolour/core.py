@@ -3,8 +3,8 @@
 Rationals are plain ``fractions.Fraction`` values (exact, arbitrary precision,
 always reduced); this module adds the domain-checked constructors, the dyadic
 shape predicates (powers of two, two-digit and all-ones binary forms), exact
-comparisons against the two quadratic-surd boundary families, and the one
-prime table, grown on demand up to ``PRIME_CAP`` primes.
+comparisons against the two quadratic-surd boundary families, and the first
+``PRIME_CAP`` primes, sieved once per process the first time one is read.
 """
 
 from __future__ import annotations
@@ -183,96 +183,74 @@ def below_surd(nn: int, dd: int, a: int, c: int) -> bool:
     return sign < 0
 
 
-# --- prime / primorial table -------------------------------------------------
+# --- primes ------------------------------------------------------------------
 
-#: Primes the shared table starts with; it doubles from here as inputs need.
-DEFAULT_PRIME_COUNT = 64
-#: The shared table never holds more primes than this; the last is 180,503.
+#: The package reads only the first 2^14 primes; the last is ``_PRIME_LIMIT``.
 PRIME_CAP = 2**14
+_PRIME_LIMIT = 180_503
 
 
-def _first_primes(count: int) -> list[int]:
-    """First ``count`` primes by a plain sieve (deterministic)."""
-    if count < 1:
-        raise DomainError("prime count must be >= 1")
-    limit = 15 if count < 6 else int(count * (math.log(count) + math.log(math.log(count)))) + 10
-    while True:
-        flags = bytearray([1]) * (limit + 1)
-        flags[0] = flags[1] = 0
-        for p in range(2, int(limit**0.5) + 1):
-            if flags[p]:
-                flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-        primes = [i for i, f in enumerate(flags) if f]
-        if len(primes) >= count:
-            return primes[:count]
-        limit *= 2
+@functools.cache
+def _primes() -> list[int]:
+    """The first ``PRIME_CAP`` primes, sieved once per process when a prime is first read."""
+    flags = bytearray([1]) * (_PRIME_LIMIT // 2 + 1)  # flags[i] is for the odd number 2i + 1
+    flags[0] = 0
+    for i in range(1, math.isqrt(_PRIME_LIMIT) // 2 + 1):
+        if flags[i]:  # p = 2i + 1 is prime: clear its odd multiples from p², at indices p²//2 + kp
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+    primes = [2, *itertools.compress(range(1, _PRIME_LIMIT + 1, 2), flags)]
+    if len(primes) != PRIME_CAP:
+        raise InternalInvariantError(
+            f"sieve up to {_PRIME_LIMIT} found {len(primes)} primes, not {PRIME_CAP}"
+        )
+    return primes
 
 
 class PrimeTable:
-    """The first ``count`` primes."""
+    """The first ``count`` primes, a slice of the one list."""
 
-    def __init__(self, count: int = DEFAULT_PRIME_COUNT):
-        self.primes = _first_primes(count)
+    def __init__(self, count: int):
+        # perfbench/gate.py builds one until the benchmark is next revised.
+        nth_prime(count)  # refuses a count outside [1, PRIME_CAP]
+        self.primes = _primes()[:count]
 
     @property
     def count(self) -> int:
         return len(self.primes)
 
 
-_shared = PrimeTable()
-
-
 def default_table() -> PrimeTable:
-    """The one table the package reads primes from, as far as it has grown."""
-    return _shared
-
-
-def _primes_through(n: int) -> list[int]:
-    """The shared primes, grown to at least ``n`` of them by sieving afresh.
-
-    The list is replaced whole, never appended to, so a reader holding the
-    old list still holds a correct prefix of the primes.
-    """
-    if n > PRIME_CAP:
-        raise TableExhaustedError(f"prime index {n} beyond the cap of {PRIME_CAP} primes")
-    primes = _shared.primes
-    if len(primes) < n:
-        primes = _shared.primes = _first_primes(min(PRIME_CAP, max(n, 2 * len(primes))))
-    return primes
+    """All ``PRIME_CAP`` primes as a ``PrimeTable``."""
+    # perfbench/common.py and tracing.py call this until the benchmark is next revised.
+    return PrimeTable(PRIME_CAP)
 
 
 def iter_primes() -> Iterator[int]:
-    """The primes in order, up to the cap, growing the shared table as they are read."""
-    primes = _shared.primes
-    return itertools.chain(primes, itertools.chain.from_iterable(_primes_past(len(primes))))
-
-
-def _primes_past(done: int) -> Iterator[Iterator[int]]:
-    """The primes after the first ``done``, as one iterator per growth step,
-    so that reading a prime runs no Python code."""
-    while done < PRIME_CAP:
-        primes = _primes_through(done + 1)
-        yield itertools.islice(primes, done, None)
-        done = len(primes)
+    """The first ``PRIME_CAP`` primes in order."""
+    return iter(_primes())
 
 
 def nth_prime(n: int) -> int:
-    """The n-th prime, 1-based."""
+    """The n-th prime, 1-based, for n up to ``PRIME_CAP``."""
     if n < 1:
         raise DomainError(f"prime index must be >= 1, got {n}")
-    return _primes_through(n)[n - 1]
+    if n > PRIME_CAP:
+        raise TableExhaustedError(f"prime index {n} beyond the cap of {PRIME_CAP} primes")
+    return _primes()[n - 1]
 
 
 @functools.lru_cache(maxsize=32)
 def primorial(n: int) -> int:
-    """Product of the first n primes, computed when asked for.
+    """Product of the first n primes, for n up to ``PRIME_CAP``, computed when asked for.
 
     The 32 most recently used are kept, at most about 1 MiB at the cap, since
     one certificate's values tend to share a base.
     """
     if n < 1:
         raise DomainError(f"primorial index must be >= 1, got {n}")
-    return math.prod(_primes_through(n)[:n])
+    nth_prime(n)  # refuses an index past the cap
+    return math.prod(itertools.islice(_primes(), n))
 
 
 def divide_out_primes(d: int, count: int = PRIME_CAP) -> tuple[int, int, int]:

@@ -18,6 +18,7 @@ from .core import (
     divide_out_primes,
     is_power_of_two,
     log2_floor,
+    nth_prime,
     primorial,
 )
 from .errors import DomainError, InternalInvariantError, UnsupportedPrimeError
@@ -205,6 +206,7 @@ def e_frac(x: Rational, n: int, table: PrimeTable | None = None) -> int:
 
 def _trailing_exponent(x: Rational, n: int) -> int:
     """The least u with x·P_n^u integral; rejects x with no terminating base-P_n expansion."""
+    nth_prime(n)  # refuses an index outside [1, PRIME_CAP], as ``primorial`` does
     residue, _, u = divide_out_primes(x.denominator, n)
     if residue != 1:
         raise UnsupportedPrimeError(f"{x} has no terminating base-P_{n} expansion")

@@ -60,7 +60,7 @@ class TestColour:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["colour"] == colour_key(oracle(Fraction(value)))
 
-    def test_prime_past_the_cap_same_error_at_any_table_size(self, monkeypatch, capsys):
+    def test_prime_past_the_cap_same_error_before_and_after_construct(self, capsys):
         # 1,000,003 is prime and past the cap; 7,919 is the 1,000th prime
         def colour_errors() -> list[str]:
             errors = []
@@ -73,16 +73,34 @@ class TestColour:
                 errors.append(err)
             return errors
 
-        monkeypatch.setattr(core, "_shared", core.PrimeTable())
         before = colour_errors()
-        monkeypatch.setattr(core, "_shared", core.PrimeTable())
         assert cli.main(["construct", "--terms", "3"]) == 0
         capsys.readouterr()
-        assert core.DEFAULT_PRIME_COUNT < core.default_table().count < core.PRIME_CAP
         after = colour_errors()
         assert before == after
         for err in after:
             assert f"first {core.PRIME_CAP} primes (residue 1000003)" in err
+
+    def test_prime_free_commands_never_sieve(self):
+        # nu, theta, phi, const and --help read no prime, so they never run the sieve; mu does
+        code = """
+import contextlib, io, sys
+from qcolour import cli, core
+with contextlib.redirect_stdout(io.StringIO()):
+    for colouring, value in [("nu", "5/7"), ("theta", "12"), ("phi", "12"), ("const", "5/7")]:
+        assert cli.main(["colour", "--colouring", colouring, value]) == 0
+    try:
+        cli.main(["--help"])
+    except SystemExit:
+        pass
+    sieved = [core._primes.cache_info().currsize]
+    assert cli.main(["colour", "--colouring", "mu", "1/3"]) == 0
+sieved.append(core._primes.cache_info().currsize)
+print(sieved)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 1]\n"
 
     def test_input_digit_limit(self):
         proc = run_cli("colour", "--colouring", "nu", "1" * 4300)

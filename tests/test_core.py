@@ -10,19 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcolour import oracles
+from qcolour import core, oracles
 from qcolour.core import (
     MAX_DIGITS,
     PRIME_CAP,
     Ordering,
+    PrimeTable,
     a_exponent,
     base_index_and_exponent,
     cmp_c5_boundary,
     cmp_pow2_half,
+    default_table,
     divide_out_primes,
     in_C3,
     in_C4,
     is_power_of_two,
+    iter_primes,
     log2_floor,
     make_rational,
     minimal_base_index,
@@ -31,7 +34,7 @@ from qcolour.core import (
     pow2,
     primorial,
 )
-from qcolour.errors import DomainError, TableExhaustedError, UnsupportedPrimeError
+from qcolour.errors import DomainError, InternalInvariantError, TableExhaustedError, UnsupportedPrimeError
 
 positive_rationals = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)
 
@@ -140,12 +143,32 @@ class TestPrimeTable:
             primorial(0)
 
     def test_exhaustion(self):
-        # the table grows on demand, up to the cap and no further
+        # the list holds the first PRIME_CAP primes and no more
         assert nth_prime(PRIME_CAP) == 180_503
         with pytest.raises(TableExhaustedError, match=f"cap of {PRIME_CAP} primes"):
             nth_prime(PRIME_CAP + 1)
         with pytest.raises(TableExhaustedError):
             primorial(PRIME_CAP + 1)
+
+    def test_list_against_trial_division(self):
+        primes = list(iter_primes())
+        assert primes[:2000] == list(itertools.islice(oracles._prime_gen(), 2000))
+        assert len(primes) == PRIME_CAP and primes[-1] == 180_503
+        assert all(p < q for p, q in itertools.pairwise(primes))
+        for p in primes:
+            assert all(p % q for q in itertools.takewhile(lambda q: q * q <= p, primes)), p
+
+    def test_perfbench_shims(self):
+        table = PrimeTable(64)
+        assert table.count == 64 and table.primes == list(iter_primes())[:64]
+        assert default_table().count == PRIME_CAP
+        with pytest.raises(TableExhaustedError):
+            PrimeTable(PRIME_CAP + 1)
+
+    def test_sieve_checks_its_count(self, monkeypatch):
+        monkeypatch.setattr(core, "_PRIME_LIMIT", 180_502)
+        with pytest.raises(InternalInvariantError, match=f"found {PRIME_CAP - 1} primes"):
+            core._primes.__wrapped__()
 
     @pytest.mark.parametrize(
         "x, n",

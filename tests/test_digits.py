@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import qcolour
 from qcolour import colourings, core, digits, oracles
 from qcolour.core import (
+    PRIME_CAP,
     Ordering,
     a_exponent,
     cmp_c5_boundary,
@@ -37,7 +38,7 @@ from qcolour.digits import (
     s_frac,
     start2,
 )
-from qcolour.errors import DomainError, InternalInvariantError
+from qcolour.errors import DomainError, InternalInvariantError, TableExhaustedError, UnsupportedPrimeError
 
 
 class TestBinaryProfile:
@@ -299,3 +300,16 @@ class TestPositionFunctions:
     def test_whole_inputs_rejected_for_frac(self):
         with pytest.raises(DomainError):
             s_frac(Fraction(3, 2), 2)
+
+    @pytest.mark.parametrize("n, error, message", [
+        (0, DomainError, "prime index must be >= 1, got 0"),
+        (PRIME_CAP + 1, TableExhaustedError, f"prime index {PRIME_CAP + 1} beyond the cap"),
+    ])
+    def test_base_index_outside_the_cap_refused(self, n, error, message):
+        # e_frac refuses a bad base index as s_frac and expand do, not as a non-terminating x
+        with pytest.raises(error, match=message) as caught:
+            e_frac(Fraction(1, 2), n)
+        assert not isinstance(caught.value, UnsupportedPrimeError)
+        for f in (s_frac, expand):
+            with pytest.raises(error):
+                f(Fraction(1, 2), n)
