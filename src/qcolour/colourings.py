@@ -8,9 +8,9 @@ search pruning, CLI output).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, Hashable, Union
 
 from .core import (
     PrimeTable,
@@ -19,6 +19,7 @@ from .core import (
     below_surd,
     check_exponent,
     is_power_of_two_int,
+    log2_floor,
     minimal_base_index,
     one_run,
     primorial,
@@ -47,6 +48,8 @@ class Bit(ColourValue):
 class PhiZero(ColourValue):
     """Degenerate pair colour (first component zero, second zero, or not increasing)."""
 
+    compact = "z"  # its part of a theta key
+
     def key(self) -> str:
         return "phi:z"
 
@@ -58,12 +61,13 @@ class PhiTuple(ColourValue):
     c3: int
     c4: int
     c5: int
+    compact: str = field(init=False, repr=False, compare=False)  # its part of a theta key
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "compact", f"{self.c1}{self.c2}{self.c3}{self.c4}{self.c5}")
 
     def key(self) -> str:
         return f"phi:t:{self.c1},{self.c2},{self.c3},{self.c4},{self.c5}"
-
-    def _compact(self) -> str:
-        return f"{self.c1}{self.c2}{self.c3}{self.c4}{self.c5}"
 
 
 PhiValue = Union[PhiZero, PhiTuple]
@@ -83,11 +87,9 @@ class ThetaTuple(ColourValue):
     tail: int
 
     def key(self) -> str:
-        inner = "z" if isinstance(self.phi_inner, PhiZero) else self.phi_inner._compact()
-        shift = "z" if isinstance(self.phi_inner_shift, PhiZero) else self.phi_inner_shift._compact()
         return (
             f"theta:{self.power},{self.end_parity},{self.gap_parity},"
-            f"{inner},{shift},{self.phi_of_end},{self.tail}"
+            f"{self.phi_inner.compact},{self.phi_inner_shift.compact},{self.phi_of_end},{self.tail}"
         )
 
 
@@ -352,6 +354,45 @@ PAIR_COLOURINGS: dict[str, Callable[[int, int], PhiValue]] = {
 }
 UNARY_IDS = tuple(UNARY_COLOURINGS)
 PAIR_IDS = tuple(PAIR_COLOURINGS)
+
+
+# --- shadows: cheap exact projections of the colour keys ---------------------
+# A shadow maps a reduced pair (n, d) to a token equal on any two values of equal key, or to
+# None where it cannot decide: values whose shadows are defined and differ have different keys.
+
+def _theta_shadow(n: int, d: int) -> Hashable | None:
+    """(end parity, phi(end), power flag) of theta's key; None off the naturals, which theta refuses."""
+    end = (n & -n).bit_length() - 1
+    return (end % 2, phi(end), is_power_of_two_int(n)) if d == 1 else None
+
+
+def _nu_shadow(n: int, d: int) -> Hashable:
+    """nu's dyadic special class, or the (w1, phi(a)) components of its tuple."""
+    if is_power_of_two_int(d):
+        if is_power_of_two_int(n):
+            return NU_C1
+        if one_run(n):
+            return NU_C4mC1
+        if two_ones(n):
+            return NU_C3mC4
+    a = log2_floor(n, d)
+    return below_surd(n * n, d * d, a, a - 1), phi(a)
+
+
+def _alpha_shadow(n: int, d: int) -> Hashable | None:
+    """theta's shadow on naturals, a token per one-key case, else a mod 2 of the big tuple."""
+    if d == 1:
+        return _theta_shadow(n, d)
+    if n <= 2 * d:  # alpha's two one-key cases
+        return "negpow2" if n == 1 and is_power_of_two_int(d) else "small"
+    return log2_floor(n, d) % 2
+
+
+#: the colourings with a shadow; ``phi`` and ``const`` have none.
+SHADOWS: dict[str, Callable[[int, int], Hashable | None]] = {
+    "theta": _theta_shadow, "nu": _nu_shadow, "alpha": _alpha_shadow,
+    "mu": lambda n, d: (n >= d, _nu_shadow(n, d)),  # MuWhole or MuFrac, then nu's shadow
+}
 
 
 def colouring_fn(colouring_id: str, table: PrimeTable | None = None) -> Callable[[Rational], ColourValue]:

@@ -12,6 +12,7 @@ colour values are never compared across colourings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -23,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
-from .colourings import colour_key, colouring_fn
+from .colourings import SHADOWS, colour_key, colouring_fn
 from .core import PrimeTable, Rational, check_digits, is_dyadic, iter_primes, parse_rational, primorial
 from .digits import end2, expand, start2
 from .errors import DomainError
@@ -139,7 +140,7 @@ def _steps(k: int, mode: CombinationMode) -> list[tuple[str, int, int]]:
 #: combinations, so each term past the cap would double the work and output.
 FINITE_TERM_CAP = 16
 
-#: A search universe holds at most this many elements; it colours every pair.
+#: A search universe holds at most this many elements; its pairs are coloured up front.
 #: Pairwise mode takes at most this many terms, so a search certificate always
 #: fits: k terms have k·(k − 1) combinations.
 UNIVERSE_CAP = 512
@@ -269,6 +270,8 @@ class UniverseSpec:
     def elements(self) -> list[Rational]:
         """All x = n/d in lowest terms with d a product of the first
         ``prime_index_bound`` primes, ordered by (d, n); at most ``UNIVERSE_CAP``."""
+        if self.denominator_bound < 1:
+            raise DomainError(f"denominator bound must be >= 1, got {self.denominator_bound}")
         dens = [1]
         primes = () if self.integers_only else iter_primes()
         for p in itertools.islice(primes, max(self.prime_index_bound, 0)):
@@ -316,9 +319,8 @@ def _colour_all(colouring_id: str, values: list[Pair]) -> list[str]:
     """Colour keys of ``values``, in order; on a process pool once there are many.
 
     Each process colours at least four chunks and there are no more processes
-    than usable CPUs, so on 2 CPUs the pool starts from 7,169 values. Measured
-    there, it first pays between 6,291 values (theta to 150: 44.9 -> 62.5 ms on
-    the pool) and 7,587 (nu (30, 20, 3): 49.6 -> 40.6 ms).
+    than usable CPUs, so on 2 CPUs the pool starts from 7,169 values (README
+    tabulates where it pays).
     """
     chunks = [values[i : i + COLOUR_CHUNK] for i in range(0, len(values), COLOUR_CHUNK)]
     procs = len(chunks) // 4
@@ -345,13 +347,13 @@ def _colour_new(
 class _PairGraph:
     """The colour key of every value a search meets, and its pair masks by key.
 
-    Construction colours every pairwise sum and product once (finite mode
-    adds the elements), in canonical order, into one ``value -> key`` dict;
-    equal values are held as one object. ``adj[K, i]`` is the bitmask of the
-    j > i whose pair sum and pair product both have key K, so a
-    pairwise-monochromatic configuration is a clique of one key. Finite mode
-    uses the masks as a necessary filter and colours the sums and products of
-    three or more terms as they are met.
+    Construction colours each pair's sum and product once (finite mode adds the
+    elements), in canonical order, into one ``value -> key`` dict, but skips a
+    pair whose two values have ``colourings.SHADOWS`` that differ: it is no
+    edge. ``adj[K, i]`` is the bitmask of the j > i whose pair sum and pair
+    product both have key K, so a pairwise-monochromatic configuration is a
+    clique of one key. Finite mode uses the masks as a necessary filter and
+    colours the sums and products of three or more terms as they are met.
     """
 
     def __init__(
@@ -363,15 +365,20 @@ class _PairGraph:
         self.colouring_id = colouring_id
         self.xs = xs = [(x.numerator, x.denominator) for x in elements]
         self.finite = mode is CombinationMode.FINITE_FSFP
-        held: dict[Pair, Pair] = {x: x for x in xs} if self.finite else {}
-        pairs = [held.setdefault(v, v) for i, x in enumerate(xs) for y in xs[i + 1 :]
-                 for v in (_add(x, y), _mul(x, y))]  # each pair's sum, then its product
-        self.keys = keys = _colour_new(colouring_id, {}, held)
+        shadow = SHADOWS.get(colouring_id)
+        shade = functools.cache(lambda v: shadow(*v)) if shadow else None  # per distinct value
+        kept = []  # (i, j, sum, product) of each pair whose sum and product may share a key
+        for (i, x), (j, y) in itertools.combinations(enumerate(xs), 2):
+            total, product = _add(x, y), _mul(x, y)
+            if shade and (a := shade(total)) is not None and (b := shade(product)) is not None and a != b:
+                continue  # the shadows differ, so the keys do
+            kept.append((i, j, total, product))
+        self.keys = keys = _colour_new(colouring_id, {}, itertools.chain(
+            xs if self.finite else (), (v for _, _, total, product in kept for v in (total, product))))
 
         self.adj: dict[tuple[str, int], int] = {}
         self.edges = [0] * len(xs)  # j > i whose pair sum and product share any key
-        it = iter(pairs)
-        for (i, j), total, product in zip(itertools.combinations(range(len(xs)), 2), it, it):
+        for i, j, total, product in kept:
             k = keys[total]
             if k == keys[product]:
                 self.adj[k, i] = self.adj.get((k, i), 0) | 1 << j
@@ -381,9 +388,7 @@ class _PairGraph:
             self.singles[keys[x]] = self.singles.get(keys[x], 0) | 1 << j
 
     def key_of(self, v: Pair) -> str:
-        if v not in self.keys:
-            _colour_new(self.colouring_id, self.keys, (v,))
-        return self.keys[v]
+        return self.keys[v] if v in self.keys else _colour_new(self.colouring_id, self.keys, (v,))[v]
 
     def below(self, root: int) -> Iterator[list[int]]:
         """Monochromatic configurations with least element ``root``, in DFS preorder."""
@@ -435,10 +440,10 @@ def search(
 ) -> SearchResult:
     """Bounded DFS for monochromatic configurations over the universe.
 
-    Every pairwise sum and product is coloured once, up front (see
-    ``_PairGraph``). Extensions only move forward in canonical order, so every
-    subset is visited at most once, and ``nodes`` counts the configurations
-    visited. The node budget is split statically across root elements
+    Pair sums and products are coloured once, up front, unless their shadows
+    rule the pair out (see ``_PairGraph``). Extensions only move forward in
+    canonical order, so every subset is visited at most once, and ``nodes``
+    counts the configurations visited. The node budget is split statically across root elements
     (remainder to the earliest roots); that split defines the pinned ``nodes``
     and which certificates appear, in which order, when the budget runs out.
     ``workers`` is validated and otherwise ignored.
@@ -457,10 +462,7 @@ def search(
     graph = _PairGraph(colouring_id, elements, mode)
     share, extra = divmod(budget, max(1, len(elements)))
 
-    certificates = []
-    max_size = 0
-    exhausted = True
-    nodes = 0
+    certificates, max_size, exhausted, nodes = [], 0, True, 0
     for root in range(len(elements)):
         root_budget = share + (1 if root < extra else 0)
         root_nodes = 0

@@ -335,6 +335,13 @@ class TestSearch:
         out, err = capsys.readouterr()
         assert out == "" and "more than 512 elements" in err
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_denominator_bound_below_one_exit_2(self, capsys, bound):
+        # not even d = 1 is within the bound, so there is no universe to search
+        assert cli.main(["search", "--colouring", "nu", "--denominator-bound", bound]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"denominator bound must be >= 1, got {bound}" in err
+
     def test_workers_below_one_exit_2(self, capsys):
         # --workers picks nothing but is still validated
         assert cli.main(["search", "--colouring", "nu", "--workers", "0"]) == 2

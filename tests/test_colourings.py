@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcolour import colourings, core, digits, oracles
+from qcolour import colourings, core, digits, oracles, verify
 from qcolour.colourings import (
     PHI_ZERO,
+    SHADOWS,
     AlphaBig,
     AlphaNat,
     AlphaNegPow2,
@@ -388,6 +389,58 @@ class TestKeys:
         for v in values:
             other = seen.setdefault(colour_key(v), v)
             assert other == v, (colour_key(v), other, v)
+
+
+    def test_theta_key_matches_its_formula(self):
+        # theta's key joins its components, and each pair colour's five bits ("z" when degenerate)
+        def compact(p):
+            return "z" if isinstance(p, PhiZero) else f"{p.c1}{p.c2}{p.c3}{p.c4}{p.c5}"
+
+        for m in range(1, 4097):
+            t = theta(m)
+            want = (f"theta:{t.power},{t.end_parity},{t.gap_parity},{compact(t.phi_inner)},"
+                    f"{compact(t.phi_inner_shift)},{t.phi_of_end},{t.tail}")
+            assert colour_key(t) == want, m
+            assert colour_key(alpha(Fraction(m))) == "alpha:n:" + want, m
+
+
+# the perfbench search universes as (colouring, numerator bound, denominator bound, primes)
+BENCH_UNIVERSES = [
+    ("nu", 18, 8, 3), ("mu", 18, 8, 3), ("nu", 16, 10, 3), ("mu", 16, 10, 3),
+    ("alpha", 16, 8, 2), ("alpha", 20, 6, 2), ("theta", 150, 1, 1),
+]
+
+
+class TestShadows:
+    def _pair_values(self, bounds):
+        xs = verify.UniverseSpec(*bounds).elements()
+        return {v for x, y in itertools.combinations(xs, 2) for v in (x + y, x * y)}
+
+    def test_shadow_is_a_function_of_the_key(self):
+        dyadic = [Fraction(n, 2**e) for n in range(1, 70) for e in range(8)]
+        seeded = SEEDED + [Fraction(m) for m in NATURALS] + GRID + dyadic
+        bench = set().union(*(self._pair_values(bounds) for _, *bounds in BENCH_UNIVERSES))
+        assert len(bench) > 8_000
+        assert set(SHADOWS) == {"theta", "nu", "mu", "alpha"}
+        for cid, shadow in SHADOWS.items():
+            fn = colouring_fn(cid)
+            by_key: dict[str, set] = {}
+            for x in itertools.chain(seeded, bench):
+                s = shadow(x.numerator, x.denominator)
+                if s is None:
+                    assert cid == "theta" and x.denominator != 1, x
+                    continue
+                by_key.setdefault(colour_key(fn(x)), set()).add(s)
+            assert all(len(s) == 1 for s in by_key.values()), cid
+            shadows = set().union(*by_key.values())
+            assert 1 < len(shadows) < len(by_key), cid  # the shadow separates some keys, not all
+
+    def test_theta_shadow_undefined_off_the_naturals(self):
+        assert SHADOWS["theta"](3, 4) is None and SHADOWS["alpha"](3, 4) is not None
+        assert SHADOWS["theta"](12, 1) == SHADOWS["alpha"](12, 1)
+
+    def test_phi_and_const_have_no_shadow(self):
+        assert "phi" not in SHADOWS and "const" not in SHADOWS
 
 
 class TestRegistry:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from qcolour import verify
-from qcolour.colourings import big_phi
+from qcolour.colourings import SHADOWS, big_phi, colour_key, colouring_fn
 from qcolour.digits import DigitExpansion, end2, expand, start2
 from qcolour.errors import DomainError
 from qcolour.verify import (
@@ -247,6 +247,11 @@ class TestUniverse:
             else:
                 assert UniverseSpec(*args).elements() == want, args
 
+    def test_denominator_bound_below_one_rejected(self):
+        for bound in (0, -1):
+            with pytest.raises(DomainError, match=f"denominator bound must be >= 1, got {bound}"):
+                UniverseSpec(numerator_bound=5, denominator_bound=bound).elements()
+
     def test_cap_bounds_the_cost(self):
         t0 = time.perf_counter()
         for spec in (UniverseSpec(100_000), UniverseSpec(0, 10**12, 6), UniverseSpec(30, 10**12)):
@@ -269,6 +274,36 @@ def _set_cpus(monkeypatch, cpus):
 
 def _usable_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _gated_values(colouring, elements, mode):
+    """The values a search colours up front: each pair's sum and product unless
+    both have a shadow and the two differ; finite mode adds the elements."""
+    shadow = SHADOWS.get(colouring, lambda n, d: None)
+
+    def shade(v):
+        return shadow(v.numerator, v.denominator)
+
+    out = set(elements) if mode is CombinationMode.FINITE_FSFP else set()
+    for x, y in itertools.combinations(elements, 2):
+        s, p = shade(x + y), shade(x * y)
+        if s is None or p is None or s == p:
+            out |= {x + y, x * y}
+    return out
+
+
+def _ungated_graph(colouring, elements, mode):
+    """(adj, edges, singles) from colouring every pair's sum and product."""
+    fn = colouring_fn(colouring)
+    adj, edges, singles = {}, [0] * len(elements), {}
+    for (i, x), (j, y) in itertools.combinations(enumerate(elements), 2):
+        k = colour_key(fn(x + y))
+        if k == colour_key(fn(x * y)):
+            adj[k, i] = adj.get((k, i), 0) | 1 << j
+            edges[i] |= 1 << j
+    for j, x in enumerate(elements if mode is CombinationMode.FINITE_FSFP else ()):
+        singles[colour_key(fn(x))] = singles.get(colour_key(fn(x)), 0) | 1 << j
+    return adj, edges, singles
 
 
 @pytest.fixture
@@ -389,32 +424,36 @@ class TestSearch:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
-        # small chunks, so the 420-value universe has the 4 chunks per process a pool needs
-        monkeypatch.setattr(verify, "COLOUR_CHUNK", 32)
+        # small chunks, so the values the gate keeps fill the 4 chunks per process a pool needs
+        monkeypatch.setattr(verify, "COLOUR_CHUNK", 16)
+        universe = UniverseSpec(12, 8, 2)
         for mode, target in ((CombinationMode.PAIRWISE, 2), (CombinationMode.FINITE_FSFP, 3)):
+            chunks = -(-len(_gated_values("mu", universe.elements(), mode)) // 16)
+            assert chunks // 4 >= 2
             results = []
             for cpus in (1, 2):
                 _set_cpus(monkeypatch, cpus)
-                results.append(search("mu", UniverseSpec(12, 8, 2), mode, target_size=target,
+                results.append(search("mu", universe, mode, target_size=target,
                                       budget=10**6, workers=1).to_obj())
             assert results[0] == results[1]
         assert started == [2, 2]  # a real two-process pool in both modes
 
     @pytest.mark.parametrize("cpus", [None, 1, 3, 64])
     def test_pool_size_is_capped(self, monkeypatch, recorded_pools, cpus):
-        monkeypatch.setattr(verify, "COLOUR_CHUNK", 4)
+        # one-value chunks, so the gated values ask for more processes than 3 CPUs
+        monkeypatch.setattr(verify, "COLOUR_CHUNK", 1)
         if cpus is not None:
             _set_cpus(monkeypatch, cpus)
         results = [search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
                           budget=10**6, workers=w).to_obj() for w in (1, 2, 10**6)]
-        pairs = list(itertools.combinations(NU_UNIVERSE.elements(), 2))
-        chunks = -(-len({x + y for x, y in pairs} | {x * y for x, y in pairs}) // 4)
+        chunks = len(_gated_values("nu", NU_UNIVERSE.elements(), CombinationMode.PAIRWISE))
         expected = min(_usable_cpus(), chunks // 4)
+        assert chunks // 4 > 3
         assert recorded_pools == ([expected] * 3 if expected > 1 else [])
         assert all(size <= _usable_cpus() for size in recorded_pools)
         assert results[0] == results[1] == results[2]
 
-    # the benchmark's search universes: 647 to 6,291 values, each too few to pay for a pool
+    # the benchmark's search universes: 454 to 2,660 coloured values, each too few to pay for a pool
     BENCH_UNIVERSES = [
         ("nu", UniverseSpec(18, 8, 3)), ("mu", UniverseSpec(18, 8, 3)),
         ("nu", UniverseSpec(16, 10, 3)), ("mu", UniverseSpec(16, 10, 3)),
@@ -454,8 +493,48 @@ class TestSearch:
         res = search(colouring, universe, mode, target_size=target, budget=10**6, workers=1)
         assert res.certificates and len(seen) == len(set(seen))
         if mode is CombinationMode.PAIRWISE:
-            pairs = list(itertools.combinations(universe.elements(), 2))
-            assert sorted(seen) == sorted({x + y for x, y in pairs} | {x * y for x, y in pairs})
+            assert sorted(seen) == sorted(_gated_values(colouring, universe.elements(), mode))
+
+    GATE_UNIVERSES = [
+        ("theta", UniverseSpec(150, integers_only=True), CombinationMode.PAIRWISE),
+        ("theta", UniverseSpec(40, integers_only=True), CombinationMode.FINITE_FSFP),
+        ("nu", UniverseSpec(16, 10, 3), CombinationMode.PAIRWISE),
+        ("nu", UniverseSpec(12, 6, 2), CombinationMode.FINITE_FSFP),
+        ("mu", UniverseSpec(18, 8, 3), CombinationMode.PAIRWISE),
+        ("mu", UniverseSpec(12, 6, 2), CombinationMode.FINITE_FSFP),
+        ("alpha", UniverseSpec(20, 6, 2), CombinationMode.PAIRWISE),
+        ("alpha", UniverseSpec(60, integers_only=True), CombinationMode.FINITE_FSFP),
+    ]
+
+    @pytest.mark.parametrize("colouring, universe, mode", GATE_UNIVERSES)
+    def test_gate_keeps_every_edge(self, colouring, universe, mode):
+        elements = universe.elements()
+        graph = verify._PairGraph(colouring, elements, mode)
+        assert (graph.adj, graph.edges, graph.singles) == _ungated_graph(colouring, elements, mode)
+        assert set(graph.keys) == {(v.numerator, v.denominator)
+                                   for v in _gated_values(colouring, elements, mode)}
+
+    def test_gate_keeps_every_edge_on_a_pool(self, monkeypatch):
+        started = []
+
+        class RecordingPool(verify.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(verify, "COLOUR_CHUNK", 64)
+        _set_cpus(monkeypatch, 2)
+        elements = UniverseSpec(16, 10, 3).elements()
+        graph = verify._PairGraph("mu", elements, CombinationMode.PAIRWISE)
+        assert started == [2]
+        assert (graph.adj, graph.edges, graph.singles) == _ungated_graph(
+            "mu", elements, CombinationMode.PAIRWISE)
+
+    def test_gate_keeps_a_pair_with_one_undecided_value(self):
+        # 1/2 + 3/2 = 2 has a theta shadow and 3/4 has none, so the pair is coloured
+        with pytest.raises(DomainError, match="theta colours naturals only, got 3/4"):
+            verify._PairGraph("theta", [Fraction(1, 2), Fraction(3, 2)], CombinationMode.PAIRWISE)
 
     def test_budget_exhaustion_is_reported(self):
         res = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
