@@ -19,7 +19,6 @@ from .core import (
     minimal_base_index,
     nth_prime,
     parse_rational,
-    pow2,
     primorial,
 )
 from .digits import (

@@ -132,8 +132,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    if args.prime_index < 1:
-        raise DomainError(f"prime index must be >= 1, got {args.prime_index}")
     universe = UniverseSpec(
         numerator_bound=args.numerator_bound,
         denominator_bound=args.denominator_bound,

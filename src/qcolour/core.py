@@ -79,14 +79,6 @@ def parse_rational(text: str) -> Rational:
     return make_rational(num, den)
 
 
-def pow2(e: int) -> Rational:
-    """2**e as an exact rational, for e of either sign."""
-    check_exponent(e)
-    if e >= 0:
-        return Fraction(1 << e)
-    return Fraction(1, 1 << -e)
-
-
 def _require_positive(x: Rational) -> None:
     if x.numerator <= 0:
         raise DomainError(f"expected a positive rational, got {x}")

@@ -15,9 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -269,12 +267,16 @@ class UniverseSpec:
 
     def elements(self) -> list[Rational]:
         """All x = n/d in lowest terms with d a product of the first
-        ``prime_index_bound`` primes, ordered by (d, n); at most ``UNIVERSE_CAP``."""
-        if self.denominator_bound < 1:
-            raise DomainError(f"denominator bound must be >= 1, got {self.denominator_bound}")
+        ``prime_index_bound`` primes, ordered by (d, n); at most ``UNIVERSE_CAP``.
+        A bound below 1 is refused before anything is listed."""
+        for name, bound in (("numerator bound", self.numerator_bound),
+                            ("denominator bound", self.denominator_bound),
+                            ("prime index", self.prime_index_bound)):
+            if bound < 1:
+                raise DomainError(f"{name} must be >= 1, got {bound}")
         dens = [1]
         primes = () if self.integers_only else iter_primes()
-        for p in itertools.islice(primes, max(self.prime_index_bound, 0)):
+        for p in itertools.islice(primes, self.prime_index_bound):
             if p > self.denominator_bound or len(dens) > UNIVERSE_CAP:
                 break
             for d in dens[:]:
@@ -305,42 +307,16 @@ class SearchResult:
         }
 
 
-# Values per pool task; contiguous 1,024-value tasks beat one equal slice per process.
-COLOUR_CHUNK = 1024
-
-
-def _colour_values(colouring_id: str, values: list[Pair]) -> list[str]:
-    # colouring_fn is looked up at call time so a rebound module attribute sees every call.
-    fn = colouring_fn(colouring_id)
-    return [colour_key(fn(Fraction(n, d))) for n, d in values]
-
-
-def _colour_all(colouring_id: str, values: list[Pair]) -> list[str]:
-    """Colour keys of ``values``, in order; on a process pool once there are many.
-
-    Each process colours at least four chunks and there are no more processes
-    than usable CPUs, so on 2 CPUs the pool starts from 7,169 values (README
-    tabulates where it pays).
-    """
-    chunks = [values[i : i + COLOUR_CHUNK] for i in range(0, len(values), COLOUR_CHUNK)]
-    procs = len(chunks) // 4
-    if procs > 1:  # a pool could start: no more processes than usable CPUs
-        affinity = getattr(os, "sched_getaffinity", None)
-        procs = min(procs, len(affinity(0)) if affinity else os.cpu_count() or 1)
-    if procs <= 1:
-        return _colour_values(colouring_id, values)
-    with ProcessPoolExecutor(max_workers=procs) as pool:
-        keyed = pool.map(_colour_values, itertools.repeat(colouring_id), chunks)
-        return [k for keys in keyed for k in keys]
-
-
 def _colour_new(
     colouring_id: str, keys: dict[Pair, str], values: Iterable[Pair]
 ) -> dict[Pair, str]:
     """``keys``, after colouring into it each of ``values`` that is not a key
-    yet, once and in first-seen order, through ``_colour_all``."""
-    new = [v for v in dict.fromkeys(values) if v not in keys]
-    keys.update(zip(new, _colour_all(colouring_id, new)))
+    yet, once and in first-seen order."""
+    # colouring_fn is looked up at call time so a rebound module attribute sees every call.
+    fn = colouring_fn(colouring_id)
+    for v in values:
+        if v not in keys:
+            keys[v] = colour_key(fn(Fraction(*v)))
     return keys
 
 

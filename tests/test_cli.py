@@ -342,6 +342,17 @@ class TestSearch:
         out, err = capsys.readouterr()
         assert out == "" and f"denominator bound must be >= 1, got {bound}" in err
 
+    @pytest.mark.parametrize("option, bound, message", [
+        ("--numerator-bound", "0", "numerator bound must be >= 1, got 0"),
+        ("--numerator-bound", "-4", "numerator bound must be >= 1, got -4"),
+        ("--prime-index", "0", "prime index must be >= 1, got 0"),
+    ])
+    def test_universe_bound_below_one_exit_2(self, capsys, option, bound, message):
+        # the universe would be empty, so the search is refused rather than run on nothing
+        assert cli.main(["search", "--colouring", "nu", option, bound]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     def test_workers_below_one_exit_2(self, capsys):
         # --workers picks nothing but is still validated
         assert cli.main(["search", "--colouring", "nu", "--workers", "0"]) == 2

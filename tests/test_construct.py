@@ -20,7 +20,7 @@ from qcolour.construct import (
     openness_radius,
     reciprocal_prime_indices,
 )
-from qcolour.core import PRIME_CAP, base_index_and_exponent, nth_prime, pow2
+from qcolour.core import PRIME_CAP, base_index_and_exponent, nth_prime
 from qcolour.digits import abc_exponents
 from qcolour.errors import (
     BudgetExhaustedError,
@@ -470,16 +470,20 @@ class TestBudgetContract:
         assert info.value.best_depth == 3
 
 
+def _pow2(e: int) -> Fraction:
+    return Fraction(2) ** e
+
+
 def _fraction_radius(x):
-    """The openness radius by the Fraction formula: pow2 powers, then squares,
+    """The openness radius by the Fraction formula: powers of two, then squares,
     differences and divisions of rationals for each gap."""
     value = nu(x)
     a, b, c = abc_exponents(x.numerator, x.denominator)
-    gaps = [pow2(a + 1) - x, pow2(a) + pow2(b + 1) - x, pow2(a + 1) - pow2(c) - x]
+    gaps = [_pow2(a + 1) - x, _pow2(a) + _pow2(b + 1) - x, _pow2(a + 1) - _pow2(c) - x]
     if value.w1 == 0:
-        gaps.append((pow2(2 * a + 1) - x * x) / pow2(a + 2))
+        gaps.append((_pow2(2 * a + 1) - x * x) / _pow2(a + 2))
     l = c if value.w5 == value.w4 else c - 1
-    gaps.append((pow2(2 * a + 2) - pow2(a + l + 2) - x * x) / pow2(a + 2))
+    gaps.append((_pow2(2 * a + 2) - _pow2(a + l + 2) - x * x) / _pow2(a + 2))
     return min(gaps) / 2
 
 

@@ -31,10 +31,13 @@ from qcolour.core import (
     minimal_base_index,
     nth_prime,
     parse_rational,
-    pow2,
     primorial,
 )
 from qcolour.errors import DomainError, InternalInvariantError, TableExhaustedError, UnsupportedPrimeError
+
+def _pow2(e: int) -> Fraction:
+    return Fraction(2) ** e
+
 
 positive_rationals = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)
 
@@ -84,7 +87,7 @@ class TestDyadicHelpers:
     @settings(deadline=None)
     def test_a_exponent_brackets(self, x):
         a = a_exponent(x)
-        assert pow2(a) <= x < pow2(a + 1)
+        assert _pow2(a) <= x < _pow2(a + 1)
 
     def test_log2_floor_on_unreduced_pairs(self):
         rng = random.Random("core:log2_floor")
@@ -93,10 +96,6 @@ class TestDyadicHelpers:
             m = rng.choice([1, 2, 6, 2**40, 3**30])
             k = log2_floor(m * n, m * d)
             assert 2**k * d <= n < 2 ** (k + 1) * d if k >= 0 else d <= n * 2**-k < 2 * d
-
-    def test_pow2(self):
-        assert pow2(5) == 32
-        assert pow2(-3) == Fraction(1, 8)
 
     def test_is_power_of_two(self):
         assert is_power_of_two(Fraction(16))
@@ -120,9 +119,9 @@ class TestDyadicHelpers:
     @given(positive_rationals, st.integers(-10, 10))
     @settings(deadline=None)
     def test_cmp_pow2_half_matches_square(self, x, k):
-        expected = (x * x).__gt__(pow2(2 * k + 1))
+        expected = (x * x).__gt__(_pow2(2 * k + 1))
         got = cmp_pow2_half(x, k)
-        if x * x == pow2(2 * k + 1):  # unreachable for rationals: 2^(2k+1) is no square
+        if x * x == _pow2(2 * k + 1):  # unreachable for rationals: 2^(2k+1) is no square
             pytest.fail("rational hit an irrational boundary")
         assert (got is Ordering.ABOVE) == expected
 

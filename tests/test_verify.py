@@ -6,8 +6,9 @@ import itertools
 import json
 import math
 import operator
-import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -148,18 +149,6 @@ class TestCheck:
         # entries of equal value share one Fraction
         assert len({id(e.value) for e in cert.combinations}) == 4_297
 
-    def test_pool_output_matches_in_process(self, monkeypatch, recorded_pools):
-        # 8-value chunks, so the check's distinct values fill the 4 chunks per process a pool needs
-        monkeypatch.setattr(verify, "COLOUR_CHUNK", 8)
-        xs = [Fraction(n, 3) for n in (1, 2, 4, 5, 7, 8, 10, 11)]
-        certs = []
-        for cpus in (1, 2):
-            _set_cpus(monkeypatch, cpus)
-            certs.append(check("mu", xs, CombinationMode.FINITE_FSFP))
-        assert recorded_pools == [2]
-        assert certs[0] == certs[1]
-        assert isinstance(certs[0].verdict, Clash)
-
 
 class TestCertificateSerialization:
     def test_json_round_trip(self):
@@ -239,7 +228,7 @@ class TestUniverse:
                     out += [Fraction(n, d) for n in range(1, n_bound + 1) if math.gcd(n, d) == 1]
             return out
 
-        for args in itertools.product((0, 1, 7, 20, 60), (1, 2, 12, 60, 97), range(6), (False, True)):
+        for args in itertools.product((1, 7, 20, 60), (1, 2, 12, 60, 97), range(1, 6), (False, True)):
             want = reference(*args)
             if len(want) > verify.UNIVERSE_CAP:
                 with pytest.raises(DomainError, match="more than 512"):
@@ -252,9 +241,20 @@ class TestUniverse:
             with pytest.raises(DomainError, match=f"denominator bound must be >= 1, got {bound}"):
                 UniverseSpec(numerator_bound=5, denominator_bound=bound).elements()
 
+    @pytest.mark.parametrize("spec, message", [
+        (UniverseSpec(0), "numerator bound must be >= 1, got 0"),
+        (UniverseSpec(-4, 10**12, 6), "numerator bound must be >= 1, got -4"),
+        (UniverseSpec(5, 4, 0), "prime index must be >= 1, got 0"),
+        (UniverseSpec(5, integers_only=True, prime_index_bound=-1), "prime index must be >= 1, got -1"),
+    ], ids=["numerator-0", "numerator-minus-4", "prime-index-0", "integers-prime-index-minus-1"])
+    def test_numerator_bound_and_prime_index_below_one_rejected(self, spec, message):
+        # refused before any denominator is listed, so the cap is not what stops (-4, 10**12, 6)
+        with pytest.raises(DomainError, match=message):
+            spec.elements()
+
     def test_cap_bounds_the_cost(self):
         t0 = time.perf_counter()
-        for spec in (UniverseSpec(100_000), UniverseSpec(0, 10**12, 6), UniverseSpec(30, 10**12)):
+        for spec in (UniverseSpec(100_000), UniverseSpec(1, 10**12, 6), UniverseSpec(30, 10**12)):
             with pytest.raises(DomainError, match="more than 512"):
                 spec.elements()
         powers = UniverseSpec(1, 10**12).elements()
@@ -264,16 +264,6 @@ class TestUniverse:
 
 
 NU_UNIVERSE = UniverseSpec(numerator_bound=10, denominator_bound=4)
-
-
-def _set_cpus(monkeypatch, cpus):
-    """Make both the installed and the usable CPU count read ``cpus``."""
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
-def _usable_cpus():
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _gated_values(colouring, elements, mode):
@@ -304,29 +294,6 @@ def _ungated_graph(colouring, elements, mode):
     for j, x in enumerate(elements if mode is CombinationMode.FINITE_FSFP else ()):
         singles[colour_key(fn(x))] = singles.get(colour_key(fn(x)), 0) | 1 << j
     return adj, edges, singles
-
-
-@pytest.fixture
-def recorded_pools(monkeypatch):
-    """The ``max_workers`` of every pool the colouring pass starts, through a
-    fake pool that colours in this process."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
-    return sizes
 
 
 class TestSearch:
@@ -415,68 +382,6 @@ class TestSearch:
         assert got == want
         assert len(got["certificates"]) == count
 
-    def test_pool_output_matches_in_process(self, monkeypatch):
-        started = []
-
-        class RecordingPool(verify.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
-        # small chunks, so the values the gate keeps fill the 4 chunks per process a pool needs
-        monkeypatch.setattr(verify, "COLOUR_CHUNK", 16)
-        universe = UniverseSpec(12, 8, 2)
-        for mode, target in ((CombinationMode.PAIRWISE, 2), (CombinationMode.FINITE_FSFP, 3)):
-            chunks = -(-len(_gated_values("mu", universe.elements(), mode)) // 16)
-            assert chunks // 4 >= 2
-            results = []
-            for cpus in (1, 2):
-                _set_cpus(monkeypatch, cpus)
-                results.append(search("mu", universe, mode, target_size=target,
-                                      budget=10**6, workers=1).to_obj())
-            assert results[0] == results[1]
-        assert started == [2, 2]  # a real two-process pool in both modes
-
-    @pytest.mark.parametrize("cpus", [None, 1, 3, 64])
-    def test_pool_size_is_capped(self, monkeypatch, recorded_pools, cpus):
-        # one-value chunks, so the gated values ask for more processes than 3 CPUs
-        monkeypatch.setattr(verify, "COLOUR_CHUNK", 1)
-        if cpus is not None:
-            _set_cpus(monkeypatch, cpus)
-        results = [search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
-                          budget=10**6, workers=w).to_obj() for w in (1, 2, 10**6)]
-        chunks = len(_gated_values("nu", NU_UNIVERSE.elements(), CombinationMode.PAIRWISE))
-        expected = min(_usable_cpus(), chunks // 4)
-        assert chunks // 4 > 3
-        assert recorded_pools == ([expected] * 3 if expected > 1 else [])
-        assert all(size <= _usable_cpus() for size in recorded_pools)
-        assert results[0] == results[1] == results[2]
-
-    # the benchmark's search universes: 454 to 2,660 coloured values, each too few to pay for a pool
-    BENCH_UNIVERSES = [
-        ("nu", UniverseSpec(18, 8, 3)), ("mu", UniverseSpec(18, 8, 3)),
-        ("nu", UniverseSpec(16, 10, 3)), ("mu", UniverseSpec(16, 10, 3)),
-        ("alpha", UniverseSpec(16, 8, 2)), ("alpha", UniverseSpec(20, 6, 2)),
-        ("theta", UniverseSpec(numerator_bound=150, integers_only=True)),
-    ]
-
-    @pytest.mark.parametrize("workers", [1, 2, 10**6])
-    def test_benchmark_universes_start_no_pool(self, monkeypatch, recorded_pools, workers):
-        _set_cpus(monkeypatch, 64)
-        for colouring, universe in self.BENCH_UNIVERSES:
-            search(colouring, universe, CombinationMode.PAIRWISE, target_size=3, budget=1,
-                   workers=workers)
-        assert recorded_pools == []
-
-    def test_pool_follows_usable_cpus_not_installed_ones(self, monkeypatch, recorded_pools):
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(verify, "_colour_values", lambda cid, values: ["k"] * len(values))
-        cap = verify.UNIVERSE_CAP * (verify.UNIVERSE_CAP - 1)  # every pair's sum and product
-        assert verify._colour_all("nu", [(n, 1) for n in range(1, cap + 1)]) == ["k"] * cap
-        assert recorded_pools == []
-
     @pytest.mark.parametrize("mode, colouring, universe, target", [
         (CombinationMode.PAIRWISE, "nu", NU_UNIVERSE, 2),
         (CombinationMode.FINITE_FSFP, "alpha", UniverseSpec(16, 8, 2), 3),
@@ -514,22 +419,36 @@ class TestSearch:
         assert set(graph.keys) == {(v.numerator, v.denominator)
                                    for v in _gated_values(colouring, elements, mode)}
 
-    def test_gate_keeps_every_edge_on_a_pool(self, monkeypatch):
-        started = []
-
-        class RecordingPool(verify.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(verify, "COLOUR_CHUNK", 64)
-        _set_cpus(monkeypatch, 2)
-        elements = UniverseSpec(16, 10, 3).elements()
-        graph = verify._PairGraph("mu", elements, CombinationMode.PAIRWISE)
-        assert started == [2]
-        assert (graph.adj, graph.edges, graph.singles) == _ungated_graph(
-            "mu", elements, CombinationMode.PAIRWISE)
+    def test_colouring_loads_no_process_machinery(self):
+        # a search and a check that colour over 7,169 distinct values each, in a fresh
+        # interpreter: every value is coloured in the calling process
+        code = """
+import contextlib, io, json, sys
+from qcolour import cli, verify
+counts, real = [], verify.colouring_fn
+def counting(colouring_id):
+    fn = real(colouring_id)
+    def call(x):
+        counts[-1] += 1
+        return fn(x)
+    return call
+verify.colouring_fn = counting
+for argv, terms in [
+    (["search", "--colouring", "mu", "--numerator-bound", "40", "--denominator-bound", "30",
+      "--prime-index", "3", "--target", "3"], ""),
+    (["check", "--colouring", "nu"], "\\n".join(map(str, range(1, 171)))),
+]:
+    counts.append(0)
+    sys.stdin = io.StringIO(terms)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+print(json.dumps([counts, loaded]))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts, loaded = json.loads(proc.stdout)
+        assert counts == [8_542, 8_024] and loaded == []
 
     def test_gate_keeps_a_pair_with_one_undecided_value(self):
         # 1/2 + 3/2 = 2 has a theta shadow and 3/4 has none, so the pair is coloured
