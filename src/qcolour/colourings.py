@@ -62,12 +62,14 @@ class PhiTuple(ColourValue):
     c4: int
     c5: int
     compact: str = field(init=False, repr=False, compare=False)  # its part of a theta key
+    _key: str = field(init=False, repr=False, compare=False)  # formatted once: the values are interned
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "compact", f"{self.c1}{self.c2}{self.c3}{self.c4}{self.c5}")
+        object.__setattr__(self, "_key", f"phi:t:{self.c1},{self.c2},{self.c3},{self.c4},{self.c5}")
 
     def key(self) -> str:
-        return f"phi:t:{self.c1},{self.c2},{self.c3},{self.c4},{self.c5}"
+        return self._key
 
 
 PhiValue = Union[PhiZero, PhiTuple]
@@ -104,9 +106,13 @@ class NuClass(Enum):
 @dataclass(frozen=True)
 class NuSpecial(ColourValue):
     cls: NuClass
+    _key: str = field(init=False, repr=False, compare=False)  # formatted once: the values are interned
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", f"nu:s:{self.cls.value}")
 
     def key(self) -> str:
-        return f"nu:s:{self.cls.value}"
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -116,9 +122,13 @@ class NuTuple(ColourValue):
     w3: int
     w4: int
     w5: int
+    _key: str = field(init=False, repr=False, compare=False)  # formatted once: the values are interned
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", f"nu:t:{self.w1},{self.w2},{self.w3},{self.w4},{self.w5}")
 
     def key(self) -> str:
-        return f"nu:t:{self.w1},{self.w2},{self.w3},{self.w4},{self.w5}"
+        return self._key
 
 
 NuValue = Union[NuSpecial, NuTuple]
@@ -170,7 +180,7 @@ class AlphaBig(ColourValue):
     components: tuple[int, ...]  # 13 entries
 
     def key(self) -> str:
-        return "alpha:b:" + ",".join(str(c) for c in self.components)
+        return "alpha:b:" + ",".join(map(str, self.components))
 
 
 @dataclass(frozen=True)

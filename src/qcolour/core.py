@@ -34,7 +34,7 @@ EXPONENT_LIMIT = 2**62
 #: will not convert one to or from a string, and a constant gives every
 #: interpreter the same answer.
 MAX_DIGITS = 4300
-_DIGIT_LIMIT = 10**MAX_DIGITS
+DIGIT_LIMIT = 10**MAX_DIGITS
 
 _RATIONAL_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
@@ -53,7 +53,7 @@ def check_exponent(value: int) -> int:
 
 def check_digits(value: int, what: str) -> int:
     """Return ``value`` unchanged, rejecting more than ``MAX_DIGITS`` decimal digits."""
-    if value >= _DIGIT_LIMIT:
+    if value >= DIGIT_LIMIT:
         raise DomainError(f"{what} has more than {MAX_DIGITS} decimal digits")
     return value
 
@@ -69,6 +69,8 @@ def make_rational(num: int, den: int = 1) -> Rational:
 
 def parse_rational(text: str) -> Rational:
     """Parse ``"p"`` or ``"p/q"`` (decimal, unsigned, nonzero); reduces the result."""
+    if not isinstance(text, str):
+        raise DomainError(f"not a positive rational: {text!r}")
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise DomainError(f"not a positive rational: {text!r}")
@@ -96,8 +98,8 @@ def a_exponent(x: Rational) -> int:
 
 def log2_floor(n: int, d: int) -> int:
     """⌊log₂(n/d)⌋ for positive, not necessarily coprime, integers n and d."""
-    a = n.bit_length() - d.bit_length()  # the answer is a or a - 1
-    return a - 1 if _cmp_pow2(n, d, a) < 0 else a
+    a = n.bit_length() - d.bit_length()  # the answer is a or a - 1, as n/d < 2^a or not
+    return a - 1 if (n < d << a if a >= 0 else n << -a < d) else a
 
 
 def _cmp_pow2(n: int, d: int, e: int) -> int:

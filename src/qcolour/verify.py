@@ -20,10 +20,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .colourings import SHADOWS, colour_key, colouring_fn
-from .core import PrimeTable, Rational, check_digits, is_dyadic, iter_primes, parse_rational, primorial
+from .core import (
+    DIGIT_LIMIT, PrimeTable, Rational, check_digits, is_dyadic, iter_primes, parse_rational, primorial,
+)
 from .digits import end2, expand, start2
 from .errors import DomainError
 
@@ -125,12 +127,12 @@ def _steps(k: int, mode: CombinationMode) -> list[tuple[str, int, int]]:
     (0 for a singleton), which comes earlier in this order."""
     if mode is CombinationMode.PAIRWISE:
         return [(f"{i + 1},{j + 1}", i, j) for i, j in itertools.combinations(range(k), 2)]
-    positions, out = [""] * (1 << k), []
-    for size in range(1, k + 1):
-        for bits in itertools.combinations([1 << i for i in range(k)], size):
-            mask, prefix, last = sum(bits), sum(bits[:-1]), bits[-1].bit_length() - 1
-            positions[mask] = f"{positions[prefix]},{last + 1}" if prefix else str(last + 1)
-            out.append((positions[mask], prefix, last))
+    # level s + 1 extends each s-subset, in order, by each position after its last one
+    level, out = [(str(i + 1), 0, i) for i in range(k)], []
+    while level:
+        out += level
+        level = [(f"{positions},{j + 1}", prefix | 1 << last, j)
+                 for positions, prefix, last in level for j in range(last + 1, k)]
     return out
 
 
@@ -160,12 +162,16 @@ Pair = tuple[int, int]  # (numerator, denominator) in lowest terms, denominator 
 
 
 def _add(x: Pair, y: Pair) -> Pair:
+    if x[1] == 1 == y[1]:
+        return x[0] + y[0], 1
     n, d = x[0] * y[1] + y[0] * x[1], x[1] * y[1]
     g = gcd(n, d)
     return n // g, d // g
 
 
 def _mul(x: Pair, y: Pair) -> Pair:
+    if x[1] == 1 == y[1]:
+        return x[0] * y[0], 1
     g, h = gcd(x[0], y[1]), gcd(y[0], x[1])
     return (x[0] // g) * (y[0] // h), (x[1] // h) * (y[1] // g)
 
@@ -186,7 +192,8 @@ def _pair_combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[
             if finite:
                 table[prefix | 1 << last] = value
             tag = block + positions
-            check_digits(max(value), f"combination {tag}")
+            if (top := max(value)) >= DIGIT_LIMIT:  # refused; the message is built only then
+                check_digits(top, f"combination {tag}")
             out.append((tag, value))
     return out
 
@@ -308,15 +315,15 @@ class SearchResult:
 
 
 def _colour_new(
-    colouring_id: str, keys: dict[Pair, str], values: Iterable[Pair]
+    colouring_id: str, keys: dict[Pair, str], values: dict[Pair, Rational]
 ) -> dict[Pair, str]:
     """``keys``, after colouring into it each of ``values`` that is not a key
-    yet, once and in first-seen order."""
+    yet, once and in first-seen order; the colouring gets the value's ``Fraction``."""
     # colouring_fn is looked up at call time so a rebound module attribute sees every call.
     fn = colouring_fn(colouring_id)
-    for v in values:
+    for v, x in values.items():
         if v not in keys:
-            keys[v] = colour_key(fn(Fraction(*v)))
+            keys[v] = colour_key(fn(x))
     return keys
 
 
@@ -349,8 +356,9 @@ class _PairGraph:
             if shade and (a := shade(total)) is not None and (b := shade(product)) is not None and a != b:
                 continue  # the shadows differ, so the keys do
             kept.append((i, j, total, product))
-        self.keys = keys = _colour_new(colouring_id, {}, itertools.chain(
+        seen = dict.fromkeys(itertools.chain(
             xs if self.finite else (), (v for _, _, total, product in kept for v in (total, product))))
+        self.keys = keys = _colour_new(colouring_id, {}, {v: Fraction(*v) for v in seen})
 
         self.adj: dict[tuple[str, int], int] = {}
         self.edges = [0] * len(xs)  # j > i whose pair sum and product share any key
@@ -364,7 +372,9 @@ class _PairGraph:
             self.singles[keys[x]] = self.singles.get(keys[x], 0) | 1 << j
 
     def key_of(self, v: Pair) -> str:
-        return self.keys[v] if v in self.keys else _colour_new(self.colouring_id, self.keys, (v,))[v]
+        if v not in self.keys:
+            _colour_new(self.colouring_id, self.keys, {v: Fraction(*v)})
+        return self.keys[v]
 
     def below(self, root: int) -> Iterator[list[int]]:
         """Monochromatic configurations with least element ``root``, in DFS preorder."""

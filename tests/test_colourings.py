@@ -11,6 +11,11 @@ from hypothesis import strategies as st
 
 from qcolour import core, digits, oracles, verify
 from qcolour.colourings import (
+    _NU_TUPLES,
+    _PHI_TUPLES,
+    NU_C1,
+    NU_C3mC4,
+    NU_C4mC1,
     PHI_ZERO,
     SHADOWS,
     AlphaBig,
@@ -387,6 +392,23 @@ class TestKeys:
             other = seen.setdefault(colour_key(v), v)
             assert other == v, (colour_key(v), other, v)
 
+
+    def test_interned_values_keep_their_keys(self):
+        # each interned value builds its key once, equal to the string formatted from its fields
+        for v in _PHI_TUPLES.values():
+            assert colour_key(v) == f"phi:t:{v.c1},{v.c2},{v.c3},{v.c4},{v.c5}"
+        for v in _NU_TUPLES.values():
+            assert colour_key(v) == f"nu:t:{v.w1},{v.w2},{v.w3},{v.w4},{v.w5}"
+        for v in (NU_C1, NU_C3mC4, NU_C4mC1, *(NuSpecial(cls) for cls in NuClass)):
+            assert colour_key(v) == f"nu:s:{v.cls.value}"
+        # the key is not a field: a value built directly is the interned one in all but identity
+        for direct, interned in ((NuTuple(0, 1, 2, 1, 1), _NU_TUPLES[0, 1, 2, 1, 1]),
+                                 (PhiTuple(0, 1, 1, 0, 1), _PHI_TUPLES[0, 1, 1, 0, 1]),
+                                 (NuSpecial(NuClass.C1), NU_C1)):
+            assert direct == interned and direct is not interned
+            assert hash(direct) == hash(interned)
+            assert repr(direct) == repr(interned)
+        assert repr(_NU_TUPLES[0, 1, 2, 1, 1]) == "NuTuple(w1=0, w2=1, w3=2, w4=1, w5=1)"
 
     def test_theta_key_matches_its_formula(self):
         # theta's key joins its components, and each pair colour's five bits ("z" when degenerate)

@@ -148,6 +148,8 @@ class TestCheck:
         assert set(seen) == {e.value for e in cert.combinations}
         # entries of equal value share one Fraction
         assert len({id(e.value) for e in cert.combinations}) == 4_297
+        # ... and it is the very object the kernel coloured
+        assert {id(x) for x in seen} == {id(e.value) for e in cert.combinations}
 
 
 class TestCertificateSerialization:
@@ -199,6 +201,15 @@ class TestCertificateSerialization:
     def test_from_obj_rejects_malformed(self):
         with pytest.raises(DomainError):
             Certificate.from_obj({"colouring": "nu"})
+        # a term or a combination value given as a JSON number, not a string
+        obj = check("nu", [Fraction(2), Fraction(4)], CombinationMode.PAIRWISE).to_obj()
+        numeric_term = {**obj, "sequence": [2, "4"]}
+        numeric_value = {**obj, "combinations": [{**obj["combinations"][0], "value": 6}]}
+        for bad in (numeric_term, numeric_value):
+            with pytest.raises(DomainError, match="not a positive rational"):
+                Certificate.from_obj(bad)
+            with pytest.raises(DomainError, match="not a positive rational"):
+                Certificate.from_json(json.dumps(bad))
 
 
 class TestUniverse:
