@@ -251,6 +251,17 @@ def theta(m: int) -> ThetaTuple:
     )
 
 
+def _nu_special(n: int, d: int) -> NuSpecial | None:
+    """nu's special class of n/d, in nu's order, or None: C1, C3 and C4 hold only dyadic rationals."""
+    if not is_power_of_two_int(d):
+        return None
+    if is_power_of_two_int(n):
+        return NU_C1
+    if one_run(n):  # before C3, so a value in both (3·2^k) gets C4∖C1
+        return NU_C4mC1
+    return NU_C3mC4 if two_ones(n) else None
+
+
 def nu(x: Rational) -> NuValue:
     """Five special classes, then the quintuple of interval indices.
 
@@ -261,14 +272,8 @@ def nu(x: Rational) -> NuValue:
     n, d = x.numerator, x.denominator
     if n < 1:
         raise DomainError(f"expected a positive rational, got {x}")
-    # C2 = {2^(k+1/2)} and C5 (the surd family) hold no rationals; C1, C3 and C4 only dyadic ones.
-    if is_power_of_two_int(d):
-        if is_power_of_two_int(n):
-            return NU_C1
-        if one_run(n):  # before C3, so a value in both (3·2^k) gets C4∖C1
-            return NU_C4mC1
-        if two_ones(n):
-            return NU_C3mC4
+    if (special := _nu_special(n, d)) is not None:
+        return special
     a, b, c = abc_exponents(n, d)
     nn, dd = n * n, d * d
     w1 = 0 if below_surd(nn, dd, a, a - 1) else 1  # the 2^(a+1/2) boundary
@@ -378,13 +383,8 @@ def _theta_shadow(n: int, d: int) -> Hashable | None:
 
 def _nu_shadow(n: int, d: int) -> Hashable:
     """nu's dyadic special class, or the (w1, phi(a)) components of its tuple."""
-    if is_power_of_two_int(d):
-        if is_power_of_two_int(n):
-            return NU_C1
-        if one_run(n):
-            return NU_C4mC1
-        if two_ones(n):
-            return NU_C3mC4
+    if (special := _nu_special(n, d)) is not None:
+        return special
     a = log2_floor(n, d)
     return below_surd(n * n, d * d, a, a - 1), phi(a)
 

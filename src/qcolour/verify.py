@@ -94,10 +94,15 @@ class Certificate:
         try:
             v = obj["verdict"]
             if "clash" in v:
-                verdict = Clash(first=int(v["clash"][0]), second=int(v["clash"][1]))
+                first, second = v["clash"][0], v["clash"][1]
+                if not all(type(i) is int for i in (first, second)):  # bool is no JSON integer
+                    raise ValueError(f"clash indices must be integers, got {v['clash']!r}")
+                verdict = Clash(first=first, second=second)
             else:
                 m = v["monochromatic"]
-                verdict = Monochromatic(key=m["key"], empty=bool(m["empty"]))
+                if type(m["empty"]) is not bool:
+                    raise ValueError(f"empty must be a boolean, got {m['empty']!r}")
+                verdict = Monochromatic(key=m["key"], empty=m["empty"])
             return Certificate(
                 colouring_id=obj["colouring"],
                 mode=CombinationMode(obj["mode"]),
@@ -223,7 +228,11 @@ def check(
     """
     pairs = _pair_combinations(xs, mode)
     values = {v: Fraction(*v) for v in dict.fromkeys(v for _, v in pairs)}
-    keys = _colour_new(colouring_id, {} if keys is None else keys, values)
+    fn = colouring_fn(colouring_id)  # read per call, so a rebound ``verify.colouring_fn`` sees every call
+    keys = {} if keys is None else keys
+    for v, x in values.items():  # first-seen order
+        if v not in keys:
+            keys[v] = colour_key(fn(x))
     entries = tuple(CombinationEntry(tag, values[v], keys[v]) for tag, v in pairs)
     first = entries[0].colour if entries else None
     clash_at = next((j for j, e in enumerate(entries) if e.colour != first), None)
@@ -314,29 +323,17 @@ class SearchResult:
         }
 
 
-def _colour_new(
-    colouring_id: str, keys: dict[Pair, str], values: dict[Pair, Rational]
-) -> dict[Pair, str]:
-    """``keys``, after colouring into it each of ``values`` that is not a key
-    yet, once and in first-seen order; the colouring gets the value's ``Fraction``."""
-    # colouring_fn is looked up at call time so a rebound module attribute sees every call.
-    fn = colouring_fn(colouring_id)
-    for v, x in values.items():
-        if v not in keys:
-            keys[v] = colour_key(fn(x))
-    return keys
-
-
 class _PairGraph:
     """The colour key of every value a search meets, and its pair masks by key.
 
-    Construction colours each pair's sum and product once (finite mode adds the
-    elements), in canonical order, into one ``value -> key`` dict, but skips a
-    pair whose two values have ``colourings.SHADOWS`` that differ: it is no
-    edge. ``adj[K, i]`` is the bitmask of the j > i whose pair sum and pair
-    product both have key K, so a pairwise-monochromatic configuration is a
-    clique of one key. Finite mode uses the masks as a necessary filter and
-    colours the sums and products of three or more terms as they are met.
+    Construction is one pass in canonical order: finite mode colours the
+    elements, then each pair's sum and product is coloured as the pair is met,
+    into one ``value -> key`` dict, unless the two values have
+    ``colourings.SHADOWS`` that differ: that pair is no edge. ``adj[K, i]`` is
+    the bitmask of the j > i whose pair sum and pair product both have key K, so
+    a pairwise-monochromatic configuration is a clique of one key. Finite mode
+    uses the masks as a necessary filter and colours the sums and products of
+    three or more terms as they are met.
     """
 
     def __init__(
@@ -345,35 +342,32 @@ class _PairGraph:
         elements: list[Rational],
         mode: CombinationMode,
     ):
-        self.colouring_id = colouring_id
+        # read from this module once per graph, so a rebound ``verify.colouring_fn`` sees every call
+        self.fn = colouring_fn(colouring_id)
+        self.keys: dict[Pair, str] = {}
         self.xs = xs = [(x.numerator, x.denominator) for x in elements]
         self.finite = mode is CombinationMode.FINITE_FSFP
+        key_of = self.key_of
+        self.singles: dict[str, int] = {}  # finite mode: the elements of each key
+        for j, x in enumerate(xs if self.finite else ()):
+            k = key_of(x)
+            self.singles[k] = self.singles.get(k, 0) | 1 << j
         shadow = SHADOWS.get(colouring_id)
         shade = functools.cache(lambda v: shadow(*v)) if shadow else None  # per distinct value
-        kept = []  # (i, j, sum, product) of each pair whose sum and product may share a key
+        self.adj: dict[tuple[str, int], int] = {}
+        self.edges = [0] * len(xs)  # j > i whose pair sum and product share any key
         for (i, x), (j, y) in itertools.combinations(enumerate(xs), 2):
             total, product = _add(x, y), _mul(x, y)
             if shade and (a := shade(total)) is not None and (b := shade(product)) is not None and a != b:
                 continue  # the shadows differ, so the keys do
-            kept.append((i, j, total, product))
-        seen = dict.fromkeys(itertools.chain(
-            xs if self.finite else (), (v for _, _, total, product in kept for v in (total, product))))
-        self.keys = keys = _colour_new(colouring_id, {}, {v: Fraction(*v) for v in seen})
-
-        self.adj: dict[tuple[str, int], int] = {}
-        self.edges = [0] * len(xs)  # j > i whose pair sum and product share any key
-        for i, j, total, product in kept:
-            k = keys[total]
-            if k == keys[product]:
+            if (k := key_of(total)) == key_of(product):
                 self.adj[k, i] = self.adj.get((k, i), 0) | 1 << j
                 self.edges[i] |= 1 << j
-        self.singles: dict[str, int] = {}  # finite mode: the elements of each key
-        for j, x in enumerate(xs if self.finite else ()):
-            self.singles[keys[x]] = self.singles.get(keys[x], 0) | 1 << j
 
     def key_of(self, v: Pair) -> str:
+        """The colour key of ``v``, coloured the first time it is met."""
         if v not in self.keys:
-            _colour_new(self.colouring_id, self.keys, {v: Fraction(*v)})
+            self.keys[v] = colour_key(self.fn(Fraction(*v)))
         return self.keys[v]
 
     def below(self, root: int) -> Iterator[list[int]]:
@@ -391,6 +385,8 @@ class _PairGraph:
         ``sums``/``prods`` are finite mode's sums and products over the
         prefix's nonempty subsets."""
         yield prefix
+        if self.finite and len(prefix) == FINITE_TERM_CAP:
+            return  # ``check`` refuses a longer configuration, and each term doubles ``sums``
         xs = self.xs
         while cand:
             low = cand & -cand
@@ -426,10 +422,12 @@ def search(
 ) -> SearchResult:
     """Bounded DFS for monochromatic configurations over the universe.
 
-    Pair sums and products are coloured once, up front, unless their shadows
-    rule the pair out (see ``_PairGraph``). Extensions only move forward in
-    canonical order, so every subset is visited at most once, and ``nodes``
-    counts the configurations visited. The node budget is split statically across root elements
+    Pair sums and products are coloured once, in one pass before the DFS,
+    unless their shadows rule the pair out (see ``_PairGraph``). Extensions only
+    move forward in canonical order, so every subset is visited at most once,
+    and ``nodes`` counts the configurations visited. Finite mode extends no
+    configuration past ``FINITE_TERM_CAP`` terms, so ``max_size`` is at most 16
+    there. The node budget is split statically across root elements
     (remainder to the earliest roots); that split defines the pinned ``nodes``
     and which certificates appear, in which order, when the budget runs out.
     ``workers`` is validated and otherwise ignored.

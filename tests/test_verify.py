@@ -211,6 +211,21 @@ class TestCertificateSerialization:
             with pytest.raises(DomainError, match="not a positive rational"):
                 Certificate.from_json(json.dumps(bad))
 
+    @pytest.mark.parametrize("colouring, verdict", [
+        ("nu", {"clash": [0, 1.9]}),
+        ("nu", {"clash": ["0", True]}),
+        ("const", {"monochromatic": {"key": "const", "empty": 0}}),
+        ("const", {"monochromatic": {"key": "const", "empty": []}}),
+    ], ids=["float-index", "string-and-bool-index", "empty-0", "empty-list"])
+    def test_from_obj_refuses_a_verdict_it_would_coerce(self, colouring, verdict):
+        obj = check(colouring, [Fraction(2), Fraction(4)], CombinationMode.PAIRWISE).to_obj()
+        assert obj["verdict"].keys() == verdict.keys()  # only the one field is tampered
+        bad = {**obj, "verdict": verdict}
+        with pytest.raises(DomainError, match="malformed certificate object"):
+            Certificate.from_obj(bad)
+        with pytest.raises(DomainError, match="malformed certificate object"):
+            Certificate.from_json(json.dumps(bad))
+
 
 class TestUniverse:
     def test_enumeration_order(self):
@@ -278,19 +293,20 @@ NU_UNIVERSE = UniverseSpec(numerator_bound=10, denominator_bound=4)
 
 
 def _gated_values(colouring, elements, mode):
-    """The values a search colours up front: each pair's sum and product unless
-    both have a shadow and the two differ; finite mode adds the elements."""
+    """The values a search colours up front, in the order it colours them: finite
+    mode's elements, then each pair's sum and product unless both have a shadow
+    and the two differ, each value where it is first met."""
     shadow = SHADOWS.get(colouring, lambda n, d: None)
 
     def shade(v):
         return shadow(v.numerator, v.denominator)
 
-    out = set(elements) if mode is CombinationMode.FINITE_FSFP else set()
+    out = list(elements) if mode is CombinationMode.FINITE_FSFP else []
     for x, y in itertools.combinations(elements, 2):
         s, p = shade(x + y), shade(x * y)
         if s is None or p is None or s == p:
-            out |= {x + y, x * y}
-    return out
+            out += [x + y, x * y]
+    return list(dict.fromkeys(out))
 
 
 def _ungated_graph(colouring, elements, mode):
@@ -429,6 +445,31 @@ class TestSearch:
         assert (graph.adj, graph.edges, graph.singles) == _ungated_graph(colouring, elements, mode)
         assert set(graph.keys) == {(v.numerator, v.denominator)
                                    for v in _gated_values(colouring, elements, mode)}
+
+    @pytest.mark.parametrize("colouring, universe, mode", [
+        ("nu", NU_UNIVERSE, CombinationMode.PAIRWISE),
+        ("alpha", UniverseSpec(16, 8, 2), CombinationMode.FINITE_FSFP),
+    ], ids=["pairwise", "finite"])
+    def test_graph_colours_in_first_seen_order(self, monkeypatch, colouring, universe, mode):
+        # the order decides which value's DomainError a search reports
+        real = verify.colouring_fn
+        seen = []
+
+        def counting(colouring_id):
+            fn = real(colouring_id)
+            return lambda x: seen.append(x) or fn(x)
+
+        monkeypatch.setattr(verify, "colouring_fn", counting)
+        elements = universe.elements()
+        verify._PairGraph(colouring, elements, mode)
+        assert seen == _gated_values(colouring, elements, mode)
+
+    def test_finite_configurations_stop_at_the_term_cap(self):
+        # every subset is monochromatic under const, so the first root's 17 nodes run straight
+        # down: without the cap the 17th would be all 17 terms, which check refuses
+        res = search("const", UniverseSpec(17, integers_only=True), CombinationMode.FINITE_FSFP,
+                     target_size=3, budget=17 * 17, workers=1)
+        assert (res.max_size, res.nodes, res.exhausted) == (verify.FINITE_TERM_CAP, 235, False)
 
     def test_colouring_loads_no_process_machinery(self):
         # a search and a check that colour over 7,169 distinct values each, in a fresh
