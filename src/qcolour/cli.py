@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 
@@ -29,13 +28,9 @@ from .core import MAX_DIGITS, parse_rational, primorial
 from .digits import expand
 from .errors import BudgetExhaustedError, DomainError
 from .verify import (
-    CombinationMode, UniverseSpec, check, check_term_count, property_suite, search, term_cap,
+    CombinationMode, UniverseSpec, check, check_term_count, json_text, property_suite, search,
+    term_cap,
 )
-
-
-def _emit(obj: dict, pretty: bool) -> None:
-    text = json.dumps(obj, indent=2) if pretty else json.dumps(obj, separators=(",", ":"))
-    print(text, flush=True)  # a closed pipe fails here, inside main
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -97,41 +92,38 @@ def _read_sequence(path: str | None, mode: CombinationMode) -> list[str]:
     return out
 
 
-def _cmd_colour(args: argparse.Namespace) -> int:
+# Each command returns its JSON object and its exit code; ``main`` writes the object.
+Outcome = tuple[dict, int]
+
+
+def _cmd_colour(args: argparse.Namespace) -> Outcome:
     value = _colour_one(args.colouring, args.value)
-    _emit({"input": args.value, "colour": colour_key(value)}, args.pretty)
-    return 0
+    return {"input": args.value, "colour": colour_key(value)}, 0
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args: argparse.Namespace) -> Outcome:
     x = parse_rational(args.value)
     n = args.prime_index
     exp = expand(x, n)
     digits = sorted(exp.digits.items(), reverse=True)
-    _emit(
-        {
-            "input": args.value,
-            "base_index": n,
-            "base": primorial(n),
-            "digits": [[pos, digit] for pos, digit in digits],
-            "leading": exp.leading(),
-            "trailing": exp.trailing(),
-            "positional": exp.positional(),
-        },
-        args.pretty,
-    )
-    return 0
+    return {
+        "input": args.value,
+        "base_index": n,
+        "base": primorial(n),
+        "digits": [[pos, digit] for pos, digit in digits],
+        "leading": exp.leading(),
+        "trailing": exp.trailing(),
+        "positional": exp.positional(),
+    }, 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> Outcome:
     mode = CombinationMode(args.mode)
     texts = _read_sequence(args.file, mode)
-    cert = check(args.colouring, [parse_rational(t) for t in texts], mode)
-    _emit(cert.to_obj(), args.pretty)
-    return 0
+    return check(args.colouring, [parse_rational(t) for t in texts], mode).to_obj(), 0
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> Outcome:
     universe = UniverseSpec(
         numerator_bound=args.numerator_bound,
         denominator_bound=args.denominator_bound,
@@ -146,20 +138,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
         budget=args.budget,
         workers=args.workers,
     )
-    _emit(result.to_obj(), args.pretty)
-    return 0 if result.exhausted else 3
+    return result.to_obj(), 0 if result.exhausted else 3
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    result = extend_sum_closed(args.terms, args.budget)
-    _emit(result.to_obj(), args.pretty)
-    return 0
+def _cmd_construct(args: argparse.Namespace) -> Outcome:
+    return extend_sum_closed(args.terms, args.budget).to_obj(), 0
 
 
-def _cmd_properties(args: argparse.Namespace) -> int:
-    report = property_suite(args.seed, args.samples)
-    _emit(report.to_obj(), args.pretty)
-    return 0
+def _cmd_properties(args: argparse.Namespace) -> Outcome:
+    return property_suite(args.seed, args.samples).to_obj(), 0
 
 
 @functools.cache  # built once per process
@@ -222,13 +209,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         try:
-            return args.fn(args)
+            obj, code = args.fn(args)
         except BudgetExhaustedError as exc:
-            _emit(
-                {"budget_exhausted": {"message": str(exc), "best_depth": exc.best_depth}},
-                args.pretty,
-            )
-            return 3
+            obj, code = {"budget_exhausted": {"message": str(exc), "best_depth": exc.best_depth}}, 3
+        print(json_text(obj, args.pretty), flush=True)  # a closed pipe fails here
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from .colourings import SHADOWS, colour_key, colouring_fn
 from .core import (
     DIGIT_LIMIT, PrimeTable, Rational, check_digits, is_dyadic, iter_primes, parse_rational, primorial,
 )
-from .digits import end2, expand, start2
+from .digits import DigitExpansion, end2, expand, start2
 from .errors import DomainError
 
 
@@ -66,6 +66,21 @@ class CombinationEntry:
         return {"tag": self.tag, "value": str(self.value), "colour": self.colour}
 
 
+_JSON_NAMES = {bool: "boolean", int: "integer", str: "string", list: "array"}
+
+
+def _json_typed(value: Any, kind: type, what: str) -> Any:
+    """``value`` if its JSON type is ``kind``, else ValueError; a boolean is no integer."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def json_text(obj: dict, pretty: bool = False) -> str:
+    """One line of compact JSON, or ``pretty``: indented by two, the same keys in the same order."""
+    return json.dumps(obj, indent=2) if pretty else json.dumps(obj, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class Certificate:
     colouring_id: str
@@ -84,9 +99,7 @@ class Certificate:
         }
 
     def to_json(self, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.to_obj(), indent=2)
-        return json.dumps(self.to_obj(), separators=(",", ":"))
+        return json_text(self.to_obj(), pretty)
 
     @staticmethod
     def from_obj(obj: dict) -> "Certificate":
@@ -95,21 +108,21 @@ class Certificate:
             v = obj["verdict"]
             if "clash" in v:
                 first, second = v["clash"][0], v["clash"][1]
-                if not all(type(i) is int for i in (first, second)):  # bool is no JSON integer
-                    raise ValueError(f"clash indices must be integers, got {v['clash']!r}")
-                verdict = Clash(first=first, second=second)
+                verdict = Clash(_json_typed(first, int, "a clash index"),
+                                _json_typed(second, int, "a clash index"))
             else:
                 m = v["monochromatic"]
-                if type(m["empty"]) is not bool:
-                    raise ValueError(f"empty must be a boolean, got {m['empty']!r}")
-                verdict = Monochromatic(key=m["key"], empty=m["empty"])
+                verdict = Monochromatic(key=m["key"], empty=_json_typed(m["empty"], bool, "empty"))
             return Certificate(
-                colouring_id=obj["colouring"],
+                colouring_id=_json_typed(obj["colouring"], str, "colouring"),
                 mode=CombinationMode(obj["mode"]),
-                sequence=tuple(parse_rational(s) for s in obj["sequence"]),
+                sequence=tuple(map(parse_rational, _json_typed(obj["sequence"], list, "sequence"))),
                 combinations=tuple(
-                    CombinationEntry(c["tag"], parse_rational(c["value"]), c["colour"])
-                    for c in obj["combinations"]
+                    CombinationEntry(
+                        _json_typed(c["tag"], str, "a tag"), parse_rational(c["value"]),
+                        _json_typed(c["colour"], str, "a colour"),
+                    )
+                    for c in _json_typed(obj["combinations"], list, "combinations")
                 ),
                 verdict=verdict,
             )
@@ -545,126 +558,98 @@ def _random_support(rng: random.Random, positions: list[int]) -> int:
     return sum(1 << p for p in chosen)
 
 
-def _random_terminating(rng: random.Random, base: int) -> Rational:
-    """Random x > 0 whose base-``base`` expansion terminates, via random digits."""
-    x = Fraction(0)
-    positions = rng.sample(range(-4, 5), rng.randint(1, 4))
-    for pos in positions:
-        x += rng.randint(1, base - 1) * Fraction(base) ** pos
-    return x
+def _random_digits(rng: random.Random, t: int) -> dict[int, int]:
+    """Nonzero base-P_t digits at one to four distinct positions in [-4, 4]."""
+    base = primorial(t)
+    return {pos: rng.randint(1, base - 1) for pos in rng.sample(range(-4, 5), rng.randint(1, 4))}
+
+
+def _disjoint_sum(rng: random.Random) -> str | None:
+    pool = list(range(0, 40))
+    rng.shuffle(pool)
+    cut = rng.randint(1, len(pool) - 1)
+    a = _random_support(rng, pool[:cut])
+    b = _random_support(rng, pool[cut:])
+    ok = end2(a + b) == min(end2(a), end2(b)) and start2(a + b) == max(start2(a), start2(b))
+    return None if ok else f"a={a} b={b}"
+
+
+def _product_end(rng: random.Random) -> str | None:
+    a, b = rng.randint(1, 1 << 30), rng.randint(1, 1 << 30)
+    return None if end2(a * b) == end2(a) + end2(b) else f"a={a} b={b}"
+
+
+def _product_start(rng: random.Random) -> str | None:
+    a, b = rng.randint(1, 1 << 30), rng.randint(1, 1 << 30)
+    return None if start2(a * b) - (start2(a) + start2(b)) in (0, 1) else f"a={a} b={b}"
+
+
+def _carry(rng: random.Random) -> str | None:
+    i = rng.randint(0, 20)
+    # both end at i with a zero digit right above it
+    a = (1 << i) + _random_support(rng, list(range(i + 2, i + 24)))
+    b = (1 << i) + _random_support(rng, list(range(i + 2, i + 24)))
+    return None if end2(a + b) == i + 1 else f"a={a} b={b}"
+
+
+def _primorial_end(rng: random.Random) -> str | None:
+    t = rng.randint(1, 3)
+    dx, dy = _random_digits(rng, t), _random_digits(rng, t)
+    # equal last digits d: P_t is squarefree, so d·d is no multiple of it
+    dy[min(dy)] = dx[min(dx)]
+    x, y = DigitExpansion(t, dx).value(), DigitExpansion(t, dy).value()
+    ok = expand(x * y, t).trailing() == expand(x, t).trailing() + expand(y, t).trailing()
+    return None if ok else f"t={t} x={x} y={y}"
+
+
+def _primorial_start(rng: random.Random) -> str | None:
+    t = rng.randint(1, 3)
+    base = primorial(t)
+    x = DigitExpansion(t, _random_digits(rng, t)).value()
+    y = DigitExpansion(t, _random_digits(rng, t)).value()
+    sx, sy = expand(x, t).leading(), expand(y, t).leading()
+    mx, my = x / Fraction(base) ** sx, y / Fraction(base) ** sy  # the mantissas, in [1, P_t)
+    # the product's leading position rises by 0 when both mantissas are below √P_t, by 1
+    # when both are above, and by either when one is each (none is equal: P_t is squarefree)
+    ok = expand(x * y, t).leading() - sx - sy in {mx * mx > base, my * my > base}
+    return None if ok else f"t={t} x={x} y={y}"
+
+
+def _c3_closure(rng: random.Random) -> str | None:
+    while (triple := c3_triple(rng)) is None:
+        pass  # redraw until the side conditions hold, so every sample is tested
+    alpha_, beta_, gamma_, x, y, z = triple
+    ok = all(v > 0 and is_dyadic(v) for v in (x, y, z))
+    return None if ok else f"alpha={alpha_} beta={beta_} gamma={gamma_}"
+
+
+#: (name, law) in report order; a law draws one sample from its generator and returns
+#: None when the sample meets it, else the counterexample.
+_LAWS: tuple[tuple[str, Callable[[random.Random], str | None]], ...] = (
+    ("disjoint-support-sum", _disjoint_sum),
+    ("binary-product-end", _product_end),
+    ("binary-product-start", _product_start),
+    ("same-end-carry", _carry),
+    ("primorial-product-end", _primorial_end),
+    ("primorial-product-start", _primorial_start),
+    ("c3-dyadic-closure", _c3_closure),
+)
 
 
 def property_suite(seed: int, sample_count: int) -> PropertyReport:
     """Seeded randomized checks of the digit-arithmetic laws.
 
-    The laws call this module's ``end2``, ``start2`` and ``expand``, so a
-    fault-injection test patches those names here.
+    Each law draws its samples from ``random.Random(f"{seed}:{name}")`` and stops at
+    its first counterexample. The laws call this module's ``end2``, ``start2``,
+    ``expand`` and ``is_dyadic``, so a fault-injection test patches those names here.
     """
     if sample_count < 1:
         raise DomainError(f"sample count must be >= 1, got {sample_count}")
-
-    def last_digit(x: Rational, n: int) -> tuple[int, int]:
-        digits = expand(x, n).digits
-        pos = min(digits)
-        return pos, digits[pos]
-
-    def lead_pos(x: Rational, n: int) -> int:
-        return max(expand(x, n).digits)
-
-    laws: list[LawResult] = []
-
-    def run(name: str, one_sample: Callable[[random.Random], str | None]) -> None:
+    laws = []
+    for name, law in _LAWS:
         rng = random.Random(f"{seed}:{name}")
-        witness = None
-        for _ in range(sample_count):
-            witness = one_sample(rng)
-            if witness is not None:
-                break
-        laws.append(
-            LawResult(
-                name=name,
-                samples=sample_count,
-                passed=witness is None,
-                counterexample=witness,
-            )
-        )
-
-    def disjoint_sum(rng: random.Random) -> str | None:
-        pool = list(range(0, 40))
-        rng.shuffle(pool)
-        cut = rng.randint(1, len(pool) - 1)
-        a = _random_support(rng, pool[:cut])
-        b = _random_support(rng, pool[cut:])
-        ok = (
-            end2(a + b) == min(end2(a), end2(b))
-            and start2(a + b) == max(start2(a), start2(b))
-        )
-        return None if ok else f"a={a} b={b}"
-
-    def product_end(rng: random.Random) -> str | None:
-        a, b = rng.randint(1, 1 << 30), rng.randint(1, 1 << 30)
-        ok = end2(a * b) == end2(a) + end2(b)
-        return None if ok else f"a={a} b={b}"
-
-    def product_start(rng: random.Random) -> str | None:
-        a, b = rng.randint(1, 1 << 30), rng.randint(1, 1 << 30)
-        lift = start2(a * b) - (start2(a) + start2(b))
-        return None if lift in (0, 1) else f"a={a} b={b}"
-
-    def carry(rng: random.Random) -> str | None:
-        i = rng.randint(0, 20)
-        # both end at i with a zero digit right above it
-        a = (1 << i) + (_random_support(rng, list(range(i + 2, i + 24))))
-        b = (1 << i) + (_random_support(rng, list(range(i + 2, i + 24))))
-        ok = end2(a + b) == i + 1
-        return None if ok else f"a={a} b={b}"
-
-    def primorial_end(rng: random.Random) -> str | None:
-        t = rng.randint(1, 3)
-        base = primorial(t)
-        for _ in range(200):
-            x = _random_terminating(rng, base)
-            y = _random_terminating(rng, base)
-            if last_digit(x, t)[1] == last_digit(y, t)[1]:
-                break
-        else:
-            return None
-        ex, ey = last_digit(x, t)[0], last_digit(y, t)[0]
-        ok = last_digit(x * y, t)[0] == ex + ey
-        return None if ok else f"t={t} x={x} y={y}"
-
-    def primorial_start(rng: random.Random) -> str | None:
-        t = rng.randint(1, 3)
-        base = primorial(t)
-        x = _random_terminating(rng, base)
-        y = _random_terminating(rng, base)
-        sx, sy = lead_pos(x, t), lead_pos(y, t)
-        mx = x / Fraction(base) ** sx
-        my = y / Fraction(base) ** sy
-        s_prod = lead_pos(x * y, t)
-        if mx * mx < base and my * my < base:
-            ok = s_prod == sx + sy
-        elif mx * mx > base and my * my > base:
-            ok = s_prod == sx + sy + 1
-        else:
-            ok = s_prod in (sx + sy, sx + sy + 1)
-        return None if ok else f"t={t} x={x} y={y}"
-
-    def c3_closure(rng: random.Random) -> str | None:
-        triple = c3_triple(rng)
-        if triple is None:
-            return None
-        alpha_, beta_, gamma_, x, y, z = triple
-        ok = all(v > 0 and is_dyadic(v) for v in (x, y, z))
-        return None if ok else f"alpha={alpha_} beta={beta_} gamma={gamma_}"
-
-    run("disjoint-support-sum", disjoint_sum)
-    run("binary-product-end", product_end)
-    run("binary-product-start", product_start)
-    run("same-end-carry", carry)
-    run("primorial-product-end", primorial_end)
-    run("primorial-product-start", primorial_start)
-    run("c3-dyadic-closure", c3_closure)
+        witness = next(filter(None, (law(rng) for _ in range(sample_count))), None)
+        laws.append(LawResult(name, sample_count, witness is None, witness))
     return PropertyReport(seed=seed, samples=sample_count, laws=tuple(laws))
 
 
@@ -677,15 +662,13 @@ def c3_triple(
     or None when the draw fails the positivity/distinctness side conditions.
     """
 
-    def c3_element() -> Rational:
+    def c3_element() -> int:  # 2^k + 2^l times 2^13, so an integer
         k = rng.randint(-12, 12)
         l = rng.randint(-12, k - 1) if k > -12 else k - 1
-        return Fraction(2) ** k + Fraction(2) ** l
+        return (1 << k + 13) + (1 << l + 13)
 
-    alpha_, beta_, gamma_ = c3_element(), c3_element(), c3_element()
-    x = (alpha_ + beta_ - gamma_) / 2
-    y = (alpha_ - beta_ + gamma_) / 2
-    z = (-alpha_ + beta_ + gamma_) / 2
-    if x <= 0 or y <= 0 or z <= 0 or len({x, y, z}) != 3:
+    a, b, g = c3_element(), c3_element(), c3_element()
+    halves = (a + b - g, a - b + g, -a + b + g)  # x, y, z times 2^14
+    if min(halves) <= 0 or len(set(halves)) != 3:
         return None
-    return alpha_, beta_, gamma_, x, y, z
+    return (*(Fraction(v, 1 << 13) for v in (a, b, g)), *(Fraction(v, 1 << 14) for v in halves))

@@ -210,6 +210,21 @@ class TestCertificateSerialization:
                 Certificate.from_obj(bad)
             with pytest.raises(DomainError, match="not a positive rational"):
                 Certificate.from_json(json.dumps(bad))
+        # a string is no list of terms ("24" would read as 2, 4) or of combinations, and a
+        # colouring, tag or colour must be a JSON string
+        wrong_types = [
+            {**obj, "sequence": "24"},
+            {**obj, "combinations": ""},
+            {**obj, "colouring": ["nu"]},
+            {**obj, "combinations": [{**obj["combinations"][0], "tag": 1}, *obj["combinations"][1:]]},
+            {**obj, "combinations": [{**obj["combinations"][0], "colour": ["nu:s:C1"]},
+                                     *obj["combinations"][1:]]},
+        ]
+        for bad in wrong_types:
+            with pytest.raises(DomainError, match="malformed certificate object"):
+                Certificate.from_obj(bad)
+            with pytest.raises(DomainError, match="malformed certificate object"):
+                Certificate.from_json(json.dumps(bad))
 
     @pytest.mark.parametrize("colouring, verdict", [
         ("nu", {"clash": [0, 1.9]}),
@@ -581,6 +596,14 @@ class TestPropertySuite:
         failed = {law.name for law in report.laws if not law.passed}
         assert "primorial-product-end" in failed
         assert "binary-product-end" not in failed
+
+    def test_non_dyadic_half_sums_are_caught(self, monkeypatch):
+        # the law redraws until a triple meets its side conditions, so one sample is tested
+        monkeypatch.setattr(verify, "is_dyadic", lambda x: False)
+        report = property_suite(seed=1, sample_count=1)
+        failed = [law for law in report.laws if not law.passed]
+        assert [law.name for law in failed] == ["c3-dyadic-closure"]
+        assert failed[0].counterexample.startswith("alpha=")
 
     def test_sample_count_validated(self):
         with pytest.raises(DomainError):
