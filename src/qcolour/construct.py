@@ -275,17 +275,17 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
     best_depth = 1
 
     def extend(level: int, sums: list[Rational], products: list[Rational], zone: set[int]):
-        """``sums`` and ``products`` hold every nonempty subset sum and product of the
-        accepted terms, and ``zone`` every subset sum of their |a|-exponents n, 0
-        included; the first two are returned once all m terms are in, else None."""
+        """``sums`` and ``products`` hold every subset sum and product of the accepted terms,
+        by bitmask, the empty one (0 and 1) first, and ``zone`` every subset sum of their
+        |a|-exponents n; the first two are returned once all m terms are in, else None."""
         nonlocal best_depth
         if level > m:
             return sums, products
         last = levels[-1]
-        for s in sums:
+        for s in sums[1:]:
             if s not in radii:
                 radii[s] = openness_radius(s).radius
-        bound = min(min(radii[s] for s in sums), last.y) / 2
+        bound = min(min(radii[s] for s in sums[1:]), last.y) / 2
         first_pos = max(last.block) + 1
         pool = [(t, base_primes[t - 1]) for t in range(first_pos, pool_size + 1)]
         weight = sum(math.log2(p) for _, p in pool)
@@ -302,17 +302,15 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
                         y = Fraction(1, prod)
                         if y >= bound:
                             continue
-                        if colour_key(nu(y)) != target:
+                        if any(colour_key(nu(p * y)) != target for p in products):  # y itself first
                             continue
-                        if any(colour_key(nu(p * y)) != target for p in products):
-                            continue
-                        new_sums = [y] + [s + y for s in sums]
+                        new_sums = [s + y for s in sums]
                         for s in new_sums:
                             if colour_key(nu(s)) != target:
                                 raise InternalInvariantError(f"sum {s} left the target class")
                         levels.append(_Level(block=block, y=y, n=n, j=j))
                         best_depth = max(best_depth, level)
-                        new_products = [y] + [p * y for p in products]
+                        new_products = [p * y for p in products]
                         new_zone = zone | {s + n for s in zone}
                         if found := extend(level + 1, sums + new_sums, products + new_products, new_zone):
                             return found
@@ -321,7 +319,7 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
         return None
 
     try:
-        found = extend(2, [y1], [y1], {0, 2})
+        found = extend(2, [0, y1], [1, y1], {0, 2})
     except BudgetExhaustedError as exc:
         raise BudgetExhaustedError(
             f"search budget exhausted at depth {best_depth}", best_depth=best_depth
@@ -337,10 +335,10 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
         base_indices=tuple(indices[:max_pos]),
         blocks=tuple(lv.block for lv in levels),
     )
-    keys, blocks = {}, 1  # μ keys without a walk: found[i][2^t − 1 : 2^(t+1) − 1] end in term t
+    keys, blocks = {}, 1  # μ keys without a walk: found[i][2^t : 2^(t+1)] end in term t
     for t, lv in enumerate(levels):
         blocks *= lv.y.denominator  # D_t: squarefree, its largest prime p_k at the block's last position
-        for v in found[0][2**t - 1 : 2 ** (t + 1) - 1] + found[1][2**t - 1 : 2 ** (t + 1) - 1]:
+        for v in found[0][2**t : 2 ** (t + 1)] + found[1][2**t : 2 ** (t + 1)]:
             keys[v.numerator, v.denominator] = _block_key(v, blocks, indices[max(lv.block) - 1])
     certificate = check("mu", ys, CombinationMode.FINITE_FSFP, keys=keys)
     if not isinstance(certificate.verdict, Monochromatic):

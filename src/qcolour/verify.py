@@ -105,14 +105,15 @@ class Certificate:
     def from_obj(obj: dict) -> "Certificate":
         verdict: Verdict
         try:
-            v = obj["verdict"]
-            if "clash" in v:
-                first, second = v["clash"][0], v["clash"][1]
-                verdict = Clash(_json_typed(first, int, "a clash index"),
-                                _json_typed(second, int, "a clash index"))
-            else:
-                m = v["monochromatic"]
-                verdict = Monochromatic(key=m["key"], empty=_json_typed(m["empty"], bool, "empty"))
+            match v := obj["verdict"]:
+                case {"clash": [first, second]} if len(v) == 1:
+                    verdict = Clash(_json_typed(first, int, "a clash index"),
+                                    _json_typed(second, int, "a clash index"))
+                case {"monochromatic": {"key": key, "empty": empty}} if len(v) == 1:
+                    verdict = Monochromatic(key, _json_typed(empty, bool, "empty"))
+                case _:
+                    raise ValueError('a verdict must be {"clash": [first, second]} or {"monochromatic":'
+                                     f' {{"key": key, "empty": empty}}}}, got {v!r}')
             return Certificate(
                 colouring_id=_json_typed(obj["colouring"], str, "colouring"),
                 mode=CombinationMode(obj["mode"]),
@@ -126,7 +127,7 @@ class Certificate:
                 ),
                 verdict=verdict,
             )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed certificate object: {exc}") from exc
 
     @staticmethod
@@ -141,8 +142,8 @@ class Certificate:
 def _steps(k: int, mode: CombinationMode) -> list[tuple[str, int, int]]:
     """(positions, prefix, last) of each subset in (size, positions) order, where
     ``positions`` is the tag body, e.g. "1,3". Pairwise, ``prefix`` is the first
-    position; finite, it is the bitmask of the subset without its last position
-    (0 for a singleton), which comes earlier in this order."""
+    position; finite, it is the bitmask of the subset without its last position,
+    which is 0, the empty subset, for a singleton and else comes earlier in this order."""
     if mode is CombinationMode.PAIRWISE:
         return [(f"{i + 1},{j + 1}", i, j) for i, j in itertools.combinations(range(k), 2)]
     # level s + 1 extends each s-subset, in order, by each position after its last one
@@ -177,6 +178,7 @@ def check_term_count(count: int, mode: CombinationMode) -> None:
 
 
 Pair = tuple[int, int]  # (numerator, denominator) in lowest terms, denominator > 0
+EMPTY_SUM, EMPTY_PRODUCT = (0, 1), (1, 1)  # the empty subset's, index 0 of every subset closure
 
 
 def _add(x: Pair, y: Pair) -> Pair:
@@ -203,10 +205,10 @@ def _pair_combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[
     terms = [(x.numerator, x.denominator) for x in xs]
     steps = _steps(len(xs), mode)
     out = []
-    for block, op in (("s:", _add), ("p:", _mul)):
-        table = [(0, 1)] * (1 << len(xs)) if finite else terms
+    for block, op, empty in (("s:", _add, EMPTY_SUM), ("p:", _mul, EMPTY_PRODUCT)):
+        table = [empty] * (1 << len(xs)) if finite else terms
         for positions, prefix, last in steps:
-            value = terms[last] if finite and not prefix else op(table[prefix], terms[last])
+            value = op(table[prefix], terms[last])
             if finite:
                 table[prefix | 1 << last] = value
             tag = block + positions
@@ -220,9 +222,10 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
     """All (tag, value) pairs for the mode, sums block first, then products.
 
     Subsets are ordered by (size, positions); tags are 1-based, e.g. "s:1,3".
-    Each value of two or more terms is one exact ``+`` or ``·`` of its prefix
-    subset's value with its last term. A value too long to print (see
-    ``core.MAX_DIGITS``) is refused as it is produced, so no operand is longer.
+    Each value is one exact ``+`` or ``·`` of its prefix subset's value (a singleton's is
+    the empty one, of sum 0 and product 1) with its last term, so k terms in finite mode
+    take 2·(2^k − 1) operations. A value too long to print (see ``core.MAX_DIGITS``) is
+    refused as it is produced, so no operand is longer.
     """
     return [(tag, Fraction(*value)) for tag, value in _pair_combinations(xs, mode)]
 
@@ -389,14 +392,15 @@ class _PairGraph:
             return self._extend([root], self.edges[root], None, [], [])
         x = self.xs[root]
         k = self.keys[x]
-        return self._extend([root], self.adj.get((k, root), 0) & self.singles[k], k, [x], [x])
+        cand = self.adj.get((k, root), 0) & self.singles[k]
+        return self._extend([root], cand, k, [EMPTY_SUM, x], [EMPTY_PRODUCT, x])
 
     def _extend(
         self, prefix: list[int], cand: int, key: str | None, sums: list[Pair], prods: list[Pair]
     ) -> Iterator[list[int]]:
         """``cand`` holds the j > prefix[-1] in the pair masks of every member;
-        ``sums``/``prods`` are finite mode's sums and products over the
-        prefix's nonempty subsets."""
+        ``sums``/``prods`` are finite mode's sums and products over every subset
+        of the prefix, indexed by bitmask, the empty one first."""
         yield prefix
         if self.finite and len(prefix) == FINITE_TERM_CAP:
             return  # ``check`` refuses a longer configuration, and each term doubles ``sums``
@@ -418,11 +422,9 @@ class _PairGraph:
             x = xs[j]
             new_sums = [_add(t, x) for t in sums]
             new_prods = [_mul(t, x) for t in prods]
-            # the pair values with x are coloured already, and the masks fix their key
+            # x and its pair values are coloured already, and the masks fix their key
             if all(self.key_of(v) == key for v in itertools.chain(new_sums, new_prods)):
-                yield from self._extend(
-                    prefix + [j], child, key, sums + [x] + new_sums, prods + [x] + new_prods
-                )
+                yield from self._extend(prefix + [j], child, key, sums + new_sums, prods + new_prods)
 
 
 def search(
@@ -438,12 +440,13 @@ def search(
     Pair sums and products are coloured once, in one pass before the DFS,
     unless their shadows rule the pair out (see ``_PairGraph``). Extensions only
     move forward in canonical order, so every subset is visited at most once,
-    and ``nodes`` counts the configurations visited. Finite mode extends no
-    configuration past ``FINITE_TERM_CAP`` terms, so ``max_size`` is at most 16
-    there. The node budget is split statically across root elements
-    (remainder to the earliest roots); that split defines the pinned ``nodes``
-    and which certificates appear, in which order, when the budget runs out.
-    ``workers`` is validated and otherwise ignored.
+    and ``nodes`` counts the configurations visited. A target above ``term_cap``
+    is refused before the universe is listed. Finite mode extends no configuration
+    past ``FINITE_TERM_CAP`` terms, so ``max_size`` is at most 16 there. The node
+    budget is split statically across root elements (remainder to the earliest
+    roots); that split defines the pinned ``nodes`` and which certificates
+    appear, in which order, when the budget runs out. ``workers`` is validated
+    and otherwise ignored.
     """
     if target_size < 2:
         raise DomainError(f"target size must be >= 2, got {target_size}")
@@ -451,10 +454,7 @@ def search(
         raise DomainError(f"budget must be >= 1, got {budget}")
     if workers < 1:
         raise DomainError(f"worker count must be >= 1, got {workers}")
-    if mode is CombinationMode.FINITE_FSFP and target_size > FINITE_TERM_CAP:
-        raise DomainError(
-            f"finite mode takes at most {FINITE_TERM_CAP} terms, got target size {target_size}"
-        )
+    check_term_count(target_size, mode)
     elements = universe.elements()
     graph = _PairGraph(colouring_id, elements, mode)
     share, extra = divmod(budget, max(1, len(elements)))

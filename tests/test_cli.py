@@ -359,6 +359,27 @@ class TestSearch:
         out, err = capsys.readouterr()
         assert out == "" and "worker count must be >= 1, got 0" in err
 
+    def test_pairwise_target_above_term_cap_exit_2(self, capsys):
+        # no pairwise configuration holds more than 512 terms, so no universe is searched
+        argv = ["search", "--colouring", "nu", "--numerator-bound", "30", "--target", "600"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: pairwise mode takes at most 512 terms, got 600\n"
+
+    @pytest.mark.parametrize("args, code, digest", [
+        ("--colouring phi --numerator-bound 40 --integers-only --target 3", 0,
+         "5dc55c386ba5da900f3a1a8347d56240bb805946f564728d8974760976decf39"),
+        ("--colouring const --numerator-bound 10 --integers-only --target 4 --budget 500", 3,
+         "3b0303912ba1c9b810c9adf79f0d7eae03a7e96f100a1e551ac196d36fd52847"),
+        ("--colouring nu --numerator-bound 18 --denominator-bound 8 --prime-index 3 --target 3", 0,
+         "0744234c9fc861a2c731138b0f91c8ef375144533beec53b4c6797dd559bdb70"),
+    ], ids=["phi", "const-budget", "nu"])
+    def test_finite_output_pinned(self, args, code, digest, capsys):
+        # the digest pins nodes, max_size and every certificate's tags, values and keys
+        assert cli.main(["search", *args.split(), "--mode", "finite"]) == code
+        out, err = capsys.readouterr()
+        assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestConstruct:
     def test_two_terms(self):

@@ -229,9 +229,10 @@ class TestCertificateSerialization:
     @pytest.mark.parametrize("colouring, verdict", [
         ("nu", {"clash": [0, 1.9]}),
         ("nu", {"clash": ["0", True]}),
+        ("nu", {"clash": [0, 1, 99]}),
         ("const", {"monochromatic": {"key": "const", "empty": 0}}),
         ("const", {"monochromatic": {"key": "const", "empty": []}}),
-    ], ids=["float-index", "string-and-bool-index", "empty-0", "empty-list"])
+    ], ids=["float-index", "string-and-bool-index", "three-indices", "empty-0", "empty-list"])
     def test_from_obj_refuses_a_verdict_it_would_coerce(self, colouring, verdict):
         obj = check(colouring, [Fraction(2), Fraction(4)], CombinationMode.PAIRWISE).to_obj()
         assert obj["verdict"].keys() == verdict.keys()  # only the one field is tampered
@@ -239,6 +240,20 @@ class TestCertificateSerialization:
         with pytest.raises(DomainError, match="malformed certificate object"):
             Certificate.from_obj(bad)
         with pytest.raises(DomainError, match="malformed certificate object"):
+            Certificate.from_json(json.dumps(bad))
+
+    @pytest.mark.parametrize("verdict", [
+        {"clash": [0, 1], "monochromatic": {"key": "nu:t:0,1,2,1,1", "empty": False}},
+        {},
+        {"split": [0, 1]},
+    ], ids=["two-kinds", "no-kind", "unknown-kind"])
+    def test_from_obj_reads_exactly_one_verdict_kind(self, verdict):
+        obj = check("nu", [Fraction(2), Fraction(4)], CombinationMode.PAIRWISE).to_obj()
+        bad = {**obj, "verdict": verdict}
+        shape = r'malformed certificate object: a verdict must be \{"clash": \[first, second\]\} or'
+        with pytest.raises(DomainError, match=shape):
+            Certificate.from_obj(bad)
+        with pytest.raises(DomainError, match=shape):
             Certificate.from_json(json.dumps(bad))
 
 
@@ -537,14 +552,18 @@ print(json.dumps([counts, loaded]))
                 search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE,
                        **{"target_size": 2, "budget": 100, "workers": 1, **kwargs})
 
-    def test_finite_target_above_term_cap_rejected_before_colouring(self, monkeypatch):
-        def refuse(colouring_id):
-            raise AssertionError("coloured before the target size was checked")
+    @pytest.mark.parametrize("mode", list(CombinationMode), ids=lambda mode: mode.value)
+    def test_finite_target_above_term_cap_rejected_before_colouring(self, monkeypatch, mode):
+        # no configuration of the mode holds more terms, so the universe is not even listed
+        def refuse(*args):
+            raise AssertionError("listed or coloured before the target size was checked")
 
         monkeypatch.setattr(verify, "colouring_fn", refuse)
-        with pytest.raises(DomainError, match="at most 16 terms"):
-            search("nu", NU_UNIVERSE, CombinationMode.FINITE_FSFP,
-                   target_size=verify.FINITE_TERM_CAP + 1, budget=100, workers=1)
+        monkeypatch.setattr(UniverseSpec, "elements", refuse)
+        cap = verify.term_cap(mode)
+        message = f"{mode.value} mode takes at most {cap} terms, got {cap + 1}$"
+        with pytest.raises(DomainError, match=message):
+            search("nu", NU_UNIVERSE, mode, target_size=cap + 1, budget=100, workers=1)
 
 
 class TestPropertySuite:
