@@ -239,7 +239,7 @@ def _mantissa_window(n: int, j: int) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Level:
     block: tuple[int, ...]
     y: Rational
@@ -270,22 +270,19 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
     y1 = Fraction(1, 3)
     target = colour_key(nu(y1))
     budget = _Budget(search_budget)
-    levels = [_Level(block=(1,), y=y1, n=2, j=2)]
-    radii: dict[Rational, Rational] = {}
     best_depth = 1
 
-    def extend(level: int, sums: list[Rational], products: list[Rational], zone: set[int]):
-        """``sums`` and ``products`` hold every subset sum and product of the accepted terms,
-        by bitmask, the empty one (0 and 1) first, and ``zone`` every subset sum of their
-        |a|-exponents n; the first two are returned once all m terms are in, else None."""
+    def extend(levels: tuple[_Level, ...], sums: list[Rational], products: list[Rational], zone: set[int]):
+        """``levels`` holds the accepted terms, ``sums`` and ``products`` their subset sums and products
+        by bitmask, the empty one (0 and 1) first, and ``zone`` the subset sums of their |a|-exponents n;
+        the first three are returned once all m terms are in, else None. The newest term y_t was accepted
+        below half of every older sum's openness radius, so only y_t and the newest half of ``sums``, the
+        sums that hold it, can set the next bound. Each product with a candidate is built once."""
         nonlocal best_depth
-        if level > m:
-            return sums, products
+        if len(levels) == m:
+            return levels, sums, products
         last = levels[-1]
-        for s in sums[1:]:
-            if s not in radii:
-                radii[s] = openness_radius(s).radius
-        bound = min(min(radii[s] for s in sums[1:]), last.y) / 2
+        bound = min(last.y, *(openness_radius(s).radius for s in sums[len(sums) // 2 :])) / 2
         first_pos = max(last.block) + 1
         pool = [(t, base_primes[t - 1]) for t in range(first_pos, pool_size + 1)]
         weight = sum(math.log2(p) for _, p in pool)
@@ -302,24 +299,23 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
                         y = Fraction(1, prod)
                         if y >= bound:
                             continue
-                        if any(colour_key(nu(p * y)) != target for p in products):  # y itself first
+                        new_products = [p * y for p in products]
+                        if any(colour_key(nu(p)) != target for p in new_products):  # y itself first
                             continue
                         new_sums = [s + y for s in sums]
                         for s in new_sums:
                             if colour_key(nu(s)) != target:
                                 raise InternalInvariantError(f"sum {s} left the target class")
-                        levels.append(_Level(block=block, y=y, n=n, j=j))
-                        best_depth = max(best_depth, level)
-                        new_products = [p * y for p in products]
+                        best_depth = max(best_depth, len(levels) + 1)
                         new_zone = zone | {s + n for s in zone}
-                        if found := extend(level + 1, sums + new_sums, products + new_products, new_zone):
+                        deeper = levels + (_Level(block, y, n, j),)
+                        if found := extend(deeper, sums + new_sums, products + new_products, new_zone):
                             return found
-                        levels.pop()
             n += 1
         return None
 
     try:
-        found = extend(2, [0, y1], [1, y1], {0, 2})
+        found = extend((_Level(block=(1,), y=y1, n=2, j=2),), [0, y1], [1, y1], {0, 2})
     except BudgetExhaustedError as exc:
         raise BudgetExhaustedError(
             f"search budget exhausted at depth {best_depth}", best_depth=best_depth
@@ -329,16 +325,17 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
             f"pool of {pool_size} terms exhausted at depth {best_depth}",
             best_depth=best_depth,
         )
+    levels, sums, products = found
     ys = [lv.y for lv in levels]
     max_pos = max(levels[-1].block)
     system = BlockSystem(
         base_indices=tuple(indices[:max_pos]),
         blocks=tuple(lv.block for lv in levels),
     )
-    keys, blocks = {}, 1  # μ keys without a walk: found[i][2^t : 2^(t+1)] end in term t
+    keys, blocks = {}, 1  # μ keys without a walk: sums and products [2^t : 2^(t+1)] end in term t
     for t, lv in enumerate(levels):
         blocks *= lv.y.denominator  # D_t: squarefree, its largest prime p_k at the block's last position
-        for v in found[0][2**t : 2 ** (t + 1)] + found[1][2**t : 2 ** (t + 1)]:
+        for v in sums[2**t : 2 ** (t + 1)] + products[2**t : 2 ** (t + 1)]:
             keys[v.numerator, v.denominator] = _block_key(v, blocks, indices[max(lv.block) - 1])
     certificate = check("mu", ys, CombinationMode.FINITE_FSFP, keys=keys)
     if not isinstance(certificate.verdict, Monochromatic):

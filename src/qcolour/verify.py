@@ -110,6 +110,8 @@ class Certificate:
                     verdict = Clash(_json_typed(first, int, "a clash index"),
                                     _json_typed(second, int, "a clash index"))
                 case {"monochromatic": {"key": key, "empty": empty}} if len(v) == 1:
+                    if key is not None and type(key) is not str:
+                        raise ValueError(f"a key must be a JSON string or null, got {key!r}")
                     verdict = Monochromatic(key, _json_typed(empty, bool, "empty"))
                 case _:
                     raise ValueError('a verdict must be {"clash": [first, second]} or {"monochromatic":'

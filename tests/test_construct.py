@@ -430,6 +430,31 @@ class TestColourCalls:
         assert seen == [(6, 1), (22, 4), (58, 11)]
 
 
+def _assert_each_term_below_its_bound(terms):
+    """y_(t+1) < min(y_t, the openness radius of every nonempty subset sum of y_1..y_t) / 2,
+    with the subset sums rebuilt here from the terms, and the sums that hold y_t alone give
+    the same bound."""
+    for t in range(1, len(terms)):
+        sums = {sum(c) for r in range(1, t + 1) for c in itertools.combinations(terms[:t], r)}
+        assert len(sums) == 2**t - 1
+        radius = {s: openness_radius(s).radius for s in sums}
+        bound = min(terms[t - 1], *radius.values()) / 2
+        assert terms[t] < bound, (t, terms[t], bound)
+        older = {sum(c) for r in range(t) for c in itertools.combinations(terms[: t - 1], r)}
+        assert bound == min(terms[t - 1], *(radius[s + terms[t - 1]] for s in older)) / 2
+
+
+class TestBoundInvariant:
+    """The search reads only the radii of the sums that hold the newest term; the bound it
+    then applies is the one over every subset sum, which every output must meet. The zone
+    rule puts the m = 2..4 terms 22 to 374 bits below it, so a looser bound leaves these
+    outputs alone; the pinned traces catch that."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_every_term_below_half_of_every_earlier_radius(self, m):
+        _assert_each_term_below_its_bound(extend_sum_closed(m).terms)
+
+
 class TestForcedBacktrack:
     """A level whose pool holds no block sends the search back a level."""
 
@@ -455,6 +480,10 @@ class TestForcedBacktrack:
         )
         assert validate(res.certificate)
         assert self._digest(res) == "278c25bbb1dcad3c"
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_every_term_below_half_of_every_earlier_radius(self, starved, m):
+        _assert_each_term_below_its_bound(extend_sum_closed(m).terms)
 
     def test_outputs_pinned(self, starved):
         four = extend_sum_closed(4)

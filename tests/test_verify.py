@@ -232,7 +232,10 @@ class TestCertificateSerialization:
         ("nu", {"clash": [0, 1, 99]}),
         ("const", {"monochromatic": {"key": "const", "empty": 0}}),
         ("const", {"monochromatic": {"key": "const", "empty": []}}),
-    ], ids=["float-index", "string-and-bool-index", "three-indices", "empty-0", "empty-list"])
+        ("const", {"monochromatic": {"key": ["const"], "empty": False}}),
+        ("const", {"monochromatic": {"key": 7, "empty": False}}),
+    ], ids=["float-index", "string-and-bool-index", "three-indices", "empty-0", "empty-list",
+            "key-list", "key-int"])
     def test_from_obj_refuses_a_verdict_it_would_coerce(self, colouring, verdict):
         obj = check(colouring, [Fraction(2), Fraction(4)], CombinationMode.PAIRWISE).to_obj()
         assert obj["verdict"].keys() == verdict.keys()  # only the one field is tampered
@@ -241,6 +244,22 @@ class TestCertificateSerialization:
             Certificate.from_obj(bad)
         with pytest.raises(DomainError, match="malformed certificate object"):
             Certificate.from_json(json.dumps(bad))
+
+    @pytest.mark.parametrize("key", [["const"], 7, True, {"const": None}])
+    def test_from_obj_names_a_key_that_is_no_string(self, key):
+        obj = check("const", [Fraction(2), Fraction(4)], CombinationMode.PAIRWISE).to_obj()
+        bad = {**obj, "verdict": {"monochromatic": {"key": key, "empty": False}}}
+        message = f"malformed certificate object: a key must be a JSON string or null, got {key!r}"
+        with pytest.raises(DomainError) as info:
+            Certificate.from_obj(bad)
+        assert str(info.value) == message
+
+    def test_from_obj_reads_the_null_key_of_an_empty_check(self):
+        obj = check("nu", [], CombinationMode.PAIRWISE).to_obj()
+        assert obj["verdict"] == {"monochromatic": {"key": None, "empty": True}}
+        cert = Certificate.from_json(json.dumps(obj))
+        assert cert.verdict == Monochromatic(key=None, empty=True)
+        assert cert.to_obj() == obj
 
     @pytest.mark.parametrize("verdict", [
         {"clash": [0, 1], "monochromatic": {"key": "nu:t:0,1,2,1,1", "empty": False}},
