@@ -190,11 +190,16 @@ def _blocks_in_window(
     """Subsets of pool (position, prime) whose product lies in [lo, hi].
 
     Yielded in (max position, then include-first DFS) order so early blocks
-    leave as much of the pool as possible for later levels. Each visited node
-    spends one budget unit before any test. Float logs steer the pruning;
-    membership is decided on the exact integer product, built from the
-    chosen cons list only at nodes inside the float window. A popped node
-    walks its include chain in place, so only exclude children are pushed.
+    leave as much of the pool as possible for later levels; the nodes, their
+    order and their spend, one unit each, are those of the plain DFS that
+    pushes both children of every internal node. Float logs steer the pruning;
+    the exact integer product, built from the chosen cons list only at nodes
+    inside the float window, decides membership. A popped node walks its
+    include chain in place. A dead exclude child (outside the window, unable
+    to reach it) is not pushed but counted in ``pend``, charged with the next
+    pushed entry once that entry's subtree is done. A chain's nodes are charged
+    from its indices at a yield and at its end; left below min(left at the last
+    entry or resume, 0) is an overdraw, as with a test at every node.
     """
     if lo > hi or not pool:
         return
@@ -203,32 +208,47 @@ def _blocks_in_window(
     suffix = [0.0] * (len(pool) + 1)
     for i in range(len(pool) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + logs[i]
-    left = budget.left  # synced around each yield, where the consumer spends (so no finally)
+    left, floor = budget.left, min(budget.left, 0)  # synced at each yield, where the consumer spends
     for h in range(len(pool)):
-        gap = [s - suffix[h] for s in suffix[:h]]  # gap[i] = suffix[i] - suffix[h]
-        # (next index, log of the product, chosen as (index, parent) or None)
-        stack = [(0, logs[h], None)]
+        gap = [s - suffix[h] for s in suffix[: h + 1]]  # gap[i] = suffix[i] - suffix[h]
+        # (next index, log of the product, chosen as (index, parent) or None, dead children below it)
+        stack = [(0, logs[h], None, 0)]
         while stack:
-            i, cur_log, chosen = stack.pop()
+            i, cur_log, chosen, pend = stack.pop()
+            first = i
             while True:
-                left -= 1
-                if left < 0:
-                    budget.left = left
-                    raise BudgetExhaustedError("block enumeration budget exhausted")
-                if t_lo <= cur_log <= t_hi:
+                if cur_log < t_lo:
+                    if cur_log + gap[i] < t_lo:
+                        break
+                    if cur_log + gap[i + 1] < t_lo:  # the exclude child is dead
+                        pend += 1
+                    else:
+                        stack.append((i + 1, cur_log, chosen, pend))
+                        pend = 0
+                elif cur_log <= t_hi:
                     cur, block, node = pool[h][1], [pool[h][0]], chosen
                     while node:
                         k, node = node
                         cur *= pool[k][1]
                         block.append(pool[k][0])
                     if lo <= cur <= hi:
+                        left, first = left - (i - first + 1), i + 1
+                        if left < floor:
+                            break  # overdrawn: the test at the chain's end raises
                         budget.left = left
                         yield tuple(sorted(block)), cur
-                        left = budget.left
-                if i >= h or cur_log > t_hi or cur_log + gap[i] < t_lo:
+                        left, floor = budget.left, min(budget.left, 0)
+                    if i >= h:
+                        break
+                    stack.append((i + 1, cur_log, chosen, pend))
+                    pend = 0
+                else:
                     break
-                stack.append((i + 1, cur_log, chosen))
-                i, cur_log, chosen = i + 1, cur_log + logs[i], (i, chosen)
+                cur_log, chosen, i = cur_log + logs[i], (i, chosen), i + 1
+            left -= i - first + 1 + pend
+            if left < floor:
+                budget.left = floor - 1
+                raise BudgetExhaustedError("block enumeration budget exhausted")
     budget.left = left
 
 
@@ -297,8 +317,8 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
                         if budget.left < 0:
                             raise BudgetExhaustedError("budget exhausted")
                         y = Fraction(1, prod)
-                        if y >= bound:
-                            continue
+                        if y >= bound:  # n ≥ 2 − a(bound), so the window gives y < 2^(1−n) ≤ bound/2
+                            raise InternalInvariantError(f"term {y} not below the bound {bound}")
                         new_products = [p * y for p in products]
                         if any(colour_key(nu(p)) != target for p in new_products):  # y itself first
                             continue

@@ -1,6 +1,7 @@
 """Block systems, openness radii, and the sum/product sequence constructor."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcolour import construct, core, digits, oracles
+from qcolour import cli, construct, core, digits, oracles
 from qcolour.colourings import colour_key, mu, mu_below_one, nu
 from qcolour.construct import (
     BlockSystem,
@@ -297,6 +298,25 @@ def _recorder(calls):
     return recording
 
 
+@functools.cache
+def _construct_windows(m):
+    """(pool, lo, hi, units) of each call that extend_sum_closed(m) makes to the
+    block enumerator, where ``units`` counts the nodes it spent and one per
+    block the constructor took, so a consumer of one unit per block that is
+    given ``units`` stops where the constructor stopped."""
+    calls, pools = [], []
+    record = _recorder(calls)
+
+    def recording(pool, lo, hi, budget):
+        pools.append(list(pool))
+        return record(pool, lo, hi, budget)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "_blocks_in_window", recording)
+        extend_sum_closed(m)
+    return [(pool, lo, hi, spent + len(taken)) for pool, (lo, hi, spent, taken) in zip(pools, calls)]
+
+
 class TestBlocksInWindow:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_brute_force(self, seed):
@@ -340,6 +360,54 @@ class TestBlocksInWindow:
             assert _offers(construct._blocks_in_window, pool, lo, hi, limit) == _offers(
                 _reference_blocks, pool, lo, hi, limit
             ), f"budget {limit}"
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_node_for_node_on_construct_windows(self, m):
+        # 43- and 57-prime pools and narrow mantissa windows, where most exclude children
+        # are dead: each budget at and around every yield's spend, and a seeded sample
+        rng = random.Random(m)
+        for pool, lo, hi, units in _construct_windows(m):
+            offered, _, _ = _offers(_reference_blocks, pool, lo, hi, units)
+            spends = [units - after for _, _, after in offered]
+            budgets = {1, units - 1, units, *rng.sample(range(1, units + 1), 12)}
+            budgets |= {s + d for s in spends for d in (-1, 0, 1)}
+            for limit in sorted(budgets):
+                assert _offers(construct._blocks_in_window, pool, lo, hi, limit) == _offers(
+                    _reference_blocks, pool, lo, hi, limit
+                ), (lo, hi, f"budget {limit}")
+
+    def test_m2_windows_drained(self):
+        # past the block the constructor took: the last call offers 233 blocks in 145,962 nodes
+        for pool, lo, hi, _ in _construct_windows(2):
+            expected = _offers(_reference_blocks, pool, lo, hi, 10**9)
+            assert _offers(construct._blocks_in_window, pool, lo, hi, 10**9) == expected, (lo, hi)
+
+    def test_node_for_node_on_the_m4_windows(self):
+        # the m = 4 round's seven calls, each at the units the constructor gave it
+        for pool, lo, hi, units in _construct_windows(4):
+            expected = _offers(_reference_blocks, pool, lo, hi, units)
+            assert _offers(construct._blocks_in_window, pool, lo, hi, units) == expected, (lo, hi)
+
+    def test_consumer_overdraws_on_the_final_yield(self):
+        # the only node yields; the consumer's unit takes the budget to -1 and no node
+        # follows, so nothing raises and the overdraw is left for the consumer to see
+        expected = ([((1,), 3, 0)], False, -1)
+        assert _offers(_reference_blocks, [(1, 3)], 3, 3, 1) == expected
+        assert _offers(construct._blocks_in_window, [(1, 3)], 3, 3, 1) == expected
+
+    def test_overdraw_inside_a_run_of_dead_children(self):
+        # Seven nodes: one per h < 2, then 7 → 21 → 105 (the yield) along the include
+        # chain, whose two exclude children (21 without 5, 7 without 3) cannot reach 105
+        # and are charged together at the chain's end. Six units overdraw on the first.
+        pool = [(1, 3), (2, 5), (3, 7)]
+        for limit, expected in [
+            (5, ([((1, 2, 3), 105, 0)], True, -2)),
+            (6, ([((1, 2, 3), 105, 1)], True, -1)),
+            (7, ([((1, 2, 3), 105, 2)], True, -1)),
+            (8, ([((1, 2, 3), 105, 3)], False, 0)),
+        ]:
+            assert _offers(_reference_blocks, pool, 105, 105, limit) == expected, limit
+            assert _offers(construct._blocks_in_window, pool, 105, 105, limit) == expected, limit
 
     def test_close_after_a_yield_keeps_the_consumer_spend(self):
         pool, lo, hi = _seeded_windows(15)
@@ -453,6 +521,43 @@ class TestBoundInvariant:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_every_term_below_half_of_every_earlier_radius(self, m):
         _assert_each_term_below_its_bound(extend_sum_closed(m).terms)
+
+
+class TestBoundGuard:
+    """n starts at 2 − a(bound), so every block of the mantissa window gives y < bound/2;
+    a window that breaks this is an internal fault, not a candidate to skip."""
+
+    def test_a_window_past_the_bound_raises(self, monkeypatch):
+        # 13 is the first prime of the level-2 pool, and 1/13 lies far above 1/288
+        monkeypatch.setattr(construct, "_mantissa_window", lambda n, j: (13, 13))
+        with pytest.raises(InternalInvariantError, match="term 1/13 not below the bound 1/288"):
+            extend_sum_closed(2)
+
+
+class TestPoolExhausted:
+    """A level whose windows offer no block at any n up to the pool's weight ends the
+    search with the pool-exhausted error, at the depth it reached."""
+
+    @pytest.fixture
+    def no_blocks(self, monkeypatch):
+        def none(pool, lo, hi, budget):
+            return iter(())
+
+        monkeypatch.setattr(construct, "_blocks_in_window", none)
+
+    def test_error_and_depth(self, no_blocks):
+        with pytest.raises(BudgetExhaustedError) as info:
+            extend_sum_closed(2)
+        assert str(info.value) == "pool of 44 terms exhausted at depth 1"
+        assert info.value.best_depth == 1
+
+    def test_cli_exits_3_with_the_payload(self, no_blocks, capsys):
+        assert cli.main(["construct", "--terms", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == {
+            "budget_exhausted": {"message": "pool of 44 terms exhausted at depth 1", "best_depth": 1}
+        }
 
 
 class TestForcedBacktrack:

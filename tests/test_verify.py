@@ -198,6 +198,18 @@ class TestCertificateSerialization:
             assert not validate(bad, reasons)
             assert reasons
 
+    def test_from_json_refuses_text_that_is_not_json(self):
+        with pytest.raises(DomainError, match="^certificate is not valid JSON: "):
+            Certificate.from_json("{")
+
+    @pytest.mark.parametrize("mode", list(CombinationMode), ids=lambda mode: mode.value)
+    def test_validate_reports_a_repeated_term(self, mode):
+        # check refuses the sequence itself, so the certificate cannot be recomputed
+        cert = replace(check("nu", [Fraction(2), Fraction(4)], mode), sequence=(Fraction(2), Fraction(2)))
+        reasons: list[str] = []
+        assert not validate(cert, reasons)
+        assert len(reasons) == 1 and reasons[0].startswith("recomputation failed:"), reasons
+
     def test_from_obj_rejects_malformed(self):
         with pytest.raises(DomainError):
             Certificate.from_obj({"colouring": "nu"})
