@@ -2,17 +2,17 @@
 
 The recipe: base terms are reciprocals of primes chosen so their sum stays
 below 1/2; one search multiplies disjoint blocks of base terms into derived
-terms y_n, accepting a y_n only if its ν colour and that of every product
-with earlier y's agree and it lies below half the openness radius of every
-subset sum so far, so the sums keep that colour too. Everything is exact
-rational arithmetic; floats appear only as search heuristics, never in
-accepted answers.
+terms y_n, each below half the openness radius of every subset sum so far,
+so the sums keep the first term's ν colour. Everything is exact rational
+arithmetic; floats appear only as search heuristics, never in accepted
+answers.
 
 The block search targets the "low corner" band: a term y = 2^a·M with
 mantissa M ∈ (1, 1.5) and M² < 2 pins three of ν's tuple components, the
 dyadic order j of M−1 (kept ≡ 2 mod 3, separated by ≥ 3 between levels)
 pins the fourth, and keeping every subset sum of the |a|'s inside the
-1-coloured zones of the integer two-colouring pins the last.
+1-coloured zones of the integer two-colouring pins the last. So every block
+a window yields is taken; ν of each new sum and product is an invariant.
 """
 
 from __future__ import annotations
@@ -270,11 +270,12 @@ class _Level:
 def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> ConstructResult:
     """Terms whose finite sums and products are μ-monochromatic, certified.
 
-    One depth-first search over disjoint blocks: each accepted term's ν key,
-    and that of its products with every earlier subset product, must match
-    the first term's, and the term must lie below half the smallest openness
-    radius over all current subset sums (and below the current terms), so
-    every sum stays in the shared ν class; the final certificate re-checks
+    One depth-first search over disjoint blocks that takes every block its
+    windows yield: n puts the term below half the least openness radius of the
+    current subset sums (and below the current terms), so every sum stays in
+    the shared ν class, and the window, j and zones give its products the first
+    term's ν key. Both are invariants; a level moves on only when φ refuses n,
+    a window is empty or a deeper level fails. The final certificate re-checks
     everything under μ.
     """
     if m < 1:
@@ -319,13 +320,11 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
                         y = Fraction(1, prod)
                         if y >= bound:  # n ≥ 2 − a(bound), so the window gives y < 2^(1−n) ≤ bound/2
                             raise InternalInvariantError(f"term {y} not below the bound {bound}")
-                        new_products = [p * y for p in products]
-                        if any(colour_key(nu(p)) != target for p in new_products):  # y itself first
-                            continue
-                        new_sums = [s + y for s in sums]
-                        for s in new_sums:
-                            if colour_key(nu(s)) != target:
-                                raise InternalInvariantError(f"sum {s} left the target class")
+                        new_products, new_sums = [p * y for p in products], [s + y for s in sums]
+                        for kind, values in (("product", new_products), ("sum", new_sums)):  # y itself first
+                            for v in values:
+                                if colour_key(nu(v)) != target:
+                                    raise InternalInvariantError(f"{kind} {v} left the target class")
                         best_depth = max(best_depth, len(levels) + 1)
                         new_zone = zone | {s + n for s in zone}
                         deeper = levels + (_Level(block, y, n, j),)

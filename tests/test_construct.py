@@ -534,6 +534,28 @@ class TestBoundGuard:
             extend_sum_closed(2)
 
 
+class TestColourGuard:
+    """The window, j and zones give every new product and sum the first term's ν key, so
+    every block a window yields is taken; a value off that key is an internal fault, not a
+    candidate to skip. Level 2's first block is Y2: its products are Y2 and Y2/3, its sums
+    Y2 and 1/3 + Y2, and ν reads the products first."""
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (Y2 / 3, "product 1/6207815211 left the target class"),
+            (Fraction(1, 3) + Y2, "sum 2069271740/6207815211 left the target class"),
+        ],
+        ids=["product", "sum"],
+    )
+    def test_a_value_off_the_key_raises(self, monkeypatch, value, message):
+        inner = construct.nu
+        monkeypatch.setattr(construct, "nu", lambda x: inner(Fraction(1) if x == value else x))
+        with pytest.raises(InternalInvariantError) as info:
+            extend_sum_closed(2)
+        assert str(info.value) == message
+
+
 class TestPoolExhausted:
     """A level whose windows offer no block at any n up to the pool's weight ends the
     search with the pool-exhausted error, at the depth it reached."""
