@@ -376,9 +376,10 @@ PAIR_IDS = tuple(PAIR_COLOURINGS)
 # None where it cannot decide: values whose shadows are defined and differ have different keys.
 
 def _theta_shadow(n: int, d: int) -> Hashable | None:
-    """(end parity, phi(end), power flag) of theta's key; None off the naturals, which theta refuses."""
-    end = (n & -n).bit_length() - 1
-    return (end % 2, phi(end), is_power_of_two_int(n)) if d == 1 else None
+    """(end parity, phi(end), then gap parity and tail flag, or None on powers of two) of theta's
+    key; None off the naturals, which theta refuses."""
+    end, _, gap = binary_positions(n)
+    return (end % 2, phi(end), None if gap is None else (gap % 2, gap == 1)) if d == 1 else None
 
 
 def _nu_shadow(n: int, d: int) -> Hashable:

@@ -12,7 +12,6 @@ colour values are never compared across colourings.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import random
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Hashable, Iterator
 
 from .colourings import SHADOWS, colour_key, colouring_fn
 from .core import (
@@ -344,14 +343,14 @@ class SearchResult:
 class _PairGraph:
     """The colour key of every value a search meets, and its pair masks by key.
 
-    Construction is one pass in canonical order: finite mode colours the
-    elements, then each pair's sum and product is coloured as the pair is met,
-    into one ``value -> key`` dict, unless the two values have
-    ``colourings.SHADOWS`` that differ: that pair is no edge. ``adj[K, i]`` is
-    the bitmask of the j > i whose pair sum and pair product both have key K, so
-    a pairwise-monochromatic configuration is a clique of one key. Finite mode
-    uses the masks as a necessary filter and colours the sums and products of
-    three or more terms as they are met.
+    Construction is one pass in canonical order, a row of pairs (i, j > i) at a
+    time: finite mode colours the elements, then each pair's sum and product is
+    coloured as the pair is met, into one ``value -> key`` dict, unless the two
+    values have ``colourings.SHADOWS`` that differ: that pair is no edge.
+    ``adj[K, i]`` is the bitmask of the j > i whose pair sum and pair product
+    both have key K, so a pairwise-monochromatic configuration is a clique of
+    one key. Finite mode uses the masks as a necessary filter and colours the
+    sums and products of three or more terms as they are met.
     """
 
     def __init__(
@@ -371,16 +370,26 @@ class _PairGraph:
             k = key_of(x)
             self.singles[k] = self.singles.get(k, 0) | 1 << j
         shadow = SHADOWS.get(colouring_id)
-        shade = functools.cache(lambda v: shadow(*v)) if shadow else None  # per distinct value
+        shades: dict[Pair, Hashable | None] = {}  # per distinct value, filled where first met
+        keys = self.keys
         self.adj: dict[tuple[str, int], int] = {}
-        self.edges = [0] * len(xs)  # j > i whose pair sum and product share any key
-        for (i, x), (j, y) in itertools.combinations(enumerate(xs), 2):
-            total, product = _add(x, y), _mul(x, y)
-            if shade and (a := shade(total)) is not None and (b := shade(product)) is not None and a != b:
-                continue  # the shadows differ, so the keys do
-            if (k := key_of(total)) == key_of(product):
-                self.adj[k, i] = self.adj.get((k, i), 0) | 1 << j
-                self.edges[i] |= 1 << j
+        self.edges: list[int] = []  # j > i whose pair sum and product share any key
+        for i, x in enumerate(xs):
+            row = 0
+            for j in range(i + 1, len(xs)):
+                total, prod = _add(x, xs[j]), _mul(x, xs[j])
+                if shadow:  # one lookup per value met before; a None shadow is looked up again
+                    if (a := shades.get(total)) is None and total not in shades:
+                        a = shades[total] = shadow(*total)
+                    if (b := shades.get(prod)) is None and prod not in shades:
+                        b = shades[prod] = shadow(*prod)
+                    if a != b and a is not None and b is not None:
+                        continue  # the shadows differ, so the keys do
+                k = keys.get(total) or key_of(total)  # a key is never empty
+                if k == (keys.get(prod) or key_of(prod)):
+                    self.adj[k, i] = self.adj.get((k, i), 0) | 1 << j
+                    row |= 1 << j
+            self.edges.append(row)
 
     def key_of(self, v: Pair) -> str:
         """The colour key of ``v``, coloured the first time it is met."""

@@ -380,6 +380,30 @@ class TestSearch:
         out, err = capsys.readouterr()
         assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("args, digest", [
+        ("--colouring nu --numerator-bound 18 --denominator-bound 8 --prime-index 3",
+         "9d63078872f6d55d15401a49251ac8b2ce8c65819ad32b885efe4d366bc0a0a2"),
+        ("--colouring mu --numerator-bound 18 --denominator-bound 8 --prime-index 3",
+         "86aa19c8d81a90e23025c71b94cf06081c1da02ccb4b603e11c9a7ace3e79340"),
+        ("--colouring nu --numerator-bound 16 --denominator-bound 10 --prime-index 3",
+         "f8c787925cd2cd2355928b41d9b8dacc679ea00ce512c695858cd62315578472"),
+        ("--colouring mu --numerator-bound 16 --denominator-bound 10 --prime-index 3",
+         "c99d3372c8302657f4d6a7b8e88303d8340fc573d7f7c68c2a11e1ca6c810c87"),
+        ("--colouring alpha --numerator-bound 16 --denominator-bound 8 --prime-index 2",
+         "8f3029a9a3a68cece170c499463b0eb5b7b6513c70932c1da2a8b19b814f99b2"),
+        ("--colouring alpha --numerator-bound 20 --denominator-bound 6 --prime-index 2",
+         "c2293a341dd3269b9467c9e9dcd646fdab20f19935ff32610c9d22ba8fd646b5"),
+        ("--colouring theta --numerator-bound 150 --integers-only",
+         "db185a2b8e6f1833fd3329989f621b1162588b70eeab825787c81bd1039450d3"),
+    ], ids=["nu-18-8-3", "mu-18-8-3", "nu-16-10-3", "mu-16-10-3", "alpha-16-8-2",
+            "alpha-20-6-2", "theta-150"])
+    def test_pairwise_output_pinned(self, args, digest, capsys):
+        # the benchmark's seven search universes: the digest pins nodes, max_size and every
+        # certificate's tags, values and keys, however the pair graph is built
+        assert cli.main(["search", *args.split(), "--mode", "pairwise", "--target", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestConstruct:
     def test_two_terms(self):

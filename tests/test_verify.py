@@ -507,6 +507,29 @@ class TestSearch:
         assert set(graph.keys) == {(v.numerator, v.denominator)
                                    for v in _gated_values(colouring, elements, mode)}
 
+    @pytest.mark.parametrize("mode", list(CombinationMode), ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("colouring", ["nu", "mu", "alpha"])
+    def test_gate_keeps_every_edge_over_many_primes(self, colouring, mode):
+        # 1/1..1/64: the denominators use the 18 primes up to 61, so the sums and products
+        # reduce by gcds that the small denominators above never reach
+        elements = UniverseSpec(1, 64, 18).elements()
+        graph = verify._PairGraph(colouring, elements, mode)
+        assert (graph.adj, graph.edges, graph.singles) == _ungated_graph(colouring, elements, mode)
+        assert set(graph.keys) == {(v.numerator, v.denominator)
+                                   for v in _gated_values(colouring, elements, mode)}
+
+    @pytest.mark.parametrize("colouring, universe, coloured", [
+        ("theta", UniverseSpec(150, integers_only=True), 1_274),
+        ("alpha", UniverseSpec(16, 8, 2), 425),
+        ("alpha", UniverseSpec(20, 6, 2), 429),
+    ])
+    def test_gate_colours_pinned_counts(self, colouring, universe, coloured):
+        # theta's shadow holds the gap parity and tail flag, and alpha's is theta's on the
+        # naturals; with the end parity, phi(end) and power flag alone these colour 2,660,
+        # 454 and 470 values
+        graph = verify._PairGraph(colouring, universe.elements(), CombinationMode.PAIRWISE)
+        assert len(graph.keys) == coloured
+
     @pytest.mark.parametrize("colouring, universe, mode", [
         ("nu", NU_UNIVERSE, CombinationMode.PAIRWISE),
         ("alpha", UniverseSpec(16, 8, 2), CombinationMode.FINITE_FSFP),
