@@ -200,14 +200,32 @@ def _blocks_in_window(
     pushed entry once that entry's subtree is done. A chain's nodes are charged
     from its indices at a yield and at its end; left below min(left at the last
     entry or resume, 0) is an overdraw, as with a test at every node.
+
+    A node i below the window whose exclude child is dead may head a forced
+    run: every later exclude child dead too, so the DFS can only include
+    everything up to h and overshoot. Let end = cur_log + gap[i], the log at h,
+    and least[i] = min(logs[i:]). In exact arithmetic node k's exclude child
+    reaches end − logs[k] ≤ end − least[i], and node k < h lies below that; so
+    end − least[i] < t_lo and end > t_hi make the subtree h − i include nodes
+    past the head and h − i dead children, none in the window. Such a run is
+    charged in one step (i = h, pend += h − i) with no walk; it holds no yield,
+    so the overdraw test at the chain's end raises where the DFS would. Each
+    float in these tests and in the walk they replace is a sum of logs, none
+    above suffix[0], with at most 3n roundings (n = len(pool)) of at most
+    suffix[0]·2^−53 each, so the two sides differ by under (5n + 2) such units;
+    the tests are shifted by margin = n·suffix[0]·2^−50, which is 8n units.
+    Inside the margin, or where the run ends in the window, the node walks.
     """
     if lo > hi or not pool:
         return
     logs = [math.log2(p) for _, p in pool]
     t_lo, t_hi = math.log2(lo) - 1e-9, math.log2(hi) + 1e-9
-    suffix = [0.0] * (len(pool) + 1)
+    suffix, least = [0.0] * (len(pool) + 1), [math.inf] * (len(pool) + 1)
     for i in range(len(pool) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + logs[i]
+        least[i] = min(least[i + 1], logs[i])
+    margin = len(pool) * suffix[0] * 2.0**-50
+    run_lo, run_hi = t_lo - margin, t_hi + margin
     left, floor = budget.left, min(budget.left, 0)  # synced at each yield, where the consumer spends
     for h in range(len(pool)):
         gap = [s - suffix[h] for s in suffix[: h + 1]]  # gap[i] = suffix[i] - suffix[h]
@@ -218,9 +236,13 @@ def _blocks_in_window(
             first = i
             while True:
                 if cur_log < t_lo:
-                    if cur_log + gap[i] < t_lo:
+                    end = cur_log + gap[i]
+                    if end < t_lo:
                         break
                     if cur_log + gap[i + 1] < t_lo:  # the exclude child is dead
+                        if end - least[i] < run_lo and end > run_hi:  # and so is every one up to h
+                            pend, i = pend + h - i, h
+                            break
                         pend += 1
                     else:
                         stack.append((i + 1, cur_log, chosen, pend))

@@ -317,6 +317,57 @@ def _construct_windows(m):
     return [(pool, lo, hi, spent + len(taken)) for pool, (lo, hi, spent, taken) in zip(pools, calls)]
 
 
+def _forced_run_ends(pool, lo, hi, limit):
+    """The units spent, by the nodes of ``_reference_blocks`` and one per block
+    offered, when each forced include run ends, up to ``limit`` units. A node
+    heads a forced run when it lies below the float window, its exclude child
+    is a dead leaf and its include child is past the window or heads a forced
+    run itself; the run ends with that dead child, the last node of the head's
+    subtree. Found from the reference's own float tests, not the enumerator's."""
+    logs = [math.log2(p) for _, p in pool]
+    t_lo, t_hi = math.log2(lo) - 1e-9, math.log2(hi) + 1e-9
+    suffix = [0.0] * (len(pool) + 1)
+    for i in range(len(pool) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + logs[i]
+    ends, units = [], 0
+
+    def visit(h, i, cur_log, product):
+        """Spend one node's subtree in pop order; true if the node is past the window or heads a run."""
+        nonlocal units
+        units += 1
+        if units > limit:
+            return False
+        if cur_log > t_hi:
+            return True
+        if t_lo <= cur_log and lo <= product <= hi:
+            units += 1
+        if i >= h or cur_log + (suffix[i] - suffix[h]) < t_lo:
+            return False
+        forced = visit(h, i + 1, cur_log + logs[i], product * pool[i][1])
+        before = units
+        visit(h, i + 1, cur_log, product)
+        if forced and cur_log < t_lo and units == before + 1 <= limit:
+            ends.append(units)
+            return True
+        return False
+
+    for h in range(len(pool)):
+        visit(h, 0, logs[h], pool[h][1])
+    return ends
+
+
+def _least_integer(holds, top):
+    """The least x in [1, top] where the monotone test ``holds`` is true, else top."""
+    below, above = 1, top
+    while below < above:
+        mid = (below + above) // 2
+        if holds(mid):
+            above = mid
+        else:
+            below = mid + 1
+    return below
+
+
 class TestBlocksInWindow:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_brute_force(self, seed):
@@ -387,6 +438,79 @@ class TestBlocksInWindow:
         for pool, lo, hi, units in _construct_windows(4):
             expected = _offers(_reference_blocks, pool, lo, hi, units)
             assert _offers(construct._blocks_in_window, pool, lo, hi, units) == expected, (lo, hi)
+
+    def test_node_for_node_at_the_m4_forced_run_ends(self):
+        # 179,194 of the m = 4 round's 208,507 nodes lie on forced include runs, each
+        # charged in one step: each budget at and around every yield's spend and a seeded
+        # sample of run ends, and a seeded sample of budgets
+        rng = random.Random(4)
+        for pool, lo, hi, units in _construct_windows(4):
+            offered, _, _ = _offers(_reference_blocks, pool, lo, hi, units)
+            ends = _forced_run_ends(pool, lo, hi, units)
+            spends = [units - after for _, _, after in offered] + rng.sample(ends, min(len(ends), 10))
+            budgets = {1, units - 1, units, *rng.sample(range(1, units + 1), 12)}
+            budgets |= {s + d for s in spends for d in (-1, 0, 1)}
+            for limit in sorted(budgets):
+                assert _offers(construct._blocks_in_window, pool, lo, hi, limit) == _offers(
+                    _reference_blocks, pool, lo, hi, limit
+                ), (lo, hi, f"budget {limit}")
+
+    @pytest.mark.parametrize(
+        "pool, lo, hi",
+        [
+            # the run from 13's root through 3, 5, 7 and 11 ends at 15015, a point window and
+            # a lower edge: the run ends in the window, so its head walks, and the walk yields
+            pytest.param([(1, 3), (2, 5), (3, 7), (4, 11), (5, 13)], 15015, 15015, id="point"),
+            pytest.param([(1, 3), (2, 5), (3, 7), (4, 11), (5, 13)], 15015, 10**6, id="lower-edge"),
+            # the least prime follows the head, so least[i] < logs[i]: from the last prime's root
+            # the exclude child of the first is dead, but the one that skips the least yields
+            pytest.param([(1, 1009), (2, 3), (3, 1013)], 1013 * 1009, 1013 * 1009, id="least-later"),
+            pytest.param([(1, 101), (2, 103), (3, 2), (4, 107)], 1113121, 1113121, id="least-inside"),
+        ],
+    )
+    def test_walked_runs_at_every_budget(self, pool, lo, hi):
+        full = 10**9 - _offers(_reference_blocks, pool, lo, hi, 10**9)[2]
+        assert _offers(_reference_blocks, pool, lo, hi, full)[0], "the window yields"
+        for limit in range(1, full + 2):
+            assert _offers(construct._blocks_in_window, pool, lo, hi, limit) == _offers(
+                _reference_blocks, pool, lo, hi, limit
+            ), f"budget {limit}"
+
+    @pytest.mark.parametrize("edge", ["lo", "hi"])
+    @pytest.mark.parametrize("least_at", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "offset",
+        [pytest.param(("ulps", k), id=f"{k:+d}ulp") for k in range(-6, 7)]
+        + [pytest.param(("log2", s * 2.0**-e), id=f"{s:+d}*2^-{e}")
+           for e in range(36, 45, 2) for s in (-1, 1)],
+    )
+    def test_window_edge_inside_the_float_error_margin(self, edge, least_at, offset):
+        # Twelve primes past 2^17, the least moved to ``least_at``: from the last one's root,
+        # the exclude child of the least reaches Q, the product of the rest, and the full
+        # run reaches P. A point window whose float lower edge log2(lo) − 1e-9 sits a few
+        # ulps or a small ``offset`` from log2(Q) makes that child live or dead by less than
+        # the head test's margin; one whose float upper edge sits so near log2(P) does the
+        # same for the run's end.
+        primes = list(itertools.islice((p for p in core.iter_primes() if p > 2**17), 12))
+        primes[0], primes[least_at] = primes[least_at], primes[0]
+        pool = list(enumerate(primes, 1))
+        full_product = math.prod(primes)
+        kind, by = offset
+        target = math.log2(full_product // min(primes) if edge == "lo" else full_product)
+        if kind == "ulps":
+            for _ in range(abs(by)):
+                target = math.nextafter(target, math.copysign(math.inf, by))
+        else:
+            target += by
+        if edge == "lo":  # the least lo with log2(lo) − 1e-9 >= target
+            lo = hi = _least_integer(lambda x: math.log2(x) - 1e-9 >= target, full_product)
+        else:  # the greatest hi with log2(hi) + 1e-9 <= target
+            lo = hi = _least_integer(lambda x: math.log2(x) + 1e-9 > target, full_product) - 1
+        full = 10**9 - _offers(_reference_blocks, pool, lo, hi, 10**9)[2]
+        for limit in (1, full // 2, full - 1, full, 10**9):
+            assert _offers(construct._blocks_in_window, pool, lo, hi, limit) == _offers(
+                _reference_blocks, pool, lo, hi, limit
+            ), f"budget {limit}"
 
     def test_consumer_overdraws_on_the_final_yield(self):
         # the only node yields; the consumer's unit takes the budget to -1 and no node
