@@ -193,28 +193,30 @@ def _blocks_in_window(
     leave as much of the pool as possible for later levels; the nodes, their
     order and their spend, one unit each, are those of the plain DFS that
     pushes both children of every internal node. Float logs steer the pruning;
-    the exact integer product, built from the chosen cons list only at nodes
-    inside the float window, decides membership. A popped node walks its
-    include chain in place. A dead exclude child (outside the window, unable
-    to reach it) is not pushed but counted in ``pend``, charged with the next
-    pushed entry once that entry's subtree is done. A chain's nodes are charged
-    from its indices at a yield and at its end; left below min(left at the last
-    entry or resume, 0) is an overdraw, as with a test at every node.
+    the exact integer product, built from ``path`` only at nodes inside the
+    float window, decides membership. ``path`` holds (k, log before k) for each
+    included position k, deepest last. A node descends to its include child or
+    backtracks: it pops the deepest entry and visits that entry's exclude
+    child. So the nodes come in preorder, and ``spent`` counts each as it is
+    met; it is settled into the budget at each yield and at the end. Spending
+    more than room = max(budget.left, 0), read at the last yield, is an
+    overdraw. It is tested before a yield and at each backtrack, so a node past
+    the room offers nothing and the raise comes before the DFS's next yield.
 
-    A node i below the window whose exclude child is dead may head a forced
-    run: every later exclude child dead too, so the DFS can only include
-    everything up to h and overshoot. Let end = cur_log + gap[i], the log at h,
-    and least[i] = min(logs[i:]). In exact arithmetic node k's exclude child
-    reaches end − logs[k] ≤ end − least[i], and node k < h lies below that; so
-    end − least[i] < t_lo and end > t_hi make the subtree h − i include nodes
-    past the head and h − i dead children, none in the window. Such a run is
-    charged in one step (i = h, pend += h − i) with no walk; it holds no yield,
-    so the overdraw test at the chain's end raises where the DFS would. Each
-    float in these tests and in the walk they replace is a sum of logs, none
-    above suffix[0], with at most 3n roundings (n = len(pool)) of at most
-    suffix[0]·2^−53 each, so the two sides differ by under (5n + 2) such units;
-    the tests are shifted by margin = n·suffix[0]·2^−50, which is 8n units.
-    Inside the margin, or where the run ends in the window, the node walks.
+    A node i below the window whose exclude child is dead (outside the window,
+    unable to reach it) may head a forced run: every later exclude child dead
+    too, so the DFS can only include everything up to h and overshoot. Let
+    end = cur_log + gap[i], the log at h, and least[i] = min(logs[i:]). In
+    exact arithmetic node k's exclude child reaches end − logs[k] ≤ end −
+    least[i], and node k < h lies below that; so end − least[i] < t_lo and
+    end > t_hi make the subtree h − i include nodes past the head and h − i
+    dead children, none in the window. Such a run is counted in one step with
+    no walk. Each float in these tests and in the walk they replace is a sum of
+    logs, none above suffix[0], with at most 3n roundings (n = len(pool)) of at
+    most suffix[0]·2^−53 each, so the two sides differ by under (5n + 2) such
+    units; the tests are shifted by margin = n·suffix[0]·2^−50, which is 8n
+    units. Inside the margin, or where the run ends in the window, the head
+    descends as any node does.
     """
     if lo > hi or not pool:
         return
@@ -226,52 +228,40 @@ def _blocks_in_window(
         least[i] = min(least[i + 1], logs[i])
     margin = len(pool) * suffix[0] * 2.0**-50
     run_lo, run_hi = t_lo - margin, t_hi + margin
-    left, floor = budget.left, min(budget.left, 0)  # synced at each yield, where the consumer spends
+    spent, room = 0, max(budget.left, 0)  # the consumer spends between yields
     for h in range(len(pool)):
         gap = [s - suffix[h] for s in suffix[: h + 1]]  # gap[i] = suffix[i] - suffix[h]
-        # (next index, log of the product, chosen as (index, parent) or None, dead children below it)
-        stack = [(0, logs[h], None, 0)]
-        while stack:
-            i, cur_log, chosen, pend = stack.pop()
-            first = i
-            while True:
-                if cur_log < t_lo:
-                    end = cur_log + gap[i]
-                    if end < t_lo:
-                        break
-                    if cur_log + gap[i + 1] < t_lo:  # the exclude child is dead
-                        if end - least[i] < run_lo and end > run_hi:  # and so is every one up to h
-                            pend, i = pend + h - i, h
-                            break
-                        pend += 1
+        path, i, cur_log = [], 0, logs[h]
+        while True:
+            spent += 1
+            if cur_log < t_lo:
+                end = cur_log + gap[i]
+                if end >= t_lo:
+                    if cur_log + gap[i + 1] < t_lo and end - least[i] < run_lo and end > run_hi:
+                        spent += 2 * (h - i)  # a forced run: its include nodes and dead children
                     else:
-                        stack.append((i + 1, cur_log, chosen, pend))
-                        pend = 0
-                elif cur_log <= t_hi:
-                    cur, block, node = pool[h][1], [pool[h][0]], chosen
-                    while node:
-                        k, node = node
-                        cur *= pool[k][1]
-                        block.append(pool[k][0])
+                        path.append((i, cur_log))
+                        cur_log, i = cur_log + logs[i], i + 1
+                        continue
+            elif cur_log <= t_hi:
+                if spent <= room:
+                    cur = math.prod([pool[k][1] for k, _ in path], start=pool[h][1])
                     if lo <= cur <= hi:
-                        left, first = left - (i - first + 1), i + 1
-                        if left < floor:
-                            break  # overdrawn: the test at the chain's end raises
-                        budget.left = left
-                        yield tuple(sorted(block)), cur
-                        left, floor = budget.left, min(budget.left, 0)
-                    if i >= h:
-                        break
-                    stack.append((i + 1, cur_log, chosen, pend))
-                    pend = 0
-                else:
-                    break
-                cur_log, chosen, i = cur_log + logs[i], (i, chosen), i + 1
-            left -= i - first + 1 + pend
-            if left < floor:
-                budget.left = floor - 1
+                        budget.left, spent = budget.left - spent, 0
+                        yield tuple(sorted([pool[h][0], *(pool[k][0] for k, _ in path)])), cur
+                        room = max(budget.left, 0)
+                if i < h:
+                    path.append((i, cur_log))
+                    cur_log, i = cur_log + logs[i], i + 1
+                    continue
+            if spent > room:
+                budget.left = min(budget.left, 0) - 1
                 raise BudgetExhaustedError("block enumeration budget exhausted")
-    budget.left = left
+            if not path:
+                break
+            i, cur_log = path.pop()
+            i += 1
+    budget.left -= spent
 
 
 def _mantissa_window(n: int, j: int) -> tuple[int, int]:

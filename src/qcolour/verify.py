@@ -646,6 +646,9 @@ _LAWS: tuple[tuple[str, Callable[[random.Random], str | None]], ...] = (
     ("c3-dyadic-closure", _c3_closure),
 )
 
+#: The law suite draws at most this many samples per law, so its time stays bounded.
+SAMPLE_CAP = 10_000
+
 
 def property_suite(seed: int, sample_count: int) -> PropertyReport:
     """Seeded randomized checks of the digit-arithmetic laws.
@@ -656,6 +659,8 @@ def property_suite(seed: int, sample_count: int) -> PropertyReport:
     """
     if sample_count < 1:
         raise DomainError(f"sample count must be >= 1, got {sample_count}")
+    if sample_count > SAMPLE_CAP:
+        raise DomainError(f"sample count must be <= {SAMPLE_CAP}, got {sample_count}")
     laws = []
     for name, law in _LAWS:
         rng = random.Random(f"{seed}:{name}")

@@ -533,6 +533,23 @@ class TestBlocksInWindow:
             assert _offers(_reference_blocks, pool, 105, 105, limit) == expected, limit
             assert _offers(construct._blocks_in_window, pool, 105, 105, limit) == expected, limit
 
+    def test_overdraw_on_a_window_node_with_descendants(self):
+        # From 7's root (h = 2) the nodes 7 and 21 lie in the window and still have an
+        # include child. Five units overdraw on 7's root and seven on 21: the block is not
+        # offered, the walk goes on down to 105, and the raise comes when it backs up.
+        pool = [(1, 3), (2, 5), (3, 7)]
+        for limit, expected in [
+            (5, ([((1, 2), 15, 2)], True, -1)),
+            (7, ([((1, 2), 15, 4), ((3,), 7, 1)], True, -1)),
+        ]:
+            assert _offers(_reference_blocks, pool, 7, 105, limit) == expected, limit
+            assert _offers(construct._blocks_in_window, pool, 7, 105, limit) == expected, limit
+        full = 10**9 - _offers(_reference_blocks, pool, 7, 105, 10**9)[2]
+        for limit in range(1, full + 2):
+            assert _offers(construct._blocks_in_window, pool, 7, 105, limit) == _offers(
+                _reference_blocks, pool, 7, 105, limit
+            ), f"budget {limit}"
+
     def test_close_after_a_yield_keeps_the_consumer_spend(self):
         pool, lo, hi = _seeded_windows(15)
         budget = construct._Budget(100)

@@ -8,6 +8,7 @@ import pytest
 from qcolour.colourings import ColourValue, alpha, big_phi, psi_prime
 from qcolour.digits import b_exponent, c_exponent, e_int, end2, start2
 from qcolour.errors import DomainError
+from qcolour.verify import SAMPLE_CAP, property_suite
 
 
 @pytest.mark.parametrize(
@@ -22,8 +23,12 @@ from qcolour.errors import DomainError
         (lambda: c_exponent(Fraction(1, 2)), DomainError, "c-exponent undefined on powers of two: 1/2"),
         (lambda: e_int(0, 1), DomainError, "need a natural number, got 0"),
         (lambda: ColourValue().key(), NotImplementedError, ""),
+        (lambda: property_suite(1, SAMPLE_CAP + 1), DomainError, "sample count must be <= 10000, got 10001"),
     ],
-    ids=["big_phi", "psi_prime", "alpha", "end2", "start2", "b_exponent", "c_exponent", "e_int", "key"],
+    ids=[
+        "big_phi", "psi_prime", "alpha", "end2", "start2", "b_exponent", "c_exponent", "e_int", "key",
+        "property_suite",
+    ],
 )
 def test_guard_refuses_with_its_message(call, error, message):
     with pytest.raises(error) as info:
