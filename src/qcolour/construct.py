@@ -36,6 +36,7 @@ from .digits import abc_exponents, leading_frac_position
 from .errors import BudgetExhaustedError, DomainError, InternalInvariantError, TableExhaustedError
 from .verify import (
     Certificate,
+    ColourTable,
     CombinationMode,
     Monochromatic,
     check,
@@ -363,11 +364,11 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
         base_indices=tuple(indices[:max_pos]),
         blocks=tuple(lv.block for lv in levels),
     )
-    keys, blocks = {}, 1  # μ keys without a walk: sums and products [2^t : 2^(t+1)] end in term t
+    keys, blocks = ColourTable("mu"), 1  # μ without a walk: sums and products [2^t : 2^(t+1)] end in term t
     for t, lv in enumerate(levels):
         blocks *= lv.y.denominator  # D_t: squarefree, its largest prime p_k at the block's last position
         for v in sums[2**t : 2 ** (t + 1)] + products[2**t : 2 ** (t + 1)]:
-            keys[v.numerator, v.denominator] = _block_key(v, blocks, indices[max(lv.block) - 1])
+            keys[v.numerator, v.denominator] = v, _block_key(v, blocks, indices[max(lv.block) - 1])
     certificate = check("mu", ys, CombinationMode.FINITE_FSFP, keys=keys)
     if not isinstance(certificate.verdict, Monochromatic):
         raise InternalInvariantError(

@@ -241,9 +241,7 @@ def primorial(n: int) -> int:
     The 32 most recently used are kept, at most about 1 MiB at the cap, since
     one certificate's values tend to share a base.
     """
-    if n < 1:
-        raise DomainError(f"primorial index must be >= 1, got {n}")
-    nth_prime(n)  # refuses an index past the cap
+    nth_prime(n)  # refuses an index outside [1, PRIME_CAP]
     return math.prod(itertools.islice(_primes(), n))
 
 

@@ -135,7 +135,7 @@ class Certificate:
     def from_json(text: str) -> "Certificate":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to read
             raise DomainError(f"certificate is not valid JSON: {exc}") from exc
         return Certificate.from_obj(obj)
 
@@ -231,26 +231,34 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
     return [(tag, Fraction(*value)) for tag, value in _pair_combinations(xs, mode)]
 
 
+class ColourTable(dict):
+    """``Pair -> (Fraction, key)``: a missing pair becomes its one ``Fraction``, coloured by what
+    ``verify.colouring_fn`` returned when the table was made, and is stored in first-seen order."""
+
+    def __init__(self, colouring_id: str):
+        self.fn = colouring_fn(colouring_id)
+
+    def __missing__(self, v: Pair) -> tuple[Fraction, str]:
+        x = Fraction(*v)
+        entry = self[v] = x, colour_key(self.fn(x))
+        return entry
+
+
 def check(
     colouring_id: str, xs: list[Rational], mode: CombinationMode,
-    *, keys: dict[Pair, str] | None = None,
+    *, keys: ColourTable | None = None,
 ) -> Certificate:
     """Colour every combination and report Monochromatic or the first Clash.
 
     The clash cited is the lexicographically first pair in combination order,
     which is always (0, j) for the first j whose key differs from entry 0's.
-    Each distinct value is coloured once, into ``keys``: a fresh dict unless
-    given; search gives the keys it has already computed. Entries of equal
-    value share one ``Fraction``.
+    Each distinct value is coloured once, in first-seen order, into ``keys``: a
+    fresh table unless given; search gives its graph's table, construct one it
+    filled. Entries of equal value share the table's one ``Fraction``.
     """
     pairs = _pair_combinations(xs, mode)
-    values = {v: Fraction(*v) for v in dict.fromkeys(v for _, v in pairs)}
-    fn = colouring_fn(colouring_id)  # read per call, so a rebound ``verify.colouring_fn`` sees every call
-    keys = {} if keys is None else keys
-    for v, x in values.items():  # first-seen order
-        if v not in keys:
-            keys[v] = colour_key(fn(x))
-    entries = tuple(CombinationEntry(tag, values[v], keys[v]) for tag, v in pairs)
+    keys = ColourTable(colouring_id) if keys is None else keys
+    entries = tuple(CombinationEntry(tag, x, key) for tag, v in pairs for x, key in [keys[v]])
     first = entries[0].colour if entries else None
     clash_at = next((j for j, e in enumerate(entries) if e.colour != first), None)
     verdict: Verdict = Monochromatic(first, not entries) if clash_at is None else Clash(0, clash_at)
@@ -345,7 +353,7 @@ class _PairGraph:
 
     Construction is one pass in canonical order, a row of pairs (i, j > i) at a
     time: finite mode colours the elements, then each pair's sum and product is
-    coloured as the pair is met, into one ``value -> key`` dict, unless the two
+    coloured as the pair is met, into one ``ColourTable``, unless the two
     values have ``colourings.SHADOWS`` that differ: that pair is no edge.
     ``adj[K, i]`` is the bitmask of the j > i whose pair sum and pair product
     both have key K, so a pairwise-monochromatic configuration is a clique of
@@ -359,19 +367,15 @@ class _PairGraph:
         elements: list[Rational],
         mode: CombinationMode,
     ):
-        # read from this module once per graph, so a rebound ``verify.colouring_fn`` sees every call
-        self.fn = colouring_fn(colouring_id)
-        self.keys: dict[Pair, str] = {}
+        self.keys = keys = ColourTable(colouring_id)  # its Fractions become the certificates' values
         self.xs = xs = [(x.numerator, x.denominator) for x in elements]
         self.finite = mode is CombinationMode.FINITE_FSFP
-        key_of = self.key_of
         self.singles: dict[str, int] = {}  # finite mode: the elements of each key
         for j, x in enumerate(xs if self.finite else ()):
-            k = key_of(x)
+            k = keys[x][1]
             self.singles[k] = self.singles.get(k, 0) | 1 << j
         shadow = SHADOWS.get(colouring_id)
         shades: dict[Pair, Hashable | None] = {}  # per distinct value, filled where first met
-        keys = self.keys
         self.adj: dict[tuple[str, int], int] = {}
         self.edges: list[int] = []  # j > i whose pair sum and product share any key
         for i, x in enumerate(xs):
@@ -385,24 +389,18 @@ class _PairGraph:
                         b = shades[prod] = shadow(*prod)
                     if a != b and a is not None and b is not None:
                         continue  # the shadows differ, so the keys do
-                k = keys.get(total) or key_of(total)  # a key is never empty
-                if k == (keys.get(prod) or key_of(prod)):
+                k = keys[total][1]
+                if k == keys[prod][1]:
                     self.adj[k, i] = self.adj.get((k, i), 0) | 1 << j
                     row |= 1 << j
             self.edges.append(row)
-
-    def key_of(self, v: Pair) -> str:
-        """The colour key of ``v``, coloured the first time it is met."""
-        if v not in self.keys:
-            self.keys[v] = colour_key(self.fn(Fraction(*v)))
-        return self.keys[v]
 
     def below(self, root: int) -> Iterator[list[int]]:
         """Monochromatic configurations with least element ``root``, in DFS preorder."""
         if not self.finite:
             return self._extend([root], self.edges[root], None, [], [])
         x = self.xs[root]
-        k = self.keys[x]
+        k = self.keys[x][1]
         cand = self.adj.get((k, root), 0) & self.singles[k]
         return self._extend([root], cand, k, [EMPTY_SUM, x], [EMPTY_PRODUCT, x])
 
@@ -421,7 +419,7 @@ class _PairGraph:
             cand ^= low
             j = low.bit_length() - 1
             if key is None:  # the root's pair with j fixes the key
-                k = self.keys[_add(xs[prefix[0]], xs[j])]
+                k = self.keys[_add(xs[prefix[0]], xs[j])][1]
                 yield from self._extend(
                     prefix + [j], self.adj[k, prefix[0]] & self.adj.get((k, j), 0), k, sums, prods
                 )
@@ -434,7 +432,7 @@ class _PairGraph:
             new_sums = [_add(t, x) for t in sums]
             new_prods = [_mul(t, x) for t in prods]
             # x and its pair values are coloured already, and the masks fix their key
-            if all(self.key_of(v) == key for v in itertools.chain(new_sums, new_prods)):
+            if all(self.keys[v][1] == key for v in itertools.chain(new_sums, new_prods)):
                 yield from self._extend(prefix + [j], child, key, sums + new_sums, prods + new_prods)
 
 

@@ -146,6 +146,13 @@ class TestExpand:
         proc = run_cli("expand", "--prime-index", "1", "1/3")
         assert proc.returncode == 2 and proc.stdout == ""
 
+    @pytest.mark.parametrize("index", ["0", "-2"])
+    def test_prime_index_below_one_exit_2(self, capsys, index):
+        # the refusal every other --prime-index gives, not a primorial's own
+        assert cli.main(["expand", "--prime-index", index, "1/2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: prime index must be >= 1, got {index}\n"
+
     def test_base_digit_limit(self):
         # P_1229 has 4,298 decimal digits, P_1230 more than 4,300
         proc = run_cli("expand", "--prime-index", "1229", "1/3")

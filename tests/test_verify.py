@@ -14,8 +14,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qcolour import verify
+from qcolour import oracles, verify
 from qcolour.colourings import SHADOWS, big_phi, colour_key, colouring_fn
 from qcolour.digits import DigitExpansion, end2, expand, start2
 from qcolour.errors import DomainError
@@ -202,6 +204,11 @@ class TestCertificateSerialization:
         with pytest.raises(DomainError, match="^certificate is not valid JSON: "):
             Certificate.from_json("{")
 
+    def test_from_json_refuses_text_nested_too_deep_to_read(self):
+        # the decoder recurses once per bracket, so this would raise RecursionError
+        with pytest.raises(DomainError, match="^certificate is not valid JSON: "):
+            Certificate.from_json("[" * 100_000)
+
     @pytest.mark.parametrize("mode", list(CombinationMode), ids=lambda mode: mode.value)
     def test_validate_reports_a_repeated_term(self, mode):
         # check refuses the sequence itself, so the certificate cannot be recomputed
@@ -286,6 +293,111 @@ class TestCertificateSerialization:
             Certificate.from_obj(bad)
         with pytest.raises(DomainError, match=shape):
             Certificate.from_json(json.dumps(bad))
+
+
+#: each unary colouring's key through its oracle; phi and theta colour integers only
+MODEL_KEYS = {
+    "phi": lambda x: f"bit:{oracles.phi_oracle(x.numerator)}",
+    "theta": lambda x: colour_key(oracles.theta_oracle(x.numerator)),
+    "nu": lambda x: colour_key(oracles.nu_oracle(x)),
+    "mu": lambda x: colour_key(oracles.mu_oracle(x)),
+    "alpha": lambda x: colour_key(oracles.alpha_oracle(x)),
+}
+
+
+def _model_check(colouring, xs, mode):
+    """``check(colouring, xs, mode).to_obj()`` from its docstrings alone: every subset of the
+    mode in (size, positions) order, sums first, each value a ``Fraction`` sum or product,
+    coloured by the oracle, and the lexicographically first pair of differing keys."""
+    sizes = [2] if mode is CombinationMode.PAIRWISE else range(1, len(xs) + 1)
+    subsets = [c for r in sizes for c in itertools.combinations(range(len(xs)), r)]
+    rows = []
+    for block, op in (("s", sum), ("p", math.prod)):
+        for c in subsets:
+            value = op(xs[i] for i in c)
+            tag = f"{block}:" + ",".join(str(i + 1) for i in c)
+            rows.append({"tag": tag, "value": str(value), "colour": MODEL_KEYS[colouring](value)})
+    colours = [row["colour"] for row in rows]
+    clash = next(([i, j] for i, j in itertools.combinations(range(len(rows)), 2)
+                  if colours[i] != colours[j]), None)
+    return {
+        "colouring": colouring,
+        "mode": mode.value,
+        "sequence": [str(x) for x in xs],
+        "combinations": rows,
+        "verdict": {"clash": clash} if clash else
+                   {"monochromatic": {"key": colours[0] if rows else None, "empty": not rows}},
+    }
+
+
+@st.composite
+def _check_cases(draw):
+    colouring = draw(st.sampled_from(sorted(MODEL_KEYS)))
+    if colouring in ("phi", "theta"):
+        term = st.integers(1, 64).map(Fraction)
+    else:
+        term = st.builds(Fraction, st.integers(1, 24), st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]))
+    xs = draw(st.lists(term, min_size=1, max_size=6, unique=True))
+    return colouring, xs, draw(st.sampled_from(list(CombinationMode)))
+
+
+def _tampered(cert):
+    """(what, certificate with that one field changed, the reason validate gives)."""
+    entries = cert.combinations
+    verdict = (Clash(0, 1) if isinstance(cert.verdict, Monochromatic)
+               else Monochromatic(entries[0].colour))
+    other = next(m for m in CombinationMode if m is not cert.mode)
+    out = [
+        ("mode", replace(cert, mode=other), "combination mismatch: "),
+        ("sequence", replace(cert, sequence=cert.sequence + cert.sequence[:1]), "recomputation failed: "),
+        ("verdict", replace(cert, verdict=verdict), "verdict mismatch: "),
+    ]
+    if entries:  # a one-term pairwise certificate has none
+        first, last = entries[0], entries[-1]
+        out += [
+            ("colouring", replace(cert, colouring_id="const"), "combination mismatch: "),
+            ("colour", replace(cert, combinations=(replace(first, colour=first.colour + "!"),
+                                                   *entries[1:])), "combination mismatch: "),
+            ("tag", replace(cert, combinations=(replace(first, tag="s:9"), *entries[1:])),
+             "combination mismatch: "),
+            ("value", replace(cert, combinations=(*entries[:-1], replace(last, value=last.value + 1))),
+             "combination mismatch: "),
+            ("dropped", replace(cert, combinations=entries[:-1]), "combination mismatch: "),
+        ]
+    return out
+
+
+class TestCheckModel:
+    """``check`` against a model that shares no code with ``verify`` (ROADMAP item 12)."""
+
+    # 2 · 1/2 and 1/2 · 2 reduce to the term 1, whichever operand's gcd does it
+    @example(("nu", [Fraction(1), Fraction(2), Fraction(1, 2)], CombinationMode.FINITE_FSFP))
+    @example(("mu", [Fraction(1), Fraction(1, 2), Fraction(2)], CombinationMode.FINITE_FSFP))
+    @given(_check_cases())
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    def test_check_matches_the_model(self, case):
+        colouring, xs, mode = case
+        real, seen = verify.colouring_fn, []
+
+        def counting(colouring_id):
+            fn = real(colouring_id)
+            return lambda x: seen.append(x) or fn(x)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "colouring_fn", counting)
+            cert = check(colouring, xs, mode)
+        assert cert.to_obj() == _model_check(colouring, xs, mode)
+        # each distinct value is coloured once, in first-seen order, and its entries share
+        # the Fraction the colouring saw
+        assert seen == list(dict.fromkeys(e.value for e in cert.combinations))
+        assert {id(e.value) for e in cert.combinations} == {id(x) for x in seen}
+        assert Certificate.from_json(cert.to_json()) == cert
+        reasons: list[str] = []
+        assert validate(cert, reasons) and reasons == []
+        for what, bad, why in _tampered(cert):
+            reasons = []
+            assert not validate(bad, reasons), what
+            assert len(reasons) == 1 and reasons[0].startswith(why), (what, reasons)
 
 
 class TestUniverse:
@@ -483,10 +595,22 @@ class TestSearch:
             return lambda x: seen.append(x) or fn(x)
 
         monkeypatch.setattr(verify, "colouring_fn", counting)
+        graphs = []
+
+        class Recorded(verify._PairGraph):
+            def __init__(self, *args):
+                super().__init__(*args)
+                graphs.append(self)
+
+        monkeypatch.setattr(verify, "_PairGraph", Recorded)
         res = search(colouring, universe, mode, target_size=target, budget=10**6, workers=1)
         assert res.certificates and len(seen) == len(set(seen))
         if mode is CombinationMode.PAIRWISE:
             assert sorted(seen) == sorted(_gated_values(colouring, universe.elements(), mode))
+        # every certificate value is the very Fraction the graph made and coloured
+        (graph,) = graphs
+        assert all(e.value is graph.keys.get((e.value.numerator, e.value.denominator), (None,))[0]
+                   for cert in res.certificates for e in cert.combinations)
 
     GATE_UNIVERSES = [
         ("theta", UniverseSpec(150, integers_only=True), CombinationMode.PAIRWISE),
