@@ -368,7 +368,7 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
     for t, lv in enumerate(levels):
         blocks *= lv.y.denominator  # D_t: squarefree, its largest prime p_k at the block's last position
         for v in sums[2**t : 2 ** (t + 1)] + products[2**t : 2 ** (t + 1)]:
-            keys[v.numerator, v.denominator] = v, _block_key(v, blocks, indices[max(lv.block) - 1])
+            keys[v.numerator, v.denominator] = _block_key(v, blocks, indices[max(lv.block) - 1])
     certificate = check("mu", ys, CombinationMode.FINITE_FSFP, keys=keys)
     if not isinstance(certificate.verdict, Monochromatic):
         raise InternalInvariantError(

@@ -26,7 +26,7 @@ from .core import (
     DIGIT_LIMIT, PrimeTable, Rational, check_digits, is_dyadic, iter_primes, parse_rational, primorial,
 )
 from .digits import DigitExpansion, end2, expand, start2
-from .errors import DomainError
+from .errors import DomainError, InternalInvariantError
 
 
 class CombinationMode(Enum):
@@ -61,10 +61,8 @@ class CombinationEntry:
     value: Rational
     colour: str  # colour key of the value
 
-    def to_obj(self) -> dict:
-        return {"tag": self.tag, "value": str(self.value), "colour": self.colour}
 
-
+Pair = tuple[int, int]  # (numerator, denominator) in lowest terms, denominator > 0
 _JSON_NAMES = {bool: "boolean", int: "integer", str: "string", list: "array"}
 
 
@@ -82,18 +80,38 @@ def json_text(obj: dict, pretty: bool = False) -> str:
 
 @dataclass(frozen=True)
 class Certificate:
+    """A sequence, its combinations as parallel columns in combination order, and a verdict."""
+
     colouring_id: str
     mode: CombinationMode
     sequence: tuple[Rational, ...]
-    combinations: tuple[CombinationEntry, ...]
+    tags: tuple[str, ...]
+    values: tuple[Pair, ...]
+    keys: tuple[str, ...]
     verdict: Verdict
+
+    def __post_init__(self) -> None:
+        if not len(self.tags) == len(self.values) == len(self.keys):
+            raise DomainError("a certificate needs one tag, value and colour per combination")
+
+    @property
+    def combinations(self) -> tuple[CombinationEntry, ...]:
+        """The rows, each with its value as a ``Fraction``, built anew on every read."""
+        return tuple(map(self._entry, range(len(self.tags))))
+
+    def _entry(self, j: int) -> CombinationEntry | None:
+        """Row ``j``, or None past the last."""
+        if j >= len(self.tags):
+            return None
+        return CombinationEntry(self.tags[j], Fraction(*self.values[j]), self.keys[j])
 
     def to_obj(self) -> dict:
         return {
             "colouring": self.colouring_id,
             "mode": self.mode.value,
             "sequence": [str(x) for x in self.sequence],
-            "combinations": [c.to_obj() for c in self.combinations],
+            "combinations": [{"tag": tag, "value": str(n) if d == 1 else f"{n}/{d}", "colour": key}
+                             for tag, (n, d), key in zip(self.tags, self.values, self.keys)],
             "verdict": self.verdict.to_obj(),
         }
 
@@ -115,19 +133,15 @@ class Certificate:
                 case _:
                     raise ValueError('a verdict must be {"clash": [first, second]} or {"monochromatic":'
                                      f' {{"key": key, "empty": empty}}}}, got {v!r}')
-            return Certificate(
-                colouring_id=_json_typed(obj["colouring"], str, "colouring"),
-                mode=CombinationMode(obj["mode"]),
-                sequence=tuple(map(parse_rational, _json_typed(obj["sequence"], list, "sequence"))),
-                combinations=tuple(
-                    CombinationEntry(
-                        _json_typed(c["tag"], str, "a tag"), parse_rational(c["value"]),
-                        _json_typed(c["colour"], str, "a colour"),
-                    )
-                    for c in _json_typed(obj["combinations"], list, "combinations")
-                ),
-                verdict=verdict,
-            )
+            colouring = _json_typed(obj["colouring"], str, "colouring")
+            mode = CombinationMode(obj["mode"])
+            sequence = tuple(map(parse_rational, _json_typed(obj["sequence"], list, "sequence")))
+            tags, values, keys = [], [], []
+            for c in _json_typed(obj["combinations"], list, "combinations"):  # row by row
+                tags.append(_json_typed(c["tag"], str, "a tag"))
+                values.append(((x := parse_rational(c["value"])).numerator, x.denominator))
+                keys.append(_json_typed(c["colour"], str, "a colour"))
+            return Certificate(colouring, mode, sequence, tuple(tags), tuple(values), tuple(keys), verdict)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed certificate object: {exc}") from exc
 
@@ -178,7 +192,6 @@ def check_term_count(count: int, mode: CombinationMode) -> None:
         raise DomainError(f"{mode.value} mode takes at most {cap} terms, got {count}")
 
 
-Pair = tuple[int, int]  # (numerator, denominator) in lowest terms, denominator > 0
 EMPTY_SUM, EMPTY_PRODUCT = (0, 1), (1, 1)  # the empty subset's, index 0 of every subset closure
 
 
@@ -197,26 +210,26 @@ def _mul(x: Pair, y: Pair) -> Pair:
     return (x[0] // g) * (y[0] // h), (x[1] // h) * (y[1] // g)
 
 
-def _pair_combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, Pair]]:
-    """``combinations`` with each value a reduced pair."""
+def _pair_combinations(xs: list[Rational], mode: CombinationMode) -> tuple[list[str], list[Pair]]:
+    """``combinations`` as two columns, the tags and the values as reduced pairs."""
     check_term_count(len(xs), mode)
     if len(set(xs)) != len(xs):
         raise DomainError("sequence terms must be distinct")
     finite = mode is CombinationMode.FINITE_FSFP
     terms = [(x.numerator, x.denominator) for x in xs]
     steps = _steps(len(xs), mode)
-    out = []
+    tags, values = [], []
     for block, op, empty in (("s:", _add, EMPTY_SUM), ("p:", _mul, EMPTY_PRODUCT)):
         table = [empty] * (1 << len(xs)) if finite else terms
         for positions, prefix, last in steps:
             value = op(table[prefix], terms[last])
             if finite:
                 table[prefix | 1 << last] = value
-            tag = block + positions
             if (top := max(value)) >= DIGIT_LIMIT:  # refused; the message is built only then
-                check_digits(top, f"combination {tag}")
-            out.append((tag, value))
-    return out
+                check_digits(top, f"combination {block}{positions}")
+            values.append(value)
+        tags += [block + positions for positions, _, _ in steps]
+    return tags, values
 
 
 def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, Rational]]:
@@ -228,20 +241,20 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
     take 2·(2^k − 1) operations. A value too long to print (see ``core.MAX_DIGITS``) is
     refused as it is produced, so no operand is longer.
     """
-    return [(tag, Fraction(*value)) for tag, value in _pair_combinations(xs, mode)]
+    return [(tag, Fraction(*value)) for tag, value in zip(*_pair_combinations(xs, mode))]
 
 
 class ColourTable(dict):
-    """``Pair -> (Fraction, key)``: a missing pair becomes its one ``Fraction``, coloured by what
-    ``verify.colouring_fn`` returned when the table was made, and is stored in first-seen order."""
+    """``Pair -> key``: a missing pair is handed, as one ``Fraction``, to what ``verify.colouring_fn``
+    returned for ``colouring_id`` when the table was made, and its key stored in first-seen order."""
 
     def __init__(self, colouring_id: str):
+        self.colouring_id = colouring_id
         self.fn = colouring_fn(colouring_id)
 
-    def __missing__(self, v: Pair) -> tuple[Fraction, str]:
-        x = Fraction(*v)
-        entry = self[v] = x, colour_key(self.fn(x))
-        return entry
+    def __missing__(self, v: Pair) -> str:
+        key = self[v] = colour_key(self.fn(Fraction(*v)))
+        return key
 
 
 def check(
@@ -254,21 +267,17 @@ def check(
     which is always (0, j) for the first j whose key differs from entry 0's.
     Each distinct value is coloured once, in first-seen order, into ``keys``: a
     fresh table unless given; search gives its graph's table, construct one it
-    filled. Entries of equal value share the table's one ``Fraction``.
+    filled. A table of another colouring is refused.
     """
-    pairs = _pair_combinations(xs, mode)
+    tags, values = _pair_combinations(xs, mode)
     keys = ColourTable(colouring_id) if keys is None else keys
-    entries = tuple(CombinationEntry(tag, x, key) for tag, v in pairs for x, key in [keys[v]])
-    first = entries[0].colour if entries else None
-    clash_at = next((j for j, e in enumerate(entries) if e.colour != first), None)
-    verdict: Verdict = Monochromatic(first, not entries) if clash_at is None else Clash(0, clash_at)
-    return Certificate(
-        colouring_id=colouring_id,
-        mode=mode,
-        sequence=tuple(xs),
-        combinations=entries,
-        verdict=verdict,
-    )
+    if keys.colouring_id != colouring_id:
+        raise InternalInvariantError(f"a {colouring_id} check was given a {keys.colouring_id} colour table")
+    colours = tuple(map(keys.__getitem__, values))
+    first = colours[0] if colours else None
+    clash_at = next((j for j, key in enumerate(colours) if key != first), None)
+    verdict: Verdict = Monochromatic(first, not colours) if clash_at is None else Clash(0, clash_at)
+    return Certificate(colouring_id, mode, tuple(xs), tuple(tags), tuple(values), colours, verdict)
 
 
 def validate(
@@ -288,10 +297,10 @@ def validate(
         expected = check(cert.colouring_id, list(cert.sequence), cert.mode)
     except DomainError as exc:
         return fail(f"recomputation failed: {exc}")
-    if expected.combinations != cert.combinations:
-        for ours, theirs in itertools.zip_longest(expected.combinations, cert.combinations):
-            if ours != theirs:
-                return fail(f"combination mismatch: expected {ours}, found {theirs}")
+    ours, theirs = (expected.tags, expected.values, expected.keys), (cert.tags, cert.values, cert.keys)
+    if ours != theirs:  # the first row that differs, as entries
+        j = next(j for j, row in enumerate(itertools.zip_longest(*ours, *theirs)) if row[:3] != row[3:])
+        return fail(f"combination mismatch: expected {expected._entry(j)}, found {cert._entry(j)}")
     if expected.verdict != cert.verdict:
         return fail(f"verdict mismatch: expected {expected.verdict}, found {cert.verdict}")
     return True
@@ -367,12 +376,12 @@ class _PairGraph:
         elements: list[Rational],
         mode: CombinationMode,
     ):
-        self.keys = keys = ColourTable(colouring_id)  # its Fractions become the certificates' values
+        self.keys = keys = ColourTable(colouring_id)  # its pairs become the certificates' values
         self.xs = xs = [(x.numerator, x.denominator) for x in elements]
         self.finite = mode is CombinationMode.FINITE_FSFP
         self.singles: dict[str, int] = {}  # finite mode: the elements of each key
         for j, x in enumerate(xs if self.finite else ()):
-            k = keys[x][1]
+            k = keys[x]
             self.singles[k] = self.singles.get(k, 0) | 1 << j
         shadow = SHADOWS.get(colouring_id)
         shades: dict[Pair, Hashable | None] = {}  # per distinct value, filled where first met
@@ -389,8 +398,8 @@ class _PairGraph:
                         b = shades[prod] = shadow(*prod)
                     if a != b and a is not None and b is not None:
                         continue  # the shadows differ, so the keys do
-                k = keys[total][1]
-                if k == keys[prod][1]:
+                k = keys[total]
+                if k == keys[prod]:
                     self.adj[k, i] = self.adj.get((k, i), 0) | 1 << j
                     row |= 1 << j
             self.edges.append(row)
@@ -400,7 +409,7 @@ class _PairGraph:
         if not self.finite:
             return self._extend([root], self.edges[root], None, [], [])
         x = self.xs[root]
-        k = self.keys[x][1]
+        k = self.keys[x]
         cand = self.adj.get((k, root), 0) & self.singles[k]
         return self._extend([root], cand, k, [EMPTY_SUM, x], [EMPTY_PRODUCT, x])
 
@@ -419,7 +428,7 @@ class _PairGraph:
             cand ^= low
             j = low.bit_length() - 1
             if key is None:  # the root's pair with j fixes the key
-                k = self.keys[_add(xs[prefix[0]], xs[j])][1]
+                k = self.keys[_add(xs[prefix[0]], xs[j])]
                 yield from self._extend(
                     prefix + [j], self.adj[k, prefix[0]] & self.adj.get((k, j), 0), k, sums, prods
                 )
@@ -432,7 +441,7 @@ class _PairGraph:
             new_sums = [_add(t, x) for t in sums]
             new_prods = [_mul(t, x) for t in prods]
             # x and its pair values are coloured already, and the masks fix their key
-            if all(self.keys[v][1] == key for v in itertools.chain(new_sums, new_prods)):
+            if all(self.keys[v] == key for v in itertools.chain(new_sums, new_prods)):
                 yield from self._extend(prefix + [j], child, key, sums + new_sums, prods + new_prods)
 
 

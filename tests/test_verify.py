@@ -17,10 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcolour import oracles, verify
+from qcolour import construct, oracles, verify
 from qcolour.colourings import SHADOWS, big_phi, colour_key, colouring_fn
 from qcolour.digits import DigitExpansion, end2, expand, start2
-from qcolour.errors import DomainError
+from qcolour.errors import DomainError, InternalInvariantError
 from qcolour.verify import (
     Certificate,
     Clash,
@@ -144,14 +144,51 @@ class TestCheck:
 
         monkeypatch.setattr(verify, "colouring_fn", counting)
         xs = [Fraction(n) for n in range(1, 17)]
-        cert = check("nu", xs, CombinationMode.FINITE_FSFP)
-        assert len(cert.combinations) == 131_070
+        table = verify.ColourTable("nu")
+        cert = check("nu", xs, CombinationMode.FINITE_FSFP, keys=table)
+        assert len(cert.tags) == len(cert.values) == len(cert.keys) == 131_070
         assert len(seen) == len(set(seen)) == 4_297
-        assert set(seen) == {e.value for e in cert.combinations}
-        # entries of equal value share one Fraction
-        assert len({id(e.value) for e in cert.combinations}) == 4_297
-        # ... and it is the very object the kernel coloured
-        assert {id(x) for x in seen} == {id(e.value) for e in cert.combinations}
+        # the certificate's values are the table's pairs, in first-seen order
+        assert list(table) == list(dict.fromkeys(cert.values))
+        # ... and the kernel was handed exactly one Fraction per distinct value
+        assert all(type(x) is Fraction for x in seen)
+        assert [(x.numerator, x.denominator) for x in seen] == list(table)
+        assert cert.keys == tuple(table[v] for v in cert.values)
+
+    def test_a_table_of_another_colouring_is_refused(self):
+        with pytest.raises(InternalInvariantError, match="^a nu check was given a mu colour table$"):
+            check("nu", [2, 4], CombinationMode.PAIRWISE, keys=verify.ColourTable("mu"))
+
+    def test_search_and_construct_give_check_their_own_colouring(self, monkeypatch):
+        calls = []
+
+        def spy(colouring_id, xs, mode, *, keys=None):
+            calls.append((colouring_id, keys.colouring_id))
+            return check(colouring_id, xs, mode, keys=keys)
+
+        monkeypatch.setattr(verify, "check", spy)
+        monkeypatch.setattr(construct, "check", spy)
+        assert search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, 2, 10**6).certificates
+        construct.extend_sum_closed(2)
+        assert calls[-1] == ("mu", "mu") and set(calls) == {("nu", "nu"), ("mu", "mu")}
+
+    def test_a_finite_check_builds_no_entry(self, monkeypatch):
+        built = []
+
+        class Counted(verify.CombinationEntry):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(verify, "CombinationEntry", Counted)
+        xs = [Fraction(n, 6) for n in range(1, 12)]
+        cert = check("nu", xs, CombinationMode.FINITE_FSFP)
+        reasons: list[str] = []
+        again = Certificate.from_json(cert.to_json())
+        assert validate(again, reasons) and reasons == [] and again == cert
+        assert built == []
+        # the row view builds them, through the name counted here
+        assert len(cert.combinations) == len(built) == 2 * (2**11 - 1)
 
 
 class TestCertificateSerialization:
@@ -185,20 +222,29 @@ class TestCertificateSerialization:
 
     def test_validate_rejects_tampering(self):
         cert = check("nu", [Fraction(2), Fraction(4)], CombinationMode.PAIRWISE)
-        entry = cert.combinations[0]
+        expected = "CombinationEntry(tag='s:1,2', value=Fraction(6, 1), colour='nu:s:C4mC1')"
 
-        tampered_colour = replace(
-            cert, combinations=(replace(entry, colour="nu:s:C1"), cert.combinations[1])
-        )
-        tampered_value = replace(
-            cert, combinations=(replace(entry, value=Fraction(7)), cert.combinations[1])
-        )
-        dropped = replace(cert, combinations=cert.combinations[:1])
+        tampered_colour = replace(cert, keys=("nu:s:C1", cert.keys[1]))
+        tampered_value = replace(cert, values=((7, 1), cert.values[1]))
+        dropped = replace(cert, tags=cert.tags[:1], values=cert.values[:1], keys=cert.keys[:1])
         wrong_verdict = replace(cert, verdict=Monochromatic(key="nu:s:C1"))
-        for bad in (tampered_colour, tampered_value, dropped, wrong_verdict):
+        for bad, why in (
+            (tampered_colour, f"combination mismatch: expected {expected}, found "
+                              "CombinationEntry(tag='s:1,2', value=Fraction(6, 1), colour='nu:s:C1')"),
+            (tampered_value, f"combination mismatch: expected {expected}, found "
+                             "CombinationEntry(tag='s:1,2', value=Fraction(7, 1), colour='nu:s:C4mC1')"),
+            (dropped, "combination mismatch: expected CombinationEntry(tag='p:1,2', "
+                      "value=Fraction(8, 1), colour='nu:s:C1'), found None"),
+            (wrong_verdict, "verdict mismatch: "),
+        ):
             reasons = []
             assert not validate(bad, reasons)
-            assert reasons
+            assert len(reasons) == 1 and reasons[0].startswith(why), reasons
+
+    def test_columns_of_unequal_length_are_refused(self):
+        cert = check("nu", [Fraction(2), Fraction(4)], CombinationMode.PAIRWISE)
+        with pytest.raises(DomainError, match="one tag, value and colour per combination"):
+            replace(cert, keys=cert.keys[:1])
 
     def test_from_json_refuses_text_that_is_not_json(self):
         with pytest.raises(DomainError, match="^certificate is not valid JSON: "):
@@ -343,26 +389,25 @@ def _check_cases(draw):
 
 def _tampered(cert):
     """(what, certificate with that one field changed, the reason validate gives)."""
-    entries = cert.combinations
+    tags, values, keys = cert.tags, cert.values, cert.keys
     verdict = (Clash(0, 1) if isinstance(cert.verdict, Monochromatic)
-               else Monochromatic(entries[0].colour))
+               else Monochromatic(keys[0]))
     other = next(m for m in CombinationMode if m is not cert.mode)
     out = [
         ("mode", replace(cert, mode=other), "combination mismatch: "),
         ("sequence", replace(cert, sequence=cert.sequence + cert.sequence[:1]), "recomputation failed: "),
         ("verdict", replace(cert, verdict=verdict), "verdict mismatch: "),
     ]
-    if entries:  # a one-term pairwise certificate has none
-        first, last = entries[0], entries[-1]
+    if keys:  # a one-term pairwise certificate has none
+        n, d = values[-1]
         out += [
             ("colouring", replace(cert, colouring_id="const"), "combination mismatch: "),
-            ("colour", replace(cert, combinations=(replace(first, colour=first.colour + "!"),
-                                                   *entries[1:])), "combination mismatch: "),
-            ("tag", replace(cert, combinations=(replace(first, tag="s:9"), *entries[1:])),
+            ("colour", replace(cert, keys=(keys[0] + "!", *keys[1:])), "combination mismatch: "),
+            ("tag", replace(cert, tags=("s:9", *tags[1:])), "combination mismatch: "),
+            ("value", replace(cert, values=(*values[:-1], (n + d, d))),  # the last value plus 1
              "combination mismatch: "),
-            ("value", replace(cert, combinations=(*entries[:-1], replace(last, value=last.value + 1))),
+            ("dropped", replace(cert, tags=tags[:-1], values=values[:-1], keys=keys[:-1]),
              "combination mismatch: "),
-            ("dropped", replace(cert, combinations=entries[:-1]), "combination mismatch: "),
         ]
     return out
 
@@ -387,10 +432,10 @@ class TestCheckModel:
             patch.setattr(verify, "colouring_fn", counting)
             cert = check(colouring, xs, mode)
         assert cert.to_obj() == _model_check(colouring, xs, mode)
-        # each distinct value is coloured once, in first-seen order, and its entries share
-        # the Fraction the colouring saw
-        assert seen == list(dict.fromkeys(e.value for e in cert.combinations))
-        assert {id(e.value) for e in cert.combinations} == {id(x) for x in seen}
+        # each distinct value is coloured once, in first-seen order, handed to the
+        # colouring as exactly one Fraction
+        assert all(type(x) is Fraction for x in seen)
+        assert [(x.numerator, x.denominator) for x in seen] == list(dict.fromkeys(cert.values))
         assert Certificate.from_json(cert.to_json()) == cert
         reasons: list[str] = []
         assert validate(cert, reasons) and reasons == []
@@ -398,6 +443,18 @@ class TestCheckModel:
             reasons = []
             assert not validate(bad, reasons), what
             assert len(reasons) == 1 and reasons[0].startswith(why), (what, reasons)
+
+    @example(("nu", [Fraction(1), Fraction(2), Fraction(1, 2)], CombinationMode.FINITE_FSFP))
+    @given(_check_cases())
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    def test_row_view_matches_the_public_combinations(self, case):
+        colouring, xs, mode = case
+        fn = colouring_fn(colouring)
+        rows = tuple(verify.CombinationEntry(tag, v, colour_key(fn(v)))
+                     for tag, v in combinations(xs, mode))
+        view = check(colouring, xs, mode).combinations
+        assert view == rows
+        assert all(type(e.value) is Fraction for e in view)
 
 
 class TestUniverse:
@@ -607,10 +664,10 @@ class TestSearch:
         assert res.certificates and len(seen) == len(set(seen))
         if mode is CombinationMode.PAIRWISE:
             assert sorted(seen) == sorted(_gated_values(colouring, universe.elements(), mode))
-        # every certificate value is the very Fraction the graph made and coloured
+        # every certificate value is a pair of the graph's table, with the key it has there
         (graph,) = graphs
-        assert all(e.value is graph.keys.get((e.value.numerator, e.value.denominator), (None,))[0]
-                   for cert in res.certificates for e in cert.combinations)
+        assert all(v in graph.keys and graph.keys[v] == key
+                   for cert in res.certificates for v, key in zip(cert.values, cert.keys))
 
     GATE_UNIVERSES = [
         ("theta", UniverseSpec(150, integers_only=True), CombinationMode.PAIRWISE),
