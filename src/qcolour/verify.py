@@ -460,11 +460,10 @@ def search(
     move forward in canonical order, so every subset is visited at most once,
     and ``nodes`` counts the configurations visited. A target above ``term_cap``
     is refused before the universe is listed. Finite mode extends no configuration
-    past ``FINITE_TERM_CAP`` terms, so ``max_size`` is at most 16 there. The node
-    budget is split statically across root elements (remainder to the earliest
-    roots); that split defines the pinned ``nodes`` and which certificates
-    appear, in which order, when the budget runs out. ``workers`` is validated
-    and otherwise ignored.
+    past ``FINITE_TERM_CAP`` terms, so ``max_size`` is at most 16 there. The search
+    visits the first ``budget`` nodes of one preorder (each root in order, then
+    the configurations below it) and is exhausted exactly when none remains.
+    ``workers`` is validated and otherwise ignored.
     """
     if target_size < 2:
         raise DomainError(f"target size must be >= 2, got {target_size}")
@@ -475,22 +474,15 @@ def search(
     check_term_count(target_size, mode)
     elements = universe.elements()
     graph = _PairGraph(colouring_id, elements, mode)
-    share, extra = divmod(budget, max(1, len(elements)))
-
-    certificates, max_size, exhausted, nodes = [], 0, True, 0
-    for root in range(len(elements)):
-        root_budget = share + (1 if root < extra else 0)
-        root_nodes = 0
-        for idx in graph.below(root):
-            if root_nodes >= root_budget:
-                exhausted = False
-                break
-            root_nodes += 1
-            max_size = max(max_size, len(idx))
-            if len(idx) == target_size:
-                xs = [elements[i] for i in idx]
-                certificates.append(check(colouring_id, xs, mode, keys=graph.keys))
-        nodes += root_nodes
+    preorder = itertools.chain.from_iterable(map(graph.below, range(len(elements))))
+    certificates, max_size, nodes = [], 0, 0
+    for idx in itertools.islice(preorder, budget):
+        nodes += 1
+        max_size = max(max_size, len(idx))
+        if len(idx) == target_size:
+            xs = [elements[i] for i in idx]
+            certificates.append(check(colouring_id, xs, mode, keys=graph.keys))
+    exhausted = next(preorder, None) is None  # no node past the first ``budget``
     return SearchResult(
         certificates=certificates, max_size=max_size, exhausted=exhausted, nodes=nodes
     )

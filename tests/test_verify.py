@@ -591,21 +591,20 @@ class TestSearch:
         ]
         assert res.to_obj()["certificates"] == naive.to_obj()["certificates"]
 
-    # nodes / max_size / exhausted / certificate sequences, fixed before search
-    # coloured each pair once; the node count keeps its meaning across designs.
+    # nodes / max_size / exhausted / certificate sequences. The budget counts the nodes of
+    # one preorder over every root, so a smaller budget keeps a prefix of the certificates,
+    # and any budget from the 47 nodes up gives the whole search.
+    SEQUENCES = [
+        "1,6", "1,9", "1,3/4", "1,5/4", "2,3/2", "2,5/2", "2,7/4", "2,9/4", "3,4",
+        "3,6", "3,1/2", "3,3/2", "4,5", "4,7/2", "4,9/2", "5,5/4", "6,8", "7,8",
+        "7,1/2", "8,9", "8,10", "9,5/4", "1/2,9/2", "3/2,1/4", "3/2,3/4", "7/2,1/4",
+        "1/4,9/4"]
     PINNED = {
         1: (1, 1, False, []),
-        5: (5, 1, False, []),
-        17: (17, 1, False, []),
-        60: (40, 2, False, [
-            "1,6", "1,9", "2,3/2", "2,5/2", "3,4", "3,6", "4,5", "4,7/2", "5,5/4", "6,8",
-            "7,8", "7,1/2", "8,9", "8,10", "9,5/4", "1/2,9/2", "3/2,1/4", "3/2,3/4",
-            "7/2,1/4", "1/4,9/4"]),
-        200: (47, 2, True, [
-            "1,6", "1,9", "1,3/4", "1,5/4", "2,3/2", "2,5/2", "2,7/4", "2,9/4", "3,4",
-            "3,6", "3,1/2", "3,3/2", "4,5", "4,7/2", "4,9/2", "5,5/4", "6,8", "7,8",
-            "7,1/2", "8,9", "8,10", "9,5/4", "1/2,9/2", "3/2,1/4", "3/2,3/4", "7/2,1/4",
-            "1/4,9/4"]),
+        5: (5, 2, False, SEQUENCES[:4]),
+        17: (17, 2, False, SEQUENCES[:13]),
+        60: (47, 2, True, SEQUENCES),
+        200: (47, 2, True, SEQUENCES),
     }
 
     @pytest.mark.parametrize("budget", sorted(PINNED))
@@ -614,6 +613,26 @@ class TestSearch:
                      budget=budget, workers=1)
         sequences = [",".join(str(x) for x in c.sequence) for c in res.certificates]
         assert (res.nodes, res.max_size, res.exhausted, sequences) == self.PINNED[budget]
+
+    @pytest.mark.parametrize("colouring, universe, mode, target", [
+        ("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, 2),
+        ("alpha", UniverseSpec(16, 8, 2), CombinationMode.PAIRWISE, 3),
+        ("const", UniverseSpec(6, 2, 1), CombinationMode.FINITE_FSFP, 3),
+    ], ids=["nu-pairwise", "alpha-pairwise", "const-finite"])
+    def test_budget_visits_a_prefix_of_one_preorder(self, colouring, universe, mode, target):
+        # the configurations walked root by root from the pair graph, apart from search
+        elements = universe.elements()
+        graph = verify._PairGraph(colouring, elements, mode)
+        walk = [[elements[i] for i in idx]
+                for root in range(len(elements)) for idx in graph.below(root)]
+        total = len(walk)
+        for budget in sorted({1, 2, total - 1, total, total + 1, 2 * total}):
+            res = search(colouring, universe, mode, target_size=target, budget=budget)
+            visited = walk[:budget]
+            assert (res.nodes, res.exhausted, res.max_size) == (
+                len(visited), budget >= total, max(map(len, visited)))
+            assert [list(c.sequence) for c in res.certificates] == [
+                xs for xs in visited if len(xs) == target]
 
     @pytest.mark.parametrize("colouring, bounds, nodes, max_size", [
         ("nu", (10, 4, 2), 27, 1),
@@ -730,11 +749,11 @@ class TestSearch:
         assert seen == _gated_values(colouring, elements, mode)
 
     def test_finite_configurations_stop_at_the_term_cap(self):
-        # every subset is monochromatic under const, so the first root's 17 nodes run straight
-        # down: without the cap the 17th would be all 17 terms, which check refuses
+        # every subset is monochromatic under const, so the preorder's first 17 nodes run
+        # straight down: without the cap the 17th would be all 17 terms, which check refuses
         res = search("const", UniverseSpec(17, integers_only=True), CombinationMode.FINITE_FSFP,
                      target_size=3, budget=17 * 17, workers=1)
-        assert (res.max_size, res.nodes, res.exhausted) == (verify.FINITE_TERM_CAP, 235, False)
+        assert (res.max_size, res.nodes, res.exhausted) == (verify.FINITE_TERM_CAP, 289, False)
 
     def test_colouring_loads_no_process_machinery(self):
         # a search and a check that colour over 7,169 distinct values each, in a fresh
@@ -775,7 +794,7 @@ print(json.dumps([counts, loaded]))
     def test_budget_exhaustion_is_reported(self):
         res = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
                      budget=5, workers=1)
-        assert not res.exhausted and res.nodes <= 5
+        assert not res.exhausted and res.nodes == 5
 
     def test_domain_errors(self):
         for kwargs in (
