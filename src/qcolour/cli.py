@@ -77,7 +77,7 @@ def _read_sequence(path: str | None, mode: CombinationMode) -> list[str]:
                 lines += 1
                 if lines > max_lines:
                     raise DomainError(f"{mode.value} mode reads at most {max_lines} lines")
-                if len(line.rstrip("\n")) > MAX_LINE:
+                if len(line.removesuffix("\n").removesuffix("\r")) > MAX_LINE:  # \r\n is one break
                     raise DomainError(f"a line has more than {MAX_LINE} characters")
                 # \f, \v and the other breaks str.splitlines knows end a term too
                 for piece in line.splitlines():

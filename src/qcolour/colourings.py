@@ -8,7 +8,7 @@ search pruning, CLI output).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Union
 
@@ -30,28 +30,35 @@ from .errors import DomainError
 
 
 class ColourValue:
-    """Base class; concrete variants are frozen dataclasses below."""
+    """Base class; concrete variants are frozen dataclasses below.
+
+    Each value formats its key once, when it is built. The colourings intern their values in
+    the tables below the classes; ``oracles`` builds fresh values, equal to the interned ones.
+    """
+
+    _key: str
 
     def key(self) -> str:
-        raise NotImplementedError
+        try:
+            return self._key
+        except AttributeError:  # a bare ColourValue has no key
+            raise NotImplementedError from None
 
 
 @dataclass(frozen=True)
 class Bit(ColourValue):
     value: int
 
-    def key(self) -> str:
-        return f"bit:{self.value}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", f"bit:{self.value}")
 
 
 @dataclass(frozen=True)
 class PhiZero(ColourValue):
     """Degenerate pair colour (first component zero, second zero, or not increasing)."""
 
+    _key = "phi:z"
     compact = "z"  # its part of a theta key
-
-    def key(self) -> str:
-        return "phi:z"
 
 
 @dataclass(frozen=True)
@@ -61,15 +68,10 @@ class PhiTuple(ColourValue):
     c3: int
     c4: int
     c5: int
-    compact: str = field(init=False, repr=False, compare=False)  # its part of a theta key
-    _key: str = field(init=False, repr=False, compare=False)  # formatted once: the values are interned
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "compact", f"{self.c1}{self.c2}{self.c3}{self.c4}{self.c5}")
         object.__setattr__(self, "_key", f"phi:t:{self.c1},{self.c2},{self.c3},{self.c4},{self.c5}")
-
-    def key(self) -> str:
-        return self._key
 
 
 PhiValue = Union[PhiZero, PhiTuple]
@@ -88,11 +90,11 @@ class ThetaTuple(ColourValue):
     phi_of_end: int
     tail: int
 
-    def key(self) -> str:
-        return (
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", (
             f"theta:{self.power},{self.end_parity},{self.gap_parity},"
             f"{self.phi_inner.compact},{self.phi_inner_shift.compact},{self.phi_of_end},{self.tail}"
-        )
+        ))
 
 
 class NuClass(Enum):
@@ -106,13 +108,9 @@ class NuClass(Enum):
 @dataclass(frozen=True)
 class NuSpecial(ColourValue):
     cls: NuClass
-    _key: str = field(init=False, repr=False, compare=False)  # formatted once: the values are interned
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_key", f"nu:s:{self.cls.value}")
-
-    def key(self) -> str:
-        return self._key
 
 
 @dataclass(frozen=True)
@@ -122,13 +120,9 @@ class NuTuple(ColourValue):
     w3: int
     w4: int
     w5: int
-    _key: str = field(init=False, repr=False, compare=False)  # formatted once: the values are interned
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_key", f"nu:t:{self.w1},{self.w2},{self.w3},{self.w4},{self.w5}")
-
-    def key(self) -> str:
-        return self._key
 
 
 NuValue = Union[NuSpecial, NuTuple]
@@ -141,8 +135,8 @@ _NU_TUPLES = {w: NuTuple(*w) for w in itertools.product((0, 1), (0, 1), *[range(
 class MuWhole(ColourValue):
     nu: NuValue
 
-    def key(self) -> str:
-        return f"mu:w:{self.nu.key()}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", f"mu:w:{self.nu._key}")
 
 
 @dataclass(frozen=True)
@@ -151,46 +145,54 @@ class MuFrac(ColourValue):
     phi: PhiValue
     psi_prime: PhiValue
 
-    def key(self) -> str:
-        return f"mu:f:{self.nu.key()}|{self.phi.key()}|{self.psi_prime.key()}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", f"mu:f:{self.nu._key}|{self.phi._key}|{self.psi_prime._key}")
 
 
 @dataclass(frozen=True)
 class AlphaNat(ColourValue):
     theta: ThetaTuple
 
-    def key(self) -> str:
-        return f"alpha:n:{self.theta.key()}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", f"alpha:n:{self.theta._key}")
 
 
 @dataclass(frozen=True)
 class AlphaNegPow2(ColourValue):
-    def key(self) -> str:
-        return "alpha:negpow2"
+    _key = "alpha:negpow2"
 
 
 @dataclass(frozen=True)
 class AlphaSmall(ColourValue):
-    def key(self) -> str:
-        return "alpha:small"
+    _key = "alpha:small"
 
 
 @dataclass(frozen=True)
 class AlphaBig(ColourValue):
     components: tuple[int, ...]  # 13 entries
 
-    def key(self) -> str:
-        return "alpha:b:" + ",".join(map(str, self.components))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", "alpha:b:" + ",".join(map(str, self.components)))
 
 
 @dataclass(frozen=True)
 class ConstColour(ColourValue):
-    def key(self) -> str:
-        return "const"
+    _key = "const"
+
+
+BITS = (Bit(0), Bit(1))  # BITS[b] is Bit(b)
+ALPHA_NEG_POW2, ALPHA_SMALL, CONST = AlphaNegPow2(), AlphaSmall(), ConstColour()
+# The tables of the interned values with sub-values, each bounded by the product of its
+# components' ranges: 33 pair colours (PhiValue), 111 nu colours and 2 per flag or parity.
+_THETAS: dict[tuple, ThetaTuple] = {}  # 2^3 flags and parities, 33^2 pair colours, 2^2: 34,848
+_ALPHA_NATS: dict[str, AlphaNat] = {}  # by theta key: 34,848
+_ALPHA_BIGS: dict[tuple, AlphaBig] = {}  # 12 bits and a residue mod 3: 2^12 * 3 = 12,288
+_MU_WHOLES: dict[str, MuWhole] = {}  # by nu key: 111
+_MU_FRACS: dict[tuple, MuFrac] = {}  # nu key, then two pair-colour keys: 111 * 33^2 = 120,879
 
 
 def colour_key(value: ColourValue) -> str:
-    return value.key()
+    return value._key
 
 
 # --- the colourings ----------------------------------------------------------
@@ -221,12 +223,16 @@ def big_phi(a: int, b: int) -> PhiValue:
 
 
 def psi(a: int, b: int) -> PhiValue:
+    if a < 0 or b < 0:
+        raise DomainError(f"pair components must be non-negative: ({a}, {b})")
     return big_phi(a, b + 1)
 
 
 def psi_prime(a: int, b: int) -> PhiValue:
     if a < 1:
         raise DomainError(f"first component must be >= 1, got {a}")
+    if b < 0:
+        raise DomainError(f"pair components must be non-negative: ({a}, {b})")
     if a == 1:
         return big_phi(1, 2)
     return big_phi(a - 1, b)
@@ -240,15 +246,10 @@ def theta(m: int) -> ThetaTuple:
     """
     end, start, gap = binary_positions(m)
     power = gap is None
-    return ThetaTuple(
-        power=1 if power else 0,
-        end_parity=end % 2,
-        gap_parity=0 if power else gap % 2,
-        phi_inner=big_phi(end, start),
-        phi_inner_shift=big_phi(end, start + 1),
-        phi_of_end=phi(end),
-        tail=0 if power or gap == 1 else 1,
-    )
+    inner, shift = big_phi(end, start), big_phi(end, start + 1)
+    k = (1 if power else 0, end % 2, 0 if power else gap % 2, inner._key, shift._key, phi(end),
+         0 if power or gap == 1 else 1)
+    return _THETAS.get(k) or _THETAS.setdefault(k, ThetaTuple(*k[:3], inner, shift, *k[5:]))
 
 
 def _nu_special(n: int, d: int) -> NuSpecial | None:
@@ -286,14 +287,17 @@ def mu(x: Rational, table: PrimeTable | None = None) -> ColourValue:
     """nu plus, below 1, the pair colours of the leading/trailing digit positions."""
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     if x.numerator >= x.denominator:
-        return MuWhole(nu=nu(x))
+        v = nu(x)
+        return _MU_WHOLES.get(v._key) or _MU_WHOLES.setdefault(v._key, MuWhole(v))
     return mu_below_one(x, *base_index_and_exponent(x))
 
 
 def mu_below_one(x: Rational, n: int, u: int) -> MuFrac:
     """mu of 0 < x < 1 from its denominator's minimal base index n and largest prime exponent u."""
     s = leading_frac_position(x, primorial(n))  # the trailing digit sits at position -u
-    return MuFrac(nu=nu(x), phi=big_phi(-s, u), psi_prime=psi_prime(-s, u))
+    v, p, q = nu(x), big_phi(-s, u), psi_prime(-s, u)
+    k = (v._key, p._key, q._key)
+    return _MU_FRACS.get(k) or _MU_FRACS.setdefault(k, MuFrac(v, p, q))
 
 
 def alpha(x: Rational, table: PrimeTable | None = None) -> ColourValue:
@@ -301,14 +305,16 @@ def alpha(x: Rational, table: PrimeTable | None = None) -> ColourValue:
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     n, d = x.numerator, x.denominator
     if d == 1:
-        return AlphaNat(theta=theta(n))  # theta refuses n < 1
+        t = theta(n)  # theta refuses n < 1
+        return _ALPHA_NATS.get(t._key) or _ALPHA_NATS.setdefault(t._key, AlphaNat(t))
     if n < 1:
         raise DomainError(f"expected a positive rational, got {x}")
     if n == 1 and is_power_of_two_int(d):  # x = 2^k with k < 0
-        return AlphaNegPow2()
+        return ALPHA_NEG_POW2
     if n <= 2 * d:
-        return AlphaSmall()
-    return AlphaBig(components=_alpha_prime(x, n, d))
+        return ALPHA_SMALL
+    c = _alpha_prime(x, n, d)
+    return _ALPHA_BIGS.get(c) or _ALPHA_BIGS.setdefault(c, AlphaBig(c))
 
 
 def _alpha_prime(x: Rational, n: int, d: int) -> tuple[int, ...]:
@@ -343,7 +349,7 @@ def _alpha_prime(x: Rational, n: int, d: int) -> tuple[int, ...]:
 def _phi_on_rational(x: Rational) -> ColourValue:
     if x.denominator != 1:
         raise DomainError(f"phi colours integers only, got {x}")
-    return Bit(phi(x.numerator))
+    return BITS[phi(x.numerator)]
 
 
 def _theta_on_rational(x: Rational) -> ColourValue:
@@ -359,7 +365,7 @@ UNARY_COLOURINGS: dict[str, Callable[[Rational], ColourValue]] = {
     "nu": nu,
     "mu": mu,
     "alpha": alpha,
-    "const": lambda x: ConstColour(),
+    "const": lambda x: CONST,
 }
 #: colourings of pairs of integers; usable with `colour` only.
 PAIR_COLOURINGS: dict[str, Callable[[int, int], PhiValue]] = {

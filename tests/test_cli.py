@@ -46,6 +46,15 @@ class TestColour:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "colouring, value", [("psi", "3,-1"), ("psi", "3,-2"), ("psiprime", "1,-5"), ("psiprime", "3,-2")]
+    )
+    def test_pair_colouring_refuses_negative_components(self, capsys, colouring, value):
+        # the error names the pair as typed, not as the colouring shifts it
+        assert cli.main(["colour", "--colouring", colouring, value]) == 2
+        pair = value.replace(",", ", ")
+        assert capsys.readouterr() == ("", f"error: pair components must be non-negative: ({pair})\n")
+
     def test_unknown_colouring_exit_2(self):
         proc = run_cli("colour", "--colouring", "zeta", "3")
         assert proc.returncode == 2
@@ -244,6 +253,15 @@ class TestCheck:
         # a line of exactly the cap is read
         monkeypatch.setattr(sys, "stdin", io.StringIO("2 #" + "x" * (cli.MAX_LINE - 3) + "\n"))
         assert cli.main(["check", "--colouring", "const"]) == 0
+        capsys.readouterr()
+        # ... and so is one ending in "\r\n", which stdin does not translate: one line break
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2 #" + "x" * (cli.MAX_LINE - 3) + "\r\n"))
+        assert cli.main(["check", "--colouring", "const"]) == 0
+        capsys.readouterr()
+        # ... but not one character more
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2 #" + "x" * (cli.MAX_LINE - 2) + "\r\n"))
+        assert cli.main(["check", "--colouring", "const"]) == 2
+        assert capsys.readouterr() == ("", f"error: a line has more than {cli.MAX_LINE} characters\n")
 
     @pytest.mark.parametrize("mode, cap", [("pairwise", 512), ("finite", 16)])
     def test_comment_lines_count_towards_the_line_cap(self, monkeypatch, capsys, mode, cap):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,17 @@ from hypothesis import strategies as st
 
 from qcolour import core, digits, oracles, verify
 from qcolour.colourings import (
+    _ALPHA_BIGS,
+    _ALPHA_NATS,
+    _MU_FRACS,
+    _MU_WHOLES,
     _NU_TUPLES,
     _PHI_TUPLES,
+    _THETAS,
+    ALPHA_NEG_POW2,
+    ALPHA_SMALL,
+    BITS,
+    CONST,
     NU_C1,
     NU_C3mC4,
     NU_C4mC1,
@@ -117,6 +127,18 @@ class TestPairColourings:
     @settings(deadline=None)
     def test_matches_string_oracle(self, a, b):
         assert big_phi(a, b) == oracles.big_phi_oracle(a, b)
+
+    @pytest.mark.parametrize(
+        "fn, a, b", [(psi, 3, -1), (psi, 3, -2), (psi, -1, 4), (psi_prime, 1, -5), (psi_prime, 3, -2)]
+    )
+    def test_shifted_colourings_refuse_negative_components(self, fn, a, b):
+        # checked before the shift, so the error names the pair as given
+        with pytest.raises(DomainError, match=re.escape(f"must be non-negative: ({a}, {b})")):
+            fn(a, b)
+
+    def test_psi_prime_checks_its_first_component_first(self):
+        with pytest.raises(DomainError, match="first component must be >= 1, got 0"):
+            psi_prime(0, -1)
 
 
 class TestTheta:
@@ -421,6 +443,86 @@ class TestKeys:
                     f"{compact(t.phi_inner_shift)},{t.phi_of_end},{t.tail}")
             assert colour_key(t) == want, m
             assert colour_key(alpha(Fraction(m))) == "alpha:n:" + want, m
+
+
+def _certify_term(rng: random.Random) -> Fraction:
+    """A term of the colour-certify shape: over 2, 3, 5, 7, numerator at most 40, a third dyadic."""
+    kind = rng.random()
+    if kind < 0.1:
+        return Fraction(2) ** rng.randint(-4, 4)
+    if kind < 0.35:
+        return Fraction(rng.randint(1, 40), 2 ** rng.randint(0, 4))
+    den = 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2) * 5 ** rng.randint(0, 1) * 7 ** rng.randint(0, 1)
+    return Fraction(rng.randint(1, 40), den)
+
+
+# each table of interned values, by case, and the bound its comment in colourings states
+TABLES = {
+    "theta": (_THETAS, 34_848), "alpha:n": (_ALPHA_NATS, 34_848), "alpha:b": (_ALPHA_BIGS, 12_288),
+    "mu:w": (_MU_WHOLES, 111), "mu:f": (_MU_FRACS, 120_879),
+}
+
+
+class TestInterning:
+    def test_one_key_one_object(self):
+        cases = {
+            "theta": (ThetaTuple, [theta(m) for m in range(1, 2049)]),
+            "alpha:n": (AlphaNat, [alpha(Fraction(m)) for m in range(1, 2049)]),
+            "alpha:b": (AlphaBig, [alpha(x) for x in SEEDED + GRID if x.denominator > 1 and x > 2]),
+            "mu:w": (MuWhole, [mu(x) for x in SEEDED + GRID if x >= 1]),
+            "mu:f": (MuFrac, [mu(x) for x in SEEDED + GRID if x < 1]),
+        }
+        for case, (cls, values) in cases.items():
+            by_key = {}
+            for v in values:
+                assert isinstance(v, cls) and by_key.setdefault(colour_key(v), v) is v, (case, v)
+            assert len(by_key) < len(values), case  # some key is met twice
+        phi_fn, const_fn = colouring_fn("phi"), colouring_fn("const")
+        assert all(phi_fn(Fraction(k)) is BITS[phi(k)] for k in range(-64, 65))
+        assert all(alpha(Fraction(1, 2**e)) is ALPHA_NEG_POW2 for e in range(1, 9))
+        assert all(alpha(Fraction(n, 7)) is ALPHA_SMALL for n in range(1, 14) if n != 7)
+        assert all(const_fn(x) is CONST for x in GRID)
+
+    def test_fresh_values_match_interned_ones(self):
+        # built the way oracles builds them: equal, with equal hash, repr and key, but not shared
+        xs = [Fraction(7), Fraction(5, 2), Fraction(1, 4), Fraction(2, 3), Fraction(3), Fraction(5, 8)]
+        pairs = [(oracles.theta_oracle(m), theta(m)) for m in (1, 6, 96, 1000)]
+        pairs += [(oracles.alpha_oracle(x), alpha(x)) for x in xs]
+        pairs += [(oracles.mu_oracle(x), mu(x)) for x in xs]
+        pairs += [(Bit(0), BITS[0]), (Bit(1), BITS[1]), (ConstColour(), CONST)]
+        for fresh, interned in pairs:
+            assert fresh == interned and hash(fresh) == hash(interned), fresh
+            assert repr(fresh) == repr(interned) and fresh.key() == interned.key(), fresh
+            assert fresh is not interned, fresh
+        assert {type(v) for _, v in pairs} == {
+            ThetaTuple, AlphaNat, AlphaBig, AlphaNegPow2, AlphaSmall, MuWhole, MuFrac, Bit, ConstColour}
+
+    def test_tables_stay_within_their_bounds(self):
+        # finite checks of 8 to 11 terms of the colour-certify shapes fill the tables
+        rng = random.Random("colourings:interning")
+        for _ in range(4):
+            k = rng.randint(8, 11)
+            terms: dict[Fraction, None] = {}
+            while len(terms) < k:
+                terms[_certify_term(rng)] = None
+            for cid in ("mu", "alpha"):
+                verify.check(cid, list(terms), verify.CombinationMode.FINITE_FSFP)
+            naturals = [Fraction(m) for m in rng.sample(range(1, 41), k)]
+            verify.check("theta", naturals, verify.CombinationMode.FINITE_FSFP)
+        for case, (table, bound) in TABLES.items():
+            assert 0 < len(table) <= bound, case
+
+        # each value sits under its own components
+        def components(t):
+            return (t.power, t.end_parity, t.gap_parity, t.phi_inner.key(), t.phi_inner_shift.key(),
+                    t.phi_of_end, t.tail)
+
+        assert all(k == components(t) for k, t in _THETAS.items())
+        assert all(k == v.theta.key() and _THETAS[components(v.theta)] is v.theta
+                   for k, v in _ALPHA_NATS.items())
+        assert all(k == v.components for k, v in _ALPHA_BIGS.items())
+        assert all(k == v.nu.key() for k, v in _MU_WHOLES.items())
+        assert all(k == (v.nu.key(), v.phi.key(), v.psi_prime.key()) for k, v in _MU_FRACS.items())
 
 
 # the perfbench search universes as (colouring, numerator bound, denominator bound, primes)
