@@ -381,19 +381,29 @@ PAIR_IDS = tuple(PAIR_COLOURINGS)
 # A shadow maps a reduced pair (n, d) to a token equal on any two values of equal key, or to
 # None where it cannot decide: values whose shadows are defined and differ have different keys.
 
+def head(end: int) -> tuple[int, int]:
+    """(end parity, phi(end)): the first part of theta's shadow of a natural number whose
+    v2 is ``end``. A product's v2 is the sum of its factors', so its head needs no product."""
+    return end % 2, phi(end)
+
+
+#: the colourings whose shadow of a natural number n is a pair whose first part is head(v2(n))
+HEADED = ("theta", "alpha")
+
+
 def _theta_shadow(n: int, d: int) -> Hashable | None:
-    """(end parity, phi(end), then gap parity and tail flag, or None on powers of two) of theta's
-    key; None off the naturals, which theta refuses."""
+    """The head, then the gap parity and tail flag (None on powers of two), of theta's key;
+    None off the naturals, which theta refuses."""
     end, _, gap = binary_positions(n)
-    return (end % 2, phi(end), None if gap is None else (gap % 2, gap == 1)) if d == 1 else None
+    return (head(end), None if gap is None else (gap % 2, gap == 1)) if d == 1 else None
 
 
 def _nu_shadow(n: int, d: int) -> Hashable:
     """nu's dyadic special class, or the (w1, phi(a)) components of its tuple."""
     if (special := _nu_special(n, d)) is not None:
         return special
-    a = log2_floor(n, d)
-    return below_surd(n * n, d * d, a, a - 1), phi(a)
+    h = log2_floor(n * n, d * d)  # 2a below the 2^(a+1/2) boundary, else 2a + 1
+    return h & 1, phi(h >> 1)
 
 
 def _alpha_shadow(n: int, d: int) -> Hashable | None:

@@ -60,7 +60,14 @@ def _digit_str(m: int, pos: int) -> int:
     return int(s[i]) if 0 <= i < len(s) else 0
 
 
+def _require_pair(a: int, b: int, least_first: int = 0) -> None:
+    """The pair colourings' domain: both components non-negative, the first at least ``least_first``."""
+    if a < least_first or a < 0 or b < 0:
+        raise DomainError(f"pair ({a}, {b}) outside the domain of the pair colouring")
+
+
 def big_phi_oracle(a: int, b: int) -> PhiValue:
+    _require_pair(a, b)
     if a == 0 or b == 0 or a >= b:
         return PHI_ZERO
     return PhiTuple(
@@ -73,10 +80,12 @@ def big_phi_oracle(a: int, b: int) -> PhiValue:
 
 
 def psi_oracle(a: int, b: int) -> PhiValue:
+    _require_pair(a, b)
     return big_phi_oracle(a, b + 1)
 
 
 def psi_prime_oracle(a: int, b: int) -> PhiValue:
+    _require_pair(a, b, least_first=1)
     if a == 1:
         return big_phi_oracle(1, 2)
     return big_phi_oracle(a - 1, b)

@@ -27,6 +27,7 @@ from qcolour.colourings import (
     NU_C3mC4,
     NU_C4mC1,
     PHI_ZERO,
+    HEADED,
     SHADOWS,
     AlphaBig,
     AlphaNat,
@@ -46,6 +47,7 @@ from qcolour.colourings import (
     big_phi,
     colour_key,
     colouring_fn,
+    head,
     mu,
     nu,
     phi,
@@ -139,6 +141,20 @@ class TestPairColourings:
     def test_psi_prime_checks_its_first_component_first(self):
         with pytest.raises(DomainError, match="first component must be >= 1, got 0"):
             psi_prime(0, -1)
+
+    @pytest.mark.parametrize("fn, oracle", [
+        (big_phi, oracles.big_phi_oracle), (psi, oracles.psi_oracle), (psi_prime, oracles.psi_prime_oracle),
+    ])
+    def test_oracles_share_the_domain(self, fn, oracle):
+        # both routes colour a pair alike or both refuse it, negative components included
+        def outcome(f, a, b):
+            try:
+                return f(a, b)
+            except DomainError:
+                return DomainError
+
+        for a, b in itertools.product(range(-3, 9), repeat=2):
+            assert outcome(fn, a, b) == outcome(oracle, a, b), (a, b)
 
 
 class TestTheta:
@@ -562,6 +578,15 @@ class TestShadows:
 
     def test_phi_and_const_have_no_shadow(self):
         assert "phi" not in SHADOWS and "const" not in SHADOWS
+
+    @pytest.mark.parametrize("cid", HEADED)
+    def test_head_follows_from_v2(self, cid):
+        # the search drops an integer pair on the product's head before building the product
+        shadow = SHADOWS[cid]
+        for n in range(1, 2_049):
+            assert shadow(n, 1)[0] == head(digits.end2(n)), n
+        for x, y in itertools.combinations_with_replacement(range(1, 257), 2):
+            assert shadow(x * y, 1)[0] == head(digits.end2(x) + digits.end2(y)), (x, y)
 
 
 class TestRegistry:

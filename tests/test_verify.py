@@ -722,13 +722,25 @@ class TestSearch:
         ("theta", UniverseSpec(150, integers_only=True), 1_274),
         ("alpha", UniverseSpec(16, 8, 2), 425),
         ("alpha", UniverseSpec(20, 6, 2), 429),
+        ("nu", UniverseSpec(16, 10, 3), 782),
+        ("nu", UniverseSpec(18, 8, 3), 584),
+        ("mu", UniverseSpec(16, 10, 3), 598),
+        ("mu", UniverseSpec(18, 8, 3), 488),
     ])
     def test_gate_colours_pinned_counts(self, colouring, universe, coloured):
         # theta's shadow holds the gap parity and tail flag, and alpha's is theta's on the
         # naturals; with the end parity, phi(end) and power flag alone these colour 2,660,
-        # 454 and 470 values
+        # 454 and 470 values. nu's and mu's rows hold its (w1, phi(a)) shadow to its partition
         graph = verify._PairGraph(colouring, universe.elements(), CombinationMode.PAIRWISE)
         assert len(graph.keys) == coloured
+
+    def test_head_gate_skips_the_products_shadow(self, monkeypatch):
+        # of theta to 150's 6,291 distinct pair values, 2,681 are shadowed: a pair whose sum's
+        # shadow has another head than its product's is dropped before the product is built
+        calls, real = [], SHADOWS["theta"]
+        monkeypatch.setitem(SHADOWS, "theta", lambda n, d: calls.append((n, d)) or real(n, d))
+        verify._PairGraph("theta", UniverseSpec(150, integers_only=True).elements(), CombinationMode.PAIRWISE)
+        assert len(calls) == 2_681
 
     @pytest.mark.parametrize("colouring, universe, mode", [
         ("nu", NU_UNIVERSE, CombinationMode.PAIRWISE),
