@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from enum import Enum
 from typing import Callable, Hashable, Union
 
@@ -263,6 +264,13 @@ def _nu_special(n: int, d: int) -> NuSpecial | None:
     return NU_C3mC4 if two_ones(n) else None
 
 
+def _w1_and_a(n: int, d: int) -> tuple[int, int]:
+    """(w1, a) of nu's tuple for n/d: a = ⌊log₂(n/d)⌋, and w1 = 1 exactly when n/d is past
+    the 2^(a+1/2) boundary, both from h = ⌊log₂(n²/d²)⌋, which is 2a below it, else 2a + 1."""
+    h = log2_floor(n * n, d * d)
+    return h & 1, h >> 1
+
+
 def nu(x: Rational) -> NuValue:
     """Five special classes, then the quintuple of interval indices.
 
@@ -275,11 +283,10 @@ def nu(x: Rational) -> NuValue:
         raise DomainError(f"expected a positive rational, got {x}")
     if (special := _nu_special(n, d)) is not None:
         return special
-    a, b, c = abc_exponents(n, d)
-    nn, dd = n * n, d * d
-    w1 = 0 if below_surd(nn, dd, a, a - 1) else 1  # the 2^(a+1/2) boundary
+    w1, a = _w1_and_a(n, d)
+    _, b, c = abc_exponents(n, d)
     w4 = (a - c) % 3
-    w5 = w4 if below_surd(nn, dd, a, c) else (w4 - 1) % 3
+    w5 = w4 if below_surd(n * n, d * d, a, c) else (w4 - 1) % 3
     return _NU_TUPLES[w1, phi(a), (a - b) % 3, w4, w5]
 
 
@@ -387,10 +394,6 @@ def head(end: int) -> tuple[int, int]:
     return end % 2, phi(end)
 
 
-#: the colourings whose shadow of a natural number n is a pair whose first part is head(v2(n))
-HEADED = ("theta", "alpha")
-
-
 def _theta_shadow(n: int, d: int) -> Hashable | None:
     """The head, then the gap parity and tail flag (None on powers of two), of theta's key;
     None off the naturals, which theta refuses."""
@@ -402,8 +405,8 @@ def _nu_shadow(n: int, d: int) -> Hashable:
     """nu's dyadic special class, or the (w1, phi(a)) components of its tuple."""
     if (special := _nu_special(n, d)) is not None:
         return special
-    h = log2_floor(n * n, d * d)  # 2a below the 2^(a+1/2) boundary, else 2a + 1
-    return h & 1, phi(h >> 1)
+    w1, a = _w1_and_a(n, d)
+    return w1, phi(a)
 
 
 def _alpha_shadow(n: int, d: int) -> Hashable | None:
@@ -420,6 +423,10 @@ SHADOWS: dict[str, Callable[[int, int], Hashable | None]] = {
     "theta": _theta_shadow, "nu": _nu_shadow, "alpha": _alpha_shadow,
     "mu": lambda n, d: (n >= d, _nu_shadow(n, d)),  # MuWhole or MuFrac, then nu's shadow
 }
+
+#: the colourings whose shadow of every natural number n has a head: for c here,
+#: ``SHADOW_HEADS[c](SHADOWS[c](n, 1)) == head(v2(n))``, so a product's head needs no product
+SHADOW_HEADS: dict[str, Callable[[Hashable], Hashable]] = {"theta": itemgetter(0), "alpha": itemgetter(0)}
 
 
 def colouring_fn(colouring_id: str, table: PrimeTable | None = None) -> Callable[[Rational], ColourValue]:

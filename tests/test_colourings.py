@@ -27,7 +27,7 @@ from qcolour.colourings import (
     NU_C3mC4,
     NU_C4mC1,
     PHI_ZERO,
-    HEADED,
+    SHADOW_HEADS,
     SHADOWS,
     AlphaBig,
     AlphaNat,
@@ -579,14 +579,21 @@ class TestShadows:
     def test_phi_and_const_have_no_shadow(self):
         assert "phi" not in SHADOWS and "const" not in SHADOWS
 
-    @pytest.mark.parametrize("cid", HEADED)
+    @pytest.mark.parametrize("cid", SHADOW_HEADS)
     def test_head_follows_from_v2(self, cid):
         # the search drops an integer pair on the product's head before building the product
-        shadow = SHADOWS[cid]
+        shadow, head_of = SHADOWS[cid], SHADOW_HEADS[cid]
         for n in range(1, 2_049):
-            assert shadow(n, 1)[0] == head(digits.end2(n)), n
+            assert head_of(shadow(n, 1)) == head(digits.end2(n)), n
         for x, y in itertools.combinations_with_replacement(range(1, 257), 2):
-            assert shadow(x * y, 1)[0] == head(digits.end2(x) + digits.end2(y)), (x, y)
+            assert head_of(shadow(x * y, 1)) == head(digits.end2(x) + digits.end2(y)), (x, y)
+
+    def test_nu_and_its_shadow_share_the_half_power_boundary(self):
+        # nu's (w1, phi(a)) is what its shadow reads, at and either side of 2^(a+1/2)
+        for x in (Fraction(n, d) for d in (1, 3, 5, 7, 12, 45) for n in range(1, 200)):
+            v = nu(x)
+            if isinstance(v, NuTuple):
+                assert SHADOWS["nu"](x.numerator, x.denominator) == (v.w1, v.w2), x
 
 
 class TestRegistry:
