@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 from enum import Enum
 from typing import Callable, Hashable, Union
 
@@ -424,9 +423,9 @@ SHADOWS: dict[str, Callable[[int, int], Hashable | None]] = {
     "mu": lambda n, d: (n >= d, _nu_shadow(n, d)),  # MuWhole or MuFrac, then nu's shadow
 }
 
-#: the colourings whose shadow of every natural number n has a head: for c here,
-#: ``SHADOW_HEADS[c](SHADOWS[c](n, 1)) == head(v2(n))``, so a product's head needs no product
-SHADOW_HEADS: dict[str, Callable[[Hashable], Hashable]] = {"theta": itemgetter(0), "alpha": itemgetter(0)}
+#: the colourings whose shadow of a natural number n starts with head(v2(n)), so two naturals
+#: of equal key have equal heads; ``TestShadows.test_head_follows_from_v2`` checks each one
+HEADED = ("theta", "alpha")
 
 
 def colouring_fn(colouring_id: str, table: PrimeTable | None = None) -> Callable[[Rational], ColourValue]:

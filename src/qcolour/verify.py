@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Hashable, Iterator
 
-from .colourings import SHADOW_HEADS, SHADOWS, colour_key, colouring_fn, head
+from .colourings import HEADED, SHADOWS, colour_key, colouring_fn, head
 from .core import (
     DIGIT_LIMIT, PrimeTable, Rational, check_digits, is_dyadic, iter_primes, parse_rational, primorial,
 )
@@ -364,9 +364,9 @@ class _PairGraph:
     time: finite mode colours the elements, then each pair's sum and product is
     coloured as the pair is met, into one ``ColourTable``, unless the two
     values have ``colourings.SHADOWS`` that differ: that pair is no edge.
-    Under a colouring in ``colourings.SHADOW_HEADS`` an integer pair whose
-    sum's shadow has another head than ``head(v2(x) + v2(y))``, its
-    product's, is dropped before the product is built.
+    Under a ``colourings.HEADED`` colouring an integer pair whose sum has
+    another head than ``head(v2(x) + v2(y))``, its product's, is dropped
+    before either value is built.
     ``adj[K, i]`` is the bitmask of the j > i whose pair sum and pair product
     both have key K, so a pairwise-monochromatic configuration is a clique of
     one key. Finite mode uses the masks as a necessary filter and colours the
@@ -389,24 +389,24 @@ class _PairGraph:
         shadow = SHADOWS.get(colouring_id)
         shades: dict[Pair, Hashable | None] = {}  # per distinct value, filled where first met
         # each element's v2 (its numerator's, read only on integer pairs), and the head of
-        # every v2 a product of two elements can have
-        head_of = SHADOW_HEADS.get(colouring_id)
-        ends = [(n & -n).bit_length() - 1 for n, _ in xs] if head_of else []
-        heads = [head(e) for e in range(2 * max(ends) + 1)] if ends else None
+        # every v2 the sum or the product of two elements can have
+        ends = [(n & -n).bit_length() - 1 for n, _ in xs] if colouring_id in HEADED else []
+        heads = [head(e) for e in range(2 * max(n for n, _ in xs).bit_length())] if ends else None
         self.adj: dict[tuple[str, int], int] = {}
         self.edges: list[int] = []  # j > i whose pair sum and product share any key
         for i, x in enumerate(xs):
             row = 0
+            headed = heads is not None and x[1] == 1
             for j in range(i + 1, len(xs)):
                 y = xs[j]
-                total = _add(x, y)
+                if headed and y[1] == 1:
+                    s = x[0] + y[0]
+                    if heads[(s & -s).bit_length() - 1] != heads[ends[i] + ends[j]]:
+                        continue  # v2(xy) = v2(x) + v2(y), so the two heads, and keys, differ
+                total, prod = _add(x, y), _mul(x, y)
                 if shadow:  # one lookup per value met before; a None shadow is looked up again
                     if (a := shades.get(total)) is None and total not in shades:
                         a = shades[total] = shadow(*total)
-                    if heads and x[1] == 1 == y[1] and head_of(a) != heads[ends[i] + ends[j]]:
-                        continue  # the product's head differs, so its key does
-                prod = _mul(x, y)
-                if shadow:
                     if (b := shades.get(prod)) is None and prod not in shades:
                         b = shades[prod] = shadow(*prod)
                     if a != b and a is not None and b is not None:

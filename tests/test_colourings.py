@@ -27,7 +27,7 @@ from qcolour.colourings import (
     NU_C3mC4,
     NU_C4mC1,
     PHI_ZERO,
-    SHADOW_HEADS,
+    HEADED,
     SHADOWS,
     AlphaBig,
     AlphaNat,
@@ -579,14 +579,14 @@ class TestShadows:
     def test_phi_and_const_have_no_shadow(self):
         assert "phi" not in SHADOWS and "const" not in SHADOWS
 
-    @pytest.mark.parametrize("cid", SHADOW_HEADS)
+    @pytest.mark.parametrize("cid", HEADED)
     def test_head_follows_from_v2(self, cid):
-        # the search drops an integer pair on the product's head before building the product
-        shadow, head_of = SHADOWS[cid], SHADOW_HEADS[cid]
+        # the search drops an integer pair on its sum's and product's heads before building either
+        shadow = SHADOWS[cid]
         for n in range(1, 2_049):
-            assert head_of(shadow(n, 1)) == head(digits.end2(n)), n
+            assert shadow(n, 1)[0] == head(digits.end2(n)), n
         for x, y in itertools.combinations_with_replacement(range(1, 257), 2):
-            assert head_of(shadow(x * y, 1)) == head(digits.end2(x) + digits.end2(y)), (x, y)
+            assert shadow(x * y, 1)[0] == head(digits.end2(x) + digits.end2(y)), (x, y)
 
     def test_nu_and_its_shadow_share_the_half_power_boundary(self):
         # nu's (w1, phi(a)) is what its shadow reads, at and either side of 2^(a+1/2)

@@ -735,12 +735,12 @@ class TestSearch:
         assert len(graph.keys) == coloured
 
     def test_head_gate_skips_the_products_shadow(self, monkeypatch):
-        # of theta to 150's 6,291 distinct pair values, 2,681 are shadowed: a pair whose sum's
-        # shadow has another head than its product's is dropped before the product is built
+        # of theta to 150's 6,291 distinct pair values, 2,678 are shadowed: a pair whose sum has
+        # another head than its product is dropped before either value is built
         calls, real = [], SHADOWS["theta"]
         monkeypatch.setitem(SHADOWS, "theta", lambda n, d: calls.append((n, d)) or real(n, d))
         verify._PairGraph("theta", UniverseSpec(150, integers_only=True).elements(), CombinationMode.PAIRWISE)
-        assert len(calls) == 2_681
+        assert len(calls) == 2_678
 
     @pytest.mark.parametrize("colouring, universe, mode", [
         ("nu", NU_UNIVERSE, CombinationMode.PAIRWISE),
