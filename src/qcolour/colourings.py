@@ -389,7 +389,8 @@ PAIR_IDS = tuple(PAIR_COLOURINGS)
 
 def head(end: int) -> tuple[int, int]:
     """(end parity, phi(end)): the first part of theta's shadow of a natural number whose
-    v2 is ``end``. A product's v2 is the sum of its factors', so its head needs no product."""
+    v2 is ``end``. The v2 of an integer sum x + y, and of a product xy (v2(x) + v2(y)), need
+    neither value built, so neither do their heads."""
     return end % 2, phi(end)
 
 

@@ -402,7 +402,7 @@ class _PairGraph:
                 if headed and y[1] == 1:
                     s = x[0] + y[0]
                     if heads[(s & -s).bit_length() - 1] != heads[ends[i] + ends[j]]:
-                        continue  # v2(xy) = v2(x) + v2(y), so the two heads, and keys, differ
+                        continue  # head(v2(x + y)) is not head(v2(x) + v2(y)), so the keys differ
                 total, prod = _add(x, y), _mul(x, y)
                 if shadow:  # one lookup per value met before; a None shadow is looked up again
                     if (a := shades.get(total)) is None and total not in shades:

@@ -589,7 +589,7 @@ class TestShadows:
             assert shadow(x * y, 1)[0] == head(digits.end2(x) + digits.end2(y)), (x, y)
 
     def test_nu_and_its_shadow_share_the_half_power_boundary(self):
-        # nu's (w1, phi(a)) is what its shadow reads, at and either side of 2^(a+1/2)
+        # nu's (w1, phi(a)) is what its shadow reads, on both sides of each 2^(a+1/2) boundary
         for x in (Fraction(n, d) for d in (1, 3, 5, 7, 12, 45) for n in range(1, 200)):
             v = nu(x)
             if isinstance(v, NuTuple):
