@@ -241,6 +241,8 @@ def psi_prime(a: int, b: int) -> PhiValue:
 def theta(m: int) -> ThetaTuple:
     """Colouring of the naturals from the binary profile and the pair colourings.
 
+    θ reads m only through ``binary_positions(m)`` = (end, start, gap), and α's key of a
+    natural is θ's, so under both a natural's key is a function of its binary profile.
     On powers of two the gap is undefined; the gap-parity and tail components
     are fixed to 0 there (the power flag already isolates those inputs).
     """
@@ -384,22 +386,8 @@ PAIR_IDS = tuple(PAIR_COLOURINGS)
 
 
 # --- shadows: cheap exact projections of the colour keys ---------------------
-# A shadow maps a reduced pair (n, d) to a token equal on any two values of equal key, or to
-# None where it cannot decide: values whose shadows are defined and differ have different keys.
-
-def head(end: int) -> tuple[int, int]:
-    """(end parity, phi(end)): the first part of theta's shadow of a natural number whose
-    v2 is ``end``. The v2 of an integer sum x + y, and of a product xy (v2(x) + v2(y)), need
-    neither value built, so neither do their heads."""
-    return end % 2, phi(end)
-
-
-def _theta_shadow(n: int, d: int) -> Hashable | None:
-    """The head, then the gap parity and tail flag (None on powers of two), of theta's key;
-    None off the naturals, which theta refuses."""
-    end, _, gap = binary_positions(n)
-    return (head(end), None if gap is None else (gap % 2, gap == 1)) if d == 1 else None
-
+# A shadow maps a reduced pair (n, d) to a token equal on any two values of equal key, so
+# values whose shadows differ have different keys.
 
 def _nu_shadow(n: int, d: int) -> Hashable:
     """nu's dyadic special class, or the (w1, phi(a)) components of its tuple."""
@@ -409,23 +397,24 @@ def _nu_shadow(n: int, d: int) -> Hashable:
     return w1, phi(a)
 
 
-def _alpha_shadow(n: int, d: int) -> Hashable | None:
-    """theta's shadow on naturals, a token per one-key case, else a mod 2 of the big tuple."""
+def _alpha_shadow(n: int, d: int) -> Hashable:
+    """A token for the naturals and one per one-key case, else a mod 2 of the big tuple. A pair
+    of natural sum s and product p is two integers, as the rational roots of t² − st + p."""
     if d == 1:
-        return _theta_shadow(n, d)
+        return "natural"
     if n <= 2 * d:  # alpha's two one-key cases
         return "negpow2" if n == 1 and is_power_of_two_int(d) else "small"
     return log2_floor(n, d) % 2
 
 
-#: the colourings with a shadow; ``phi`` and ``const`` have none.
-SHADOWS: dict[str, Callable[[int, int], Hashable | None]] = {
-    "theta": _theta_shadow, "nu": _nu_shadow, "alpha": _alpha_shadow,
+#: the colourings with a shadow; ``phi``, ``theta`` and ``const`` have none.
+SHADOWS: dict[str, Callable[[int, int], Hashable]] = {
+    "nu": _nu_shadow, "alpha": _alpha_shadow,
     "mu": lambda n, d: (n >= d, _nu_shadow(n, d)),  # MuWhole or MuFrac, then nu's shadow
 }
 
-#: the colourings whose shadow of a natural number n starts with head(v2(n)), so two naturals
-#: of equal key have equal heads; ``TestShadows.test_head_follows_from_v2`` checks each one
+#: the colourings under which a natural's key is a function of its binary profile (see
+#: ``theta``); the v2 of a sum or product alone gives that key's end parity and phi(end)
 HEADED = ("theta", "alpha")
 
 

@@ -21,11 +21,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Hashable, Iterator
 
-from .colourings import HEADED, SHADOWS, colour_key, colouring_fn, head
+from .colourings import HEADED, SHADOWS, colour_key, colouring_fn, phi
 from .core import (
     DIGIT_LIMIT, PrimeTable, Rational, check_digits, is_dyadic, iter_primes, parse_rational, primorial,
 )
-from .digits import DigitExpansion, end2, expand, start2
+from .digits import DigitExpansion, binary_positions, end2, expand, start2
 from .errors import DomainError, InternalInvariantError
 
 
@@ -246,14 +246,24 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
 
 class ColourTable(dict):
     """``Pair -> key``: a missing pair is handed, as one ``Fraction``, to what ``verify.colouring_fn``
-    returned for ``colouring_id`` when the table was made, and its key stored in first-seen order."""
+    returned for ``colouring_id`` when the table was made, and its key stored in first-seen order.
+    Under a ``colourings.HEADED`` colouring a missing natural's key comes from ``natural``."""
 
     def __init__(self, colouring_id: str):
         self.colouring_id = colouring_id
         self.fn = colouring_fn(colouring_id)
+        self.profiles: dict[tuple, str] | None = {} if colouring_id in HEADED else None
+
+    def natural(self, n: int) -> str:
+        """``n``'s key under a ``HEADED`` colouring, coloured once per binary profile and stored by it."""
+        profile = binary_positions(n)
+        if (key := self.profiles.get(profile)) is None:
+            key = self.profiles[profile] = colour_key(self.fn(Fraction(n)))
+        return key
 
     def __missing__(self, v: Pair) -> str:
-        key = self[v] = colour_key(self.fn(Fraction(*v)))
+        headed = v[1] == 1 and self.profiles is not None
+        key = self[v] = self.natural(v[0]) if headed else colour_key(self.fn(Fraction(*v)))
         return key
 
 
@@ -265,9 +275,10 @@ def check(
 
     The clash cited is the lexicographically first pair in combination order,
     which is always (0, j) for the first j whose key differs from entry 0's.
-    Each distinct value is coloured once, in first-seen order, into ``keys``: a
-    fresh table unless given; search gives its graph's table, construct one it
-    filled. A table of another colouring is refused.
+    Each distinct value, or under θ and α each distinct binary profile, is coloured
+    once, in first-seen order, into ``keys``: a fresh table unless given; search
+    gives its graph's table, construct one it filled. A table of another colouring
+    is refused.
     """
     tags, values = _pair_combinations(xs, mode)
     keys = ColourTable(colouring_id) if keys is None else keys
@@ -358,27 +369,23 @@ class SearchResult:
 
 
 class _PairGraph:
-    """The colour key of every value a search meets, and its pair masks by key.
+    """The colour keys of the values a search meets, and its pair masks by key.
 
     Construction is one pass in canonical order, a row of pairs (i, j > i) at a
     time: finite mode colours the elements, then each pair's sum and product is
     coloured as the pair is met, into one ``ColourTable``, unless the two
     values have ``colourings.SHADOWS`` that differ: that pair is no edge.
-    Under a ``colourings.HEADED`` colouring an integer pair whose sum has
-    another head than ``head(v2(x) + v2(y))``, its product's, is dropped
-    before either value is built.
+    Under a ``colourings.HEADED`` colouring an integer pair is dropped before
+    either value is built when (parity, φ) of v2(x + y) and of v2(x) + v2(y),
+    θ's ``end_parity`` and ``phi_of_end`` of its sum and product, differ; else
+    they are compared through ``ColourTable.natural``, which stores neither.
     ``adj[K, i]`` is the bitmask of the j > i whose pair sum and pair product
     both have key K, so a pairwise-monochromatic configuration is a clique of
     one key. Finite mode uses the masks as a necessary filter and colours the
     sums and products of three or more terms as they are met.
     """
 
-    def __init__(
-        self,
-        colouring_id: str,
-        elements: list[Rational],
-        mode: CombinationMode,
-    ):
+    def __init__(self, colouring_id: str, elements: list[Rational], mode: CombinationMode):
         self.keys = keys = ColourTable(colouring_id)  # its pairs become the certificates' values
         self.xs = xs = [(x.numerator, x.denominator) for x in elements]
         self.finite = mode is CombinationMode.FINITE_FSFP
@@ -387,11 +394,11 @@ class _PairGraph:
             k = keys[x]
             self.singles[k] = self.singles.get(k, 0) | 1 << j
         shadow = SHADOWS.get(colouring_id)
-        shades: dict[Pair, Hashable | None] = {}  # per distinct value, filled where first met
+        shades: dict[Pair, Hashable] = {}  # per distinct value, filled where first met
         # each element's v2 (its numerator's, read only on integer pairs), and the head of
         # every v2 the sum or the product of two elements can have
         ends = [(n & -n).bit_length() - 1 for n, _ in xs] if colouring_id in HEADED else []
-        heads = [head(e) for e in range(2 * max(n for n, _ in xs).bit_length())] if ends else None
+        heads = [(e % 2, phi(e)) for e in range(2 * max(n for n, _ in xs).bit_length())] if ends else None
         self.adj: dict[tuple[str, int], int] = {}
         self.edges: list[int] = []  # j > i whose pair sum and product share any key
         for i, x in enumerate(xs):
@@ -402,17 +409,19 @@ class _PairGraph:
                 if headed and y[1] == 1:
                     s = x[0] + y[0]
                     if heads[(s & -s).bit_length() - 1] != heads[ends[i] + ends[j]]:
-                        continue  # head(v2(x + y)) is not head(v2(x) + v2(y)), so the keys differ
-                total, prod = _add(x, y), _mul(x, y)
-                if shadow:  # one lookup per value met before; a None shadow is looked up again
-                    if (a := shades.get(total)) is None and total not in shades:
-                        a = shades[total] = shadow(*total)
-                    if (b := shades.get(prod)) is None and prod not in shades:
-                        b = shades[prod] = shadow(*prod)
-                    if a != b and a is not None and b is not None:
-                        continue  # the shadows differ, so the keys do
-                k = keys[total]
-                if k == keys[prod]:
+                        continue  # the heads of v2(x + y) and v2(x) + v2(y) differ, so the keys do
+                    k, other = keys.natural(s), keys.natural(x[0] * y[0])
+                else:
+                    total, prod = _add(x, y), _mul(x, y)
+                    if shadow:  # one shadow per distinct value
+                        if (a := shades.get(total)) is None:
+                            a = shades[total] = shadow(*total)
+                        if (b := shades.get(prod)) is None:
+                            b = shades[prod] = shadow(*prod)
+                        if a != b:
+                            continue  # the shadows differ, so the keys do
+                    k, other = keys[total], keys[prod]
+                if k == other:
                     self.adj[k, i] = self.adj.get((k, i), 0) | 1 << j
                     row |= 1 << j
             self.edges.append(row)
@@ -468,8 +477,9 @@ def search(
 ) -> SearchResult:
     """Bounded DFS for monochromatic configurations over the universe.
 
-    Pair sums and products are coloured once, in one pass before the DFS,
-    unless their shadows rule the pair out (see ``_PairGraph``). Extensions only
+    Pair sums and products are coloured once each, or under θ and α once per
+    binary profile, in one pass before the DFS, unless the v2 head test or
+    their shadows rule the pair out (see ``_PairGraph``). Extensions only
     move forward in canonical order, so every subset is visited at most once,
     and ``nodes`` counts the configurations visited. A target above ``term_cap``
     is refused before the universe is listed. Finite mode extends no configuration

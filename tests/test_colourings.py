@@ -47,7 +47,6 @@ from qcolour.colourings import (
     big_phi,
     colour_key,
     colouring_fn,
-    head,
     mu,
     nu,
     phi,
@@ -558,35 +557,45 @@ class TestShadows:
         seeded = SEEDED + [Fraction(m) for m in NATURALS] + GRID + dyadic
         bench = set().union(*(self._pair_values(bounds) for _, *bounds in BENCH_UNIVERSES))
         assert len(bench) > 8_000
-        assert set(SHADOWS) == {"theta", "nu", "mu", "alpha"}
+        assert set(SHADOWS) == {"nu", "mu", "alpha"}
         for cid, shadow in SHADOWS.items():
             fn = colouring_fn(cid)
             by_key: dict[str, set] = {}
             for x in itertools.chain(seeded, bench):
-                s = shadow(x.numerator, x.denominator)
-                if s is None:
-                    assert cid == "theta" and x.denominator != 1, x
-                    continue
-                by_key.setdefault(colour_key(fn(x)), set()).add(s)
+                by_key.setdefault(colour_key(fn(x)), set()).add(shadow(x.numerator, x.denominator))
             assert all(len(s) == 1 for s in by_key.values()), cid
             shadows = set().union(*by_key.values())
             assert 1 < len(shadows) < len(by_key), cid  # the shadow separates some keys, not all
 
-    def test_theta_shadow_undefined_off_the_naturals(self):
-        assert SHADOWS["theta"](3, 4) is None and SHADOWS["alpha"](3, 4) is not None
-        assert SHADOWS["theta"](12, 1) == SHADOWS["alpha"](12, 1)
+    def test_alpha_shadow_is_one_token_on_the_naturals(self):
+        # the search shadows only pairs that are not two integers, and no such pair has a
+        # natural sum and a natural product, so one token for every natural drops no edge
+        assert {SHADOWS["alpha"](n, 1) for n in range(1, 513)} == {"natural"}
+        assert "natural" not in {SHADOWS["alpha"](x.numerator, x.denominator) for x in GRID
+                                 if x.denominator != 1}
+        xs = sorted({Fraction(n, d) for n in range(1, 41) for d in range(1, 13)})
+        for x, y in itertools.combinations(xs, 2):
+            if (x + y).denominator == 1 == (x * y).denominator:
+                assert x.denominator == 1 == y.denominator, (x, y)
 
     def test_phi_and_const_have_no_shadow(self):
         assert "phi" not in SHADOWS and "const" not in SHADOWS
 
     @pytest.mark.parametrize("cid", HEADED)
     def test_head_follows_from_v2(self, cid):
-        # the search drops an integer pair on its sum's and product's heads before building either
-        shadow = SHADOWS[cid]
+        # the search drops an integer pair on (v2 parity, phi(v2)) of its sum and its product,
+        # built from v2(x + y) and v2(x) + v2(y): theta's end_parity and phi_of_end of each
+        def head(m):
+            t = colouring_fn(cid)(Fraction(m))
+            t = t.theta if cid == "alpha" else t
+            return t.end_parity, t.phi_of_end
+
         for n in range(1, 2_049):
-            assert shadow(n, 1)[0] == head(digits.end2(n)), n
+            e = digits.end2(n)
+            assert head(n) == (e % 2, phi(e)), n
         for x, y in itertools.combinations_with_replacement(range(1, 257), 2):
-            assert shadow(x * y, 1)[0] == head(digits.end2(x) + digits.end2(y)), (x, y)
+            e = digits.end2(x) + digits.end2(y)
+            assert head(x * y) == (e % 2, phi(e)), (x, y)
 
     def test_nu_and_its_shadow_share_the_half_power_boundary(self):
         # nu's (w1, phi(a)) is what its shadow reads, on both sides of each 2^(a+1/2) boundary
@@ -594,6 +603,23 @@ class TestShadows:
             v = nu(x)
             if isinstance(v, NuTuple):
                 assert SHADOWS["nu"](x.numerator, x.denominator) == (v.w1, v.w2), x
+
+
+class TestBinaryProfile:
+    """Under theta and alpha a natural's key is a function of its binary profile, so
+    ``verify.ColourTable`` colours one natural per profile."""
+
+    def test_equal_profiles_give_equal_theta_oracle_keys(self):
+        by_profile: dict[tuple, str] = {}
+        for m in range(1, 2**16 + 1):
+            key = colour_key(oracles.theta_oracle(m))
+            assert by_profile.setdefault(digits.binary_positions(m), key) == key, m
+        assert len(by_profile) == 697
+        assert len(set(by_profile.values())) > 1  # the profiles do not all share one key
+
+    def test_alpha_keys_a_natural_by_its_theta_key(self):
+        for m in range(1, 2**16 + 1):
+            assert colour_key(alpha(Fraction(m))) == "alpha:n:" + colour_key(theta(m)), m
 
 
 class TestRegistry:

@@ -376,6 +376,26 @@ def _model_check(colouring, xs, mode):
     }
 
 
+#: the colourings that key a natural by its binary profile
+PROFILED = ("theta", "alpha")
+
+
+def _profile(n):
+    """The binary profile of the natural n from its digits: the trailing zeros, the digit
+    count, and the index of the second 1 from the left (-1 for a power of two)."""
+    b = bin(n)[2:]
+    return len(b) - len(b.rstrip("0")), len(b), b.find("1", 1)
+
+
+def _first_calls(colouring, values):
+    """The ``Fraction`` values a colour table colours when ``values`` are looked up in order:
+    each distinct value once, but under theta and alpha only the first natural of a profile."""
+    firsts = {}
+    for v in values:
+        firsts.setdefault(_profile(v.numerator) if v.denominator == 1 and colouring in PROFILED else v, v)
+    return list(firsts.values())
+
+
 @st.composite
 def _check_cases(draw):
     colouring = draw(st.sampled_from(sorted(MODEL_KEYS)))
@@ -432,10 +452,10 @@ class TestCheckModel:
             patch.setattr(verify, "colouring_fn", counting)
             cert = check(colouring, xs, mode)
         assert cert.to_obj() == _model_check(colouring, xs, mode)
-        # each distinct value is coloured once, in first-seen order, handed to the
-        # colouring as exactly one Fraction
+        # each distinct value, or under theta and alpha each binary profile of a natural, is
+        # coloured once, in first-seen order, handed to the colouring as exactly one Fraction
         assert all(type(x) is Fraction for x in seen)
-        assert [(x.numerator, x.denominator) for x in seen] == list(dict.fromkeys(cert.values))
+        assert seen == _first_calls(colouring, [Fraction(*v) for v in cert.values])
         assert Certificate.from_json(cert.to_json()) == cert
         reasons: list[str] = []
         assert validate(cert, reasons) and reasons == []
@@ -522,21 +542,34 @@ class TestUniverse:
 NU_UNIVERSE = UniverseSpec(numerator_bound=10, denominator_bound=4)
 
 
-def _gated_values(colouring, elements, mode):
-    """The values a search colours up front, in the order it colours them: finite
-    mode's elements, then each pair's sum and product unless both have a shadow
-    and the two differ, each value where it is first met."""
-    shadow = SHADOWS.get(colouring, lambda n, d: None)
+def _head(v):
+    """(v2 parity, phi(v2)) of the natural v, from its binary digits and the phi oracle."""
+    end = _profile(v.numerator)[0]
+    return end % 2, oracles.phi_oracle(end)
 
-    def shade(v):
-        return shadow(v.numerator, v.denominator)
 
-    out = list(elements) if mode is CombinationMode.FINITE_FSFP else []
+def _graph_lookups(colouring, elements, mode):
+    """(met, stored): the values a search's pair graph looks up, in order, and the set of
+    them its table stores. Finite mode's elements come first, then each pair's sum and
+    product unless the pair is dropped. Under theta and alpha a pair of integers is dropped
+    when its sum and product differ in ``_head``, else both are looked up by profile and
+    neither is stored; any other pair is dropped when its two values' shadows differ."""
+    shadow = SHADOWS.get(colouring)
+    met = list(elements) if mode is CombinationMode.FINITE_FSFP else []
+    stored = set(met)
     for x, y in itertools.combinations(elements, 2):
-        s, p = shade(x + y), shade(x * y)
-        if s is None or p is None or s == p:
-            out += [x + y, x * y]
-    return list(dict.fromkeys(out))
+        s, p = x + y, x * y
+        if colouring in PROFILED and x.denominator == 1 == y.denominator:
+            met += [s, p] if _head(s) == _head(p) else []
+        elif shadow is None or shadow(s.numerator, s.denominator) == shadow(p.numerator, p.denominator):
+            met += [s, p]
+            stored |= {s, p}
+    return met, stored
+
+
+def _gated_values(colouring, elements, mode):
+    """The values a search colours up front, in the order it colours them."""
+    return _first_calls(colouring, _graph_lookups(colouring, elements, mode)[0])
 
 
 def _ungated_graph(colouring, elements, mode):
@@ -705,7 +738,7 @@ class TestSearch:
         graph = verify._PairGraph(colouring, elements, mode)
         assert (graph.adj, graph.edges, graph.singles) == _ungated_graph(colouring, elements, mode)
         assert set(graph.keys) == {(v.numerator, v.denominator)
-                                   for v in _gated_values(colouring, elements, mode)}
+                                   for v in _graph_lookups(colouring, elements, mode)[1]}
 
     @pytest.mark.parametrize("mode", list(CombinationMode), ids=lambda mode: mode.value)
     @pytest.mark.parametrize("colouring", ["nu", "mu", "alpha"])
@@ -716,31 +749,33 @@ class TestSearch:
         graph = verify._PairGraph(colouring, elements, mode)
         assert (graph.adj, graph.edges, graph.singles) == _ungated_graph(colouring, elements, mode)
         assert set(graph.keys) == {(v.numerator, v.denominator)
-                                   for v in _gated_values(colouring, elements, mode)}
+                                   for v in _graph_lookups(colouring, elements, mode)[1]}
 
     @pytest.mark.parametrize("colouring, universe, coloured", [
-        ("theta", UniverseSpec(150, integers_only=True), 1_274),
-        ("alpha", UniverseSpec(16, 8, 2), 425),
-        ("alpha", UniverseSpec(20, 6, 2), 429),
+        ("theta", UniverseSpec(150, integers_only=True), 0),
+        ("alpha", UniverseSpec(16, 8, 2), 406),
+        ("alpha", UniverseSpec(20, 6, 2), 395),
         ("nu", UniverseSpec(16, 10, 3), 782),
         ("nu", UniverseSpec(18, 8, 3), 584),
         ("mu", UniverseSpec(16, 10, 3), 598),
         ("mu", UniverseSpec(18, 8, 3), 488),
     ])
     def test_gate_colours_pinned_counts(self, colouring, universe, coloured):
-        # theta's shadow holds the gap parity and tail flag, and alpha's is theta's on the
-        # naturals; with the end parity, phi(end) and power flag alone these colour 2,660,
-        # 454 and 470 values. nu's and mu's rows hold its (w1, phi(a)) shadow to its partition
+        # the values the table stores: theta and alpha key the sum and product of two integers
+        # by profile and store neither, and alpha's shadow gives every other natural one token.
+        # nu's and mu's rows hold its (w1, phi(a)) shadow to its partition
         graph = verify._PairGraph(colouring, universe.elements(), CombinationMode.PAIRWISE)
         assert len(graph.keys) == coloured
 
-    def test_head_gate_skips_the_products_shadow(self, monkeypatch):
-        # of theta to 150's 6,291 distinct pair values, 2,678 are shadowed: a pair whose sum has
-        # another head than its product is dropped before either value is built
-        calls, real = [], SHADOWS["theta"]
-        monkeypatch.setitem(SHADOWS, "theta", lambda n, d: calls.append((n, d)) or real(n, d))
-        verify._PairGraph("theta", UniverseSpec(150, integers_only=True).elements(), CombinationMode.PAIRWISE)
-        assert len(calls) == 2_678
+    def test_head_gate_skips_the_profile_lookups(self, monkeypatch):
+        # of theta to 150's 11,175 pairs, 3,987 pass the v2 head test and look their sum and
+        # product up by profile: a pair whose sum has another head than its product is dropped
+        # before either value is built. The lookups colour 346 values, one per profile met
+        calls, real = [], verify.ColourTable.natural
+        monkeypatch.setattr(verify.ColourTable, "natural", lambda self, n: calls.append(n) or real(self, n))
+        graph = verify._PairGraph("theta", UniverseSpec(150, integers_only=True).elements(),
+                                  CombinationMode.PAIRWISE)
+        assert (len(calls), len(graph.keys.profiles), len(graph.keys)) == (2 * 3_987, 346, 0)
 
     @pytest.mark.parametrize("colouring, universe, mode", [
         ("nu", NU_UNIVERSE, CombinationMode.PAIRWISE),
@@ -799,7 +834,7 @@ print(json.dumps([counts, loaded]))
         assert counts == [8_542, 8_024] and loaded == []
 
     def test_gate_keeps_a_pair_with_one_undecided_value(self):
-        # 1/2 + 3/2 = 2 has a theta shadow and 3/4 has none, so the pair is coloured
+        # theta has no shadow, so the pair of 1/2 + 3/2 = 2 and 3/4 is coloured, and 3/4 refused
         with pytest.raises(DomainError, match="theta colours naturals only, got 3/4"):
             verify._PairGraph("theta", [Fraction(1, 2), Fraction(3, 2)], CombinationMode.PAIRWISE)
 
