@@ -34,12 +34,13 @@ from .verify import (
 
 
 def _parse_int(text: str, what: str) -> int:
+    """An optional ``-`` and ASCII digits after ``strip()``, the digits ``parse_rational`` takes."""
     if sum(map(str.isdigit, text)) > MAX_DIGITS:
         raise DomainError(f"{what} has more than {MAX_DIGITS} decimal digits")
-    try:
-        return int(text, 10)
-    except ValueError:
-        raise DomainError(f"{what} must be an integer, got {text!r}") from None
+    body = text.strip().removeprefix("-")
+    if not (body.isascii() and body.isdigit()):
+        raise DomainError(f"{what} must be an integer, got {text!r}")
+    return int(text)
 
 
 def _colour_one(colouring_id: str, text: str):

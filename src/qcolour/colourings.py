@@ -38,12 +38,6 @@ class ColourValue:
 
     _key: str
 
-    def key(self) -> str:
-        try:
-            return self._key
-        except AttributeError:  # a bare ColourValue has no key
-            raise NotImplementedError from None
-
 
 @dataclass(frozen=True)
 class Bit(ColourValue):
@@ -254,41 +248,42 @@ def theta(m: int) -> ThetaTuple:
     return _THETAS.get(k) or _THETAS.setdefault(k, ThetaTuple(*k[:3], inner, shift, *k[5:]))
 
 
-def _nu_special(n: int, d: int) -> NuSpecial | None:
-    """nu's special class of n/d, in nu's order, or None: C1, C3 and C4 hold only dyadic rationals."""
-    if not is_power_of_two_int(d):
-        return None
-    if is_power_of_two_int(n):
-        return NU_C1
-    if one_run(n):  # before C3, so a value in both (3·2^k) gets C4∖C1
-        return NU_C4mC1
-    return NU_C3mC4 if two_ones(n) else None
+def _nu_head(n: int, d: int) -> NuSpecial | tuple[int, int]:
+    """nu's first stage, which is also nu's shadow: the special class of n/d, tried in nu's
+    order (C1, C4∖C1, C3∖C4; only dyadic rationals are in them), else (w1, w2) of its tuple.
 
-
-def _w1_and_a(n: int, d: int) -> tuple[int, int]:
-    """(w1, a) of nu's tuple for n/d: a = ⌊log₂(n/d)⌋, and w1 = 1 exactly when n/d is past
-    the 2^(a+1/2) boundary, both from h = ⌊log₂(n²/d²)⌋, which is 2a below it, else 2a + 1."""
+    Both tuple components come from h = ⌊log₂(n²/d²)⌋: a = ⌊log₂(n/d)⌋ is h >> 1, w2 = phi(a),
+    and w1 = h & 1 is 1 exactly when n/d is past the 2^(a+1/2) boundary.
+    """
+    if is_power_of_two_int(d):
+        if is_power_of_two_int(n):
+            return NU_C1
+        if one_run(n):  # before C3, so a value in both (3·2^k) gets C4∖C1
+            return NU_C4mC1
+        if two_ones(n):
+            return NU_C3mC4
     h = log2_floor(n * n, d * d)
-    return h & 1, h >> 1
+    return h & 1, phi(h >> 1)
 
 
 def nu(x: Rational) -> NuValue:
     """Five special classes, then the quintuple of interval indices.
 
-    Classes are tried in order: powers of two, the (empty on rationals)
+    The classes, in the paper's order: powers of two, the (empty on rationals)
     half-power class, two-digit-not-run, run-not-power, then the (empty on
-    rationals) surd class; all remaining rationals get a tuple.
+    rationals) surd class; all remaining rationals get a tuple. ``_nu_head``
+    returns the special class or the tuple's (w1, w2); nu finishes only a tuple.
     """
     n, d = x.numerator, x.denominator
     if n < 1:
         raise DomainError(f"expected a positive rational, got {x}")
-    if (special := _nu_special(n, d)) is not None:
-        return special
-    w1, a = _w1_and_a(n, d)
-    _, b, c = abc_exponents(n, d)
+    if isinstance(head := _nu_head(n, d), NuSpecial):
+        return head
+    w1, w2 = head
+    a, b, c = abc_exponents(n, d)
     w4 = (a - c) % 3
     w5 = w4 if below_surd(n * n, d * d, a, c) else (w4 - 1) % 3
-    return _NU_TUPLES[w1, phi(a), (a - b) % 3, w4, w5]
+    return _NU_TUPLES[w1, w2, (a - b) % 3, w4, w5]
 
 
 def mu(x: Rational, table: PrimeTable | None = None) -> ColourValue:
@@ -389,14 +384,6 @@ PAIR_IDS = tuple(PAIR_COLOURINGS)
 # A shadow maps a reduced pair (n, d) to a token equal on any two values of equal key, so
 # values whose shadows differ have different keys.
 
-def _nu_shadow(n: int, d: int) -> Hashable:
-    """nu's dyadic special class, or the (w1, phi(a)) components of its tuple."""
-    if (special := _nu_special(n, d)) is not None:
-        return special
-    w1, a = _w1_and_a(n, d)
-    return w1, phi(a)
-
-
 def _alpha_shadow(n: int, d: int) -> Hashable:
     """A token for the naturals and one per one-key case, else a mod 2 of the big tuple. A pair
     of natural sum s and product p is two integers, as the rational roots of t² − st + p."""
@@ -407,10 +394,11 @@ def _alpha_shadow(n: int, d: int) -> Hashable:
     return log2_floor(n, d) % 2
 
 
-#: the colourings with a shadow; ``phi``, ``theta`` and ``const`` have none.
+#: the colourings with a shadow; ``phi``, ``theta`` and ``const`` have none. nu's shadow is
+#: ``_nu_head``, nu's own first stage, so the two cannot read the 2^(a+1/2) boundary two ways.
 SHADOWS: dict[str, Callable[[int, int], Hashable]] = {
-    "nu": _nu_shadow, "alpha": _alpha_shadow,
-    "mu": lambda n, d: (n >= d, _nu_shadow(n, d)),  # MuWhole or MuFrac, then nu's shadow
+    "nu": _nu_head, "alpha": _alpha_shadow,
+    "mu": lambda n, d: (n >= d, _nu_head(n, d)),  # MuWhole or MuFrac, then nu's shadow
 }
 
 #: the colourings under which a natural's key is a function of its binary profile (see

@@ -55,6 +55,25 @@ class TestColour:
         pair = value.replace(",", ", ")
         assert capsys.readouterr() == ("", f"error: pair components must be non-negative: ({pair})\n")
 
+    @pytest.mark.parametrize("colouring, value, what, part", [
+        ("phi", "1_0", "phi argument", "1_0"), ("phi", "+7", "phi argument", "+7"),
+        ("phi", "\u0663", "phi argument", "\u0663"), ("phi", "", "phi argument", ""),
+        ("bigphi", "1_0,3", "first component", "1_0"), ("bigphi", "1,+3", "second component", "+3"),
+        ("psi", "1,\u0663", "second component", "\u0663"), ("psi", "1,--7", "second component", "--7"),
+    ], ids=["underscore", "plus", "arabic-indic", "empty", "pair-underscore", "pair-plus",
+            "pair-arabic-indic", "pair-double-minus"])
+    def test_integer_takes_ascii_digits_only(self, capsys, colouring, value, what, part):
+        # the grammar of parse_rational's digits, with an optional minus sign
+        assert cli.main(["colour", "--colouring", colouring, value]) == 2
+        assert capsys.readouterr() == ("", f"error: {what} must be an integer, got {part!r}\n")
+
+    @pytest.mark.parametrize("colouring, value, colour", [
+        ("bigphi", " 3, 5", "phi:t:0,0,1,0,1"), ("phi", " -5 ", "bit:0"), ("phi", "007", "bit:1"),
+    ])
+    def test_integer_strips_spaces_and_keeps_leading_zeros(self, capsys, colouring, value, colour):
+        assert cli.main(["colour", "--colouring", colouring, value]) == 0
+        assert json.loads(capsys.readouterr().out) == {"input": value, "colour": colour}
+
     def test_unknown_colouring_exit_2(self):
         proc = run_cli("colour", "--colouring", "zeta", "3")
         assert proc.returncode == 2

@@ -507,7 +507,7 @@ class TestInterning:
         pairs += [(Bit(0), BITS[0]), (Bit(1), BITS[1]), (ConstColour(), CONST)]
         for fresh, interned in pairs:
             assert fresh == interned and hash(fresh) == hash(interned), fresh
-            assert repr(fresh) == repr(interned) and fresh.key() == interned.key(), fresh
+            assert repr(fresh) == repr(interned) and colour_key(fresh) == colour_key(interned), fresh
             assert fresh is not interned, fresh
         assert {type(v) for _, v in pairs} == {
             ThetaTuple, AlphaNat, AlphaBig, AlphaNegPow2, AlphaSmall, MuWhole, MuFrac, Bit, ConstColour}
@@ -529,15 +529,16 @@ class TestInterning:
 
         # each value sits under its own components
         def components(t):
-            return (t.power, t.end_parity, t.gap_parity, t.phi_inner.key(), t.phi_inner_shift.key(),
-                    t.phi_of_end, t.tail)
+            return (t.power, t.end_parity, t.gap_parity, colour_key(t.phi_inner),
+                    colour_key(t.phi_inner_shift), t.phi_of_end, t.tail)
 
         assert all(k == components(t) for k, t in _THETAS.items())
-        assert all(k == v.theta.key() and _THETAS[components(v.theta)] is v.theta
+        assert all(k == colour_key(v.theta) and _THETAS[components(v.theta)] is v.theta
                    for k, v in _ALPHA_NATS.items())
         assert all(k == v.components for k, v in _ALPHA_BIGS.items())
-        assert all(k == v.nu.key() for k, v in _MU_WHOLES.items())
-        assert all(k == (v.nu.key(), v.phi.key(), v.psi_prime.key()) for k, v in _MU_FRACS.items())
+        assert all(k == colour_key(v.nu) for k, v in _MU_WHOLES.items())
+        assert all(k == (colour_key(v.nu), colour_key(v.phi), colour_key(v.psi_prime))
+                   for k, v in _MU_FRACS.items())
 
 
 # the perfbench search universes as (colouring, numerator bound, denominator bound, primes)
@@ -598,11 +599,22 @@ class TestShadows:
             assert head(x * y) == (e % 2, phi(e)), (x, y)
 
     def test_nu_and_its_shadow_share_the_half_power_boundary(self):
-        # nu's (w1, phi(a)) is what its shadow reads, on both sides of each 2^(a+1/2) boundary
-        for x in (Fraction(n, d) for d in (1, 3, 5, 7, 12, 45) for n in range(1, 200)):
-            v = nu(x)
-            if isinstance(v, NuTuple):
-                assert SHADOWS["nu"](x.numerator, x.denominator) == (v.w1, v.w2), x
+        # the shadow is nu's first stage: nu's special class itself, else its tuple's (w1, w2),
+        # on both sides of each 2^(a+1/2) boundary, on dyadic values and on the bench pairs
+        def head(v):
+            return (v.w1, v.w2) if isinstance(v, NuTuple) else v
+
+        boundary = [Fraction(n, d) for d in (1, 3, 5, 7, 12, 45) for n in range(1, 200)]
+        dyadic = [Fraction(n, 2**e) for n in range(1, 300) for e in range(9)]
+        bench = set().union(*(self._pair_values(bounds) for _, *bounds in BENCH_UNIVERSES))
+        specials = 0
+        for x in itertools.chain(boundary, dyadic, bench):
+            v, shadow = nu(x), SHADOWS["nu"](x.numerator, x.denominator)
+            if isinstance(v, NuSpecial):
+                assert shadow is v, x
+                specials += 1
+            assert shadow == head(v), x
+        assert specials > 100
 
 
 class TestBinaryProfile:

@@ -1,11 +1,14 @@
-"""README's library tour, run as written: each result is the one its comment gives."""
+"""README's library tour and CLI block, run as written: each result is the one its comment gives."""
 from __future__ import annotations
 
 import ast
+import io
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
+from qcolour import cli
 from qcolour.verify import Clash, Monochromatic
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -48,3 +51,42 @@ def test_each_result_is_the_one_its_comment_gives():
     assert namespace["two"].terms == (Fraction(1, 3), Fraction(1, 2069271737))
     assert "# terms (1/3, 1/2069271737)" in source
     assert isinstance(shown[4][0], Monochromatic)
+
+
+def _cli_block() -> list[tuple[str, str]]:
+    """Each command of README's ```sh block of ``qcolour`` lines, with the comment below it,
+    its continuation lines joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    [block] = [b for b in blocks if "qcolour " in b]
+    commands: list[tuple[str, str]] = []
+    for line in block.splitlines():
+        if line.startswith("#"):
+            command, comment = commands[-1]
+            commands[-1] = command, comment + line[1:].strip()
+        elif line.strip():
+            commands.append((line, ""))
+    return commands
+
+
+def _run_cli(command: str, monkeypatch, capsys) -> tuple[int, str]:
+    """Run one ``[printf FORMAT |] qcolour ARGS`` line in process: exit code and stdout."""
+    feed, _, line = command.rpartition("|")
+    words = shlex.split(line)
+    assert words[0] == "qcolour", command
+    if feed:
+        printf, text = shlex.split(feed)
+        assert printf == "printf", command
+        monkeypatch.setattr("sys.stdin", io.StringIO(text.replace("\\n", "\n")))
+    code = cli.main(words[1:])
+    return code, capsys.readouterr().out
+
+
+def test_each_cli_output_is_the_one_its_comment_gives(monkeypatch, capsys):
+    commands = _cli_block()
+    assert len(commands) == 7 and all(comment for _, comment in commands)
+    for command, comment in commands:
+        code, out = _run_cli(command, monkeypatch, capsys)
+        assert code == 0, command
+        if comment.startswith("{"):  # the output, with ... for any text
+            pattern = ".*".join(map(re.escape, comment.split("...")))
+            assert re.fullmatch(pattern, out.removesuffix("\n"), re.S), (command, comment, out)
