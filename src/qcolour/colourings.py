@@ -17,7 +17,6 @@ from .core import (
     Rational,
     base_index_and_exponent,
     below_surd,
-    check_exponent,
     is_power_of_two_int,
     log2_floor,
     minimal_base_index,
@@ -199,7 +198,6 @@ def phi(k: int) -> int:
     k >= 0 the 1-set is {1, 3} and [2^(2t+2)+2, 2^(2t+3)+1]; for k < 0 it is
     [-(2^(2t+2)-2), -(2^(2t+1)-1)], t >= 0.
     """
-    check_exponent(k)
     if k >= 0:
         return 1 if k in (1, 3) or (k >= 6 and (k - 2).bit_length() % 2 == 1) else 0
     return 1 if (1 - k).bit_length() % 2 == 0 else 0

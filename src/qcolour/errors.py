@@ -11,10 +11,6 @@ class DomainError(QcolourError, ValueError):
     """Input outside an operation's domain (zero, negative, wrong shape...)."""
 
 
-class PositionOverflowError(DomainError):
-    """A digit position or exponent left the supported 64-bit signed range."""
-
-
 class UnsupportedPrimeError(DomainError):
     """A denominator involves a prime beyond the first ``core.PRIME_CAP`` primes."""
 

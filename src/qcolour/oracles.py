@@ -35,10 +35,13 @@ _SCAN_LIMIT = 10_000
 
 def phi_oracle(k: int) -> int:
     """The defining recurrence, without a memo: phi(0..3) = 0, 1, 0, 1, and
-    otherwise phi(k) = 1 - phi(k//2 + 1), which reaches 0..3 from either side."""
-    if 0 <= k <= 3:
-        return k % 2
-    return 1 - phi_oracle(k // 2 + 1)
+    otherwise phi(k) = 1 - phi(k//2 + 1), which reaches 0..3 from either side;
+    unrolled into a loop, each step flips the colour."""
+    flips = 0
+    while not 0 <= k <= 3:
+        k = k // 2 + 1
+        flips += 1
+    return (k + flips) % 2
 
 
 def _bits(m: int) -> str:

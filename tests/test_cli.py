@@ -69,6 +69,7 @@ class TestColour:
 
     @pytest.mark.parametrize("colouring, value, colour", [
         ("bigphi", " 3, 5", "phi:t:0,0,1,0,1"), ("phi", " -5 ", "bit:0"), ("phi", "007", "bit:1"),
+        ("phi", "4611686018427387904", "bit:0"),  # 2^62: phi colours every integer
     ])
     def test_integer_strips_spaces_and_keeps_leading_zeros(self, capsys, colouring, value, colour):
         assert cli.main(["colour", "--colouring", colouring, value]) == 0
@@ -329,8 +330,8 @@ class TestCheck:
         assert proc.stderr == f"error: combination {tag} has more than 4300 decimal digits\n"
 
     @pytest.mark.parametrize(
-        "colouring, terms, digest",
-        [
+        "colouring, terms, digest, mode",
+        [*(pytest.param(*row, "finite", id="-".join(row)) for row in [
             ("nu", "11/8 1/7 1/16 17/12 1 8 19 5/2 1/24 13/2 19/8",
              "4b9882850184604cbbca4bceaf47e37993c8634dbf2344a7076a490f77dad335"),
             ("mu", "1/16 31 3/4 5 4 1 8 18 25/126 27/2 39/7",
@@ -341,13 +342,37 @@ class TestCheck:
              "79a0113b367976f5b33ad08b2df6df8ed4c4428fa3f10f9c0ad9744016c3532a"),
             ("phi", "29 16 4 3 12 19 24 34 37 9 6",
              "27991ae73f67deab3a5db7c438b377e11872c946a22a49e5e1508c5f61921cd9"),
+        ]),
+            # 4,297 distinct values, each coloured once
+            pytest.param("nu", " ".join(map(str, range(1, 17))),
+                         "faf666d47ef1064b1ae19961506fba7cfabb394eea633ffbc0b6e2b01a91fa3d", "finite",
+                         id="nu-1..16"),
+            # theta and alpha colour one natural per binary profile, and validate re-runs the
+            # same table, so only a digest catches a wrong rule
+            pytest.param("theta", " ".join(map(str, range(3, 13))),
+                         "00cb67afd4bb1d00a88f02ce898c4ec2891afdc11b5b16eee049def4355a5ecd", "finite",
+                         id="theta-3..12"),
+            pytest.param("alpha", " ".join(map(str, range(3, 13))),
+                         "c37486ca29431987840e803a71eca0f0f3b460418b84110acb18b0241822a47a", "finite",
+                         id="alpha-3..12"),
+            pytest.param("alpha", "3 1/2 5/3 7/4 2/9 11/6 1/10 13 4/15 17/8",
+                         "28596be49d1c415e730fc4827742f20ccd9d88ddbc7598bbf5274e0c5f8a7b04", "finite",
+                         id="alpha-ten-terms"),
+            # the largest pairwise check: integer terms take the gcd-free sum and product path
+            pytest.param("nu", " ".join(map(str, range(1, 513))),
+                         "f22ac042541f3243a5ef2509f3d85a05c9b4fb576f8ffe24ff1b598ecb3fd8d5", "pairwise",
+                         id="nu-1..512-pairwise"),
+            # the product 6·10^18 passes 2^62: phi colours every integer
+            pytest.param("phi", "3000000000 2000000000",
+                         "3bdc2176969da5cb945439203c71180b867771d8ef2c687c27c8ebeb4235020a", "pairwise",
+                         id="phi-past-2^62-pairwise"),
         ],
     )
-    def test_finite_output_pinned(self, colouring, terms, digest, tmp_path, capsys):
-        # 11 seeded terms, 4,094 combinations: the digest pins every tag, value and key
+    def test_finite_output_pinned(self, colouring, terms, digest, mode, tmp_path, capsys):
+        # the digest pins every tag, value and key; the 11 seeded terms give 4,094 combinations
         seq = tmp_path / "seq.txt"
         seq.write_text("\n".join(terms.split()) + "\n")
-        assert cli.main(["check", "--colouring", colouring, "--mode", "finite", str(seq)]) == 0
+        assert cli.main(["check", "--colouring", colouring, "--mode", mode, str(seq)]) == 0
         out, err = capsys.readouterr()
         assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -424,27 +449,36 @@ class TestSearch:
         out, err = capsys.readouterr()
         assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("args, digest", [
-        ("--colouring nu --numerator-bound 18 --denominator-bound 8 --prime-index 3",
+    @pytest.mark.parametrize("args, target, digest", [
+        ("--colouring nu --numerator-bound 18 --denominator-bound 8 --prime-index 3", "3",
          "9d63078872f6d55d15401a49251ac8b2ce8c65819ad32b885efe4d366bc0a0a2"),
-        ("--colouring mu --numerator-bound 18 --denominator-bound 8 --prime-index 3",
+        ("--colouring mu --numerator-bound 18 --denominator-bound 8 --prime-index 3", "3",
          "86aa19c8d81a90e23025c71b94cf06081c1da02ccb4b603e11c9a7ace3e79340"),
-        ("--colouring nu --numerator-bound 16 --denominator-bound 10 --prime-index 3",
+        ("--colouring nu --numerator-bound 16 --denominator-bound 10 --prime-index 3", "3",
          "f8c787925cd2cd2355928b41d9b8dacc679ea00ce512c695858cd62315578472"),
-        ("--colouring mu --numerator-bound 16 --denominator-bound 10 --prime-index 3",
+        ("--colouring mu --numerator-bound 16 --denominator-bound 10 --prime-index 3", "3",
          "c99d3372c8302657f4d6a7b8e88303d8340fc573d7f7c68c2a11e1ca6c810c87"),
-        ("--colouring alpha --numerator-bound 16 --denominator-bound 8 --prime-index 2",
+        ("--colouring alpha --numerator-bound 16 --denominator-bound 8 --prime-index 2", "3",
          "8f3029a9a3a68cece170c499463b0eb5b7b6513c70932c1da2a8b19b814f99b2"),
-        ("--colouring alpha --numerator-bound 20 --denominator-bound 6 --prime-index 2",
+        ("--colouring alpha --numerator-bound 20 --denominator-bound 6 --prime-index 2", "3",
          "c2293a341dd3269b9467c9e9dcd646fdab20f19935ff32610c9d22ba8fd646b5"),
-        ("--colouring theta --numerator-bound 150 --integers-only",
+        ("--colouring theta --numerator-bound 150 --integers-only", "3",
          "db185a2b8e6f1833fd3329989f621b1162588b70eeab825787c81bd1039450d3"),
+        # 8,542 values pass the shadow gate, all coloured before the DFS
+        ("--colouring mu --numerator-bound 40 --denominator-bound 30 --prime-index 3", "3",
+         "d614672074bfcdd89aae6526860b59d7404f964019438e0f50be8b8b5d7ae72b"),
+        # the theta frontier at the universe cap: the 9-term progression 442, 450, ..., 506;
+        # alpha colours a natural by its theta colour, so it visits the same 2,383 nodes
+        ("--colouring theta --integers-only --numerator-bound 512", "9",
+         "5b242679fe6c7712371751b6b498245ecb7b9d6d978e1a9233dedc6938fb4248"),
+        ("--colouring alpha --integers-only --numerator-bound 512", "9",
+         "6a4e97957faea25bc8c8d1f6e4c5c3d9219df1d76bfb8f85ffc9eb1452e21251"),
     ], ids=["nu-18-8-3", "mu-18-8-3", "nu-16-10-3", "mu-16-10-3", "alpha-16-8-2",
-            "alpha-20-6-2", "theta-150"])
-    def test_pairwise_output_pinned(self, args, digest, capsys):
-        # the benchmark's seven search universes: the digest pins nodes, max_size and every
-        # certificate's tags, values and keys, however the pair graph is built
-        assert cli.main(["search", *args.split(), "--mode", "pairwise", "--target", "3"]) == 0
+            "alpha-20-6-2", "theta-150", "mu-40-30-3", "theta-512-target-9", "alpha-512-target-9"])
+    def test_pairwise_output_pinned(self, args, target, digest, capsys):
+        # the benchmark's seven search universes and three larger ones: the digest pins nodes,
+        # max_size and every certificate's tags, values and keys, however the pair graph is built
+        assert cli.main(["search", *args.split(), "--mode", "pairwise", "--target", target]) == 0
         out, err = capsys.readouterr()
         assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -544,6 +578,17 @@ class TestProperties:
         assert a.stdout == b.stdout
         obj = json.loads(a.stdout)
         assert all(law["passed"] for law in obj["laws"])
+
+    @pytest.mark.parametrize("args, digest", [
+        ("--seed 1", "aee6e24c9771f18391afb324a160a8b57a9b2c5301edf31439fd696be1816e98"),
+        ("--seed 1 --samples 200", "98f418e0e171b2ea4aac2e64b2de5a9d913293f4f7c8b6936845e4cc26df2a28"),
+    ], ids=["seed-1", "seed-1-samples-200"])
+    def test_output_pinned(self, args, digest, capsys):
+        # with every law passing the suite names each law with its sample count, however the
+        # laws draw their samples
+        assert cli.main(["properties", *args.split()]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestClosedStdout:

@@ -88,6 +88,11 @@ class TestPhi:
         rng = random.Random("phi:62-bit")
         ks = list(range(-5000, 5001))
         ks += [rng.randint(-(2**62) + 1, 2**62 - 1) for _ in range(20_000)]
+        # phi colours every integer, past 2^62 and up to the CLI's 4,300-digit cap
+        ks += [s * (2**62 + e) for s in (1, -1) for e in (-3, 3)]
+        rng = random.Random("phi:250-digit")
+        ks += [rng.randint(-(10**250), 10**250) for _ in range(2_000)]
+        ks += [10**4299 - 1, -(10**4299 - 1)]
         assert [phi(k) for k in ks] == [oracles.phi_oracle(k) for k in ks]
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -129,6 +131,55 @@ class TestDyadicHelpers:
         assert cmp_c5_boundary(Fraction(7, 2), 2, 0) is Ordering.BELOW
         with pytest.raises(DomainError):
             cmp_c5_boundary(Fraction(7, 2), 2, 2)
+
+    def test_surd_comparisons_match_exact_squares(self):
+        # exponents near x's own, up to 3,000 away, and c around -L, where L =
+        # d.bit_length() + max(0, -a - 1) is the bound below which c settles x unshifted
+        rng = random.Random("core:surd-grid")
+        xs = [Fraction(rng.randint(1, 10 ** rng.randint(1, 40)), rng.randint(1, 10 ** rng.randint(1, 40)))
+              for _ in range(400)]
+        xs += [_pow2(e) for e in range(-20, 21)] + [Fraction(3, 2), Fraction(7, 4), Fraction(255, 128)]
+        # 2^e - 1/(d·2^k), k = max(0, -e), of denominator d: d ≡ 1 mod 2^k makes the gap to
+        # 2^e the least it can be, 2^(-L), where the bound on c is tight
+        for e in range(-20, 21):
+            k = max(0, -e)
+            xs.append(_pow2(e) - Fraction(1, ((rng.randint(2, 10**20) << k) + 1) << k))
+        steps = (0, 1, 2, 3, 5, 17, 64, 300, 3000)
+        for x in xs:
+            own = log2_floor(x.numerator, x.denominator)
+            square = x * x
+            for k in {own + t for s in steps for t in (s, -s)}:
+                below = square < _pow2(2 * k + 1)
+                assert (cmp_pow2_half(x, k) is Ordering.BELOW) == below, (x, k)
+            for a in {own + t for s in (0, 1, 2, 3000) for t in (s, -s)}:
+                floor = -(x.denominator.bit_length() + max(0, -a - 1))
+                cs = {a - 1 - s for s in steps} | {floor + t for t in range(-2, 3) if floor + t < a}
+                for c in cs:
+                    below = square < _pow2(2 * a + 2) * (1 - _pow2(c - a))
+                    assert (cmp_c5_boundary(x, a, c) is Ordering.BELOW) == below, (x, a, c)
+
+    def test_surd_comparisons_far_exponents_bounded(self):
+        # a shift by 2^61 bits cannot be allocated, so a call that took one fails at once
+        e = 2**61
+        for x in (Fraction(1, 3), Fraction(7, 5), Fraction(2**100 + 1, 3)):
+            own = log2_floor(x.numerator, x.denominator)
+            calls = [
+                (cmp_pow2_half, (x, e), Ordering.BELOW),
+                (cmp_pow2_half, (x, -e), Ordering.ABOVE),
+                (cmp_c5_boundary, (x, e, -e), Ordering.BELOW),
+                (cmp_c5_boundary, (x, -e, -e - 1), Ordering.ABOVE),
+                (cmp_c5_boundary, (x, own, -e), Ordering.BELOW),
+            ]
+            tracemalloc.start()
+            try:
+                for call, args, want in calls:
+                    tracemalloc.reset_peak()
+                    t0 = time.perf_counter()
+                    assert call(*args) is want, args
+                    assert time.perf_counter() - t0 < 0.01, args
+                    assert tracemalloc.get_traced_memory()[1] < 2**20, args
+            finally:
+                tracemalloc.stop()
 
 
 class TestPrimeTable:

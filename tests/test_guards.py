@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qcolour.colourings import alpha, big_phi, psi_prime
-from qcolour.digits import b_exponent, c_exponent, e_int, end2, start2
+from qcolour.digits import b_exponent, c_exponent, e_int, end2, expand, start2
 from qcolour.errors import DomainError
 from qcolour.verify import SAMPLE_CAP, property_suite
 
@@ -22,11 +22,13 @@ from qcolour.verify import SAMPLE_CAP, property_suite
         (lambda: b_exponent(Fraction(4)), DomainError, "b-exponent undefined on powers of two: 4"),
         (lambda: c_exponent(Fraction(1, 2)), DomainError, "c-exponent undefined on powers of two: 1/2"),
         (lambda: e_int(0, 1), DomainError, "need a natural number, got 0"),
+        # positivity is checked before the expansion is known to terminate
+        (lambda: expand(Fraction(-1, 3), 1), DomainError, "expected a positive rational, got -1/3"),
         (lambda: property_suite(1, SAMPLE_CAP + 1), DomainError, "sample count must be <= 10000, got 10001"),
     ],
     ids=[
         "big_phi", "psi_prime", "alpha", "end2", "start2", "b_exponent", "c_exponent", "e_int",
-        "property_suite",
+        "expand", "property_suite",
     ],
 )
 def test_guard_refuses_with_its_message(call, error, message):
