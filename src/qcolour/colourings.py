@@ -8,13 +8,13 @@ search pruning, CLI output).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Union
 
 from .core import (
     PrimeTable,
     Rational,
+    Record,
     base_index_and_exponent,
     below_surd,
     is_power_of_two_int,
@@ -28,43 +28,38 @@ from .digits import abc_exponents, binary_positions, e_int, leading_frac_positio
 from .errors import DomainError
 
 
-class ColourValue:
-    """Base class; concrete variants are frozen dataclasses below.
-
-    Each value formats its key once, when it is built. The colourings intern their values in
-    the tables below the classes; ``oracles`` builds fresh values, equal to the interned ones.
-    """
-
-    _key: str
-
-
-@dataclass(frozen=True)
-class Bit(ColourValue):
-    value: int
+class ColourValue(Record):
+    """Base class; concrete variants are the frozen records below. Each formats its ``_template``
+    with its attributes once, when it is built, into its key ``_key`` (not a field). The colourings
+    intern their values in the tables below the classes; ``oracles`` builds fresh, equal ones."""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", f"bit:{self.value}")
+        object.__setattr__(self, "_key", self._template.format_map(self.__dict__))
 
 
-@dataclass(frozen=True)
+class Bit(ColourValue):
+    value: int
+    _template = "bit:{value}"
+
+
 class PhiZero(ColourValue):
     """Degenerate pair colour (first component zero, second zero, or not increasing)."""
 
-    _key = "phi:z"
+    _template = "phi:z"
     compact = "z"  # its part of a theta key
 
 
-@dataclass(frozen=True)
 class PhiTuple(ColourValue):
     c1: int
     c2: int
     c3: int
     c4: int
     c5: int
+    _template = "phi:t:{c1},{c2},{c3},{c4},{c5}"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "compact", f"{self.c1}{self.c2}{self.c3}{self.c4}{self.c5}")
-        object.__setattr__(self, "_key", f"phi:t:{self.c1},{self.c2},{self.c3},{self.c4},{self.c5}")
+        super().__post_init__()
 
 
 PhiValue = Union[PhiZero, PhiTuple]
@@ -73,7 +68,6 @@ PHI_ZERO = PhiZero()
 _PHI_TUPLES = {bits: PhiTuple(*bits) for bits in itertools.product((0, 1), repeat=5)}
 
 
-@dataclass(frozen=True)
 class ThetaTuple(ColourValue):
     power: int
     end_parity: int
@@ -82,12 +76,8 @@ class ThetaTuple(ColourValue):
     phi_inner_shift: PhiValue
     phi_of_end: int
     tail: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", (
-            f"theta:{self.power},{self.end_parity},{self.gap_parity},"
-            f"{self.phi_inner.compact},{self.phi_inner_shift.compact},{self.phi_of_end},{self.tail}"
-        ))
+    _template = ("theta:{power},{end_parity},{gap_parity},"
+                 "{phi_inner.compact},{phi_inner_shift.compact},{phi_of_end},{tail}")
 
 
 class NuClass(Enum):
@@ -98,24 +88,18 @@ class NuClass(Enum):
     C5mC2 = "C5mC2"
 
 
-@dataclass(frozen=True)
 class NuSpecial(ColourValue):
     cls: NuClass
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", f"nu:s:{self.cls.value}")
+    _template = "nu:s:{cls.value}"
 
 
-@dataclass(frozen=True)
 class NuTuple(ColourValue):
     w1: int
     w2: int
     w3: int
     w4: int
     w5: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", f"nu:t:{self.w1},{self.w2},{self.w3},{self.w4},{self.w5}")
+    _template = "nu:t:{w1},{w2},{w3},{w4},{w5}"
 
 
 NuValue = Union[NuSpecial, NuTuple]
@@ -124,43 +108,31 @@ NU_C1, NU_C3mC4, NU_C4mC1 = (NuSpecial(c) for c in (NuClass.C1, NuClass.C3mC4, N
 _NU_TUPLES = {w: NuTuple(*w) for w in itertools.product((0, 1), (0, 1), *[range(3)] * 3)}
 
 
-@dataclass(frozen=True)
 class MuWhole(ColourValue):
     nu: NuValue
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", f"mu:w:{self.nu._key}")
+    _template = "mu:w:{nu._key}"
 
 
-@dataclass(frozen=True)
 class MuFrac(ColourValue):
     nu: NuValue
     phi: PhiValue
     psi_prime: PhiValue
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", f"mu:f:{self.nu._key}|{self.phi._key}|{self.psi_prime._key}")
+    _template = "mu:f:{nu._key}|{phi._key}|{psi_prime._key}"
 
 
-@dataclass(frozen=True)
 class AlphaNat(ColourValue):
     theta: ThetaTuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", f"alpha:n:{self.theta._key}")
+    _template = "alpha:n:{theta._key}"
 
 
-@dataclass(frozen=True)
 class AlphaNegPow2(ColourValue):
-    _key = "alpha:negpow2"
+    _template = "alpha:negpow2"
 
 
-@dataclass(frozen=True)
 class AlphaSmall(ColourValue):
-    _key = "alpha:small"
+    _template = "alpha:small"
 
 
-@dataclass(frozen=True)
 class AlphaBig(ColourValue):
     components: tuple[int, ...]  # 13 entries
 
@@ -168,9 +140,8 @@ class AlphaBig(ColourValue):
         object.__setattr__(self, "_key", "alpha:b:" + ",".join(map(str, self.components)))
 
 
-@dataclass(frozen=True)
 class ConstColour(ColourValue):
-    _key = "const"
+    _template = "const"
 
 
 BITS = (Bit(0), Bit(1))  # BITS[b] is Bit(b)

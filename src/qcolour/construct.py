@@ -18,7 +18,6 @@ a window yields is taken; ν of each new sum and product is an invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -26,6 +25,7 @@ from .colourings import NuTuple, colour_key, mu_below_one, nu, phi
 from .core import (
     PRIME_CAP,
     Rational,
+    Record,
     a_exponent,
     base_index_and_exponent,
     iter_primes,
@@ -45,15 +45,13 @@ from .verify import (
 DEFAULT_SEARCH_BUDGET = 250_000
 
 
-@dataclass(frozen=True)
-class OpennessRadius:
+class OpennessRadius(Record):
     center: Rational
     radius: Rational
     key: str
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(Record):
     """Base indices r_t (terms 1/p_{r_t}) and ordered disjoint blocks H_n.
 
     Block entries are 1-based positions into the base sequence; y_n is the
@@ -78,13 +76,7 @@ class BlockSystem:
 
     def terms(self) -> list[Rational]:
         base = self.base_terms()
-        out = []
-        for block in self.blocks:
-            y = Fraction(1)
-            for t in block:
-                y *= base[t - 1]
-            out.append(y)
-        return out
+        return [math.prod(base[t - 1] for t in block) for block in self.blocks]  # blocks are nonempty
 
     def to_obj(self) -> dict:
         return {
@@ -93,8 +85,7 @@ class BlockSystem:
         }
 
 
-@dataclass(frozen=True)
-class ConstructResult:
+class ConstructResult(Record):
     system: BlockSystem
     terms: tuple[Rational, ...]
     key: str
@@ -159,7 +150,7 @@ def openness_radius(x: Rational) -> OpennessRadius:
     gaps.append(p[2 * a + 2] - p[a + l + 2] - nn)
     if min(gaps) <= 0:
         raise InternalInvariantError(f"non-positive boundary gap at {x}")
-    return OpennessRadius(center=x, radius=Fraction(min(gaps), dd << a + 3 - e), key=colour_key(value))
+    return OpennessRadius(x, Fraction(min(gaps), dd << a + 3 - e), colour_key(value))
 
 
 def minimal_digit_fact(z: Rational) -> bool:
@@ -272,8 +263,7 @@ def _mantissa_window(n: int, j: int) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class _Level:
+class _Level(Record):
     block: tuple[int, ...]
     y: Rational
     n: int

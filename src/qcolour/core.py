@@ -17,7 +17,7 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
+from typing import Any, Iterator
 
 from .errors import (
     DomainError,
@@ -44,6 +44,55 @@ _RATIONAL_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 class Ordering(Enum):
     BELOW = "below"
     ABOVE = "above"
+
+
+class Record:
+    """Base of the frozen records: the fields are the class's own annotations, in order (a class
+    with none keeps its base's), and a class-level value is a field's default. A record is built
+    positionally or by keyword, then runs its ``__post_init__``, if any. It equals only a record of
+    its own class with equal fields, hashes and shows them as ``Name(field=value, ...)``, and is frozen."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ())) or cls._fields
+        if "__init__" in cls.__dict__:  # a constructor of its own calls its base's
+            return
+        fields, count, check = cls._fields, len(cls._fields), getattr(cls, "__post_init__", None)
+        defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+
+        def __init__(self: Record, *args: Any, **kwargs: Any) -> None:  # a closure: no lookups
+            if kwargs or len(args) != count:  # keywords, defaults or a wrong count
+                rest, given = fields[len(args):], defaults | kwargs
+                if len(args) > count or not kwargs.keys() <= set(rest) <= given.keys():
+                    raise TypeError(f"{type(self).__name__}{fields} got {len(args)} values and {[*kwargs]}")
+                args += tuple(map(given.__getitem__, rest))
+            values, i = self.__dict__, 0
+            for name in fields:  # indexing is faster here than zip
+                values[name] = args[i]
+                i += 1
+            if check is not None:
+                check(self)
+
+        cls.__init__ = __init__  # type: ignore[method-assign]
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return self._astuple() == other._astuple() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map("{}={!r}".format, self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def _frozen(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
 
 
 def check_digits(value: int, what: str) -> int:

@@ -7,12 +7,12 @@ signed digit positions for rationals, and the derived exponent functions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
     PrimeTable,
     Rational,
+    Record,
     check_digits,
     divide_out_primes,
     is_power_of_two,
@@ -23,8 +23,7 @@ from .core import (
 from .errors import DomainError, InternalInvariantError, UnsupportedPrimeError
 
 
-@dataclass(frozen=True)
-class BinaryProfile:
+class BinaryProfile(Record):
     """Positions of the significant binary digits of a natural number.
 
     ``end``/``start`` are the rightmost/leftmost 1 positions, ``gap`` the
@@ -113,8 +112,7 @@ def epsilon_exponent(f: Rational) -> int:
     return abc_exponents(n + d, d)[2] + 1
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(Record):
     """Sparse base-P_n expansion: only nonzero digits, keyed by signed position."""
 
     base_index: int
@@ -169,7 +167,7 @@ def expand(x: Rational, n: int, table: PrimeTable | None = None) -> DigitExpansi
         if d:
             digits[pos] = d
         pos -= 1
-    return DigitExpansion(base_index=n, digits=digits)
+    return DigitExpansion(n, digits)
 
 
 def s_frac(x: Rational, n: int, table: PrimeTable | None = None) -> int:

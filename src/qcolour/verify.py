@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -23,7 +22,8 @@ from typing import Any, Callable, Hashable, Iterator
 
 from .colourings import HEADED, SHADOWS, colour_key, colouring_fn, phi
 from .core import (
-    DIGIT_LIMIT, PrimeTable, Rational, check_digits, is_dyadic, iter_primes, parse_rational, primorial,
+    DIGIT_LIMIT, PrimeTable, Rational, Record, check_digits, is_dyadic, iter_primes, parse_rational,
+    primorial,
 )
 from .digits import DigitExpansion, binary_positions, end2, expand, start2
 from .errors import DomainError, InternalInvariantError
@@ -34,8 +34,7 @@ class CombinationMode(Enum):
     FINITE_FSFP = "finite"
 
 
-@dataclass(frozen=True)
-class Monochromatic:
+class Monochromatic(Record):
     key: str | None
     empty: bool = False
 
@@ -43,8 +42,7 @@ class Monochromatic:
         return {"monochromatic": {"key": self.key, "empty": self.empty}}
 
 
-@dataclass(frozen=True)
-class Clash:
+class Clash(Record):
     first: int
     second: int
 
@@ -55,8 +53,7 @@ class Clash:
 Verdict = Monochromatic | Clash
 
 
-@dataclass(frozen=True)
-class CombinationEntry:
+class CombinationEntry(Record):
     tag: str
     value: Rational
     colour: str  # colour key of the value
@@ -78,8 +75,7 @@ def json_text(obj: dict, pretty: bool = False) -> str:
     return json.dumps(obj, indent=2) if pretty else json.dumps(obj, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A sequence, its combinations as parallel columns in combination order, and a verdict."""
 
     colouring_id: str
@@ -317,8 +313,7 @@ def validate(
     return True
 
 
-@dataclass(frozen=True)
-class UniverseSpec:
+class UniverseSpec(Record):
     """Finite window of positive rationals, in canonical enumeration order."""
 
     numerator_bound: int
@@ -352,8 +347,7 @@ class UniverseSpec:
         return out
 
 
-@dataclass
-class SearchResult:
+class SearchResult(Record):
     certificates: list[Certificate]
     max_size: int
     exhausted: bool
@@ -551,8 +545,7 @@ def naive_search(
     )
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(Record):
     name: str
     samples: int
     passed: bool
@@ -567,8 +560,7 @@ class LawResult:
         }
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     seed: int
     samples: int
     laws: tuple[LawResult, ...]

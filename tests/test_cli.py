@@ -569,6 +569,18 @@ class TestMain:
         assert cli.main(argv) == 0 and capsys.readouterr() == first
         assert cli._build_parser() is cli._build_parser()  # built once per process
 
+    def test_import_loads_no_dataclass_machinery(self):
+        # every CLI call pays the package import: its records need neither module, and
+        # importing dataclasses alone costs a fresh interpreter about 7 ms
+        code = """
+import json, sys
+import qcolour, qcolour.cli
+print(json.dumps(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
 
 class TestProperties:
     def test_deterministic_across_runs(self):

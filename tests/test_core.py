@@ -316,3 +316,104 @@ class TestDigitLimit:
         for text in ("7" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1)):
             with pytest.raises(DomainError, match=f"more than {MAX_DIGITS} decimal digits"):
                 parse_rational(text)
+
+
+def _records():
+    """(class, its fields with sample values in order, its defaults) for each of the package's 27
+    records; the colour values are built directly, not interned."""
+    from qcolour import colourings as c, construct, digits, verify
+
+    phi_t = c.PhiTuple(0, 1, 1, 0, 1)
+    theta_t = c.ThetaTuple(1, 0, 1, phi_t, c.PhiZero(), 1, 0)
+    nu_t = c.NuTuple(0, 1, 2, 1, 1)
+    clash = verify.Clash(0, 1)
+    cert = verify.Certificate("nu", verify.CombinationMode.PAIRWISE, (Fraction(2), Fraction(4)),
+                              ("s:1,2", "p:1,2"), ((6, 1), (8, 1)), ("nu:s:C4mC1", "nu:s:C1"), clash)
+    law = verify.LawResult("law", 10, True, None)
+    system = construct.BlockSystem((2, 3), ((1,), (2,)))
+    return [
+        (c.Bit, {"value": 1}, {}),
+        (c.PhiZero, {}, {}),
+        (c.PhiTuple, dict(zip(["c1", "c2", "c3", "c4", "c5"], [0, 1, 1, 0, 1])), {}),
+        (c.ThetaTuple, {"power": 1, "end_parity": 0, "gap_parity": 1, "phi_inner": phi_t,
+                        "phi_inner_shift": c.PhiZero(), "phi_of_end": 1, "tail": 0}, {}),
+        (c.NuSpecial, {"cls": c.NuClass.C1}, {}),
+        (c.NuTuple, dict(zip(["w1", "w2", "w3", "w4", "w5"], [0, 1, 2, 1, 1])), {}),
+        (c.MuWhole, {"nu": nu_t}, {}),
+        (c.MuFrac, {"nu": c.NuSpecial(c.NuClass.C1), "phi": c.PhiZero(), "psi_prime": phi_t}, {}),
+        (c.AlphaNat, {"theta": theta_t}, {}),
+        (c.AlphaNegPow2, {}, {}),
+        (c.AlphaSmall, {}, {}),
+        (c.AlphaBig, {"components": tuple(range(13))}, {}),
+        (c.ConstColour, {}, {}),
+        (verify.Monochromatic, {"key": "nu:s:C1", "empty": False}, {"empty": False}),
+        (verify.Clash, {"first": 0, "second": 1}, {}),
+        (verify.CombinationEntry, {"tag": "s:1,2", "value": Fraction(6), "colour": "nu:s:C4mC1"}, {}),
+        (verify.Certificate, {"colouring_id": "nu", "mode": cert.mode, "sequence": cert.sequence,
+                              "tags": cert.tags, "values": cert.values, "keys": cert.keys,
+                              "verdict": clash}, {}),
+        (verify.UniverseSpec, {"numerator_bound": 10, "denominator_bound": 1, "prime_index_bound": 1,
+                               "integers_only": False},
+         {"denominator_bound": 1, "prime_index_bound": 1, "integers_only": False}),
+        (verify.SearchResult, {"certificates": [cert], "max_size": 2, "exhausted": True, "nodes": 3}, {}),
+        (verify.LawResult, {"name": "law", "samples": 10, "passed": False, "counterexample": "x=1"},
+         {"counterexample": None}),
+        (verify.PropertyReport, {"seed": 1, "samples": 10, "laws": (law,)}, {}),
+        (construct.OpennessRadius, {"center": Fraction(3), "radius": Fraction(1, 8), "key": "nu:s:C1"}, {}),
+        (construct.BlockSystem, {"base_indices": (2, 3), "blocks": ((1,), (2,))}, {}),
+        (construct.ConstructResult, {"system": system, "terms": (Fraction(1, 3), Fraction(1, 5)),
+                                     "key": "mu:w:nu:s:C1", "certificate": cert}, {}),
+        (construct._Level, {"block": (1,), "y": Fraction(1, 3), "n": 2, "j": 2}, {}),
+        (digits.BinaryProfile, {"end": 1, "start": 7, "gap": 4, "power_of_two": False}, {}),
+        (digits.DigitExpansion, {"base_index": 1, "digits": {0: 1}}, {}),
+    ]
+
+
+class TestRecord:
+    @pytest.mark.parametrize("cls, values, defaults", [pytest.param(*r, id=r[0].__name__) for r in _records()])
+    def test_record_contract(self, cls, values, defaults):
+        # built positionally or by keyword, with its defaults
+        rec = cls(*values.values())
+        assert cls(**values) == rec and [getattr(rec, name) for name in values] == [*values.values()]
+        required = {name: v for name, v in values.items() if name not in defaults}
+        assert cls(*required.values()) == cls(**required) == cls(**required, **defaults)
+        with pytest.raises(TypeError):
+            cls(**values, not_a_field=0)
+        with pytest.raises(TypeError):
+            cls(*values.values(), 0)
+        if required:
+            with pytest.raises(TypeError):
+                cls()
+        # shown in the dataclass format
+        assert repr(rec) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in values.items())})"
+        # equal and hash-equal to a fresh equal record, unequal to one of another class
+        again = cls(*values.values())
+        assert rec == again and not rec != again and rec is not again
+        if cls.__name__ in ("DigitExpansion", "SearchResult"):  # a dict or list field
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(rec)
+        else:
+            assert hash(rec) == hash(again)
+        other = type("Other", (cls,), {})(*values.values())
+        assert rec != other and other != rec and rec != tuple(values.values())
+        # frozen
+        name = next(iter(values), "extra")
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+        if values:
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+        assert rec == again
+
+    def test_records_of_different_classes_differ(self):
+        from qcolour import colourings as c, construct
+
+        singletons = [c.PHI_ZERO, c.ALPHA_NEG_POW2, c.ALPHA_SMALL, c.CONST]
+        for a, b in itertools.permutations(singletons, 2):
+            assert a != b and not a == b
+        assert c.NuTuple(0, 0, 0, 0, 0) != c.PhiTuple(0, 0, 0, 0, 0)
+        assert repr(c.Bit(1)) == "Bit(value=1)" and c.BITS[1] == c.Bit(1) != c.Bit(0)
+        # __post_init__ runs once the fields are set, by position or by keyword
+        assert c.colour_key(c.NuTuple(w1=0, w2=1, w3=2, w4=1, w5=1)) == "nu:t:0,1,2,1,1"
+        with pytest.raises(DomainError, match="blocks must be nonempty"):
+            construct.BlockSystem(base_indices=(2,), blocks=((),))

@@ -10,7 +10,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,6 +34,12 @@ from qcolour.verify import (
     search,
     validate,
 )
+
+
+def replace(cert: Certificate, **changes) -> Certificate:
+    """``cert`` with ``changes`` to its fields, rebuilt through the constructor, which checks it."""
+    fields = ("colouring_id", "mode", "sequence", "tags", "values", "keys", "verdict")
+    return Certificate(**{**{name: getattr(cert, name) for name in fields}, **changes})
 
 
 class TestCombinations:
