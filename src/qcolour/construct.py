@@ -78,26 +78,12 @@ class BlockSystem(Record):
         base = self.base_terms()
         return [math.prod(base[t - 1] for t in block) for block in self.blocks]  # blocks are nonempty
 
-    def to_obj(self) -> dict:
-        return {
-            "base_indices": list(self.base_indices),
-            "blocks": [list(b) for b in self.blocks],
-        }
-
 
 class ConstructResult(Record):
     system: BlockSystem
     terms: tuple[Rational, ...]
     key: str
     certificate: Certificate
-
-    def to_obj(self) -> dict:
-        return {
-            "system": self.system.to_obj(),
-            "terms": [str(y) for y in self.terms],
-            "key": self.key,
-            "certificate": self.certificate.to_obj(),
-        }
 
 
 def reciprocal_prime_indices(count: int) -> list[int]:

@@ -50,7 +50,8 @@ class Record:
     """Base of the frozen records: the fields are the class's own annotations, in order (a class
     with none keeps its base's), and a class-level value is a field's default. A record is built
     positionally or by keyword, then runs its ``__post_init__``, if any. It equals only a record of
-    its own class with equal fields, hashes and shows them as ``Name(field=value, ...)``, and is frozen."""
+    its own class with equal fields, hashes and shows them as ``Name(field=value, ...)``, and is frozen.
+    Its JSON object is its fields in order, by ``to_obj``."""
 
     _fields: tuple[str, ...] = ()
 
@@ -89,10 +90,30 @@ class Record:
         shown = ", ".join(map("{}={!r}".format, self._fields, self._astuple()))
         return f"{type(self).__qualname__}({shown})"
 
+    def to_obj(self) -> dict:
+        return dict(zip(self._fields, map(_json_value, self._astuple())))
+
     def _frozen(self, name: str, *value: Any) -> None:
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
     __setattr__ = __delattr__ = _frozen
+
+
+def _json_value(value: Any) -> Any:
+    """A record by its own ``to_obj``, a ``Fraction`` as its string, an ``Enum`` as its value,
+    a tuple or list item by item, anything else as it is."""
+    match value:
+        case int() | str() | None:  # most values: first, so they skip the costlier class checks
+            return value
+        case Record():
+            return value.to_obj()
+        case Fraction():
+            return str(value)
+        case Enum():
+            return value.value
+        case tuple() | list():
+            return list(map(_json_value, value))
+    return value
 
 
 def check_digits(value: int, what: str) -> int:

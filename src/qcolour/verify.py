@@ -22,8 +22,8 @@ from typing import Any, Callable, Hashable, Iterator
 
 from .colourings import HEADED, SHADOWS, colour_key, colouring_fn, phi
 from .core import (
-    DIGIT_LIMIT, PrimeTable, Rational, Record, check_digits, is_dyadic, iter_primes, parse_rational,
-    primorial,
+    DIGIT_LIMIT, PRIME_CAP, PrimeTable, Rational, Record, check_digits, is_dyadic, iter_primes,
+    parse_rational, primorial,
 )
 from .digits import DigitExpansion, binary_positions, end2, expand, start2
 from .errors import DomainError, InternalInvariantError
@@ -323,8 +323,8 @@ class UniverseSpec(Record):
 
     def elements(self) -> list[Rational]:
         """All x = n/d in lowest terms with d a product of the first
-        ``prime_index_bound`` primes, ordered by (d, n); at most ``UNIVERSE_CAP``.
-        A bound below 1 is refused before anything is listed."""
+        ``prime_index_bound`` primes (all ``PRIME_CAP`` of them at most), ordered by (d, n);
+        at most ``UNIVERSE_CAP``. A bound below 1 is refused before anything is listed."""
         for name, bound in (("numerator bound", self.numerator_bound),
                             ("denominator bound", self.denominator_bound),
                             ("prime index", self.prime_index_bound)):
@@ -332,7 +332,7 @@ class UniverseSpec(Record):
                 raise DomainError(f"{name} must be >= 1, got {bound}")
         dens = [1]
         primes = () if self.integers_only else iter_primes()
-        for p in itertools.islice(primes, self.prime_index_bound):
+        for p in itertools.islice(primes, min(self.prime_index_bound, PRIME_CAP)):
             if p > self.denominator_bound or len(dens) > UNIVERSE_CAP:
                 break
             for d in dens[:]:
@@ -348,18 +348,10 @@ class UniverseSpec(Record):
 
 
 class SearchResult(Record):
-    certificates: list[Certificate]
     max_size: int
     exhausted: bool
     nodes: int
-
-    def to_obj(self) -> dict:
-        return {
-            "max_size": self.max_size,
-            "exhausted": self.exhausted,
-            "nodes": self.nodes,
-            "certificates": [c.to_obj() for c in self.certificates],
-        }
+    certificates: list[Certificate]
 
 
 class _PairGraph:
@@ -493,7 +485,7 @@ def search(
     graph = _PairGraph(colouring_id, elements, mode)
     preorder = itertools.chain.from_iterable(map(graph.below, range(len(elements))))
     certificates, max_size, nodes = [], 0, 0
-    for idx in itertools.islice(preorder, budget):
+    for _, idx in zip(range(budget), preorder):  # zip stops at the range before it pulls a node
         nodes += 1
         max_size = max(max_size, len(idx))
         if len(idx) == target_size:
@@ -551,14 +543,6 @@ class LawResult(Record):
     passed: bool
     counterexample: str | None = None
 
-    def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-        }
-
 
 class PropertyReport(Record):
     seed: int
@@ -570,12 +554,7 @@ class PropertyReport(Record):
         return all(law.passed for law in self.laws)
 
     def to_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "laws": [law.to_obj() for law in self.laws],
-            "all_passed": self.all_passed,
-        }
+        return {**super().to_obj(), "all_passed": self.all_passed}
 
 
 def _random_support(rng: random.Random, positions: list[int]) -> int:

@@ -422,6 +422,20 @@ class TestSearch:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("args, huge, same", [
+        ("--numerator-bound 6", "--budget", "--budget 1000000"),
+        ("--numerator-bound 3 --denominator-bound 4", "--prime-index", "--prime-index 16384"),
+        ("--numerator-bound 3 --denominator-bound 4 --integers-only", "--prime-index",
+         "--prime-index 16384"),
+    ], ids=["budget", "prime-index", "prime-index-integers-only"])
+    def test_flag_above_the_machine_word_exit_0(self, capsys, args, huge, same):
+        # a budget past the whole search, or a prime index past the 16,384 primes, changes nothing
+        outputs = []
+        for flag in (f"{huge} {10**23 - 1}", same):
+            assert cli.main(["search", "--colouring", "nu", *args.split(), *flag.split()]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+
     def test_workers_below_one_exit_2(self, capsys):
         # --workers picks nothing but is still validated
         assert cli.main(["search", "--colouring", "nu", "--workers", "0"]) == 2

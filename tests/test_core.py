@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import time
@@ -355,7 +356,7 @@ def _records():
         (verify.UniverseSpec, {"numerator_bound": 10, "denominator_bound": 1, "prime_index_bound": 1,
                                "integers_only": False},
          {"denominator_bound": 1, "prime_index_bound": 1, "integers_only": False}),
-        (verify.SearchResult, {"certificates": [cert], "max_size": 2, "exhausted": True, "nodes": 3}, {}),
+        (verify.SearchResult, {"max_size": 2, "exhausted": True, "nodes": 3, "certificates": [cert]}, {}),
         (verify.LawResult, {"name": "law", "samples": 10, "passed": False, "counterexample": "x=1"},
          {"counterexample": None}),
         (verify.PropertyReport, {"seed": 1, "samples": 10, "laws": (law,)}, {}),
@@ -417,3 +418,29 @@ class TestRecord:
         assert c.colour_key(c.NuTuple(w1=0, w2=1, w3=2, w4=1, w5=1)) == "nu:t:0,1,2,1,1"
         with pytest.raises(DomainError, match="blocks must be nonempty"):
             construct.BlockSystem(base_indices=(2,), blocks=((),))
+
+    # The certificate of _records() and the JSON object of each record that the CLI prints
+    # without a to_obj of its own, as (key, value) pairs in output order.
+    CERT_OBJ = {"colouring": "nu", "mode": "pairwise", "sequence": ["2", "4"],
+                "combinations": [{"tag": "s:1,2", "value": "6", "colour": "nu:s:C4mC1"},
+                                 {"tag": "p:1,2", "value": "8", "colour": "nu:s:C1"}],
+                "verdict": {"clash": [0, 1]}}
+    SYSTEM_OBJ = [("base_indices", [2, 3]), ("blocks", [[1], [2]])]
+    PRINTED = {
+        "LawResult": [("name", "law"), ("samples", 10), ("passed", False), ("counterexample", "x=1")],
+        "PropertyReport": [("seed", 1), ("samples", 10), ("laws", [
+            {"name": "law", "samples": 10, "passed": True, "counterexample": None}]), ("all_passed", True)],
+        "SearchResult": [("max_size", 2), ("exhausted", True), ("nodes", 3), ("certificates", [CERT_OBJ])],
+        "BlockSystem": SYSTEM_OBJ,
+        "ConstructResult": [("system", dict(SYSTEM_OBJ)), ("terms", ["1/3", "1/5"]), ("key", "mu:w:nu:s:C1"),
+                            ("certificate", CERT_OBJ)],
+    }
+
+    @pytest.mark.parametrize("cls, values", [pytest.param(*r[:2], id=r[0].__name__) for r in _records()])
+    def test_json_object(self, cls, values):
+        # every record's object is JSON; a printed one has exactly its fixed keys, values and order
+        obj = cls(**values).to_obj()
+        text = json.dumps(obj)
+        if cls.__name__ in self.PRINTED:
+            assert list(obj.items()) == self.PRINTED[cls.__name__]
+            assert text == json.dumps(dict(self.PRINTED[cls.__name__]))

@@ -533,6 +533,13 @@ class TestUniverse:
         with pytest.raises(DomainError, match=message):
             spec.elements()
 
+    @pytest.mark.parametrize("integers_only", [False, True])
+    def test_prime_index_past_the_cap_reads_every_prime(self, integers_only):
+        # the walk stops at the PRIME_CAP-th prime, however large the index
+        spec = UniverseSpec(3, 4, verify.PRIME_CAP, integers_only)
+        for index in (verify.PRIME_CAP + 1, 10**23):
+            assert UniverseSpec(3, 4, index, integers_only).elements() == spec.elements()
+
     def test_cap_bounds_the_cost(self):
         t0 = time.perf_counter()
         for spec in (UniverseSpec(100_000), UniverseSpec(1, 10**12, 6), UniverseSpec(30, 10**12)):
@@ -847,6 +854,12 @@ print(json.dumps([counts, loaded]))
         res = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
                      budget=5, workers=1)
         assert not res.exhausted and res.nodes == 5
+
+    def test_budget_above_the_machine_word_is_taken(self):
+        # any budget >= 1 is a node count; one past sys.maxsize gives the whole search
+        huge, whole = (search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2, budget=b)
+                       for b in (10**30, 10**6))
+        assert huge == whole and huge.exhausted and huge.nodes == 47
 
     def test_domain_errors(self):
         for kwargs in (
