@@ -16,8 +16,7 @@ import sys
 
 from .colourings import (
     PAIR_COLOURINGS,
-    PAIR_IDS,
-    UNARY_IDS,
+    UNARY_COLOURINGS,
     Bit,
     colour_key,
     colouring_fn,
@@ -164,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("colour", parents=[common], help="colour one value")
-    p.add_argument("--colouring", required=True, choices=UNARY_IDS + PAIR_IDS)
+    p.add_argument("--colouring", required=True, choices=[*UNARY_COLOURINGS, *PAIR_COLOURINGS])
     p.add_argument("value", help="rational 'n/d', integer, or 'a,b' for pair colourings")
     p.set_defaults(fn=_cmd_colour)
 
@@ -174,13 +173,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_expand)
 
     p = sub.add_parser("check", parents=[common], help="monochromaticity certificate")
-    p.add_argument("--colouring", required=True, choices=UNARY_IDS)
+    p.add_argument("--colouring", required=True, choices=UNARY_COLOURINGS)
     p.add_argument("--mode", choices=[m.value for m in CombinationMode], default="pairwise")
     p.add_argument("file", nargs="?", help="terms, one per line ('#' comments); default stdin")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("search", parents=[common], help="bounded monochromatic-configuration search")
-    p.add_argument("--colouring", required=True, choices=UNARY_IDS)
+    p.add_argument("--colouring", required=True, choices=UNARY_COLOURINGS)
     p.add_argument("--mode", choices=[m.value for m in CombinationMode], default="pairwise")
     p.add_argument("--target", type=int, default=2, help="configuration size to certify")
     p.add_argument("--budget", type=int, default=1_000_000, help="node budget")

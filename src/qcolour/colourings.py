@@ -281,12 +281,21 @@ def alpha(x: Rational, table: PrimeTable | None = None) -> ColourValue:
         return _ALPHA_NATS.get(t._key) or _ALPHA_NATS.setdefault(t._key, AlphaNat(t))
     if n < 1:
         raise DomainError(f"expected a positive rational, got {x}")
-    if n == 1 and is_power_of_two_int(d):  # x = 2^k with k < 0
-        return ALPHA_NEG_POW2
     if n <= 2 * d:
-        return ALPHA_SMALL
+        return _alpha_head(n, d)
     c = _alpha_prime(x, n, d)
     return _ALPHA_BIGS.get(c) or _ALPHA_BIGS.setdefault(c, AlphaBig(c))
+
+
+def _alpha_head(n: int, d: int) -> Hashable:
+    """alpha's first stage, which is also alpha's shadow: one token for the naturals, alpha's
+    one-key value for n <= 2d, else a mod 2 of the big tuple. A pair of natural sum s and
+    product p is two integers, as the rational roots of t² − st + p."""
+    if d == 1:
+        return "natural"
+    if n <= 2 * d:
+        return ALPHA_NEG_POW2 if n == 1 and is_power_of_two_int(d) else ALPHA_SMALL  # 2^k, k < 0
+    return log2_floor(n, d) % 2
 
 
 def _alpha_prime(x: Rational, n: int, d: int) -> tuple[int, ...]:
@@ -345,28 +354,16 @@ PAIR_COLOURINGS: dict[str, Callable[[int, int], PhiValue]] = {
     "psi": psi,
     "psiprime": psi_prime,
 }
-UNARY_IDS = tuple(UNARY_COLOURINGS)
-PAIR_IDS = tuple(PAIR_COLOURINGS)
 
 
 # --- shadows: cheap exact projections of the colour keys ---------------------
 # A shadow maps a reduced pair (n, d) to a token equal on any two values of equal key, so
 # values whose shadows differ have different keys.
 
-def _alpha_shadow(n: int, d: int) -> Hashable:
-    """A token for the naturals and one per one-key case, else a mod 2 of the big tuple. A pair
-    of natural sum s and product p is two integers, as the rational roots of t² − st + p."""
-    if d == 1:
-        return "natural"
-    if n <= 2 * d:  # alpha's two one-key cases
-        return "negpow2" if n == 1 and is_power_of_two_int(d) else "small"
-    return log2_floor(n, d) % 2
-
-
-#: the colourings with a shadow; ``phi``, ``theta`` and ``const`` have none. nu's shadow is
-#: ``_nu_head``, nu's own first stage, so the two cannot read the 2^(a+1/2) boundary two ways.
+#: the colourings with a shadow; ``phi``, ``theta`` and ``const`` have none. nu's and alpha's
+#: shadows are their own first stages, so neither can decide a class two ways.
 SHADOWS: dict[str, Callable[[int, int], Hashable]] = {
-    "nu": _nu_head, "alpha": _alpha_shadow,
+    "nu": _nu_head, "alpha": _alpha_head,
     "mu": lambda n, d: (n >= d, _nu_head(n, d)),  # MuWhole or MuFrac, then nu's shadow
 }
 

@@ -92,13 +92,8 @@ def reciprocal_prime_indices(count: int) -> list[int]:
     r_1 = 2 (term 1/3); for i ≥ 2 the smallest unused index whose prime is
     at least 6·i·(i−1), so the tail after 1/3 is bounded by the telescoping
     sum Σ 1/(6·i·(i−1)) = 1/6. An index past ``core.PRIME_CAP`` raises
-    ``TableExhaustedError``.
+    ``TableExhaustedError``. One walk over the primes finds them all.
     """
-    return [r for r, _ in _reciprocal_primes(count)]
-
-
-def _reciprocal_primes(count: int) -> list[tuple[int, int]]:
-    """The pairs (r_i, p_{r_i}) of ``reciprocal_prime_indices``, in one walk over the primes."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     walk = enumerate(iter_primes(), 1)
@@ -106,7 +101,7 @@ def _reciprocal_primes(count: int) -> list[tuple[int, int]]:
     for i in range(count):
         # term i + 1 takes the next prime at least 6·(i + 1)·i, and term 1 the prime 3 (r_1 = 2)
         bound = max(3, 6 * i * (i + 1))
-        hit = next(((r, p) for r, p in walk if p >= bound), None)
+        hit = next((r for r, p in walk if p >= bound), None)
         if hit is None:  # the walk stopped at the cap
             raise TableExhaustedError(f"prime index {PRIME_CAP + 1} beyond the cap of {PRIME_CAP} primes")
         out.append(hit)
@@ -273,9 +268,10 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
         raise DomainError(f"budget must be >= 1, got {search_budget}")
     pool_size = 16 + 14 * m
     try:
-        indices, base_primes = zip(*_reciprocal_primes(pool_size))
+        indices = reciprocal_prime_indices(pool_size)
     except TableExhaustedError as exc:
         raise DomainError(f"term count {m} needs {pool_size} reciprocal primes: {exc}") from exc
+    base_primes = [nth_prime(r) for r in indices]
 
     y1 = Fraction(1, 3)
     target = colour_key(nu(y1))

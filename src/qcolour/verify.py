@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Hashable, Iterator
 
-from .colourings import HEADED, SHADOWS, colour_key, colouring_fn, phi
+from .colourings import HEADED, SHADOWS, colour_key, colouring_fn, theta
 from .core import (
     DIGIT_LIMIT, PRIME_CAP, PrimeTable, Rational, Record, check_digits, is_dyadic, iter_primes,
     parse_rational, primorial,
@@ -382,9 +382,10 @@ class _PairGraph:
         shadow = SHADOWS.get(colouring_id)
         shades: dict[Pair, Hashable] = {}  # per distinct value, filled where first met
         # each element's v2 (its numerator's, read only on integer pairs), and the head of
-        # every v2 the sum or the product of two elements can have
+        # every v2 the sum or the product of two elements can have: theta's of 2^e, whose v2 is e
         ends = [(n & -n).bit_length() - 1 for n, _ in xs] if colouring_id in HEADED else []
-        heads = [(e % 2, phi(e)) for e in range(2 * max(n for n, _ in xs).bit_length())] if ends else None
+        heads = [(t.end_parity, t.phi_of_end) for t in map(theta, (1 << e for e in range(
+            2 * max(n for n, _ in xs).bit_length())))] if ends else None
         self.adj: dict[tuple[str, int], int] = {}
         self.edges: list[int] = []  # j > i whose pair sum and product share any key
         for i, x in enumerate(xs):
@@ -404,7 +405,7 @@ class _PairGraph:
                             a = shades[total] = shadow(*total)
                         if (b := shades.get(prod)) is None:
                             b = shades[prod] = shadow(*prod)
-                        if a != b:
+                        if a is not b and a != b:  # identity first: a record's == is a Python call
                             continue  # the shadows differ, so the keys do
                     k, other = keys[total], keys[prod]
                 if k == other:

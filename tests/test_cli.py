@@ -24,6 +24,19 @@ def run_cli(*args: str, stdin: str | None = None):
     )
 
 
+def assert_certificates_validate(out: str) -> int:
+    """Every certificate in the check, search or construct document ``out`` validates from its
+    JSON alone and reads back to the same JSON object; returns how many there are."""
+    obj = json.loads(out)
+    certs = obj["certificates"] if "certificates" in obj else [obj.get("certificate", obj)]
+    for c in certs:
+        cert = Certificate.from_obj(c)
+        reasons: list[str] = []
+        assert validate(cert, reasons), reasons
+        assert cert.to_obj() == c
+    return len(certs)
+
+
 class TestColour:
     def test_nu_tuple(self):
         proc = run_cli("colour", "--colouring", "nu", "11/4")
@@ -88,6 +101,16 @@ class TestColour:
         proc = run_cli("colour", "--colouring", colouring, value)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["colour"] == colour_key(oracle(Fraction(value)))
+
+    @pytest.mark.parametrize("value, code, out, err", [
+        ("1/180503", 0, '{"input":"1/180503","colour":"mu:f:nu:t:1,0,2,1,0|phi:z|phi:t:0,1,0,0,0"}\n', ""),
+        ("1/180511", 2, "", "error: denominator of 1/180511 has a prime factor beyond the first 16384"
+                            " primes (residue 180511)\n"),
+    ], ids=["last-listed-prime", "next-prime"])
+    def test_prime_cap_edges(self, capsys, value, code, out, err):
+        # 180,503 is the 16,384th and last listed prime, 180,511 the next
+        assert cli.main(["colour", "--colouring", "mu", value]) == code
+        assert capsys.readouterr() == (out, err)
 
     def test_prime_past_the_cap_same_error_before_and_after_construct(self, capsys):
         # 1,000,003 is prime and past the cap; 7,919 is the 1,000th prime
@@ -181,6 +204,10 @@ class TestExpand:
         assert cli.main(["expand", "--prime-index", index, "1/2"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: prime index must be >= 1, got {index}\n"
+
+    def test_prime_index_past_the_cap_exit_2(self, capsys):
+        assert cli.main(["expand", "--prime-index", "16385", "1/2"]) == 2
+        assert capsys.readouterr() == ("", "error: prime index 16385 beyond the cap of 16384 primes\n")
 
     def test_base_digit_limit(self):
         # P_1229 has 4,298 decimal digits, P_1230 more than 4,300
@@ -358,6 +385,15 @@ class TestCheck:
             pytest.param("alpha", "3 1/2 5/3 7/4 2/9 11/6 1/10 13 4/15 17/8",
                          "28596be49d1c415e730fc4827742f20ccd9d88ddbc7598bbf5274e0c5f8a7b04", "finite",
                          id="alpha-ten-terms"),
+            pytest.param("nu", "3 1/2 5/3 7/4 2/9 11/6 1/10 13 4/15 17/8",
+                         "7392aa7487b0a747b1e7d77f9a1771f98ba6fde3378a40d0e6016cf9ed7074b0", "finite",
+                         id="nu-ten-terms"),
+            pytest.param("mu", "3 1/2 5/3 7/4 2/9 11/6 1/10 13 4/15 17/8",
+                         "3110fa651076165d0bbf5477632881a202b1290e202ea27da89c051d3b6ff41d", "finite",
+                         id="mu-ten-terms"),
+            pytest.param("phi", " ".join(map(str, range(3, 13))),
+                         "9f34c803a06d0fcdde5216e59518716117614c895d60a2f7c143293bbb3a97b9", "finite",
+                         id="phi-3..12"),
             # the largest pairwise check: integer terms take the gcd-free sum and product path
             pytest.param("nu", " ".join(map(str, range(1, 513))),
                          "f22ac042541f3243a5ef2509f3d85a05c9b4fb576f8ffe24ff1b598ecb3fd8d5", "pairwise",
@@ -375,6 +411,7 @@ class TestCheck:
         assert cli.main(["check", "--colouring", colouring, "--mode", mode, str(seq)]) == 0
         out, err = capsys.readouterr()
         assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_certificates_validate(out)
 
 
 class TestSearch:
@@ -462,6 +499,7 @@ class TestSearch:
         assert cli.main(["search", *args.split(), "--mode", "finite"]) == code
         out, err = capsys.readouterr()
         assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_certificates_validate(out)
 
     @pytest.mark.parametrize("args, target, digest", [
         ("--colouring nu --numerator-bound 18 --denominator-bound 8 --prime-index 3", "3",
@@ -487,14 +525,30 @@ class TestSearch:
          "5b242679fe6c7712371751b6b498245ecb7b9d6d978e1a9233dedc6938fb4248"),
         ("--colouring alpha --integers-only --numerator-bound 512", "9",
          "6a4e97957faea25bc8c8d1f6e4c5c3d9219df1d76bfb8f85ffc9eb1452e21251"),
+        # the budget counts the nodes of one preorder: its 2,383 nodes finish the search
+        ("--colouring theta --integers-only --numerator-bound 512 --budget 2383", "9",
+         "5b242679fe6c7712371751b6b498245ecb7b9d6d978e1a9233dedc6938fb4248"),
     ], ids=["nu-18-8-3", "mu-18-8-3", "nu-16-10-3", "mu-16-10-3", "alpha-16-8-2",
-            "alpha-20-6-2", "theta-150", "mu-40-30-3", "theta-512-target-9", "alpha-512-target-9"])
+            "alpha-20-6-2", "theta-150", "mu-40-30-3", "theta-512-target-9", "alpha-512-target-9",
+            "theta-512-target-9-budget-2383"])
     def test_pairwise_output_pinned(self, args, target, digest, capsys):
         # the benchmark's seven search universes and three larger ones: the digest pins nodes,
         # max_size and every certificate's tags, values and keys, however the pair graph is built
         assert cli.main(["search", *args.split(), "--mode", "pairwise", "--target", target]) == 0
         out, err = capsys.readouterr()
         assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_certificates_validate(out)
+
+    def test_budget_one_node_short_exit_3(self, capsys):
+        # one node fewer than the 2,383 that finish the search stops it at exactly that many
+        argv = "--colouring theta --integers-only --numerator-bound 512 --target 9 --budget 2382"
+        assert cli.main(["search", *argv.split()]) == 3
+        out, err = capsys.readouterr()
+        assert out.startswith('{"max_size":9,"exhausted":false,"nodes":2382,') and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fe29feebfc28d01b3613e5a582590015ae04ffdce5873382eb1434ed6ace09ce"
+        )
+        assert_certificates_validate(out)
 
 
 class TestConstruct:
@@ -507,13 +561,11 @@ class TestConstruct:
         verdict = obj["certificate"]["verdict"]
         assert verdict["monochromatic"]["key"].startswith("mu:f:")
 
-    @pytest.mark.parametrize("terms", ["2", "3", "4"])
+    @pytest.mark.parametrize("terms", ["1", "2", "3", "4"])
     def test_certificate_validates_with_defaults(self, terms):
         proc = run_cli("construct", "--terms", terms)
         assert proc.returncode == 0
-        cert = Certificate.from_obj(json.loads(proc.stdout)["certificate"])
-        reasons: list[str] = []
-        assert validate(cert, reasons), reasons
+        assert assert_certificates_validate(proc.stdout) == 1
 
     def test_budget_exhaustion_exit_3(self):
         proc = run_cli("construct", "--terms", "3", "--budget", "5")
@@ -552,20 +604,29 @@ class TestConstruct:
         [
             ("3", "a54b2b290a83f07dd531a1c554b26425f930922db8b6b550eff5e8eee008ef3c"),
             ("4", "e529abd70eac0dcccc347509d8ef2976832b43a04e0cb0e89c205cf0ce53619b"),
+            # the budget contract: four terms take exactly 208,510 units (one fewer is pinned below)
+            ("4 --budget 208510", "e529abd70eac0dcccc347509d8ef2976832b43a04e0cb0e89c205cf0ce53619b"),
         ],
     )
     def test_stdout_pinned(self, terms, digest):
         # a search that picked other valid blocks would still validate; this would not
-        proc = run_cli("construct", "--terms", terms)
+        proc = run_cli("construct", "--terms", *terms.split())
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+        assert_certificates_validate(proc.stdout)
 
-    @pytest.mark.parametrize("terms, budget", [("4", "208509"), ("5", "200000")])
-    def test_budget_exhaustion_payload_pinned(self, terms, budget):
+    @pytest.mark.parametrize("terms, budget, depth", [
+        ("4", "208509", 3), ("5", "200000", 3),
+        # ten and a hundred times m = 5's budget, and the 100- and 128-prime pools of six and
+        # eight terms, all stop at depth 4
+        ("5", "2000000", 4), ("5", "20000000", 4), ("6", "3000000", 4), ("8", "5000000", 4),
+    ], ids=["4-208509", "5-200000", "5-2000000", "5-20000000", "6-3000000", "8-5000000"])
+    def test_budget_exhaustion_payload_pinned(self, terms, budget, depth):
         proc = run_cli("construct", "--terms", terms, "--budget", budget)
         assert (proc.returncode, proc.stderr) == (3, "")
         assert proc.stdout == (
-            '{"budget_exhausted":{"message":"search budget exhausted at depth 3","best_depth":3}}\n'
+            '{"budget_exhausted":{"message":"search budget exhausted at depth %d","best_depth":%d}}\n'
+            % (depth, depth)
         )
 
 
@@ -604,6 +665,11 @@ class TestProperties:
         assert a.stdout == b.stdout
         obj = json.loads(a.stdout)
         assert all(law["passed"] for law in obj["laws"])
+
+    def test_samples_past_the_cap_exit_2(self, capsys):
+        # the law suite draws at most 10,000 samples per law
+        assert cli.main(["properties", "--samples", "10001"]) == 2
+        assert capsys.readouterr() == ("", "error: sample count must be <= 10000, got 10001\n")
 
     @pytest.mark.parametrize("args, digest", [
         ("--seed 1", "aee6e24c9771f18391afb324a160a8b57a9b2c5301edf31439fd696be1816e98"),

@@ -621,6 +621,18 @@ class TestShadows:
             assert shadow == head(v), x
         assert specials > 100
 
+    def test_alpha_and_its_shadow_share_the_one_key_classes(self):
+        # the shadow is alpha's first stage: on every one-key value (d > 1, n <= 2d) it is the
+        # value alpha returns, the interned 2^k (k < 0) or small colour, not a token beside it
+        seen = set()
+        for d in range(2, 130):
+            for x in {Fraction(n, d) for n in range(1, 2 * d + 1)}:
+                if x.denominator > 1:
+                    v = alpha(x)
+                    assert SHADOWS["alpha"](x.numerator, x.denominator) is v, x
+                    seen.add(v)
+        assert seen == {ALPHA_NEG_POW2, ALPHA_SMALL}
+
 
 class TestBinaryProfile:
     """Under theta and alpha a natural's key is a function of its binary profile, so

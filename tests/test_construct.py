@@ -71,7 +71,6 @@ class TestReciprocalPrimeIndices:
         for count in range(1, 174):
             expected = defined[:count]
             assert reciprocal_prime_indices(count) == expected
-            assert construct._reciprocal_primes(count) == [(r, nth_prime(r)) for r in expected]
 
 
 class TestBlockSystem:
@@ -162,7 +161,7 @@ class TestSumClosedExtension:
         def refuse(count):
             raise AssertionError("pool built before the budget was checked")
 
-        monkeypatch.setattr(construct, "_reciprocal_primes", refuse)
+        monkeypatch.setattr(construct, "reciprocal_prime_indices", refuse)
         with pytest.raises(DomainError, match=f"budget must be >= 1, got {budget}"):
             extend_sum_closed(1, search_budget=budget)
 

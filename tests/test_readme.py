@@ -53,6 +53,11 @@ def test_each_result_is_the_one_its_comment_gives():
     assert isinstance(shown[4][0], Monochromatic)
 
 
+def test_tour_imports_the_package_top_level_names():
+    # so the tour, run against an installed package, checks what ``qcolour`` itself exports
+    assert re.search(r"^from qcolour import \(", _tour(), re.M)
+
+
 def _cli_block() -> list[tuple[str, str]]:
     """Each command of README's ```sh block of ``qcolour`` lines, with the comment below it,
     its continuation lines joined."""
