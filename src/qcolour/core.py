@@ -323,8 +323,11 @@ def divide_out_primes(d: int, count: int = PRIME_CAP) -> tuple[int, int, int]:
     """
     if d == 1:
         return 1, 0, 0
-    index = exponent = 0
-    for i, p in enumerate(itertools.islice(iter_primes(), max(count, 0)), start=1):
+    i = index = exponent = 0
+    for p in iter_primes():
+        if i >= count:
+            break
+        i += 1
         if d % p == 0:
             d //= p
             e = 1
@@ -332,7 +335,8 @@ def divide_out_primes(d: int, count: int = PRIME_CAP) -> tuple[int, int, int]:
                 d //= p
                 e += 1
             index = i
-            exponent = max(exponent, e)
+            if e > exponent:
+                exponent = e
             if d == 1:
                 break
     return d, index, exponent

@@ -125,11 +125,10 @@ class DigitExpansion(Record):
         return min(self.digits)
 
     def value(self) -> Rational:
+        """Σ digit·P^pos, as one integer sum over P^(−low), low = min(trailing position, 0)."""
         base = primorial(self.base_index)
-        total = Fraction(0)
-        for pos, digit in self.digits.items():
-            total += digit * (Fraction(base) ** pos)
-        return total
+        low = min(min(self.digits, default=0), 0)
+        return Fraction(sum(digit * base ** (pos - low) for pos, digit in self.digits.items()), base ** -low)
 
     def positional(self) -> str:
         """Positional string with an explicit radix point.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -613,10 +614,14 @@ def _primorial_start(rng: random.Random) -> str | None:
     x = DigitExpansion(t, _random_digits(rng, t)).value()
     y = DigitExpansion(t, _random_digits(rng, t)).value()
     sx, sy = expand(x, t).leading(), expand(y, t).leading()
-    mx, my = x / Fraction(base) ** sx, y / Fraction(base) ** sy  # the mantissas, in [1, P_t)
+
+    def above_root(v: Rational, s: int) -> bool:  # v's mantissa v·P_t^(−s) > √P_t: v² > P_t^(2s+1)
+        e = 2 * s + 1
+        return v.numerator ** 2 * base ** max(0, -e) > v.denominator ** 2 * base ** max(0, e)
+
     # the product's leading position rises by 0 when both mantissas are below √P_t, by 1
     # when both are above, and by either when one is each (none is equal: P_t is squarefree)
-    ok = expand(x * y, t).leading() - sx - sy in {mx * mx > base, my * my > base}
+    ok = expand(x * y, t).leading() - sx - sy in {above_root(x, sx), above_root(y, sy)}
     return None if ok else f"t={t} x={x} y={y}"
 
 
@@ -663,13 +668,30 @@ def property_suite(seed: int, sample_count: int) -> PropertyReport:
     return PropertyReport(seed=seed, samples=sample_count, laws=tuple(laws))
 
 
+#: The 301 numbers 2^k + 2^l, k > l, that ``c3_triple`` draws, times 2^13 so that they are
+#: integers, ascending: -12 <= k <= 12 and -12 <= l, or (k, l) = (-12, -13).
+C3_SCALED: tuple[int, ...] = tuple(sorted(
+    (1 << k + 13) + (1 << l + 13) for k in range(-12, 13) for l in range(-12 if k > -12 else -13, k)
+))
+
+
+def c3_gammas(a: int, b: int) -> list[int]:
+    """The γ in ``C3_SCALED`` that make the half-sums of (α, β, γ) = (a, b, γ) positive and
+    distinct, ascending: |α − β| < γ < α + β and γ ∉ {α, β}; none when α = β."""
+    window = C3_SCALED[bisect_right(C3_SCALED, abs(a - b)):bisect_left(C3_SCALED, a + b)]
+    return [g for g in window if g != a and g != b] if a != b else []
+
+
 def c3_triple(
     rng: random.Random,
 ) -> tuple[Rational, Rational, Rational, Rational, Rational, Rational] | None:
     """Random (α,β,γ) of two-power pairs with positive distinct half-sums.
 
     Returns (α, β, γ, x, y, z) with x=(α+β−γ)/2, y=(α−β+γ)/2, z=(−α+β+γ)/2,
-    or None when the draw fails the positivity/distinctness side conditions.
+    or None when no γ meets the positivity/distinctness side conditions for the
+    drawn α and β. γ is drawn uniformly from those that do (``c3_gammas``), so
+    every triple that meets them can be drawn, though not with the weights of
+    three independent draws.
     """
 
     def c3_element() -> int:  # 2^k + 2^l times 2^13, so an integer
@@ -677,8 +699,9 @@ def c3_triple(
         l = rng.randint(-12, k - 1) if k > -12 else k - 1
         return (1 << k + 13) + (1 << l + 13)
 
-    a, b, g = c3_element(), c3_element(), c3_element()
-    halves = (a + b - g, a - b + g, -a + b + g)  # x, y, z times 2^14
-    if min(halves) <= 0 or len(set(halves)) != 3:
+    a, b = c3_element(), c3_element()
+    if not (gammas := c3_gammas(a, b)):
         return None
+    g = rng.choice(gammas)
+    halves = (a + b - g, a - b + g, -a + b + g)  # x, y, z times 2^14
     return (*(Fraction(v, 1 << 13) for v in (a, b, g)), *(Fraction(v, 1 << 14) for v in halves))

@@ -97,6 +97,7 @@ def test_criterion_4_digit_law_suite(criterion):
             "same-end-carry",
             "primorial-product-end",
             "primorial-product-start",
+            "c3-dyadic-closure",
         } <= names
         assert all(law.samples == 10_000 for law in report.laws)
 

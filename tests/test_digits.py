@@ -25,6 +25,7 @@ from qcolour.core import (
     primorial,
 )
 from qcolour.digits import (
+    DigitExpansion,
     abc_exponents,
     b_exponent,
     binary_profile,
@@ -283,6 +284,17 @@ class TestExpansion:
         assert d.value() == x
         base = primorial(base_n)
         assert all(0 < digit < base for digit in d.digits.values())
+
+    def test_value_is_the_sum_of_its_digits(self):
+        assert DigitExpansion(2, {}).value() == 0
+        rng = random.Random("digit-values")
+        for _ in range(500):
+            t = rng.randint(1, 3)
+            base = primorial(t)
+            positions = rng.sample(range(-4, 5), rng.randint(1, 4))
+            digits = {pos: rng.randint(1, base - 1) for pos in positions}
+            expected = sum((digit * Fraction(base) ** pos for pos, digit in digits.items()), Fraction(0))
+            assert DigitExpansion(t, digits).value() == expected, digits
 
 
 class TestPositionFunctions:

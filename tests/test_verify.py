@@ -21,11 +21,13 @@ from qcolour.colourings import SHADOWS, big_phi, colour_key, colouring_fn
 from qcolour.digits import DigitExpansion, end2, expand, start2
 from qcolour.errors import DomainError, InternalInvariantError
 from qcolour.verify import (
+    C3_SCALED,
     Certificate,
     Clash,
     CombinationMode,
     Monochromatic,
     UniverseSpec,
+    c3_gammas,
     c3_triple,
     check,
     combinations,
@@ -961,6 +963,43 @@ class TestC3Triples:
             assert x + y == a and x + z == b and y + z == g
             for v in (x, y, z):
                 assert v > 0 and v.denominator & (v.denominator - 1) == 0
+
+    @staticmethod
+    def c3_numbers() -> set[int]:
+        """2^k + 2^l times 2^13 for every (k, l) the sampler's element draw can give."""
+        pairs = [(-12, -13)] + [(k, l) for k in range(-11, 13) for l in range(-12, k)]
+        return {2 ** (k + 13) + 2 ** (l + 13) for k, l in pairs}
+
+    def test_table_is_the_drawable_c3_numbers(self):
+        assert len(C3_SCALED) == 301
+        assert list(C3_SCALED) == sorted(self.c3_numbers())
+
+    def test_gammas_are_exactly_those_meeting_the_side_conditions(self):
+        c3 = sorted(self.c3_numbers())
+        rng = random.Random("c3-gammas")
+        pairs = [(rng.choice(c3), rng.choice(c3)) for _ in range(2_000)] + [(c3[5], c3[5])]
+        for a, b in pairs:
+            brute = []
+            for g in c3:
+                halves = (a + b - g, a - b + g, -a + b + g)
+                if min(halves) > 0 and len(set(halves)) == 3:
+                    brute.append(g)
+            assert c3_gammas(a, b) == brute, (a, b)
+
+    def test_drawn_gamma_is_one_of_the_gammas(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            if (triple := c3_triple(rng)) is not None:
+                a, b, g = (v * 2**13 for v in triple[:3])
+                assert g in c3_gammas(a, b)
+
+    def test_few_draws_per_triple(self):
+        rng = random.Random("acceptance9")
+        draws = seen = 0
+        while seen < 1000:
+            draws += 1
+            seen += c3_triple(rng) is not None
+        assert draws <= 2_500
 
     def test_big_phi_zero_diagonal(self):
         # sanity: embedded pair colouring degenerates on the diagonal
