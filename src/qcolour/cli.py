@@ -124,6 +124,8 @@ def _cmd_check(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_search(args: argparse.Namespace) -> Outcome:
+    if args.workers < 1:  # the flag selects nothing, but a value below 1 is still refused
+        raise DomainError(f"worker count must be >= 1, got {args.workers}")
     universe = UniverseSpec(
         numerator_bound=args.numerator_bound,
         denominator_bound=args.denominator_bound,
@@ -136,7 +138,6 @@ def _cmd_search(args: argparse.Namespace) -> Outcome:
         CombinationMode(args.mode),
         target_size=args.target,
         budget=args.budget,
-        workers=args.workers,
     )
     return result.to_obj(), 0 if result.exhausted else 3
 

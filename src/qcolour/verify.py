@@ -23,7 +23,7 @@ from typing import Any, Callable, Hashable, Iterator
 
 from .colourings import HEADED, SHADOWS, colour_key, colouring_fn, theta
 from .core import (
-    DIGIT_LIMIT, PRIME_CAP, PrimeTable, Rational, Record, check_digits, is_dyadic, iter_primes,
+    DIGIT_LIMIT, PRIME_CAP, PrimeTable, Rational, Record, check_digits, is_dyadic, nth_prime,
     parse_rational, primorial,
 )
 from .digits import DigitExpansion, binary_positions, end2, expand, start2
@@ -323,21 +323,22 @@ class UniverseSpec(Record):
     integers_only: bool = False
 
     def elements(self) -> list[Rational]:
-        """All x = n/d in lowest terms with d a product of the first
-        ``prime_index_bound`` primes (all ``PRIME_CAP`` of them at most), ordered by (d, n);
-        at most ``UNIVERSE_CAP``. A bound below 1 is refused before anything is listed."""
+        """All x = n/d in lowest terms with d at most the denominator bound D (1 under
+        ``integers_only``) and a product of the first ``prime_index_bound`` primes (``PRIME_CAP``
+        at most), ordered by (d, n); at most ``UNIVERSE_CAP``. A bound below 1 is refused before
+        anything is listed. At most D - 1 primes are at most D, so D = 1 reads no prime."""
         for name, bound in (("numerator bound", self.numerator_bound),
                             ("denominator bound", self.denominator_bound),
                             ("prime index", self.prime_index_bound)):
             if bound < 1:
                 raise DomainError(f"{name} must be >= 1, got {bound}")
+        top_d = 1 if self.integers_only else self.denominator_bound
         dens = [1]
-        primes = () if self.integers_only else iter_primes()
-        for p in itertools.islice(primes, min(self.prime_index_bound, PRIME_CAP)):
-            if p > self.denominator_bound or len(dens) > UNIVERSE_CAP:
+        for p in map(nth_prime, range(1, min(self.prime_index_bound, PRIME_CAP, top_d - 1) + 1)):
+            if p > top_d or len(dens) > UNIVERSE_CAP:
                 break
             for d in dens[:]:
-                while d * p <= self.denominator_bound and len(dens) <= UNIVERSE_CAP:
+                while d * p <= top_d and len(dens) <= UNIVERSE_CAP:
                     d *= p
                     dens.append(d)
         top = self.numerator_bound + 1
@@ -461,7 +462,6 @@ def search(
     mode: CombinationMode,
     target_size: int,
     budget: int,
-    workers: int = 1,
 ) -> SearchResult:
     """Bounded DFS for monochromatic configurations over the universe.
 
@@ -474,14 +474,11 @@ def search(
     past ``FINITE_TERM_CAP`` terms, so ``max_size`` is at most 16 there. The search
     visits the first ``budget`` nodes of one preorder (each root in order, then
     the configurations below it) and is exhausted exactly when none remains.
-    ``workers`` is validated and otherwise ignored.
     """
     if target_size < 2:
         raise DomainError(f"target size must be >= 2, got {target_size}")
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    if workers < 1:
-        raise DomainError(f"worker count must be >= 1, got {workers}")
     check_term_count(target_size, mode)
     elements = universe.elements()
     graph = _PairGraph(colouring_id, elements, mode)

@@ -6,6 +6,8 @@ part of the contract and asserted, not just observed.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 import subprocess
@@ -13,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from qcolour import oracles
+from qcolour import cli, oracles
 from qcolour.colourings import big_phi, colour_key, nu, phi, psi, psi_prime, theta
 from qcolour.construct import extend_sum_closed, minimal_digit_fact, openness_radius
 from qcolour.core import nth_prime
@@ -25,6 +27,7 @@ from qcolour.verify import (
     UniverseSpec,
     c3_triple,
     combinations,
+    json_text,
     naive_search,
     property_suite,
     search,
@@ -173,16 +176,19 @@ def test_criterion_7_search_vs_oracle(criterion):
     with criterion(7, "pruned search matches the all-subsets oracle on naturals <= 200, any worker count"):
         t0 = time.perf_counter()
         universe = UniverseSpec(numerator_bound=200, integers_only=True)
-        pruned = search("theta", universe, CombinationMode.PAIRWISE,
-                        target_size=2, budget=10**6, workers=1)
+        pruned = search("theta", universe, CombinationMode.PAIRWISE, target_size=2, budget=10**6)
         naive = naive_search("theta", universe, CombinationMode.PAIRWISE, target_size=2)
         assert pruned.exhausted
         assert pruned.max_size == naive.max_size
         assert [c.to_obj() for c in pruned.certificates] == [c.to_obj() for c in naive.certificates]
-        for workers in (2, 8):
-            again = search("theta", universe, CombinationMode.PAIRWISE,
-                           target_size=2, budget=10**6, workers=workers)
-            assert again.to_obj() == pruned.to_obj()
+        argv = ["search", "--colouring", "theta", "--numerator-bound", "200", "--integers-only",
+                "--target", "2", "--budget", str(10**6), "--workers"]
+        outputs = []
+        for workers in ("1", "2", "8"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main([*argv, workers]) == 0
+            outputs.append(out.getvalue())
+        assert outputs == [json_text(pruned.to_obj()) + "\n"] * 3
         assert elapsed(t0) < 120.0
 
 

@@ -68,6 +68,11 @@ class TestColour:
         pair = value.replace(",", ", ")
         assert capsys.readouterr() == ("", f"error: pair components must be non-negative: ({pair})\n")
 
+    @pytest.mark.parametrize("value", ["1", "1,2,3"])
+    def test_pair_colouring_needs_two_components(self, capsys, value):
+        assert cli.main(["colour", "--colouring", "bigphi", value]) == 2
+        assert capsys.readouterr() == ("", f"error: bigphi colours pairs; expected 'a,b', got '{value}'\n")
+
     @pytest.mark.parametrize("colouring, value, what, part", [
         ("phi", "1_0", "phi argument", "1_0"), ("phi", "+7", "phi argument", "+7"),
         ("phi", "\u0663", "phi argument", "\u0663"), ("phi", "", "phi argument", ""),
@@ -134,13 +139,17 @@ class TestColour:
             assert f"first {core.PRIME_CAP} primes (residue 1000003)" in err
 
     def test_prime_free_commands_never_sieve(self):
-        # nu, theta, phi, const and --help read no prime, so they never run the sieve; mu does
+        # nu, theta, phi, const and --help read no prime, so they never run the sieve; mu does.
+        # Nor does a search whose denominators are bounded by 1, with or without --integers-only.
         code = """
 import contextlib, io, sys
 from qcolour import cli, core
 with contextlib.redirect_stdout(io.StringIO()):
     for colouring, value in [("nu", "5/7"), ("theta", "12"), ("phi", "12"), ("const", "5/7")]:
         assert cli.main(["colour", "--colouring", colouring, value]) == 0
+    for colouring in ("theta", "nu"):
+        for flags in ([], ["--integers-only"]):
+            assert cli.main(["search", "--colouring", colouring, "--numerator-bound", "20", *flags]) == 0
     try:
         cli.main(["--help"])
     except SystemExit:
@@ -479,6 +488,30 @@ class TestSearch:
         out, err = capsys.readouterr()
         assert out == "" and "worker count must be >= 1, got 0" in err
 
+    def test_workers_refused_before_the_target(self, capsys):
+        # the CLI checks --workers before the library checks the target
+        assert cli.main(["search", "--colouring", "nu", "--target", "1", "--workers", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: worker count must be >= 1, got 0\n"
+
+    def test_worker_count_does_not_change_output(self, capsys):
+        outputs = []
+        for workers in ("1", "2", "8"):
+            argv = ["search", "--colouring", "nu", "--numerator-bound", "10",
+                    "--denominator-bound", "4", "--workers", workers]
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == "" and outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_integers_only_is_denominator_bound_one(self, capsys):
+        # the flag lists the universe of --denominator-bound 1, whatever the other bounds say
+        outputs = []
+        for flags in ("", "--integers-only --denominator-bound 1000000 --prime-index 99"):
+            argv = ["search", "--colouring", "theta", "--numerator-bound", "150", *flags.split()]
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == "" and outputs[1] == outputs[0]
+
     def test_pairwise_target_above_term_cap_exit_2(self, capsys):
         # no pairwise configuration holds more than 512 terms, so no universe is searched
         argv = ["search", "--colouring", "nu", "--numerator-bound", "30", "--target", "600"]
@@ -578,6 +611,11 @@ class TestConstruct:
         assert cli.main(["construct", "--terms", terms, "--budget", budget]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: budget must be >= 1, got {budget}\n"
+
+    @pytest.mark.parametrize("terms", ["0", "-2"])
+    def test_term_count_below_one_exit_2(self, capsys, terms):
+        assert cli.main(["construct", "--terms", terms]) == 2
+        assert capsys.readouterr() == ("", f"error: term count must be >= 1, got {terms}\n")
 
     def test_pool_past_the_prime_cap_names_the_term_count(self, capsys):
         # 12 terms take a pool of 16 + 14·12 = 184 reciprocal primes; only 173 fit under the cap

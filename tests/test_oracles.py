@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from qcolour.colourings import colour_key
+from qcolour.errors import DomainError
 from qcolour.oracles import (
     big_phi_oracle,
     mu_oracle,
@@ -68,3 +69,14 @@ def test_mu_oracle_values():
     assert colour_key(mu_oracle(Fraction(3))) == "mu:w:nu:s:C4mC1"
     # 1/3 = 0.2 in base 6: leading and trailing digit both at position -1
     assert colour_key(mu_oracle(Fraction(1, 3))) == "mu:f:nu:t:0,1,2,1,1|phi:z|phi:t:0,1,0,0,0"
+
+
+@pytest.mark.parametrize("x, message", [
+    # 180,533 is the 16,386th prime; the scan tries the first 16,385
+    (Fraction(1, 180533), "denominator of 1/180533 not supported by the oracle"),
+    # the expansion would reach position -10,001, past the oracle's scan limit
+    (Fraction(1, 2**10001), "does not terminate in base 2"),
+], ids=["prime-past-the-scan", "expansion-past-the-scan"])
+def test_mu_oracle_refuses_past_its_scans(x, message):
+    with pytest.raises(DomainError, match=message):
+        mu_oracle(x)

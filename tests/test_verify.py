@@ -603,7 +603,7 @@ def _ungated_graph(colouring, elements, mode):
 class TestSearch:
     def test_pruned_matches_naive(self):
         pruned = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
-                        budget=10**6, workers=1)
+                        budget=10**6)
         naive = naive_search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2)
         assert pruned.exhausted
         assert pruned.max_size == naive.max_size == 2
@@ -612,25 +612,17 @@ class TestSearch:
 
     def test_certificates_are_valid_and_ordered(self):
         res = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
-                     budget=10**6, workers=1)
+                     budget=10**6)
         first = res.certificates[0]
         assert [str(x) for x in first.sequence] == ["1", "6"]
         assert first.verdict == Monochromatic(key="nu:s:C4mC1")
         for cert in res.certificates:
             assert validate(cert)
 
-    def test_worker_count_does_not_change_output(self):
-        results = [
-            search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
-                   budget=10**6, workers=w).to_obj()
-            for w in (1, 2)
-        ]
-        assert results[0] == results[1]
-
     def test_deeper_targets_on_trivial_colouring(self):
         universe = UniverseSpec(numerator_bound=4, integers_only=True)
         res = search("const", universe, CombinationMode.PAIRWISE, target_size=3,
-                     budget=10**5, workers=1)
+                     budget=10**5)
         naive = naive_search("const", universe, CombinationMode.PAIRWISE, target_size=3)
         assert res.max_size == naive.max_size == 4
         assert [[str(x) for x in c.sequence] for c in res.certificates] == [
@@ -657,7 +649,7 @@ class TestSearch:
     @pytest.mark.parametrize("budget", sorted(PINNED))
     def test_pinned_output_at_budget(self, budget):
         res = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
-                     budget=budget, workers=1)
+                     budget=budget)
         sequences = [",".join(str(x) for x in c.sequence) for c in res.certificates]
         assert (res.nodes, res.max_size, res.exhausted, sequences) == self.PINNED[budget]
 
@@ -688,7 +680,7 @@ class TestSearch:
     ])
     def test_pinned_finite_mode(self, colouring, bounds, nodes, max_size):
         res = search(colouring, UniverseSpec(*bounds), CombinationMode.FINITE_FSFP,
-                     target_size=3, budget=10**6, workers=1)
+                     target_size=3, budget=10**6)
         assert (res.nodes, res.max_size, res.exhausted, res.certificates) == (
             nodes, max_size, True, [])
 
@@ -699,7 +691,7 @@ class TestSearch:
     ])
     def test_finite_mode_matches_naive(self, colouring, universe, count):
         got = search(colouring, universe, CombinationMode.FINITE_FSFP, target_size=3,
-                     budget=10**6, workers=1).to_obj()
+                     budget=10**6).to_obj()
         want = naive_search(colouring, universe, CombinationMode.FINITE_FSFP, 3).to_obj()
         assert got.pop("nodes") > 0 and want.pop("nodes") == -1
         assert got == want
@@ -726,7 +718,7 @@ class TestSearch:
                 graphs.append(self)
 
         monkeypatch.setattr(verify, "_PairGraph", Recorded)
-        res = search(colouring, universe, mode, target_size=target, budget=10**6, workers=1)
+        res = search(colouring, universe, mode, target_size=target, budget=10**6)
         assert res.certificates and len(seen) == len(set(seen))
         if mode is CombinationMode.PAIRWISE:
             assert sorted(seen) == sorted(_gated_values(colouring, universe.elements(), mode))
@@ -813,7 +805,7 @@ class TestSearch:
         # every subset is monochromatic under const, so the preorder's first 17 nodes run
         # straight down: without the cap the 17th would be all 17 terms, which check refuses
         res = search("const", UniverseSpec(17, integers_only=True), CombinationMode.FINITE_FSFP,
-                     target_size=3, budget=17 * 17, workers=1)
+                     target_size=3, budget=17 * 17)
         assert (res.max_size, res.nodes, res.exhausted) == (verify.FINITE_TERM_CAP, 289, False)
 
     def test_colouring_loads_no_process_machinery(self):
@@ -854,7 +846,7 @@ print(json.dumps([counts, loaded]))
 
     def test_budget_exhaustion_is_reported(self):
         res = search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE, target_size=2,
-                     budget=5, workers=1)
+                     budget=5)
         assert not res.exhausted and res.nodes == 5
 
     def test_budget_above_the_machine_word_is_taken(self):
@@ -867,11 +859,10 @@ print(json.dumps([counts, loaded]))
         for kwargs in (
             {"target_size": 1},
             {"budget": 0},
-            {"workers": 0},
         ):
             with pytest.raises(DomainError):
                 search("nu", NU_UNIVERSE, CombinationMode.PAIRWISE,
-                       **{"target_size": 2, "budget": 100, "workers": 1, **kwargs})
+                       **{"target_size": 2, "budget": 100, **kwargs})
 
     @pytest.mark.parametrize("mode", list(CombinationMode), ids=lambda mode: mode.value)
     def test_finite_target_above_term_cap_rejected_before_colouring(self, monkeypatch, mode):
@@ -884,7 +875,7 @@ print(json.dumps([counts, loaded]))
         cap = verify.term_cap(mode)
         message = f"{mode.value} mode takes at most {cap} terms, got {cap + 1}$"
         with pytest.raises(DomainError, match=message):
-            search("nu", NU_UNIVERSE, mode, target_size=cap + 1, budget=100, workers=1)
+            search("nu", NU_UNIVERSE, mode, target_size=cap + 1, budget=100)
 
 
 class TestPropertySuite:
