@@ -72,8 +72,6 @@ REASONS: dict[tuple[str, str, str], str] = {
     ("cli.py", "<module>", "sys.exit(main())"):
         "the `__main__` guard of `cli.py`: the CLI runs as `python -m qcolour` (`__main__.py`) "
         "or as the `qcolour` console script, never as `python -m qcolour.cli`",
-    ("oracles.py", "_in_c3", "return False"):
-        "unreachable: `nu_oracle`, the only caller, returns for C1 before it calls `_in_c3`",
 }
 
 

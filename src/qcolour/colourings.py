@@ -15,16 +15,15 @@ from .core import (
     PrimeTable,
     Rational,
     Record,
-    base_index_and_exponent,
     below_surd,
     is_power_of_two_int,
     log2_floor,
-    minimal_base_index,
     one_run,
+    prime_walk,
     primorial,
     two_ones,
 )
-from .digits import abc_exponents, binary_positions, e_int, leading_frac_position
+from .digits import abc_exponents, bc_exponents, binary_positions, e_int, leading_frac_position, scaled
 from .errors import DomainError
 
 
@@ -217,13 +216,12 @@ def theta(m: int) -> ThetaTuple:
     return _THETAS.get(k) or _THETAS.setdefault(k, ThetaTuple(*k[:3], inner, shift, *k[5:]))
 
 
-def _nu_head(n: int, d: int) -> NuSpecial | tuple[int, int]:
+def _nu_head(n: int, d: int, whole: bool = False) -> NuValue | tuple[int, int]:
     """nu's first stage, which is also nu's shadow: the special class of n/d, tried in nu's
-    order (C1, C4∖C1, C3∖C4; only dyadic rationals are in them), else (w1, w2) of its tuple.
-
-    Both tuple components come from h = ⌊log₂(n²/d²)⌋: a = ⌊log₂(n/d)⌋ is h >> 1, w2 = phi(a),
-    and w1 = h & 1 is 1 exactly when n/d is past the 2^(a+1/2) boundary.
-    """
+    order (C1, C4∖C1, C3∖C4; only dyadic rationals are in them), else (w1, w2) of its tuple,
+    or with ``whole`` the tuple itself. All of it reads one ``scaled(n, d)`` = (a, sn, sd):
+    w2 = phi(a), w1 is 1 exactly when n/d is past 2^(a+1/2), that is sn² >= 2·sd², and b, c
+    and the surd test read the same a, sn, sd and squares."""
     if is_power_of_two_int(d):
         if is_power_of_two_int(n):
             return NU_C1
@@ -231,8 +229,15 @@ def _nu_head(n: int, d: int) -> NuSpecial | tuple[int, int]:
             return NU_C4mC1
         if two_ones(n):
             return NU_C3mC4
-    h = log2_floor(n * n, d * d)
-    return h & 1, phi(h >> 1)
+    a, sn, sd = scaled(n, d)
+    nn, dd = sn * sn, sd * sd
+    w1, w2 = 1 if nn >= dd << 1 else 0, phi(a)
+    if not whole:
+        return w1, w2
+    b, c = bc_exponents(a, sn, sd)
+    w4 = (a - c) % 3
+    w5 = w4 if below_surd(nn, dd, 0, c - a) else (w4 - 1) % 3  # sn/sd's boundary is at (0, c - a)
+    return _NU_TUPLES[w1, w2, (a - b) % 3, w4, w5]
 
 
 def nu(x: Rational) -> NuValue:
@@ -240,28 +245,23 @@ def nu(x: Rational) -> NuValue:
 
     The classes, in the paper's order: powers of two, the (empty on rationals)
     half-power class, two-digit-not-run, run-not-power, then the (empty on
-    rationals) surd class; all remaining rationals get a tuple. ``_nu_head``
-    returns the special class or the tuple's (w1, w2); nu finishes only a tuple.
+    rationals) surd class; all remaining rationals get a tuple. ``_nu_head``,
+    asked for the whole colour, returns the special class or the tuple.
     """
     n, d = x.numerator, x.denominator
     if n < 1:
         raise DomainError(f"expected a positive rational, got {x}")
-    if isinstance(head := _nu_head(n, d), NuSpecial):
-        return head
-    w1, w2 = head
-    a, b, c = abc_exponents(n, d)
-    w4 = (a - c) % 3
-    w5 = w4 if below_surd(n * n, d * d, a, c) else (w4 - 1) % 3
-    return _NU_TUPLES[w1, w2, (a - b) % 3, w4, w5]
+    return _nu_head(n, d, True)
 
 
 def mu(x: Rational, table: PrimeTable | None = None) -> ColourValue:
     """nu plus, below 1, the pair colours of the leading/trailing digit positions."""
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
-    if x.numerator >= x.denominator:
+    n, d = x.numerator, x.denominator
+    if not 0 < n < d:  # nu refuses n < 1
         v = nu(x)
         return _MU_WHOLES.get(v._key) or _MU_WHOLES.setdefault(v._key, MuWhole(v))
-    return mu_below_one(x, *base_index_and_exponent(x))
+    return mu_below_one(x, *prime_walk(x, d))
 
 
 def mu_below_one(x: Rational, n: int, u: int) -> MuFrac:
@@ -299,14 +299,14 @@ def _alpha_head(n: int, d: int) -> Hashable:
 
 
 def _alpha_prime(x: Rational, n: int, d: int) -> tuple[int, ...]:
-    r = minimal_base_index(x)
+    r = prime_walk(x, d)[0]
     a, b, c = abc_exponents(n, d)
     whole, rem = divmod(n, d)
     after = whole + 1
-    # For f = rem/d in (0, 1): a(f) = b(1 + f) and epsilon(f) = c(1 + f) + 1.
-    _, a_f, c_1f = abc_exponents(d + rem, d)
-    er_w = e_int(whole, r)
-    er_w1 = e_int(after, r)
+    # For f = rem/d in (0, 1): a(f) = b(1 + f) and epsilon(f) = c(1 + f) + 1, and a(1 + f) = 0.
+    a_f, c_1f = bc_exponents(0, d + rem, d)
+    base = primorial(r)
+    er_w, er_w1 = e_int(whole, base), e_int(after, base)
     return (
         a % 2,
         a_f % 2,

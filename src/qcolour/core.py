@@ -344,16 +344,22 @@ def divide_out_primes(d: int, count: int = PRIME_CAP) -> tuple[int, int, int]:
 
 def base_index_and_exponent(x: Rational) -> tuple[int, int]:
     """``minimal_base_index(x)`` and the largest prime exponent u of the denominator,
-    from one walk; P_n is squarefree, so u is the least power with x·P_n^u integral.
-    A prime factor past the cap is rejected after every prime up to it is divided out."""
+    from one walk; P_n is squarefree, so u is the least power with x·P_n^u integral."""
     _require_positive(x)
-    residue, n, u = divide_out_primes(x.denominator)
+    n, u = prime_walk(x, x.denominator)
+    return max(n, 1), u
+
+
+def prime_walk(x: Rational, d: int) -> tuple[int, int]:
+    """``divide_out_primes(d)`` for x's denominator d, without its residue: a prime factor
+    past the cap is rejected after every prime up to it is divided out."""
+    residue, n, u = divide_out_primes(d)
     if residue != 1:
         raise UnsupportedPrimeError(
             f"denominator of {x} has a prime factor beyond the first {PRIME_CAP} primes"
             f" (residue {residue})"
         )
-    return max(n, 1), u
+    return n, u
 
 
 def minimal_base_index(x: Rational, table: PrimeTable | None = None) -> int:

@@ -84,23 +84,33 @@ def c_exponent(x: Rational) -> int:
 
 
 def abc_exponents(n: int, d: int) -> tuple[int, int, int]:
-    """(a, b, c) of x = n/d > 0, not a power of two, in integers: x·2^(-a) = sn/sd is in
-    [1, 2), b - a = ⌊log₂((sn - sd)/sd)⌋, and c - a is the k < 0 with 2^k < wn/sd <= 2^(k+1)
-    for wn = 2·sd - sn."""
+    """(a, b, c) of x = n/d > 0, not a power of two: ``scaled`` then ``bc_exponents``."""
+    a, sn, sd = scaled(n, d)
+    return (a, *bc_exponents(a, sn, sd))
+
+
+def scaled(n: int, d: int) -> tuple[int, int, int]:
+    """(a, sn, sd) of x = n/d > 0 in integers: a = ⌊log₂ x⌋ and x·2^(-a) = sn/sd is in [1, 2)."""
     a = log2_floor(n, d)
     sn, sd = (n, d << a) if a >= 0 else (n << -a, d)
     if not sd <= sn < sd << 1:
         raise InternalInvariantError(f"a-exponent self-check failed for {Fraction(n, d)}")
+    return a, sn, sd
+
+
+def bc_exponents(a: int, sn: int, sd: int) -> tuple[int, int]:
+    """(b, c) of x = 2^a·sn/sd, not a power of two, from ``scaled(x)``: b - a = ⌊log₂((sn - sd)/sd)⌋,
+    and c - a is the k < 0 with 2^k < wn/sd <= 2^(k+1) for wn = 2·sd - sn."""
     t = sn - sd
     i = log2_floor(t, sd)
     if not (i < 0 and t << -i >= sd > t << (-i - 1)):
-        raise InternalInvariantError(f"b-exponent self-check failed for {Fraction(n, d)}")
+        raise InternalInvariantError(f"b-exponent self-check failed for {Fraction(2) ** a * sn / sd}")
     wn = 2 * sd - sn
     j = log2_floor(wn, sd)
     k = j - 1 if j <= 0 and wn << -j == sd else j
     if not (k < 0 and wn << -k > sd >= wn << (-k - 1)):
-        raise InternalInvariantError(f"c-exponent self-check failed for {Fraction(n, d)}")
-    return a, a + i, a + k
+        raise InternalInvariantError(f"c-exponent self-check failed for {Fraction(2) ** a * sn / sd}")
+    return a + i, a + k
 
 
 def epsilon_exponent(f: Rational) -> int:
@@ -208,11 +218,10 @@ def _trailing_exponent(x: Rational, n: int) -> int:
     return u
 
 
-def e_int(m: int, n: int) -> int:
-    """Largest k with P_n^k dividing the natural number m."""
+def e_int(m: int, base: int) -> int:
+    """Largest k with base^k dividing the natural number m, for a base of at least 2 (as P_n)."""
     if m < 1:
         raise DomainError(f"need a natural number, got {m}")
-    base = primorial(n)
     k = 0
     while m % base == 0:
         m //= base

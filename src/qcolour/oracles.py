@@ -147,8 +147,6 @@ def _a_scan(x: Rational) -> int:
 
 
 def _in_c3(x: Rational) -> bool:
-    if _in_c1(x):
-        return False
     w = x - _pow2_frac(_a_scan(x))
     return w > 0 and _in_c1(w)
 
@@ -213,13 +211,13 @@ def _minimal_base_scan(x: Rational) -> int:
     best = 1
     for p in _prime_gen():
         index += 1
+        if index > PRIME_CAP:
+            raise DomainError(f"denominator of {x} not supported by the oracle")
         while d % p == 0:
             d //= p
             best = index
         if d == 1:
             return best
-        if index > PRIME_CAP:
-            raise DomainError(f"denominator of {x} not supported by the oracle")
 
 
 def _primorial_scan(n: int) -> int:
@@ -236,14 +234,14 @@ def _frac_digit_positions(x: Rational, base: int) -> tuple[int, int]:
     pos = -1
     f = x
     while f:
+        if pos < -_SCAN_LIMIT:
+            raise DomainError(f"{x} does not terminate in base {base}")
         f *= base
         d = int(f)
         f -= d
         if d:
             digits[pos] = d
         pos -= 1
-        if pos < -_SCAN_LIMIT:
-            raise DomainError(f"{x} does not terminate in base {base}")
     return max(digits), min(digits)
 
 

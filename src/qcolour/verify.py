@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Hashable, Iterator
 
-from .colourings import HEADED, SHADOWS, colour_key, colouring_fn, theta
+from .colourings import HEADED, SHADOWS, colouring_fn, theta
 from .core import (
     DIGIT_LIMIT, PRIME_CAP, PrimeTable, Rational, Record, check_digits, is_dyadic, nth_prime,
     parse_rational, primorial,
@@ -73,7 +73,9 @@ def _json_typed(value: Any, kind: type, what: str) -> Any:
 
 def json_text(obj: dict, pretty: bool = False) -> str:
     """One line of compact JSON, or ``pretty``: indented by two, the same keys in the same order."""
-    return json.dumps(obj, indent=2) if pretty else json.dumps(obj, separators=(",", ":"))
+    # each object given is a tree built for this call, so it needs no cycle check
+    return json.dumps(obj, check_circular=False, indent=2 if pretty else None,
+                      separators=None if pretty else (",", ":"))
 
 
 class Certificate(Record):
@@ -159,10 +161,11 @@ def _steps(k: int, mode: CombinationMode) -> list[tuple[str, int, int]]:
     if mode is CombinationMode.PAIRWISE:
         return [(f"{i + 1},{j + 1}", i, j) for i, j in itertools.combinations(range(k), 2)]
     # level s + 1 extends each s-subset, in order, by each position after its last one
+    labels = [f",{j + 1}" for j in range(k)]  # the tag body's part for position j
     level, out = [(str(i + 1), 0, i) for i in range(k)], []
     while level:
         out += level
-        level = [(f"{positions},{j + 1}", prefix | 1 << last, j)
+        level = [(positions + labels[j], prefix | 1 << last, j)
                  for positions, prefix, last in level for j in range(last + 1, k)]
     return out
 
@@ -212,19 +215,29 @@ def _pair_combinations(xs: list[Rational], mode: CombinationMode) -> tuple[list[
     check_term_count(len(xs), mode)
     if len(set(xs)) != len(xs):
         raise DomainError("sequence terms must be distinct")
-    finite = mode is CombinationMode.FINITE_FSFP
     terms = [(x.numerator, x.denominator) for x in xs]
     steps = _steps(len(xs), mode)
     tags, values = [], []
     for block, op, empty in (("s:", _add, EMPTY_SUM), ("p:", _mul, EMPTY_PRODUCT)):
-        table = [empty] * (1 << len(xs)) if finite else terms
-        for positions, prefix, last in steps:
-            value = op(table[prefix], terms[last])
-            if finite:
-                table[prefix | 1 << last] = value
-            if (top := max(value)) >= DIGIT_LIMIT:  # refused; the message is built only then
-                check_digits(top, f"combination {block}{positions}")
-            values.append(value)
+        if mode is CombinationMode.PAIRWISE:
+            row = [op(terms[i], terms[j]) for _, i, j in steps]
+            long = max(map(max, row), default=0) >= DIGIT_LIMIT
+        else:
+            # each subset's value by bitmask, a term at a time. A value too long to print is kept,
+            # not grown; none is looked for while every part is below 2^bits, at most the limit
+            table, long, bits = [empty], False, 1
+            for t in terms:
+                bits += max(t).bit_length() + 1  # a sum's or a product's parts stay below 2^bits
+                if long:
+                    table += [op(v, t) if max(v) < DIGIT_LIMIT else v for v in table]
+                else:
+                    table += (new := [op(v, t) for v in table])
+                    long = bits >= DIGIT_LIMIT.bit_length() and max(map(max, new)) >= DIGIT_LIMIT
+            row = [table[prefix | 1 << last] for _, prefix, last in steps]
+        if long:  # refused: the first too long in combination order is named
+            j = next(j for j, value in enumerate(row) if max(value) >= DIGIT_LIMIT)
+            check_digits(max(row[j]), f"combination {block}{steps[j][0]}")
+        values += row
         tags += [block + positions for positions, _, _ in steps]
     return tags, values
 
@@ -236,7 +249,7 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
     Each value is one exact ``+`` or ``·`` of its prefix subset's value (a singleton's is
     the empty one, of sum 0 and product 1) with its last term, so k terms in finite mode
     take 2·(2^k − 1) operations. A value too long to print (see ``core.MAX_DIGITS``) is
-    refused as it is produced, so no operand is longer.
+    refused, the first in this order named, and none is an operand.
     """
     return [(tag, Fraction(*value)) for tag, value in zip(*_pair_combinations(xs, mode))]
 
@@ -255,12 +268,12 @@ class ColourTable(dict):
         """``n``'s key under a ``HEADED`` colouring, coloured once per binary profile and stored by it."""
         profile = binary_positions(n)
         if (key := self.profiles.get(profile)) is None:
-            key = self.profiles[profile] = colour_key(self.fn(Fraction(n)))
+            key = self.profiles[profile] = self.fn(Fraction(n))._key
         return key
 
     def __missing__(self, v: Pair) -> str:
         headed = v[1] == 1 and self.profiles is not None
-        key = self[v] = self.natural(v[0]) if headed else colour_key(self.fn(Fraction(*v)))
+        key = self[v] = self.natural(v[0]) if headed else self.fn(Fraction(*v))._key
         return key
 
 

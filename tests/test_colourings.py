@@ -349,6 +349,18 @@ class TestIntegerKernelDifferential:
             assert mu(x) == oracles.mu_oracle(x), x
             assert alpha(x) == oracles.alpha_oracle(x), x
 
+    def test_nu_mu_alpha_match_oracles_on_finite_check_values(self):
+        # the distinct sums and products of seeded finite checks over colour-certify-shaped terms
+        rng = random.Random("colourings:finite-check-values")
+        values: dict[Fraction, None] = {}
+        while len(values) < 600:
+            terms = list(dict.fromkeys(_certify_term(rng) for _ in range(5)))
+            values.update((v, None) for _, v in verify.combinations(terms, verify.CombinationMode.FINITE_FSFP))
+        pairs = ((nu, oracles.nu_oracle), (mu, oracles.mu_oracle), (alpha, oracles.alpha_oracle))
+        for x in values:
+            for fn, oracle in pairs:
+                assert colour_key(fn(x)) == colour_key(oracle(x)), (fn.__name__, x)
+
     def test_exact_gaps_and_far_exponents(self):
         two = Fraction(2)
         xs = [m + 1 - two**j for m in (2, 3, 5, 12) for j in range(-30, 0)]  # 1 - frac = 2^j

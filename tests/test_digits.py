@@ -305,9 +305,9 @@ class TestPositionFunctions:
         assert e_frac(Fraction(5, 6), 2) == -1
 
     def test_integer_end(self):
-        assert e_int(96, 1) == 5
-        assert e_int(96, 2) == 1
-        assert e_int(5, 1) == 0
+        assert e_int(96, 2) == 5  # in base P_1 = 2
+        assert e_int(96, 6) == 1  # in base P_2 = 6
+        assert e_int(5, 2) == 0
 
     def test_whole_inputs_rejected_for_frac(self):
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcolour.colourings import colour_key
+from qcolour.colourings import colour_key, mu
 from qcolour.errors import DomainError
 from qcolour.oracles import (
     big_phi_oracle,
@@ -72,7 +72,7 @@ def test_mu_oracle_values():
 
 
 @pytest.mark.parametrize("x, message", [
-    # 180,533 is the 16,386th prime; the scan tries the first 16,385
+    # 180,533 is the 16,386th prime; the scan tries the first 16,384
     (Fraction(1, 180533), "denominator of 1/180533 not supported by the oracle"),
     # the expansion would reach position -10,001, past the oracle's scan limit
     (Fraction(1, 2**10001), "does not terminate in base 2"),
@@ -80,3 +80,19 @@ def test_mu_oracle_values():
 def test_mu_oracle_refuses_past_its_scans(x, message):
     with pytest.raises(DomainError, match=message):
         mu_oracle(x)
+
+
+def test_mu_oracle_and_mu_share_the_prime_cap():
+    # 180,503 is the 16,384th prime, the last the package reads; 180,511 is the next
+    assert colour_key(mu_oracle(Fraction(1, 180503))) == colour_key(mu(Fraction(1, 180503)))
+    for fn in (mu_oracle, mu):
+        with pytest.raises(DomainError, match="^denominator of 1/180511 "):
+            fn(Fraction(1, 180511))
+
+
+def test_mu_oracle_expands_to_its_scan_limit():
+    # 1/2^10,000 has its one binary digit at position -10,000, the last the scan reaches
+    key = "mu:f:nu:s:C1|phi:z|phi:t:0,0,1,0,1"
+    assert colour_key(mu_oracle(Fraction(1, 2**10000))) == key == colour_key(mu(Fraction(1, 2**10000)))
+    with pytest.raises(DomainError, match="does not terminate in base 2"):
+        mu_oracle(Fraction(1, 2**10001))

@@ -112,6 +112,43 @@ class TestCombinations:
             assert got == expected
             assert all(type(value) is Fraction for _, value in got)
 
+    def test_digit_limit_names_the_first_value_in_combination_order(self, monkeypatch):
+        # products of three 1,451-digit or of two 2,200-digit terms pass the limit, so a table
+        # grown a term at a time can meet a triple past it before the pair that combination
+        # order names; 1/a brings a product back below the limit
+        a, b, c = (10**1450 + k for k in (1, 3, 7))
+        d, e = (10**2199 + k for k in (1, 3))
+        unit = {"s": Fraction(0), "p": Fraction(1)}
+
+        def first_too_long(xs):  # the from-scratch scan, in combination order
+            for block, op in (("s", operator.add), ("p", operator.mul)):
+                for size in range(1, len(xs) + 1):
+                    for idx in itertools.combinations(range(len(xs)), size):
+                        v = functools.reduce(op, [xs[i] for i in idx], unit[block])
+                        if max(v.numerator, v.denominator) >= verify.DIGIT_LIMIT:
+                            return f"{block}:{','.join(str(i + 1) for i in idx)}"
+
+        real = verify._mul
+
+        def guarded(x, y):
+            assert max(*x, *y) < verify.DIGIT_LIMIT, "an operand past the limit"
+            return real(x, y)
+
+        monkeypatch.setattr(verify, "_mul", guarded)
+        terms = [Fraction(a), Fraction(b), Fraction(c), Fraction(d), Fraction(e), Fraction(1, a)]
+        rng = random.Random("combinations:digit-limit")
+        tags = set()
+        for _ in range(12):
+            xs = rng.sample(terms, rng.randint(3, len(terms)))
+            tag = first_too_long(xs)
+            if tag is None:
+                assert len(combinations(xs, CombinationMode.FINITE_FSFP)) == 2 * (2 ** len(xs) - 1)
+                continue
+            tags.add(tag)
+            with pytest.raises(DomainError, match=f"^combination {tag} has more than 4300 decimal digits$"):
+                combinations(xs, CombinationMode.FINITE_FSFP)
+        assert len(tags) > 2
+
 
 class TestCheck:
     def test_clash_pair(self):
