@@ -315,19 +315,16 @@ def primorial(n: int) -> int:
     return math.prod(itertools.islice(_primes(), n))
 
 
-def divide_out_primes(d: int, count: int = PRIME_CAP) -> tuple[int, int, int]:
-    """Divide the first ``count`` primes out of the natural number ``d``; never raises.
+def divide_out_primes(d: int) -> tuple[int, int, int]:
+    """Divide the first ``PRIME_CAP`` primes out of the natural number ``d``; never raises.
 
     Returns the residue, the 1-based index of the largest prime divided out
     and the largest exponent of any prime divided out (0 and 0 if none).
     """
     if d == 1:
         return 1, 0, 0
-    i = index = exponent = 0
-    for p in iter_primes():
-        if i >= count:
-            break
-        i += 1
+    index = exponent = 0
+    for i, p in enumerate(iter_primes(), 1):
         if d % p == 0:
             d //= p
             e = 1

@@ -153,23 +153,6 @@ class Certificate(Record):
         return Certificate.from_obj(obj)
 
 
-def _steps(k: int, mode: CombinationMode) -> list[tuple[str, int, int]]:
-    """(positions, prefix, last) of each subset in (size, positions) order, where
-    ``positions`` is the tag body, e.g. "1,3". Pairwise, ``prefix`` is the first
-    position; finite, it is the bitmask of the subset without its last position,
-    which is 0, the empty subset, for a singleton and else comes earlier in this order."""
-    if mode is CombinationMode.PAIRWISE:
-        return [(f"{i + 1},{j + 1}", i, j) for i, j in itertools.combinations(range(k), 2)]
-    # level s + 1 extends each s-subset, in order, by each position after its last one
-    labels = [f",{j + 1}" for j in range(k)]  # the tag body's part for position j
-    level, out = [(str(i + 1), 0, i) for i in range(k)], []
-    while level:
-        out += level
-        level = [(positions + labels[j], prefix | 1 << last, j)
-                 for positions, prefix, last in level for j in range(last + 1, k)]
-    return out
-
-
 #: Finite mode takes at most this many terms: k terms have 2·(2^k − 1)
 #: combinations, so each term past the cap would double the work and output.
 FINITE_TERM_CAP = 16
@@ -216,29 +199,32 @@ def _pair_combinations(xs: list[Rational], mode: CombinationMode) -> tuple[list[
     if len(set(xs)) != len(xs):
         raise DomainError("sequence terms must be distinct")
     terms = [(x.numerator, x.denominator) for x in xs]
-    steps = _steps(len(xs), mode)
-    tags, values = [], []
-    for block, op, empty in (("s:", _add, EMPTY_SUM), ("p:", _mul, EMPTY_PRODUCT)):
-        if mode is CombinationMode.PAIRWISE:
-            row = [op(terms[i], terms[j]) for _, i, j in steps]
-            long = max(map(max, row), default=0) >= DIGIT_LIMIT
-        else:
-            # each subset's value by bitmask, a term at a time. A value too long to print is kept,
-            # not grown; none is looked for while every part is below 2^bits, at most the limit
-            table, long, bits = [empty], False, 1
-            for t in terms:
-                bits += max(t).bit_length() + 1  # a sum's or a product's parts stay below 2^bits
-                if long:
-                    table += [op(v, t) if max(v) < DIGIT_LIMIT else v for v in table]
-                else:
-                    table += (new := [op(v, t) for v in table])
-                    long = bits >= DIGIT_LIMIT.bit_length() and max(map(max, new)) >= DIGIT_LIMIT
-            row = [table[prefix | 1 << last] for _, prefix, last in steps]
-        if long:  # refused: the first too long in combination order is named
-            j = next(j for j, value in enumerate(row) if max(value) >= DIGIT_LIMIT)
-            check_digits(max(row[j]), f"combination {block}{steps[j][0]}")
-        values += row
-        tags += [block + positions for positions, _, _ in steps]
+    # a subset's sum and product have parts below 2^(Σ(bit length + 1) − 1) over its terms, so
+    # none is looked at while that sum over all terms is below the limit's bit length
+    short = sum(max(t).bit_length() + 1 for t in terms) < DIGIT_LIMIT.bit_length()
+    add, mul = _add, _mul
+    if not short:  # a value too long to print is kept, never an operand
+        add, mul = (lambda v, t, op=op: v if max(v) >= DIGIT_LIMIT else op(v, t) for op in (_add, _mul))
+    columns = [(f",{j + 1}", j, t) for j, t in enumerate(terms)]  # position j's tag part and term
+
+    def grown(level: list) -> list:  # each s-subset, in order, extended by each position after its last
+        return [(body + label, j, add(s, t), mul(p, t))
+                for body, last, s, p in level for label, j, t in columns[last + 1:]]
+
+    # rows (tag body, last position, sum, product) in combination order, e.g. of the terms
+    # 1, 2, 1/3 the row ("1,3", 2, (4, 3), (1, 3)); pairwise mode keeps only the second level
+    level = [(str(i + 1), i, t, t) for i, t in enumerate(terms)]
+    if mode is CombinationMode.PAIRWISE:
+        rows = grown(level)
+    else:
+        rows = []
+        while level:
+            rows += level
+            level = grown(level)
+    tags = [block + row[0] for block in ("s:", "p:") for row in rows]
+    values = [row[2] for row in rows] + [row[3] for row in rows]
+    for tag, value in () if short else zip(tags, values):  # the first too long in this order is refused
+        check_digits(max(value), f"combination {tag}")
     return tags, values
 
 
@@ -246,9 +232,9 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
     """All (tag, value) pairs for the mode, sums block first, then products.
 
     Subsets are ordered by (size, positions); tags are 1-based, e.g. "s:1,3".
-    Each value is one exact ``+`` or ``·`` of its prefix subset's value (a singleton's is
-    the empty one, of sum 0 and product 1) with its last term, so k terms in finite mode
-    take 2·(2^k − 1) operations. A value too long to print (see ``core.MAX_DIGITS``) is
+    A singleton's value is its term, and each larger subset's is one exact ``+`` or ``·``
+    of its prefix subset's value with its last term, so k terms in finite mode take
+    2·(2^k − 1 − k) operations. A value too long to print (see ``core.MAX_DIGITS``) is
     refused, the first in this order named, and none is an operand.
     """
     return [(tag, Fraction(*value)) for tag, value in zip(*_pair_combinations(xs, mode))]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcolour import core, oracles
+from qcolour import core, digits, oracles
 from qcolour.core import (
     MAX_DIGITS,
     PRIME_CAP,
@@ -289,10 +289,17 @@ class TestPrimeWalk:
         primes = list(itertools.islice(oracles._prime_gen(), 200))
         for _ in range(300):
             d = math.prod(rng.choice(primes) ** rng.randint(1, 4) for _ in range(rng.randint(0, 4)))
-            count = rng.choice([0, 1, 3, 25, 200, PRIME_CAP])
-            assert divide_out_primes(d, count) == _brute_walk(d, count), (d, count)
+            assert divide_out_primes(d) == _brute_walk(d, PRIME_CAP), d
             x = Fraction(rng.randint(1, d), d)
             assert base_index_and_exponent(x)[0] == oracles._minimal_base_scan(x)
+            # base P_n takes x iff no prime of its denominator is past p_n; u is then the walk's
+            n = rng.choice([1, 3, 25, 200, PRIME_CAP])
+            residue, _, u = _brute_walk(x.denominator, n)
+            if residue == 1:
+                assert digits._trailing_exponent(x, n) == u, (x, n)
+            else:
+                with pytest.raises(UnsupportedPrimeError, match=f"no terminating base-P_{n} expansion$"):
+                    digits._trailing_exponent(x, n)
 
     def test_cap_edges(self):
         # 180,503 is the last prime under the cap and 180,511 the first past it
@@ -301,7 +308,7 @@ class TestPrimeWalk:
         assert divide_out_primes(9 * 180_511) == (180_511, 2, 2)
         assert divide_out_primes(180_511**2) == (180_511**2, 0, 0)
         assert divide_out_primes(1) == (1, 0, 0)
-        assert divide_out_primes(12, 1) == (3, 1, 2)
+        assert divide_out_primes(12) == (1, 2, 2)
 
     def test_base_index_and_exponent(self):
         assert base_index_and_exponent(Fraction(7)) == (1, 0)

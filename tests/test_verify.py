@@ -76,10 +76,10 @@ class TestCombinations:
         class Reached(Exception):
             pass
 
-        def refuse(k, mode):
-            raise Reached(k)
+        def refuse(x, y):
+            raise Reached(x, y)
 
-        monkeypatch.setattr(verify, "_steps", refuse)
+        monkeypatch.setattr(verify, "_add", refuse)  # the first arithmetic a check does
         xs = [Fraction(n) for n in range(1, verify.UNIVERSE_CAP + 2)]
         with pytest.raises(DomainError, match="pairwise mode takes at most 512 terms, got 513"):
             combinations(xs, CombinationMode.PAIRWISE)
@@ -148,6 +148,39 @@ class TestCombinations:
             with pytest.raises(DomainError, match=f"^combination {tag} has more than 4300 decimal digits$"):
                 combinations(xs, CombinationMode.FINITE_FSFP)
         assert len(tags) > 2
+
+    @pytest.mark.parametrize("mode", list(CombinationMode))
+    def test_the_digit_bound_at_its_edges(self, mode, monkeypatch):
+        # Σ(bit length of a term's larger part + 1) just below, at and just past the limit's bit
+        # length: below it no value is looked at, from it each one is; the values are the same
+        real = verify._mul
+
+        def guarded(x, y):
+            assert max(*x, *y) < verify.DIGIT_LIMIT, "an operand past the limit"
+            return real(x, y)
+
+        monkeypatch.setattr(verify, "_mul", guarded)
+        limit_bits = verify.DIGIT_LIMIT.bit_length()
+        rng = random.Random(f"combinations:digit-bound:{mode.value}")
+        for total in (limit_bits - 1, limit_bits, limit_bits + 1):
+            k = 5
+            cuts = sorted(rng.sample(range(1, total - k), k - 1))
+            xs = []
+            for b in (hi - lo for lo, hi in zip([0, *cuts], [*cuts, total - k])):  # bit lengths
+                big = rng.randrange(2 ** (b - 1), 2**b) | 1  # odd, so over a power of 2 it stays
+                xs.append(Fraction(big, 2 ** rng.randrange(b)))
+            assert sum(max(x.numerator, x.denominator).bit_length() + 1 for x in xs) == total
+            sizes = [2] if mode is CombinationMode.PAIRWISE else range(1, k + 1)
+            subsets = [idx for size in sizes for idx in itertools.combinations(range(k), size)]
+            expected = [
+                (f"{block}:{','.join(str(i + 1) for i in idx)}",
+                 functools.reduce(op, [xs[i] for i in idx], Fraction(unit)))
+                for block, op, unit in (("s", operator.add, 0), ("p", operator.mul, 1))
+                for idx in subsets
+            ]
+            tags, values = verify._pair_combinations(xs, mode)
+            assert tags == [tag for tag, _ in expected]
+            assert values == [(v.numerator, v.denominator) for _, v in expected]
 
 
 class TestCheck:
