@@ -161,6 +161,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--pretty", action="store_true", help="indent JSON output (same key order)"
     )
+    shared = argparse.ArgumentParser(add_help=False, parents=[common])  # check's and search's
+    shared.add_argument("--colouring", required=True, choices=UNARY_COLOURINGS)
+    shared.add_argument("--mode", choices=[m.value for m in CombinationMode], default="pairwise")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("colour", parents=[common], help="colour one value")
@@ -173,15 +176,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("value")
     p.set_defaults(fn=_cmd_expand)
 
-    p = sub.add_parser("check", parents=[common], help="monochromaticity certificate")
-    p.add_argument("--colouring", required=True, choices=UNARY_COLOURINGS)
-    p.add_argument("--mode", choices=[m.value for m in CombinationMode], default="pairwise")
+    p = sub.add_parser("check", parents=[shared], help="monochromaticity certificate")
     p.add_argument("file", nargs="?", help="terms, one per line ('#' comments); default stdin")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("search", parents=[common], help="bounded monochromatic-configuration search")
-    p.add_argument("--colouring", required=True, choices=UNARY_COLOURINGS)
-    p.add_argument("--mode", choices=[m.value for m in CombinationMode], default="pairwise")
+    p = sub.add_parser("search", parents=[shared], help="bounded monochromatic-configuration search")
     p.add_argument("--target", type=int, default=2, help="configuration size to certify")
     p.add_argument("--budget", type=int, default=1_000_000, help="node budget")
     p.add_argument("--workers", type=int, default=1,

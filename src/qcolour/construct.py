@@ -27,9 +27,9 @@ from .core import (
     Rational,
     Record,
     a_exponent,
-    base_index_and_exponent,
     iter_primes,
     nth_prime,
+    prime_walk,
     primorial,
 )
 from .digits import abc_exponents, leading_frac_position
@@ -139,7 +139,7 @@ def minimal_digit_fact(z: Rational) -> bool:
     position −1 span: s_k(z) = e_k(z) = −1."""
     if not 0 < z < 1:
         raise DomainError(f"value must be in (0,1), got {z}")
-    k, u = base_index_and_exponent(z)
+    k, u = prime_walk(z, z.denominator)
     return u == 1 and leading_frac_position(z, primorial(k)) == -1
 
 
@@ -292,9 +292,7 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
         first_pos = max(last.block) + 1
         pool = [(t, base_primes[t - 1]) for t in range(first_pos, pool_size + 1)]
         weight = sum(math.log2(p) for _, p in pool)
-        n = max(last.n + 1, 2 - a_exponent(bound))
-        n_cap = int(weight)
-        while n <= n_cap:
+        for n in range(max(last.n + 1, 2 - a_exponent(bound)), int(weight) + 1):
             if all(phi(-(s + n)) == 1 for s in zone):
                 for j in (last.j + 3, last.j + 6):
                     lo, hi = _mantissa_window(n, j)
@@ -315,7 +313,6 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
                         deeper = levels + (_Level(block, y, n, j),)
                         if found := extend(deeper, sums + new_sums, products + new_products, new_zone):
                             return found
-            n += 1
         return None
 
     try:

@@ -339,14 +339,6 @@ def divide_out_primes(d: int) -> tuple[int, int, int]:
     return d, index, exponent
 
 
-def base_index_and_exponent(x: Rational) -> tuple[int, int]:
-    """``minimal_base_index(x)`` and the largest prime exponent u of the denominator,
-    from one walk; P_n is squarefree, so u is the least power with x·P_n^u integral."""
-    _require_positive(x)
-    n, u = prime_walk(x, x.denominator)
-    return max(n, 1), u
-
-
 def prime_walk(x: Rational, d: int) -> tuple[int, int]:
     """``divide_out_primes(d)`` for x's denominator d, without its residue: a prime factor
     past the cap is rejected after every prime up to it is divided out."""
@@ -362,5 +354,6 @@ def prime_walk(x: Rational, d: int) -> tuple[int, int]:
 def minimal_base_index(x: Rational, table: PrimeTable | None = None) -> int:
     """Smallest n with every prime factor of the denominator <= the n-th prime; 1 for integers."""
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
-    return base_index_and_exponent(x)[0]
+    _require_positive(x)
+    return max(prime_walk(x, x.denominator)[0], 1)
 

@@ -510,7 +510,6 @@ def naive_search(
     """
     elements = universe.elements()
     certificates = []
-    max_size = 0
     level: list[tuple[int, ...]] = []
     for i in range(len(elements)):
         cert = check(colouring_id, [elements[i]], mode)
@@ -664,11 +663,13 @@ def property_suite(seed: int, sample_count: int) -> PropertyReport:
     return PropertyReport(seed=seed, samples=sample_count, laws=tuple(laws))
 
 
-#: The 301 numbers 2^k + 2^l, k > l, that ``c3_triple`` draws, times 2^13 so that they are
-#: integers, ascending: -12 <= k <= 12 and -12 <= l, or (k, l) = (-12, -13).
-C3_SCALED: tuple[int, ...] = tuple(sorted(
-    (1 << k + 13) + (1 << l + 13) for k in range(-12, 13) for l in range(-12 if k > -12 else -13, k)
-))
+#: The numbers 2^k + 2^l, k > l, that ``c3_triple`` draws, times 2^13 so that they are
+#: integers: one group per k from -12 to 12, ascending in l from -12, or from -13 at k = -12.
+C3_BY_K: tuple[tuple[int, ...], ...] = tuple(
+    tuple((1 << k + 13) + (1 << l + 13) for l in range(-12 if k > -12 else -13, k)) for k in range(-12, 13)
+)
+#: The 301 numbers of ``C3_BY_K``, ascending.
+C3_SCALED: tuple[int, ...] = tuple(sorted(itertools.chain.from_iterable(C3_BY_K)))
 
 
 def c3_gammas(a: int, b: int) -> list[int]:
@@ -685,17 +686,12 @@ def c3_triple(
 
     Returns (α, β, γ, x, y, z) with x=(α+β−γ)/2, y=(α−β+γ)/2, z=(−α+β+γ)/2,
     or None when no γ meets the positivity/distinctness side conditions for the
-    drawn α and β. γ is drawn uniformly from those that do (``c3_gammas``), so
-    every triple that meets them can be drawn, though not with the weights of
-    three independent draws.
+    drawn α and β. α and β each draw k, then l, uniformly from ``C3_BY_K``. γ is
+    drawn uniformly from those that meet the conditions (``c3_gammas``), so every
+    triple that meets them can be drawn, though not with the weights of three
+    independent draws.
     """
-
-    def c3_element() -> int:  # 2^k + 2^l times 2^13, so an integer
-        k = rng.randint(-12, 12)
-        l = rng.randint(-12, k - 1) if k > -12 else k - 1
-        return (1 << k + 13) + (1 << l + 13)
-
-    a, b = c3_element(), c3_element()
+    a, b = rng.choice(rng.choice(C3_BY_K)), rng.choice(rng.choice(C3_BY_K))
     if not (gammas := c3_gammas(a, b)):
         return None
     g = rng.choice(gammas)

@@ -21,7 +21,7 @@ from qcolour.construct import (
     openness_radius,
     reciprocal_prime_indices,
 )
-from qcolour.core import PRIME_CAP, base_index_and_exponent, nth_prime
+from qcolour.core import PRIME_CAP, nth_prime, prime_walk
 from qcolour.digits import abc_exponents
 from qcolour.errors import (
     BudgetExhaustedError,
@@ -845,7 +845,7 @@ class TestCertificateKeysFromBlocks:
     def test_derived_equals_walked(self, m):
         res = extend_sum_closed(m)
         for entry, k in _derived_base_indices(res):
-            assert base_index_and_exponent(entry.value) == (k, 1), entry.tag
+            assert prime_walk(entry.value, entry.value.denominator) == (k, 1), entry.tag
             assert colour_key(mu_below_one(entry.value, k, 1)) == entry.colour
             assert entry.colour == colour_key(mu(entry.value)), entry.tag
 

@@ -20,7 +20,6 @@ from qcolour.core import (
     Ordering,
     PrimeTable,
     a_exponent,
-    base_index_and_exponent,
     cmp_c5_boundary,
     cmp_pow2_half,
     default_table,
@@ -34,6 +33,7 @@ from qcolour.core import (
     minimal_base_index,
     nth_prime,
     parse_rational,
+    prime_walk,
     primorial,
 )
 from qcolour.errors import DomainError, InternalInvariantError, TableExhaustedError, UnsupportedPrimeError
@@ -291,7 +291,7 @@ class TestPrimeWalk:
             d = math.prod(rng.choice(primes) ** rng.randint(1, 4) for _ in range(rng.randint(0, 4)))
             assert divide_out_primes(d) == _brute_walk(d, PRIME_CAP), d
             x = Fraction(rng.randint(1, d), d)
-            assert base_index_and_exponent(x)[0] == oracles._minimal_base_scan(x)
+            assert minimal_base_index(x) == oracles._minimal_base_scan(x)
             # base P_n takes x iff no prime of its denominator is past p_n; u is then the walk's
             n = rng.choice([1, 3, 25, 200, PRIME_CAP])
             residue, _, u = _brute_walk(x.denominator, n)
@@ -310,12 +310,14 @@ class TestPrimeWalk:
         assert divide_out_primes(1) == (1, 0, 0)
         assert divide_out_primes(12) == (1, 2, 2)
 
-    def test_base_index_and_exponent(self):
-        assert base_index_and_exponent(Fraction(7)) == (1, 0)
-        assert base_index_and_exponent(Fraction(14305, 96)) == (2, 5)
-        assert base_index_and_exponent(Fraction(1, 180_503)) == (PRIME_CAP, 1)
+    def test_prime_walk(self):
+        # an integer walks no prime, and its minimal base is still P_1
+        assert prime_walk(Fraction(7), 1) == (0, 0)
+        assert minimal_base_index(Fraction(7)) == 1
+        assert prime_walk(Fraction(14305, 96), 96) == (2, 5)
+        assert prime_walk(Fraction(1, 180_503), 180_503) == (PRIME_CAP, 1)
         with pytest.raises(UnsupportedPrimeError, match=r"primes \(residue 180511\)$"):
-            base_index_and_exponent(Fraction(1, 4 * 180_511))
+            prime_walk(Fraction(1, 4 * 180_511), 4 * 180_511)
 
 
 class TestDigitLimit:

@@ -1,6 +1,7 @@
 """Certificates, checking, search (pruned vs naive), and the law suite."""
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -21,6 +22,7 @@ from qcolour.colourings import SHADOWS, big_phi, colour_key, colouring_fn
 from qcolour.digits import DigitExpansion, end2, expand, start2
 from qcolour.errors import DomainError, InternalInvariantError
 from qcolour.verify import (
+    C3_BY_K,
     C3_SCALED,
     Certificate,
     Clash,
@@ -1034,6 +1036,28 @@ class TestC3Triples:
     def test_table_is_the_drawable_c3_numbers(self):
         assert len(C3_SCALED) == 301
         assert list(C3_SCALED) == sorted(self.c3_numbers())
+
+    def test_draw_takes_k_then_l_from_the_groups(self):
+        assert len(C3_BY_K) == 25
+        for k, group in zip(range(-12, 13), C3_BY_K):
+            assert group == tuple(2 ** (k + 13) + 2 ** (l + 13) for l in range(-12 if k > -12 else -13, k)), k
+        assert sorted(itertools.chain(*C3_BY_K)) == list(C3_SCALED)
+        ks = []  # the group index of each k drawn: α's, then β's, per triple
+
+        class Recording(random.Random):
+            def choice(self, seq):
+                picked = super().choice(seq)
+                if seq is C3_BY_K:
+                    ks.append(C3_BY_K.index(picked))
+                return picked
+
+        rng = Recording("c3-by-k")
+        for _ in range(25_000):
+            c3_triple(rng)
+        assert len(ks) == 50_000
+        counts = collections.Counter(ks[::2])
+        assert sorted(counts) == list(range(25))
+        assert all(800 <= count <= 1_200 for count in counts.values()), counts
 
     def test_gammas_are_exactly_those_meeting_the_side_conditions(self):
         c3 = sorted(self.c3_numbers())
