@@ -1,7 +1,7 @@
 """Exact positive-rational arithmetic and the algebraic predicates built on it.
 
 Rationals are plain ``fractions.Fraction`` values (exact, arbitrary precision,
-always reduced); this module adds the domain-checked constructors, the dyadic
+always reduced); this module adds the domain-checked parser, the dyadic
 shape predicates (powers of two, two-digit and all-ones binary forms), exact
 comparisons against the two quadratic-surd boundary families, and the first
 ``PRIME_CAP`` primes, sieved once per process the first time one is read.
@@ -123,15 +123,6 @@ def check_digits(value: int, what: str) -> int:
     return value
 
 
-def make_rational(num: int, den: int = 1) -> Rational:
-    """Build a positive rational in lowest terms from positive integers."""
-    if not isinstance(num, int) or not isinstance(den, int):
-        raise DomainError("numerator and denominator must be integers")
-    if num < 1 or den < 1:
-        raise DomainError(f"rational must be positive: got {num}/{den}")
-    return Fraction(num, den)
-
-
 def parse_rational(text: str) -> Rational:
     """Parse ``"p"`` or ``"p/q"`` (decimal, unsigned, nonzero); reduces the result."""
     if not isinstance(text, str):
@@ -143,7 +134,9 @@ def parse_rational(text: str) -> Rational:
         raise DomainError(f"numerator or denominator has more than {MAX_DIGITS} decimal digits")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
-    return make_rational(num, den)
+    if num < 1 or den < 1:
+        raise DomainError(f"rational must be positive: got {num}/{den}")
+    return Fraction(num, den)
 
 
 def _require_positive(x: Rational) -> None:

@@ -1,7 +1,7 @@
-"""End-to-end CLI contract: JSON bodies, exit codes, byte stability."""
+"""End-to-end CLI contract: JSON bodies, exit codes and refusals. The bytes of whole outputs are
+pinned in one place, the corpus of ``tests/golden/cli.json``."""
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import subprocess
@@ -10,12 +10,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from test_golden import corpus
 
 from qcolour import cli, core, oracles
 from qcolour.colourings import colour_key
-from qcolour.verify import Certificate, validate
 
 CMD = [sys.executable, "-m", "qcolour"]
+ROWS = {tuple(row["argv"]): row for row in corpus.load() if row["stdin"] is None}
 
 
 def run_cli(*args: str, stdin: str | None = None):
@@ -24,17 +25,13 @@ def run_cli(*args: str, stdin: str | None = None):
     )
 
 
-def assert_certificates_validate(out: str) -> int:
-    """Every certificate in the check, search or construct document ``out`` validates from its
-    JSON alone and reads back to the same JSON object; returns how many there are."""
-    obj = json.loads(out)
-    certs = obj["certificates"] if "certificates" in obj else [obj.get("certificate", obj)]
-    for c in certs:
-        cert = Certificate.from_obj(c)
-        reasons: list[str] = []
-        assert validate(cert, reasons), reasons
-        assert cert.to_obj() == c
-    return len(certs)
+def assert_fresh_as_corpus(*argv: str, row: tuple[str, ...] = ()) -> str:
+    """``argv`` run in a fresh interpreter exits and prints exactly what the corpus row ``row``
+    (``argv`` itself by default) gives in the corpus runner's one shared interpreter, where the
+    corpus pins its bytes and validates its certificates; returns stdout."""
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == corpus.invoke(ROWS[row or argv])
+    return proc.stdout
 
 
 class TestColour:
@@ -365,64 +362,6 @@ class TestCheck:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: combination {tag} has more than 4300 decimal digits\n"
 
-    @pytest.mark.parametrize(
-        "colouring, terms, digest, mode",
-        [*(pytest.param(*row, "finite", id="-".join(row)) for row in [
-            ("nu", "11/8 1/7 1/16 17/12 1 8 19 5/2 1/24 13/2 19/8",
-             "4b9882850184604cbbca4bceaf47e37993c8634dbf2344a7076a490f77dad335"),
-            ("mu", "1/16 31 3/4 5 4 1 8 18 25/126 27/2 39/7",
-             "7c7deba4d5ba4133655fae56a731f3f063c8c5f87b9cd7f033b828a4930b49f3"),
-            ("alpha", "29 10 7/4 4/7 1/42 11/4 13/210 1/16 3/16 3/70 3/8",
-             "201a3b25ec63079effd5e1372b2f24a0c1e0270734617f7f683e83c1f92d94fa"),
-            ("theta", "15 31 36 5 18 14 35 2 37 9 34",
-             "79a0113b367976f5b33ad08b2df6df8ed4c4428fa3f10f9c0ad9744016c3532a"),
-            ("phi", "29 16 4 3 12 19 24 34 37 9 6",
-             "27991ae73f67deab3a5db7c438b377e11872c946a22a49e5e1508c5f61921cd9"),
-        ]),
-            # 4,297 distinct values, each coloured once
-            pytest.param("nu", " ".join(map(str, range(1, 17))),
-                         "faf666d47ef1064b1ae19961506fba7cfabb394eea633ffbc0b6e2b01a91fa3d", "finite",
-                         id="nu-1..16"),
-            # theta and alpha colour one natural per binary profile, and validate re-runs the
-            # same table, so only a digest catches a wrong rule
-            pytest.param("theta", " ".join(map(str, range(3, 13))),
-                         "00cb67afd4bb1d00a88f02ce898c4ec2891afdc11b5b16eee049def4355a5ecd", "finite",
-                         id="theta-3..12"),
-            pytest.param("alpha", " ".join(map(str, range(3, 13))),
-                         "c37486ca29431987840e803a71eca0f0f3b460418b84110acb18b0241822a47a", "finite",
-                         id="alpha-3..12"),
-            pytest.param("alpha", "3 1/2 5/3 7/4 2/9 11/6 1/10 13 4/15 17/8",
-                         "28596be49d1c415e730fc4827742f20ccd9d88ddbc7598bbf5274e0c5f8a7b04", "finite",
-                         id="alpha-ten-terms"),
-            pytest.param("nu", "3 1/2 5/3 7/4 2/9 11/6 1/10 13 4/15 17/8",
-                         "7392aa7487b0a747b1e7d77f9a1771f98ba6fde3378a40d0e6016cf9ed7074b0", "finite",
-                         id="nu-ten-terms"),
-            pytest.param("mu", "3 1/2 5/3 7/4 2/9 11/6 1/10 13 4/15 17/8",
-                         "3110fa651076165d0bbf5477632881a202b1290e202ea27da89c051d3b6ff41d", "finite",
-                         id="mu-ten-terms"),
-            pytest.param("phi", " ".join(map(str, range(3, 13))),
-                         "9f34c803a06d0fcdde5216e59518716117614c895d60a2f7c143293bbb3a97b9", "finite",
-                         id="phi-3..12"),
-            # the largest pairwise check: integer terms take the gcd-free sum and product path
-            pytest.param("nu", " ".join(map(str, range(1, 513))),
-                         "f22ac042541f3243a5ef2509f3d85a05c9b4fb576f8ffe24ff1b598ecb3fd8d5", "pairwise",
-                         id="nu-1..512-pairwise"),
-            # the product 6·10^18 passes 2^62: phi colours every integer
-            pytest.param("phi", "3000000000 2000000000",
-                         "3bdc2176969da5cb945439203c71180b867771d8ef2c687c27c8ebeb4235020a", "pairwise",
-                         id="phi-past-2^62-pairwise"),
-        ],
-    )
-    def test_finite_output_pinned(self, colouring, terms, digest, mode, tmp_path, capsys):
-        # the digest pins every tag, value and key; the 11 seeded terms give 4,094 combinations
-        seq = tmp_path / "seq.txt"
-        seq.write_text("\n".join(terms.split()) + "\n")
-        assert cli.main(["check", "--colouring", colouring, "--mode", mode, str(seq)]) == 0
-        out, err = capsys.readouterr()
-        assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
-        assert_certificates_validate(out)
-
-
 class TestSearch:
     def test_exhaustive_exit_0(self):
         proc = run_cli(
@@ -519,69 +458,31 @@ class TestSearch:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: pairwise mode takes at most 512 terms, got 600\n"
 
-    @pytest.mark.parametrize("args, code, digest", [
-        ("--colouring phi --numerator-bound 40 --integers-only --target 3", 0,
-         "5dc55c386ba5da900f3a1a8347d56240bb805946f564728d8974760976decf39"),
-        ("--colouring const --numerator-bound 10 --integers-only --target 4 --budget 500", 3,
-         "6916418d002c23fabb302fc90039b22836bebcc5c67f1bf180ffa4e25716e18c"),
-        ("--colouring nu --numerator-bound 18 --denominator-bound 8 --prime-index 3 --target 3", 0,
-         "0744234c9fc861a2c731138b0f91c8ef375144533beec53b4c6797dd559bdb70"),
-    ], ids=["phi", "const-budget", "nu"])
-    def test_finite_output_pinned(self, args, code, digest, capsys):
-        # the digest pins nodes, max_size and every certificate's tags, values and keys
-        assert cli.main(["search", *args.split(), "--mode", "finite"]) == code
-        out, err = capsys.readouterr()
-        assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
-        assert_certificates_validate(out)
+    @pytest.mark.parametrize("args", [
+        "--colouring nu --numerator-bound 18 --denominator-bound 8 --prime-index 3 --target 3",
+    ], ids=["nu"])
+    def test_finite_output_pinned(self, args):
+        assert_fresh_as_corpus("search", *args.split(), "--mode", "finite")
 
-    @pytest.mark.parametrize("args, target, digest", [
-        ("--colouring nu --numerator-bound 18 --denominator-bound 8 --prime-index 3", "3",
-         "9d63078872f6d55d15401a49251ac8b2ce8c65819ad32b885efe4d366bc0a0a2"),
-        ("--colouring mu --numerator-bound 18 --denominator-bound 8 --prime-index 3", "3",
-         "86aa19c8d81a90e23025c71b94cf06081c1da02ccb4b603e11c9a7ace3e79340"),
-        ("--colouring nu --numerator-bound 16 --denominator-bound 10 --prime-index 3", "3",
-         "f8c787925cd2cd2355928b41d9b8dacc679ea00ce512c695858cd62315578472"),
-        ("--colouring mu --numerator-bound 16 --denominator-bound 10 --prime-index 3", "3",
-         "c99d3372c8302657f4d6a7b8e88303d8340fc573d7f7c68c2a11e1ca6c810c87"),
-        ("--colouring alpha --numerator-bound 16 --denominator-bound 8 --prime-index 2", "3",
-         "8f3029a9a3a68cece170c499463b0eb5b7b6513c70932c1da2a8b19b814f99b2"),
-        ("--colouring alpha --numerator-bound 20 --denominator-bound 6 --prime-index 2", "3",
-         "c2293a341dd3269b9467c9e9dcd646fdab20f19935ff32610c9d22ba8fd646b5"),
-        ("--colouring theta --numerator-bound 150 --integers-only", "3",
-         "db185a2b8e6f1833fd3329989f621b1162588b70eeab825787c81bd1039450d3"),
-        # 8,542 values pass the shadow gate, all coloured before the DFS
-        ("--colouring mu --numerator-bound 40 --denominator-bound 30 --prime-index 3", "3",
-         "d614672074bfcdd89aae6526860b59d7404f964019438e0f50be8b8b5d7ae72b"),
-        # the theta frontier at the universe cap: the 9-term progression 442, 450, ..., 506;
-        # alpha colours a natural by its theta colour, so it visits the same 2,383 nodes
-        ("--colouring theta --integers-only --numerator-bound 512", "9",
-         "5b242679fe6c7712371751b6b498245ecb7b9d6d978e1a9233dedc6938fb4248"),
-        ("--colouring alpha --integers-only --numerator-bound 512", "9",
-         "6a4e97957faea25bc8c8d1f6e4c5c3d9219df1d76bfb8f85ffc9eb1452e21251"),
+    @pytest.mark.parametrize("args, target, row", [
+        # the corpus rows of the first three add --workers 1, which selects nothing
+        ("--colouring nu --numerator-bound 18 --denominator-bound 8 --prime-index 3", "3", "--workers 1"),
+        ("--colouring alpha --numerator-bound 16 --denominator-bound 8 --prime-index 2", "3", "--workers 1"),
+        ("--colouring theta --numerator-bound 150 --integers-only", "3", "--workers 1"),
+        # the theta frontier at the universe cap: the 9-term progression 442, 450, ..., 506
+        ("--colouring theta --integers-only --numerator-bound 512", "9", None),
         # the budget counts the nodes of one preorder: its 2,383 nodes finish the search
-        ("--colouring theta --integers-only --numerator-bound 512 --budget 2383", "9",
-         "5b242679fe6c7712371751b6b498245ecb7b9d6d978e1a9233dedc6938fb4248"),
-    ], ids=["nu-18-8-3", "mu-18-8-3", "nu-16-10-3", "mu-16-10-3", "alpha-16-8-2",
-            "alpha-20-6-2", "theta-150", "mu-40-30-3", "theta-512-target-9", "alpha-512-target-9",
-            "theta-512-target-9-budget-2383"])
-    def test_pairwise_output_pinned(self, args, target, digest, capsys):
-        # the benchmark's seven search universes and three larger ones: the digest pins nodes,
-        # max_size and every certificate's tags, values and keys, however the pair graph is built
-        assert cli.main(["search", *args.split(), "--mode", "pairwise", "--target", target]) == 0
-        out, err = capsys.readouterr()
-        assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
-        assert_certificates_validate(out)
+        ("--colouring theta --integers-only --numerator-bound 512 --budget 2383", "9", None),
+    ], ids=["nu-18-8-3", "alpha-16-8-2", "theta-150", "theta-512-target-9", "theta-512-target-9-budget-2383"])
+    def test_pairwise_output_pinned(self, args, target, row):
+        argv = ("search", *args.split(), "--mode", "pairwise", "--target", target)
+        assert_fresh_as_corpus(*argv, row=(*argv, *row.split()) if row else ())
 
-    def test_budget_one_node_short_exit_3(self, capsys):
+    def test_budget_one_node_short_exit_3(self):
         # one node fewer than the 2,383 that finish the search stops it at exactly that many
-        argv = "--colouring theta --integers-only --numerator-bound 512 --target 9 --budget 2382"
-        assert cli.main(["search", *argv.split()]) == 3
-        out, err = capsys.readouterr()
-        assert out.startswith('{"max_size":9,"exhausted":false,"nodes":2382,') and err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "fe29feebfc28d01b3613e5a582590015ae04ffdce5873382eb1434ed6ace09ce"
-        )
-        assert_certificates_validate(out)
+        argv = "search --colouring theta --integers-only --numerator-bound 512 --target 9 --budget 2382"
+        out = assert_fresh_as_corpus(*argv.split())
+        assert out.startswith('{"max_size":9,"exhausted":false,"nodes":2382,')
 
 
 class TestConstruct:
@@ -596,9 +497,15 @@ class TestConstruct:
 
     @pytest.mark.parametrize("terms", ["1", "2", "3", "4"])
     def test_certificate_validates_with_defaults(self, terms):
-        proc = run_cli("construct", "--terms", terms)
-        assert proc.returncode == 0
-        assert assert_certificates_validate(proc.stdout) == 1
+        out = assert_fresh_as_corpus("construct", "--terms", terms)
+        assert "certificate" in json.loads(out)
+
+    # each named by the stdout digest that its corpus row records
+    @pytest.mark.parametrize("terms", ["3", "4"],
+                             ids=lambda terms: f"{terms}-{ROWS['construct', '--terms', terms]['stdout_sha256']}")
+    def test_stdout_pinned(self, terms):
+        # a search that picked other valid blocks would still validate; the corpus's digest would not
+        assert_fresh_as_corpus("construct", "--terms", terms)
 
     def test_budget_exhaustion_exit_3(self):
         proc = run_cli("construct", "--terms", "3", "--budget", "5")
@@ -636,22 +543,6 @@ class TestConstruct:
             "error: term count 1000000000 needs 14000000016 reciprocal primes:"
             " prime index 16385 beyond the cap of 16384 primes\n"
         )
-
-    @pytest.mark.parametrize(
-        "terms, digest",
-        [
-            ("3", "a54b2b290a83f07dd531a1c554b26425f930922db8b6b550eff5e8eee008ef3c"),
-            ("4", "e529abd70eac0dcccc347509d8ef2976832b43a04e0cb0e89c205cf0ce53619b"),
-            # the budget contract: four terms take exactly 208,510 units (one fewer is pinned below)
-            ("4 --budget 208510", "e529abd70eac0dcccc347509d8ef2976832b43a04e0cb0e89c205cf0ce53619b"),
-        ],
-    )
-    def test_stdout_pinned(self, terms, digest):
-        # a search that picked other valid blocks would still validate; this would not
-        proc = run_cli("construct", "--terms", *terms.split())
-        assert proc.returncode == 0
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
-        assert_certificates_validate(proc.stdout)
 
     @pytest.mark.parametrize("terms, budget, depth", [
         ("4", "208509", 3), ("5", "200000", 3),
@@ -709,16 +600,10 @@ class TestProperties:
         assert cli.main(["properties", "--samples", "10001"]) == 2
         assert capsys.readouterr() == ("", "error: sample count must be <= 10000, got 10001\n")
 
-    @pytest.mark.parametrize("args, digest", [
-        ("--seed 1", "aee6e24c9771f18391afb324a160a8b57a9b2c5301edf31439fd696be1816e98"),
-        ("--seed 1 --samples 200", "98f418e0e171b2ea4aac2e64b2de5a9d913293f4f7c8b6936845e4cc26df2a28"),
-    ], ids=["seed-1", "seed-1-samples-200"])
-    def test_output_pinned(self, args, digest, capsys):
-        # with every law passing the suite names each law with its sample count, however the
-        # laws draw their samples
-        assert cli.main(["properties", *args.split()]) == 0
-        out, err = capsys.readouterr()
-        assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
+    @pytest.mark.parametrize("args", ["--seed 1"], ids=["seed-1"])
+    def test_output_pinned(self, args):
+        # with every law passing the suite names each law with its sample count
+        assert_fresh_as_corpus("properties", *args.split())
 
 
 class TestClosedStdout:
@@ -763,6 +648,7 @@ class TestClosedStdout:
     ],
 )
 def test_byte_identical_across_invocations(args, stdin):
+    # two fresh interpreters, each with its own hash seed, print the same bytes
     first = run_cli(*args, stdin=stdin)
     second = run_cli(*args, stdin=stdin)
     assert first.returncode == second.returncode == 0

@@ -29,7 +29,6 @@ from qcolour.core import (
     is_power_of_two,
     iter_primes,
     log2_floor,
-    make_rational,
     minimal_base_index,
     nth_prime,
     parse_rational,
@@ -59,16 +58,17 @@ class TestParsing:
         with pytest.raises(DomainError):
             parse_rational(text)
 
-    def test_make_rational_positive_only(self):
-        assert make_rational(6, 4) == Fraction(3, 2)
-        for num, den in [(0, 1), (-1, 2), (1, 0), (1, -2)]:
-            with pytest.raises(DomainError):
-                make_rational(num, den)
+    def test_parse_rational_positive_only(self):
+        assert parse_rational("6/4") == Fraction(3, 2)
+        for text, shown in [("0", "0/1"), ("0/5", "0/5"), ("5/0", "5/0")]:
+            with pytest.raises(DomainError) as info:
+                parse_rational(text)
+            assert str(info.value) == f"rational must be positive: got {shown}"
 
     @given(st.integers(1, 10**9), st.integers(1, 10**9))
     @settings(deadline=None)
     def test_make_parse_round_trip(self, num, den):
-        x = make_rational(num, den)
+        x = Fraction(num, den)
         assert parse_rational(str(x)) == x
 
 
@@ -253,7 +253,7 @@ class TestPrimeTable:
     def test_minimal_base_strips_exactly(self, num, i, j, k):
         # denominator built from the first three primes: index is the largest used
         den = 2**i * 3**j * 5**k
-        x = make_rational(num * den + num, den)  # keep it reduced-ish but arbitrary
+        x = Fraction(num * den + num, den)  # keep it reduced-ish but arbitrary
         n = minimal_base_index(x)
         d = x.denominator
         for p in [2, 3, 5, 7, 11][:n]:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qcolour.colourings import alpha, big_phi, psi_prime
-from qcolour.core import a_exponent, make_rational
+from qcolour.core import a_exponent
 from qcolour.digits import b_exponent, c_exponent, e_int, end2, expand, start2
 from qcolour.errors import DomainError
 from qcolour.verify import SAMPLE_CAP, property_suite
@@ -26,13 +26,12 @@ from qcolour.verify import SAMPLE_CAP, property_suite
         # positivity is checked before the expansion is known to terminate
         (lambda: expand(Fraction(-1, 3), 1), DomainError, "expected a positive rational, got -1/3"),
         (lambda: property_suite(1, SAMPLE_CAP + 1), DomainError, "sample count must be <= 10000, got 10001"),
-        (lambda: make_rational(1.5, 2), DomainError, "numerator and denominator must be integers"),
         # core._require_positive, which also guards the dyadic predicates and the base index
         (lambda: a_exponent(Fraction(-1, 2)), DomainError, "expected a positive rational, got -1/2"),
     ],
     ids=[
         "big_phi", "psi_prime", "alpha", "end2", "start2", "b_exponent", "c_exponent", "e_int",
-        "expand", "property_suite", "make_rational", "a_exponent",
+        "expand", "property_suite", "a_exponent",
     ],
 )
 def test_guard_refuses_with_its_message(call, error, message):
