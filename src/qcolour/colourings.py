@@ -158,6 +158,10 @@ def colour_key(value: ColourValue) -> str:
     return value._key
 
 
+#: a denominator's (k, u) read through x = n/d, as ``core.prime_walk(x, d)`` gives them
+Walk = Callable[[Rational, int], tuple[int, int]]
+
+
 # --- the colourings ----------------------------------------------------------
 
 def phi(k: int) -> int:
@@ -254,26 +258,27 @@ def nu(x: Rational) -> NuValue:
     return _nu_head(n, d, True)
 
 
-def mu(x: Rational, table: PrimeTable | None = None) -> ColourValue:
-    """nu plus, below 1, the pair colours of the leading/trailing digit positions."""
+def mu(x: Rational, table: PrimeTable | None = None, *, walk: Walk = prime_walk) -> ColourValue:
+    """nu plus, below 1, the pair colours of the leading/trailing digit positions, with the
+    denominator's (n, u) from ``walk``, which ``verify.ColourTable`` gives as its own."""
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     n, d = x.numerator, x.denominator
-    if not 0 < n < d:  # nu refuses n < 1
-        v = nu(x)
-        return _MU_WHOLES.get(v._key) or _MU_WHOLES.setdefault(v._key, MuWhole(v))
-    return mu_below_one(x, *prime_walk(x, d))
+    if 0 < n < d:
+        return mu_below_one(x, *walk(x, d))
+    v = _nu_head(n, d, True) if n > 0 else nu(x)  # nu refuses n < 1
+    return _MU_WHOLES.get(v._key) or _MU_WHOLES.setdefault(v._key, MuWhole(v))
 
 
 def mu_below_one(x: Rational, n: int, u: int) -> MuFrac:
     """mu of 0 < x < 1 from its denominator's minimal base index n and largest prime exponent u."""
-    s = leading_frac_position(x, primorial(n))  # the trailing digit sits at position -u
-    v, p, q = nu(x), big_phi(-s, u), psi_prime(-s, u)
+    s = leading_frac_position(x, n)  # the trailing digit sits at position -u
+    v, p, q = _nu_head(x.numerator, x.denominator, True), big_phi(-s, u), psi_prime(-s, u)
     k = (v._key, p._key, q._key)
     return _MU_FRACS.get(k) or _MU_FRACS.setdefault(k, MuFrac(v, p, q))
 
 
-def alpha(x: Rational, table: PrimeTable | None = None) -> ColourValue:
-    """Four-case colouring of the positive rationals."""
+def alpha(x: Rational, table: PrimeTable | None = None, *, walk: Walk = prime_walk) -> ColourValue:
+    """Four-case colouring of the positive rationals; ``walk`` as in ``mu``."""
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     n, d = x.numerator, x.denominator
     if d == 1:
@@ -283,7 +288,7 @@ def alpha(x: Rational, table: PrimeTable | None = None) -> ColourValue:
         raise DomainError(f"expected a positive rational, got {x}")
     if n <= 2 * d:
         return _alpha_head(n, d)
-    c = _alpha_prime(x, n, d)
+    c = _alpha_prime(x, n, d, walk=walk)
     return _ALPHA_BIGS.get(c) or _ALPHA_BIGS.setdefault(c, AlphaBig(c))
 
 
@@ -298,15 +303,15 @@ def _alpha_head(n: int, d: int) -> Hashable:
     return log2_floor(n, d) % 2
 
 
-def _alpha_prime(x: Rational, n: int, d: int) -> tuple[int, ...]:
-    r = prime_walk(x, d)[0]
+def _alpha_prime(x: Rational, n: int, d: int, *, walk: Walk = prime_walk) -> tuple[int, ...]:
+    r = walk(x, d)[0]
     a, b, c = abc_exponents(n, d)
     whole, rem = divmod(n, d)
     after = whole + 1
     # For f = rem/d in (0, 1): a(f) = b(1 + f) and epsilon(f) = c(1 + f) + 1, and a(1 + f) = 0.
     a_f, c_1f = bc_exponents(0, d + rem, d)
-    base = primorial(r)
-    er_w, er_w1 = e_int(whole, base), e_int(after, base)
+    base = primorial(r) if after >> r else 0  # else whole < after < 2^r <= P_r: no factor P_r
+    er_w, er_w1 = (e_int(whole, base), e_int(after, base)) if base else (0, 0)
     return (
         a % 2,
         a_f % 2,
@@ -370,6 +375,8 @@ SHADOWS: dict[str, Callable[[int, int], Hashable]] = {
 #: the colourings under which a natural's key is a function of its binary profile (see
 #: ``theta``); the v2 of a sum or product alone gives that key's end parity and phi(end)
 HEADED = ("theta", "alpha")
+#: the colourings that read a denominator's (k, u) through their ``walk`` keyword
+WALKED = ("mu", "alpha")
 
 
 def colouring_fn(colouring_id: str, table: PrimeTable | None = None) -> Callable[[Rational], ColourValue]:

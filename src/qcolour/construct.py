@@ -30,7 +30,6 @@ from .core import (
     iter_primes,
     nth_prime,
     prime_walk,
-    primorial,
 )
 from .digits import abc_exponents, leading_frac_position
 from .errors import BudgetExhaustedError, DomainError, InternalInvariantError, TableExhaustedError
@@ -140,7 +139,7 @@ def minimal_digit_fact(z: Rational) -> bool:
     if not 0 < z < 1:
         raise DomainError(f"value must be in (0,1), got {z}")
     k, u = prime_walk(z, z.denominator)
-    return u == 1 and leading_frac_position(z, primorial(k)) == -1
+    return u == 1 and leading_frac_position(z, k) == -1
 
 
 def _block_key(v: Rational, blocks: int, k: int) -> str:

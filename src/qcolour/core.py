@@ -17,7 +17,7 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .errors import (
     DomainError,
@@ -308,8 +308,10 @@ def primorial(n: int) -> int:
     return math.prod(itertools.islice(_primes(), n))
 
 
-def divide_out_primes(d: int) -> tuple[int, int, int]:
-    """Divide the first ``PRIME_CAP`` primes out of the natural number ``d``; never raises.
+def divide_out_primes(d: int, primes: Iterable[tuple[int, int]] | None = None,
+                      met: dict[int, int] | None = None) -> tuple[int, int, int]:
+    """Divide each (index, p) of ``primes``, by default the first ``PRIME_CAP`` primes in order,
+    out of the natural number ``d``; never raises. ``met``, if given, gets each prime divided out.
 
     Returns the residue, the 1-based index of the largest prime divided out
     and the largest exponent of any prime divided out (0 and 0 if none).
@@ -317,25 +319,33 @@ def divide_out_primes(d: int) -> tuple[int, int, int]:
     if d == 1:
         return 1, 0, 0
     index = exponent = 0
-    for i, p in enumerate(iter_primes(), 1):
+    for i, p in enumerate(iter_primes(), 1) if primes is None else primes:
         if d % p == 0:
             d //= p
             e = 1
             while d % p == 0:
                 d //= p
                 e += 1
-            index = i
+            if i > index:
+                index = i
             if e > exponent:
                 exponent = e
+            if met is not None:
+                met[i] = p
             if d == 1:
                 break
     return d, index, exponent
 
 
-def prime_walk(x: Rational, d: int) -> tuple[int, int]:
+def prime_walk(x: Rational, d: int, support: dict[int, int] | None = None) -> tuple[int, int]:
     """``divide_out_primes(d)`` for x's denominator d, without its residue: a prime factor
-    past the cap is rejected after every prime up to it is divided out."""
-    residue, n, u = divide_out_primes(d)
+    past the cap is rejected after every prime up to it is divided out. With ``support``, a dict
+    {index: prime}, d is divided by its primes, and only what they leave is walked over the primes,
+    whose primes then join ``support``: the same primes divide d out, so the result is the walk's."""
+    residue, n, u = divide_out_primes(d, None if support is None else support.items())
+    if residue != 1 and support is not None:
+        residue, m, v = divide_out_primes(residue, met=support)
+        n, u = max(n, m), max(u, v)
     if residue != 1:
         raise UnsupportedPrimeError(
             f"denominator of {x} has a prime factor beyond the first {PRIME_CAP} primes"

@@ -183,14 +183,18 @@ def s_frac(x: Rational, n: int, table: PrimeTable | None = None) -> int:
     """Leading nonzero digit position of x in base P_n, for 0 < x < 1."""
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     e_frac(x, n)  # the domain checks
-    return leading_frac_position(x, primorial(n))
+    return leading_frac_position(x, n)
 
 
-def leading_frac_position(x: Rational, base: int) -> int:
-    """Leading nonzero digit position of 0 < x < 1 in ``base``, unchecked:
-    minus the least k with x·base^k >= 1."""
-    num, den = x.numerator * base, x.denominator
-    s = -1
+def leading_frac_position(x: Rational, n: int) -> int:
+    """Leading nonzero digit position of 0 < x < 1 in base P_n, unchecked: minus the least
+    k >= 1 with x·P_n^k >= 1. As P_n >= 2^n, bit lengths show k = 1 unless den is within a
+    factor 2 of num·2^n or past it, and only then is P_n built."""
+    num, den = x.numerator, x.denominator
+    if num.bit_length() - 1 + n >= den.bit_length():  # num·P_n >= 2^(bits(num) - 1 + n) > den
+        return -1
+    base = primorial(n)
+    num, s = num * base, -1
     while num < den:
         num *= base
         s -= 1

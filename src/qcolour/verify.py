@@ -21,10 +21,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Hashable, Iterator
 
-from .colourings import HEADED, SHADOWS, colouring_fn, theta
+from .colourings import HEADED, SHADOWS, WALKED, colouring_fn, theta
 from .core import (
     DIGIT_LIMIT, PRIME_CAP, PrimeTable, Rational, Record, check_digits, is_dyadic, nth_prime,
-    parse_rational, primorial,
+    parse_rational, prime_walk, primorial,
 )
 from .digits import DigitExpansion, binary_positions, end2, expand, start2
 from .errors import DomainError, InternalInvariantError
@@ -240,15 +240,31 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
     return [(tag, Fraction(*value)) for tag, value in zip(*_pair_combinations(xs, mode))]
 
 
+class DenominatorWalks(dict):
+    """``d -> core.prime_walk(x, d, self.support)`` by ``walk``, once per d: each walk over the primes
+    meets a new prime or refuses d, so a check walks over them at most once per prime of its terms."""
+
+    def __init__(self) -> None:
+        self.support: dict[int, int] = {}  # the primes met, by index
+
+    def walk(self, x: Rational, d: int) -> tuple[int, int]:
+        if (found := self.get(d)) is None:
+            found = self[d] = prime_walk(x, d, self.support)
+        return found
+
+
 class ColourTable(dict):
     """``Pair -> key``: a missing pair is handed, as one ``Fraction``, to what ``verify.colouring_fn``
     returned for ``colouring_id`` when the table was made, and its key stored in first-seen order.
-    Under a ``colourings.HEADED`` colouring a missing natural's key comes from ``natural``."""
+    Under a ``colourings.HEADED`` colouring a missing natural's key comes from ``natural``, and under
+    a ``colourings.WALKED`` one the function also gets ``walk=self.walk``. Nothing outlives the table."""
 
     def __init__(self, colouring_id: str):
         self.colouring_id = colouring_id
         self.fn = colouring_fn(colouring_id)
         self.profiles: dict[tuple, str] | None = {} if colouring_id in HEADED else None
+        self.walks = DenominatorWalks()  # not the table itself, so keeping its bound walk makes no cycle
+        self.walk = self.walks.walk if colouring_id in WALKED else None
 
     def natural(self, n: int) -> str:
         """``n``'s key under a ``HEADED`` colouring, coloured once per binary profile and stored by it."""
@@ -257,10 +273,23 @@ class ColourTable(dict):
             key = self.profiles[profile] = self.fn(Fraction(n))._key
         return key
 
+    def colour(self, values: list[Pair] | tuple[Pair, ...]) -> list[str]:
+        """The key of each of ``values``, in order, in one pass that colours each missing value
+        once, as it is first met: ``check`` and ``__missing__`` share it."""
+        get, fn, walk, keys, headed = self.get, self.fn, self.walk, [], self.profiles is not None
+        for v in values:
+            if (key := get(v)) is None:
+                if headed and v[1] == 1:
+                    key = self[v] = self.natural(v[0])
+                elif walk is None:
+                    key = self[v] = fn(Fraction(*v))._key
+                else:
+                    key = self[v] = fn(Fraction(*v), walk=walk)._key
+            keys.append(key)
+        return keys
+
     def __missing__(self, v: Pair) -> str:
-        headed = v[1] == 1 and self.profiles is not None
-        key = self[v] = self.natural(v[0]) if headed else self.fn(Fraction(*v))._key
-        return key
+        return self.colour((v,))[0]
 
 
 def check(
@@ -280,7 +309,7 @@ def check(
     keys = ColourTable(colouring_id) if keys is None else keys
     if keys.colouring_id != colouring_id:
         raise InternalInvariantError(f"a {colouring_id} check was given a {keys.colouring_id} colour table")
-    colours = tuple(map(keys.__getitem__, values))
+    colours = tuple(keys.colour(values))
     first = colours[0] if colours else None
     clash_at = next((j for j, key in enumerate(colours) if key != first), None)
     verdict: Verdict = Monochromatic(first, not colours) if clash_at is None else Clash(0, clash_at)

@@ -249,6 +249,31 @@ class TestCheck:
         proc = run_cli("check", "--colouring", "nu", stdin="# nothing\n")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("colouring, mode, terms, value, residue", [
+        ("mu", "finite", "1/3 1/180511", "1/180511", 180_511),
+        ("mu", "finite", "1/2 1/162921105605 1/7", "1/162921105605", 32_584_221_121),  # 5·180511²
+        ("mu", "pairwise", "1/180511 180510/180511 1/2", "180513/361022", 180_511),  # s:1,2 = 1 cancels it
+        ("alpha", "pairwise", "1/180511 180510/180511 3", "541534/180511", 180_511),  # and here
+        ("alpha", "finite", "361023/180511 5/2", "361023/180511", 180_511),
+    ])
+    def test_prime_past_the_cap_refused_at_its_first_value(self, colouring, mode, terms, value, residue):
+        # 180,511 is the first prime past the cap; the first value in combination order whose
+        # denominator holds it is named with the residue the primes under the cap leave
+        row = {"argv": ["check", "--colouring", colouring, "--mode", mode], "stdin": "\n".join(terms.split())}
+        assert corpus.invoke(row) == (2, "", f"error: denominator of {value} has a prime factor"
+                                             f" beyond the first {core.PRIME_CAP} primes (residue {residue})\n")
+
+    def test_check_bytes_do_not_depend_on_earlier_checks(self):
+        # a table's denominators and primes live and die with it: a μ check prints the same bytes
+        # again, after another μ check, and in a fresh interpreter
+        row = {"argv": ["check", "--colouring", "mu", "--mode", "finite"], "stdin": "1/6\n5/7\n1/180503\n4/15"}
+        other = {"argv": ["check", "--colouring", "mu", "--mode", "pairwise"], "stdin": "1/180497\n1/10\n3/49"}
+        first, again = corpus.invoke(row), corpus.invoke(row)
+        assert corpus.invoke(other)[0] == 0
+        fresh = run_cli(*row["argv"], stdin=row["stdin"])
+        assert first == again == corpus.invoke(row) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert first[0] == 0 and first[1]
+
     def test_finite_term_cap(self):
         terms = "".join(f"{n}\n" for n in range(1, 18))
         proc = run_cli("check", "--colouring", "const", "--mode", "finite", stdin=terms)

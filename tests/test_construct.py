@@ -722,6 +722,32 @@ class TestPoolExhausted:
         }
 
 
+def _phi_by_definition(m: int) -> int:
+    """The integer two-colouring by its recursion, not by ``colourings.phi``'s zones."""
+    return (0, 1, 0, 1)[m] if 0 <= m < 4 else 1 - _phi_by_definition(m // 2 + 1)
+
+
+class TestLevelChain:
+    """The exponents n of levels 2..5 that φ admits and the bits they need against the m = 5
+    pool: a level's n needs φ(−(s + n)) = 1 for every subset sum s of the earlier levels' n."""
+
+    def test_level_two_floor_and_the_cheapest_chain(self):
+        y1 = Fraction(1, 3)
+        floor = 2 - core.a_exponent(min(y1, openness_radius(y1).radius) / 2)
+        assert floor == 11  # extend's least n at level 2
+        chain = [2]  # then, greedily, the least n past the last that φ admits, by a brute scan
+        for n in itertools.count(floor):
+            sums = {sum(sub) for r in range(len(chain) + 1) for sub in itertools.combinations(chain, r)}
+            if all(_phi_by_definition(-(s + n)) == 1 for s in sums):
+                chain.append(n)
+            if len(chain) == 5:
+                break
+        assert chain == [2, 11, 31, 127, 511]
+        # levels 2..5 need about Σ(n − 1) bits, and after block (1,) the m = 5 pool holds more
+        pool = reciprocal_prime_indices(16 + 14 * 5)[1:]
+        assert (sum(n - 1 for n in chain[1:]), int(sum(math.log2(nth_prime(r)) for r in pool))) == (676, 1079)
+
+
 class TestForcedBacktrack:
     """A level whose pool holds no block sends the search back a level."""
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -318,6 +319,28 @@ class TestPrimeWalk:
         assert prime_walk(Fraction(1, 180_503), 180_503) == (PRIME_CAP, 1)
         with pytest.raises(UnsupportedPrimeError, match=r"primes \(residue 180511\)$"):
             prime_walk(Fraction(1, 4 * 180_511), 4 * 180_511)
+
+    def test_support_route_matches_the_walk(self):
+        # with one shared support, each denominator is divided by the primes met so far and only
+        # what they leave is walked: the (k, u) and every refusal, residue included, are the walk's
+        rng = random.Random(49)
+        primes = [*itertools.islice(oracles._prime_gen(), 40), *map(nth_prime, range(PRIME_CAP - 7, PRIME_CAP + 1))]
+        support: dict[int, int] = {}
+        for _ in range(300):
+            factors = [rng.choice(primes) for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.1:
+                factors.append(rng.choice([180_511, 180_511**2, 180_533]))  # primes past the cap
+            d = math.prod(p ** rng.randint(1, 3) for p in factors)
+            x = Fraction(1, d)
+            try:
+                expected = prime_walk(x, d)
+            except UnsupportedPrimeError as exc:
+                with pytest.raises(UnsupportedPrimeError, match=f"^{re.escape(str(exc))}$"):
+                    prime_walk(x, d, support)
+                continue
+            assert prime_walk(x, d, support) == expected, d
+        assert 0 < len(support) <= len(primes)
+        assert support == {i: nth_prime(i) for i in support}
 
 
 class TestDigitLimit:

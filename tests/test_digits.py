@@ -22,6 +22,7 @@ from qcolour.core import (
     cmp_pow2_half,
     is_power_of_two,
     minimal_base_index,
+    nth_prime,
     primorial,
 )
 from qcolour.digits import (
@@ -35,6 +36,7 @@ from qcolour.digits import (
     end2,
     epsilon_exponent,
     expand,
+    leading_frac_position,
     right_left_disjoint,
     s_frac,
     start2,
@@ -298,6 +300,18 @@ class TestExpansion:
 
 
 class TestPositionFunctions:
+    def test_leading_position_matches_the_digit_expansion(self):
+        # leading_frac_position reads k = 1 from bit lengths and builds P_n only past them: on
+        # seeded x = num/den, den near num·2^n either side of the test, it equals the expansion's
+        rng = random.Random("leading-position")
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            den = math.prod(nth_prime(rng.randint(1, n)) for _ in range(rng.randint(1, 12)))
+            num = rng.randint(1, max(1, den >> max(0, n + rng.randint(-2, 4))))
+            x = Fraction(num, den)
+            if x < 1:
+                assert leading_frac_position(x, n) == expand(x, n).leading(), (x, n)
+
     def test_fractional_positions(self):
         assert s_frac(Fraction(1, 4), 2) == -1
         assert e_frac(Fraction(1, 4), 2) == -2

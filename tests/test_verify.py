@@ -17,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcolour import construct, oracles, verify
+from qcolour import construct, core, oracles, verify
 from qcolour.colourings import SHADOWS, big_phi, colour_key, colouring_fn
+from qcolour.core import PRIME_CAP, nth_prime
 from qcolour.digits import DigitExpansion, end2, expand, start2
 from qcolour.errors import DomainError, InternalInvariantError
 from qcolour.verify import (
@@ -219,7 +220,7 @@ class TestCheck:
 
         def counting(colouring_id):
             fn = real(colouring_id)
-            return lambda x: seen.append(x) or fn(x)
+            return lambda x, **given: seen.append(x) or fn(x, **given)
 
         monkeypatch.setattr(verify, "colouring_fn", counting)
         xs = [Fraction(n) for n in range(1, 17)]
@@ -268,6 +269,35 @@ class TestCheck:
         assert built == []
         # the row view builds them, through the name counted here
         assert len(cert.combinations) == len(built) == 2 * (2**11 - 1)
+
+
+class TestTableWalk:
+    """Under μ and α a ``ColourTable`` finds each distinct denominator's (k, u) once, dividing
+    it by the primes its values have shown and walking only what they leave."""
+
+    TOP = [nth_prime(PRIME_CAP - i) for i in range(8)]  # the largest primes under the cap
+
+    @pytest.mark.parametrize("colouring", ["mu", "alpha"])
+    @pytest.mark.parametrize("mode", list(CombinationMode), ids=lambda mode: mode.value)
+    def test_table_route_matches_the_walk(self, monkeypatch, colouring, mode):
+        rng = random.Random(f"table-walk-{colouring}-{mode.value}")
+        real, walked = core.divide_out_primes, []
+        monkeypatch.setattr(core, "divide_out_primes", lambda d, primes=None, met=None: (
+            walked.append(d) if primes is None else None) or real(d, primes, met))
+        for _ in range(3):
+            xs = set()
+            while len(xs) < (5 if mode is CombinationMode.FINITE_FSFP else 9):
+                d = math.prod(rng.choice([2, 3, 5, 7, *self.TOP]) ** rng.randint(1, 2)
+                              for _ in range(rng.randint(1, 2)))
+                xs.add(Fraction(rng.randint(1, 3 * d), d))
+            xs, table, walked[:] = sorted(xs), verify.ColourTable(colouring), []
+            cert = check(colouring, xs, mode, keys=table)
+            # every walk over the primes met a new one, and each (k, u) is the walk's
+            assert 0 < len(walked) <= len(table.walks.support) and set(table.walks) <= {d for _, d in cert.values}
+            for d, found in table.walks.items():
+                assert found == core.prime_walk(Fraction(1, d), d), d
+            fn = colouring_fn(colouring)  # the table's route gives the keys the walk gives
+            assert cert.keys == tuple(colour_key(fn(Fraction(*v))) for v in cert.values)
 
 
 class TestCertificateSerialization:
@@ -525,7 +555,7 @@ class TestCheckModel:
 
         def counting(colouring_id):
             fn = real(colouring_id)
-            return lambda x: seen.append(x) or fn(x)
+            return lambda x, **given: seen.append(x) or fn(x, **given)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "colouring_fn", counting)
@@ -779,7 +809,7 @@ class TestSearch:
 
         def counting(colouring_id):
             fn = real(colouring_id)
-            return lambda x: seen.append(x) or fn(x)
+            return lambda x, **given: seen.append(x) or fn(x, **given)
 
         monkeypatch.setattr(verify, "colouring_fn", counting)
         graphs = []
@@ -866,7 +896,7 @@ class TestSearch:
 
         def counting(colouring_id):
             fn = real(colouring_id)
-            return lambda x: seen.append(x) or fn(x)
+            return lambda x, **given: seen.append(x) or fn(x, **given)
 
         monkeypatch.setattr(verify, "colouring_fn", counting)
         elements = universe.elements()
@@ -889,9 +919,9 @@ from qcolour import cli, verify
 counts, real = [], verify.colouring_fn
 def counting(colouring_id):
     fn = real(colouring_id)
-    def call(x):
+    def call(x, **given):
         counts[-1] += 1
-        return fn(x)
+        return fn(x, **given)
     return call
 verify.colouring_fn = counting
 for argv, terms in [
