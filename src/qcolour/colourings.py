@@ -259,22 +259,19 @@ def nu(x: Rational) -> NuValue:
 
 
 def mu(x: Rational, table: PrimeTable | None = None, *, walk: Walk = prime_walk) -> ColourValue:
-    """nu plus, below 1, the pair colours of the leading/trailing digit positions, with the
-    denominator's (n, u) from ``walk``, which ``verify.ColourTable`` gives as its own."""
+    """nu plus, below 1, the pair colours of the leading/trailing digit positions, read from the
+    denominator's minimal base index k and largest prime exponent u as ``walk`` gives them
+    (``verify.ColourTable`` passes its own)."""
     # ``table`` is ignored; perfbench/tracing.py passes one until the benchmark is next revised.
     n, d = x.numerator, x.denominator
     if 0 < n < d:
-        return mu_below_one(x, *walk(x, d))
+        k, u = walk(x, d)
+        s = leading_frac_position(x, k)  # the trailing digit sits at position -u
+        v, p, q = _nu_head(n, d, True), big_phi(-s, u), psi_prime(-s, u)
+        key = (v._key, p._key, q._key)
+        return _MU_FRACS.get(key) or _MU_FRACS.setdefault(key, MuFrac(v, p, q))
     v = _nu_head(n, d, True) if n > 0 else nu(x)  # nu refuses n < 1
     return _MU_WHOLES.get(v._key) or _MU_WHOLES.setdefault(v._key, MuWhole(v))
-
-
-def mu_below_one(x: Rational, n: int, u: int) -> MuFrac:
-    """mu of 0 < x < 1 from its denominator's minimal base index n and largest prime exponent u."""
-    s = leading_frac_position(x, n)  # the trailing digit sits at position -u
-    v, p, q = _nu_head(x.numerator, x.denominator, True), big_phi(-s, u), psi_prime(-s, u)
-    k = (v._key, p._key, q._key)
-    return _MU_FRACS.get(k) or _MU_FRACS.setdefault(k, MuFrac(v, p, q))
 
 
 def alpha(x: Rational, table: PrimeTable | None = None, *, walk: Walk = prime_walk) -> ColourValue:

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .colourings import NuTuple, colour_key, mu_below_one, nu, phi
+from .colourings import NuTuple, colour_key, nu, phi
 from .core import (
     PRIME_CAP,
     Rational,
@@ -140,13 +140,6 @@ def minimal_digit_fact(z: Rational) -> bool:
         raise DomainError(f"value must be in (0,1), got {z}")
     k, u = prime_walk(z, z.denominator)
     return u == 1 and leading_frac_position(z, k) == -1
-
-
-def _block_key(v: Rational, blocks: int, k: int) -> str:
-    """μ's key of v < 1 from (k, 1), checked: v's denominator divides ``blocks`` and holds p_k."""
-    if not (v < 1 and blocks % v.denominator == 0 and v.denominator % nth_prime(k) == 0):
-        raise InternalInvariantError(f"{v} has no block denominator of base index {k}")
-    return colour_key(mu_below_one(v, k, 1))
 
 
 class _Budget:
@@ -280,12 +273,12 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
     def extend(levels: tuple[_Level, ...], sums: list[Rational], products: list[Rational], zone: set[int]):
         """``levels`` holds the accepted terms, ``sums`` and ``products`` their subset sums and products
         by bitmask, the empty one (0 and 1) first, and ``zone`` the subset sums of their |a|-exponents n;
-        the first three are returned once all m terms are in, else None. The newest term y_t was accepted
+        ``levels`` is returned once all m terms are in, else None. The newest term y_t was accepted
         below half of every older sum's openness radius, so only y_t and the newest half of ``sums``, the
         sums that hold it, can set the next bound. Each product with a candidate is built once."""
         nonlocal best_depth
         if len(levels) == m:
-            return levels, sums, products
+            return levels
         last = levels[-1]
         bound = min(last.y, *(openness_radius(s).radius for s in sums[len(sums) // 2 :])) / 2
         first_pos = max(last.block) + 1
@@ -315,28 +308,24 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
         return None
 
     try:
-        found = extend((_Level(block=(1,), y=y1, n=2, j=2),), [0, y1], [1, y1], {0, 2})
+        levels = extend((_Level(block=(1,), y=y1, n=2, j=2),), [0, y1], [1, y1], {0, 2})
     except BudgetExhaustedError as exc:
         raise BudgetExhaustedError(
             f"search budget exhausted at depth {best_depth}", best_depth=best_depth
         ) from exc
-    if not found:
+    if not levels:
         raise BudgetExhaustedError(
             f"pool of {pool_size} terms exhausted at depth {best_depth}",
             best_depth=best_depth,
         )
-    levels, sums, products = found
     ys = [lv.y for lv in levels]
     max_pos = max(levels[-1].block)
     system = BlockSystem(
         base_indices=tuple(indices[:max_pos]),
         blocks=tuple(lv.block for lv in levels),
     )
-    keys, blocks = ColourTable("mu"), 1  # μ without a walk: sums and products [2^t : 2^(t+1)] end in term t
-    for t, lv in enumerate(levels):
-        blocks *= lv.y.denominator  # D_t: squarefree, its largest prime p_k at the block's last position
-        for v in sums[2**t : 2 ** (t + 1)] + products[2**t : 2 ** (t + 1)]:
-            keys[v.numerator, v.denominator] = _block_key(v, blocks, indices[max(lv.block) - 1])
+    keys = ColourTable("mu")  # the blocks' primes divide every denominator out; any other prime is walked
+    keys.walks.support.update((indices[t - 1], base_primes[t - 1]) for lv in levels for t in lv.block)
     certificate = check("mu", ys, CombinationMode.FINITE_FSFP, keys=keys)
     if not isinstance(certificate.verdict, Monochromatic):
         raise InternalInvariantError(

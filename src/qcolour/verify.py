@@ -242,7 +242,8 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
 
 class DenominatorWalks(dict):
     """``d -> core.prime_walk(x, d, self.support)`` by ``walk``, once per d: each walk over the primes
-    meets a new prime or refuses d, so a check walks over them at most once per prime of its terms."""
+    meets a new prime or refuses d, so a check walks over them at most once per prime of its terms.
+    A prime put in ``support`` beforehand is only a hint: the (k, u) and refusals are the walk's."""
 
     def __init__(self) -> None:
         self.support: dict[int, int] = {}  # the primes met, by index
@@ -302,8 +303,8 @@ def check(
     which is always (0, j) for the first j whose key differs from entry 0's.
     Each distinct value, or under θ and α each distinct binary profile, is coloured
     once, in first-seen order, into ``keys``: a fresh table unless given; search
-    gives its graph's table, construct one it filled. A table of another colouring
-    is refused.
+    gives its graph's table, construct one whose prime support it seeded with its
+    blocks' primes. A table of another colouring is refused.
     """
     tags, values = _pair_combinations(xs, mode)
     keys = ColourTable(colouring_id) if keys is None else keys

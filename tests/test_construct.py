@@ -10,9 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_golden import corpus
 
 from qcolour import cli, construct, core, digits, oracles
-from qcolour.colourings import colour_key, mu, mu_below_one, nu
+from qcolour.colourings import colour_key, mu, nu
 from qcolour.construct import (
     BlockSystem,
     OpennessRadius,
@@ -29,7 +30,15 @@ from qcolour.errors import (
     InternalInvariantError,
     TableExhaustedError,
 )
-from qcolour.verify import CombinationMode, Monochromatic, combinations, validate
+from qcolour.verify import (
+    ColourTable,
+    CombinationMode,
+    Monochromatic,
+    check,
+    combinations,
+    json_text,
+    validate,
+)
 
 MU_KEY = "mu:f:nu:t:0,1,2,1,1|phi:z|phi:t:0,1,0,0,0"
 Y2 = Fraction(1, 2069271737)  # 1/(13*257*661*937)
@@ -855,59 +864,50 @@ def _derived_base_indices(res):
     return out
 
 
-#: sha256 of json.dumps(extend_sum_closed(m).to_obj()), first 16 hex digits
-RESULT_DIGESTS = {
-    1: "429b3f9d2285d5fd",
-    2: "1f2482a49159d4ef",
-    3: "1e794f1842a0032c",
-    4: "df98b5f7d07b6801",
-}
-
-
 class TestCertificateKeysFromBlocks:
-    """The final μ certificate is keyed from each value's known (k, 1)."""
+    """The final μ certificate is keyed through a table whose prime support starts with the
+    blocks' primes: each value's (k, 1) is found by dividing by them, with no walk."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_derived_equals_walked(self, m):
         res = extend_sum_closed(m)
         for entry, k in _derived_base_indices(res):
             assert prime_walk(entry.value, entry.value.denominator) == (k, 1), entry.tag
-            assert colour_key(mu_below_one(entry.value, k, 1)) == entry.colour
             assert entry.colour == colour_key(mu(entry.value)), entry.tag
 
     def test_no_prime_walk(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a value was walked over the primes")
+        # dividing by given primes, the seeded block primes, is allowed; a walk over the primes is not
+        divide = core.divide_out_primes
+
+        def refuse(d, primes=None, met=None):
+            if primes is None:
+                raise AssertionError("a value was walked over the primes")
+            return divide(d, primes, met)
 
         monkeypatch.setattr(core, "divide_out_primes", refuse)
         monkeypatch.setattr(digits, "divide_out_primes", refuse)
-        for m, digest in RESULT_DIGESTS.items():
-            res = extend_sum_closed(m)
-            assert hashlib.sha256(json.dumps(res.to_obj()).encode()).hexdigest()[:16] == digest
+        rows = {tuple(row["argv"]): row for row in corpus.load()}
+        for m in (1, 2, 3, 4):
+            text = json_text(extend_sum_closed(m).to_obj()) + "\n"
+            digest = rows["construct", "--terms", str(m)]["stdout_sha256"]
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, m
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_the_seed_is_only_a_hint(self, m):
+        # a prime left out of the seed is walked, and a seeded prime that divides nothing is skipped
+        res = extend_sum_closed(m)
+        indices, blocks = res.system.base_indices, res.system.blocks
+        seed = {indices[t - 1]: nth_prime(indices[t - 1]) for block in blocks for t in block}
+        last = {indices[t - 1] for t in blocks[-1]}
+        stray = max(indices) + 1  # past every block prime, so it divides no value
+        for support in (seed, {r: p for r, p in seed.items() if r not in last}, {**seed, stray: nth_prime(stray)}):
+            table = ColourTable("mu")
+            table.walks.support.update(support)
+            cert = check("mu", list(res.terms), CombinationMode.FINITE_FSFP, keys=table)
+            assert cert.to_obj() == res.certificate.to_obj()
+            assert table.walks.support.keys() >= seed.keys()  # the left-out primes were walked to
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_keys_match_the_mu_oracle(self, m):
         for entry in extend_sum_closed(m).certificate.combinations:
             assert entry.colour == colour_key(oracles.mu_oracle(entry.value)), entry.tag
-
-    # positions 1, 2, 3 of the base sequence hold 3, 13 and 37 (indices 2, 6, 12)
-    @pytest.mark.parametrize(
-        "v",
-        [
-            Fraction(1, 13 * 37 * 5),  # 5 is in no block
-            Fraction(1, 13 * 37 * 37),  # a block prime squared
-            Fraction(1, 3 * 13),  # without p_k = 37
-            Fraction(3 * 13 * 37 + 1, 3 * 13 * 37),  # not below 1
-        ],
-    )
-    def test_guard_refuses_before_keying(self, monkeypatch, v):
-        def unreachable(*args):
-            raise AssertionError("keyed past the guard")
-
-        monkeypatch.setattr(construct, "mu_below_one", unreachable)
-        with pytest.raises(InternalInvariantError):
-            construct._block_key(v, 3 * 13 * 37, 12)
-
-    def test_guard_passes_a_block_value(self):
-        v = Fraction(1, 3 * 37) + Fraction(1, 13 * 37)
-        assert construct._block_key(v, 3 * 13 * 37, 12) == colour_key(mu(v))
