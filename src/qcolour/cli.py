@@ -15,9 +15,9 @@ import os
 import sys
 
 from .colourings import (
+    BITS,
     PAIR_COLOURINGS,
     UNARY_COLOURINGS,
-    Bit,
     colour_key,
     colouring_fn,
     phi,
@@ -53,7 +53,7 @@ def _colour_one(colouring_id: str, text: str):
         b = _parse_int(parts[1], "second component")
         return PAIR_COLOURINGS[colouring_id](a, b)
     if colouring_id == "phi":
-        return Bit(phi(_parse_int(text, "phi argument")))
+        return BITS[phi(_parse_int(text, "phi argument"))]
     return colouring_fn(colouring_id)(parse_rational(text))
 
 

@@ -38,6 +38,9 @@ from .verify import (
     ColourTable,
     CombinationMode,
     Monochromatic,
+    Pair,
+    _add,
+    _mul,
     check,
 )
 
@@ -270,17 +273,17 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
     budget = _Budget(search_budget)
     best_depth = 1
 
-    def extend(levels: tuple[_Level, ...], sums: list[Rational], products: list[Rational], zone: set[int]):
-        """``levels`` holds the accepted terms, ``sums`` and ``products`` their subset sums and products
-        by bitmask, the empty one (0 and 1) first, and ``zone`` the subset sums of their |a|-exponents n;
-        ``levels`` is returned once all m terms are in, else None. The newest term y_t was accepted
-        below half of every older sum's openness radius, so only y_t and the newest half of ``sums``, the
-        sums that hold it, can set the next bound. Each product with a candidate is built once."""
+    def extend(levels: tuple[_Level, ...], sums: list[Pair], products: list[Pair], zone: set[int]):
+        """``levels`` holds the accepted terms, ``sums`` and ``products`` their subset sums and products,
+        reduced pairs by bitmask, the empty one first, and ``zone`` the subset sums of their |a|-exponents n;
+        ``levels`` is returned once all m terms are in, else None. The newest term y_t was accepted below
+        half of every older sum's openness radius, so only y_t and the newest half of ``sums``, the sums that
+        hold it, can set the next bound. Each product with a candidate is built once."""
         nonlocal best_depth
         if len(levels) == m:
             return levels
         last = levels[-1]
-        bound = min(last.y, *(openness_radius(s).radius for s in sums[len(sums) // 2 :])) / 2
+        bound = min(last.y, *(openness_radius(Fraction(*s)).radius for s in sums[len(sums) // 2 :])) / 2
         first_pos = max(last.block) + 1
         pool = [(t, base_primes[t - 1]) for t in range(first_pos, pool_size + 1)]
         weight = sum(math.log2(p) for _, p in pool)
@@ -292,12 +295,12 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
                         budget.left -= 1
                         if budget.left < 0:
                             raise BudgetExhaustedError("budget exhausted")
-                        y = Fraction(1, prod)
+                        y, x = Fraction(1, prod), (1, prod)  # the term, and as a reduced pair
                         if y >= bound:  # n ≥ 2 − a(bound), so the window gives y < 2^(1−n) ≤ bound/2
                             raise InternalInvariantError(f"term {y} not below the bound {bound}")
-                        new_products, new_sums = [p * y for p in products], [s + y for s in sums]
+                        new_products, new_sums = [_mul(t, x) for t in products], [_add(t, x) for t in sums]
                         for kind, values in (("product", new_products), ("sum", new_sums)):  # y itself first
-                            for v in values:
+                            for v in (Fraction(*t) for t in values):
                                 if colour_key(nu(v)) != target:
                                     raise InternalInvariantError(f"{kind} {v} left the target class")
                         best_depth = max(best_depth, len(levels) + 1)
@@ -308,7 +311,7 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
         return None
 
     try:
-        levels = extend((_Level(block=(1,), y=y1, n=2, j=2),), [0, y1], [1, y1], {0, 2})
+        levels = extend((_Level(block=(1,), y=y1, n=2, j=2),), [(0, 1), (1, 3)], [(1, 1), (1, 3)], {0, 2})
     except BudgetExhaustedError as exc:
         raise BudgetExhaustedError(
             f"search budget exhausted at depth {best_depth}", best_depth=best_depth
@@ -325,7 +328,7 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
         blocks=tuple(lv.block for lv in levels),
     )
     keys = ColourTable("mu")  # the blocks' primes divide every denominator out; any other prime is walked
-    keys.walks.support.update((indices[t - 1], base_primes[t - 1]) for lv in levels for t in lv.block)
+    keys.support.update((indices[t - 1], base_primes[t - 1]) for lv in levels for t in lv.block)
     certificate = check("mu", ys, CombinationMode.FINITE_FSFP, keys=keys)
     if not isinstance(certificate.verdict, Monochromatic):
         raise InternalInvariantError(

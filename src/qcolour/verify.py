@@ -240,32 +240,28 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
     return [(tag, Fraction(*value)) for tag, value in zip(*_pair_combinations(xs, mode))]
 
 
-class DenominatorWalks(dict):
-    """``d -> core.prime_walk(x, d, self.support)`` by ``walk``, once per d: each walk over the primes
-    meets a new prime or refuses d, so a check walks over them at most once per prime of its terms.
-    A prime put in ``support`` beforehand is only a hint: the (k, u) and refusals are the walk's."""
-
-    def __init__(self) -> None:
-        self.support: dict[int, int] = {}  # the primes met, by index
-
-    def walk(self, x: Rational, d: int) -> tuple[int, int]:
-        if (found := self.get(d)) is None:
-            found = self[d] = prime_walk(x, d, self.support)
-        return found
-
-
 class ColourTable(dict):
     """``Pair -> key``: a missing pair is handed, as one ``Fraction``, to what ``verify.colouring_fn``
     returned for ``colouring_id`` when the table was made, and its key stored in first-seen order.
     Under a ``colourings.HEADED`` colouring a missing natural's key comes from ``natural``, and under
-    a ``colourings.WALKED`` one the function also gets ``walk=self.walk``. Nothing outlives the table."""
+    a ``colourings.WALKED`` one the function also gets ``walk``, which puts each denominator d's
+    ``core.prime_walk(x, d, support)`` in ``walked`` once. ``support`` ({index: prime}) holds the
+    primes the table has met: each walk over the primes meets a new prime or refuses d, so a check
+    walks over them at most once per prime of its terms. A prime put in ``support`` beforehand is
+    only a hint: the (k, u) and refusals are the walk's. Nothing outlives the table."""
 
     def __init__(self, colouring_id: str):
         self.colouring_id = colouring_id
         self.fn = colouring_fn(colouring_id)
         self.profiles: dict[tuple, str] | None = {} if colouring_id in HEADED else None
-        self.walks = DenominatorWalks()  # not the table itself, so keeping its bound walk makes no cycle
-        self.walk = self.walks.walk if colouring_id in WALKED else None
+        support, walked = self.support, self.walked = {}, {}  # {index: prime} met, {d: (k, u)} walked
+
+        def walk(x: Rational, d: int) -> tuple[int, int]:  # not a bound method, so the table is in no cycle
+            if (found := walked.get(d)) is None:
+                found = walked[d] = prime_walk(x, d, support)
+            return found
+
+        self.walk = walk if colouring_id in WALKED else None
 
     def natural(self, n: int) -> str:
         """``n``'s key under a ``HEADED`` colouring, coloured once per binary profile and stored by it."""

@@ -902,10 +902,10 @@ class TestCertificateKeysFromBlocks:
         stray = max(indices) + 1  # past every block prime, so it divides no value
         for support in (seed, {r: p for r, p in seed.items() if r not in last}, {**seed, stray: nth_prime(stray)}):
             table = ColourTable("mu")
-            table.walks.support.update(support)
+            table.support.update(support)
             cert = check("mu", list(res.terms), CombinationMode.FINITE_FSFP, keys=table)
             assert cert.to_obj() == res.certificate.to_obj()
-            assert table.walks.support.keys() >= seed.keys()  # the left-out primes were walked to
+            assert table.support.keys() >= seed.keys()  # the left-out primes were walked to
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_keys_match_the_mu_oracle(self, m):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import gc
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcolour import construct, core, oracles, verify
-from qcolour.colourings import SHADOWS, big_phi, colour_key, colouring_fn
+from qcolour.colourings import SHADOWS, UNARY_COLOURINGS, WALKED, big_phi, colour_key, colouring_fn
 from qcolour.core import PRIME_CAP, nth_prime
 from qcolour.digits import DigitExpansion, end2, expand, start2
 from qcolour.errors import DomainError, InternalInvariantError
@@ -293,11 +295,27 @@ class TestTableWalk:
             xs, table, walked[:] = sorted(xs), verify.ColourTable(colouring), []
             cert = check(colouring, xs, mode, keys=table)
             # every walk over the primes met a new one, and each (k, u) is the walk's
-            assert 0 < len(walked) <= len(table.walks.support) and set(table.walks) <= {d for _, d in cert.values}
-            for d, found in table.walks.items():
+            assert 0 < len(walked) <= len(table.support) and set(table.walked) <= {d for _, d in cert.values}
+            for d, found in table.walked.items():
                 assert found == core.prime_walk(Fraction(1, d), d), d
             fn = colouring_fn(colouring)  # the table's route gives the keys the walk gives
             assert cert.keys == tuple(colour_key(fn(Fraction(*v))) for v in cert.values)
+
+    @pytest.mark.parametrize("colouring", list(UNARY_COLOURINGS))
+    def test_a_used_table_is_freed_by_reference_counting(self, colouring):
+        # the walk it hands μ and α holds its dicts, not the table, so no cycle keeps it alive; μ walks
+        # the values below 1 and α those above 2, so under both some value here is walked
+        xs = [3, 5, 11] if colouring in ("theta", "phi") else [Fraction(7, 3), Fraction(5, 7), Fraction(11, 13)]
+        table = verify.ColourTable(colouring)
+        check(colouring, xs, CombinationMode.FINITE_FSFP, keys=table)
+        assert bool(table.walked) == (colouring in WALKED)
+        ref = weakref.ref(table)
+        gc.disable()
+        try:
+            del table
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestCertificateSerialization:
