@@ -220,6 +220,13 @@ def theta(m: int) -> ThetaTuple:
     return _THETAS.get(k) or _THETAS.setdefault(k, ThetaTuple(*k[:3], inner, shift, *k[5:]))
 
 
+def theta_fixed(end: int, start: int) -> tuple:
+    """The θ components that a natural's (end, start), end <= start, fixes, as ``theta`` reads
+    them: the power flag (end = start), the end parity, φ(end) and the pair colours
+    Φ(end, start) and Φ(end, start + 1), the last two by key."""
+    return int(end == start), end % 2, phi(end), big_phi(end, start)._key, big_phi(end, start + 1)._key
+
+
 def _nu_head(n: int, d: int, whole: bool = False) -> NuValue | tuple[int, int]:
     """nu's first stage, which is also nu's shadow: the special class of n/d, tried in nu's
     order (C1, C4∖C1, C3∖C4; only dyadic rationals are in them), else (w1, w2) of its tuple,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Hashable, Iterator
 
-from .colourings import HEADED, SHADOWS, WALKED, colouring_fn, theta
+from .colourings import HEADED, SHADOWS, WALKED, colouring_fn, theta, theta_fixed
 from .core import (
     DIGIT_LIMIT, PRIME_CAP, PrimeTable, Rational, Record, check_digits, is_dyadic, nth_prime,
     parse_rational, prime_walk, primorial,
@@ -161,6 +161,11 @@ FINITE_TERM_CAP = 16
 #: Pairwise mode takes at most this many terms, so a search certificate always
 #: fits: k terms have k·(k − 1) combinations.
 UNIVERSE_CAP = 512
+#: A θ or α search over the naturals alone (denominator bound 1) holds at most this many
+#: elements: ``_PairGraph`` visits their pairs by class, and at the cap ``search --target 11``
+#: takes about 2 s and 32 MiB end to end (2 CPUs, Python 3.11.7). ``--target`` keeps the
+#: pairwise term cap.
+NATURAL_CAP = 65_536
 
 
 def term_cap(mode: CombinationMode) -> int:
@@ -347,11 +352,12 @@ class UniverseSpec(Record):
     prime_index_bound: int = 1
     integers_only: bool = False
 
-    def elements(self) -> list[Rational]:
+    def elements(self, cap: int = UNIVERSE_CAP) -> list[Rational]:
         """All x = n/d in lowest terms with d at most the denominator bound D (1 under
         ``integers_only``) and a product of the first ``prime_index_bound`` primes (``PRIME_CAP``
-        at most), ordered by (d, n); at most ``UNIVERSE_CAP``. A bound below 1 is refused before
-        anything is listed. At most D - 1 primes are at most D, so D = 1 reads no prime."""
+        at most), ordered by (d, n); at most ``cap`` of them and of the denominators. A bound
+        below 1 is refused before anything is listed. At most D - 1 primes are at most D, so
+        D = 1 reads no prime."""
         for name, bound in (("numerator bound", self.numerator_bound),
                             ("denominator bound", self.denominator_bound),
                             ("prime index", self.prime_index_bound)):
@@ -360,17 +366,18 @@ class UniverseSpec(Record):
         top_d = 1 if self.integers_only else self.denominator_bound
         dens = [1]
         for p in map(nth_prime, range(1, min(self.prime_index_bound, PRIME_CAP, top_d - 1) + 1)):
-            if p > top_d or len(dens) > UNIVERSE_CAP:
+            if p > top_d or len(dens) > cap:
                 break
             for d in dens[:]:
-                while d * p <= top_d and len(dens) <= UNIVERSE_CAP:
+                while d * p <= top_d and len(dens) <= cap:
                     d *= p
                     dens.append(d)
         top = self.numerator_bound + 1
         values = (Fraction(n, d) for d in sorted(dens) for n in range(1, top) if gcd(n, d) == 1)
-        out = list(itertools.islice(values, UNIVERSE_CAP + 1))
-        if len(dens) > UNIVERSE_CAP or len(out) > UNIVERSE_CAP:
-            raise DomainError(f"universe has more than {UNIVERSE_CAP} elements or denominators")
+        out = list(itertools.islice(values, cap + 1))
+        if len(dens) > cap or len(out) > cap:
+            raise DomainError(f"universe has more than {cap} elements or denominators; "
+                              f"theta and alpha over the naturals take {NATURAL_CAP}")
         return out
 
 
@@ -381,21 +388,58 @@ class SearchResult(Record):
     certificates: list[Certificate]
 
 
+def _class_pairs(classes: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The pairs (a, b), a <= b, of indices into ``classes``, each the (v2, top bit) = (end, start)
+    of a class of naturals, whose integer pairs can hold an edge under θ or α, in order. (a, b)
+    is kept when some (end, start) its sums can have and some its products can have agree in
+    ``colourings.theta_fixed``. Each (end, start)'s components are read once, and each
+    candidate set built once per (end range, start)."""
+    fixed: dict[tuple[int, int], tuple] = {}  # (end, start) -> its theta_fixed
+    sets: dict[tuple[int, int, int], set] = {}  # (least end, most end, start) -> its candidates
+
+    def candidates(lo: int, hi: int, start: int) -> set:  # every end in [lo, hi], start or start + 1
+        if (found := sets.get((lo, hi, start))) is None:
+            ends = [(e, s) for s in (start, start + 1) for e in range(lo, min(hi, s) + 1)]
+            for es in ends:
+                if es not in fixed:
+                    fixed[es] = theta_fixed(*es)
+            found = sets[lo, hi, start] = {fixed[es] for es in ends}
+        return found
+
+    for a, (e1, s1) in enumerate(classes):
+        for b in range(a, len(classes)):
+            e2, s2 = classes[b]
+            top, low = max(s1, s2), min(e1, e2)
+            sums = candidates(low, low, top) if e1 != e2 else candidates(e1 + 1, top + 1, top)
+            if not sums.isdisjoint(candidates(e1 + e2, e1 + e2, s1 + s2)):
+                yield a, b
+
+
 class _PairGraph:
     """The colour keys of the values a search meets, and its pair masks by key.
 
-    Construction is one pass in canonical order, a row of pairs (i, j > i) at a
-    time: finite mode colours the elements, then each pair's sum and product is
-    coloured as the pair is met, into one ``ColourTable``, unless the two
-    values have ``colourings.SHADOWS`` that differ: that pair is no edge.
-    Under a ``colourings.HEADED`` colouring an integer pair is dropped before
-    either value is built when (parity, φ) of v2(x + y) and of v2(x) + v2(y),
-    θ's ``end_parity`` and ``phi_of_end`` of its sum and product, differ; else
-    they are compared through ``ColourTable.natural``, which stores neither.
-    ``adj[K, i]`` is the bitmask of the j > i whose pair sum and pair product
-    both have key K, so a pairwise-monochromatic configuration is a clique of
-    one key. Finite mode uses the masks as a necessary filter and colours the
-    sums and products of three or more terms as they are met.
+    Finite mode first colours the elements. Then each pair's sum and product is coloured
+    as the pair is met, into one ``ColourTable``. ``adj[K, i]`` is the bitmask of the j > i
+    whose pair sum and pair product both have key K, so a pairwise-monochromatic
+    configuration is a clique of one key. Finite mode uses the masks as a necessary filter
+    and colours the sums and products of three or more terms as they are met.
+
+    Under a ``colourings.HEADED`` colouring the leading naturals, all of them in (d, n)
+    order, are paired by class: the naturals of one (v2, top bit) = (end, start). A class
+    pair is visited only when ``_class_pairs`` keeps it: some (end, start) its sums can have
+    and some its products can have agree in the θ components (end, start) fixes
+    (``colourings.theta_fixed``), as a sum and a product of one key must. Their candidates:
+    v2(xy) = e1 + e2, and xy's top bit is s1 + s2 or s1 + s2 + 1; x + y's top bit is
+    max(s) or max(s) + 1, and its v2 is min(e) when e1 != e2, else in [e1 + 1, max(s) + 1].
+    Inside a kept class pair an integer pair is dropped before either value is built when
+    (parity, φ) of v2(x + y) and of v2(x) + v2(y), θ's ``end_parity`` and ``phi_of_end`` of
+    its sum and product, differ; else they are compared through ``ColourTable.natural``,
+    which stores neither.
+
+    Every other pair, one with a member that is not such a natural, is met in canonical
+    order, a row of pairs (i, j > i) at a time, each row starting past the naturals paired
+    by class. Its pair is no edge, and neither value is coloured, when the two values have
+    ``colourings.SHADOWS`` that differ.
     """
 
     def __init__(self, colouring_id: str, elements: list[Rational], mode: CombinationMode):
@@ -406,39 +450,55 @@ class _PairGraph:
         for j, x in enumerate(xs if self.finite else ()):
             k = keys[x]
             self.singles[k] = self.singles.get(k, 0) | 1 << j
+        self.adj: dict[tuple[str, int], int] = {}
+        self.edges: list[int] = [0] * len(xs)  # j > i whose pair sum and product share any key
+        m = next((i for i, x in enumerate(xs) if x[1] != 1), len(xs)) if colouring_id in HEADED else 0
+        if m:
+            self._natural_edges(xs[:m])
         shadow = SHADOWS.get(colouring_id)
         shades: dict[Pair, Hashable] = {}  # per distinct value, filled where first met
-        # each element's v2 (its numerator's, read only on integer pairs), and the head of
-        # every v2 the sum or the product of two elements can have: theta's of 2^e, whose v2 is e
-        ends = [(n & -n).bit_length() - 1 for n, _ in xs] if colouring_id in HEADED else []
-        heads = [(t.end_parity, t.phi_of_end) for t in map(theta, (1 << e for e in range(
-            2 * max(n for n, _ in xs).bit_length())))] if ends else None
-        self.adj: dict[tuple[str, int], int] = {}
-        self.edges: list[int] = []  # j > i whose pair sum and product share any key
         for i, x in enumerate(xs):
             row = 0
-            headed = heads is not None and x[1] == 1
-            for j in range(i + 1, len(xs)):
+            for j in range(max(i + 1, m), len(xs)):
                 y = xs[j]
-                if headed and y[1] == 1:
-                    s = x[0] + y[0]
-                    if heads[(s & -s).bit_length() - 1] != heads[ends[i] + ends[j]]:
-                        continue  # the heads of v2(x + y) and v2(x) + v2(y) differ, so the keys do
-                    k, other = keys.natural(s), keys.natural(x[0] * y[0])
-                else:
-                    total, prod = _add(x, y), _mul(x, y)
-                    if shadow:  # one shadow per distinct value
-                        if (a := shades.get(total)) is None:
-                            a = shades[total] = shadow(*total)
-                        if (b := shades.get(prod)) is None:
-                            b = shades[prod] = shadow(*prod)
-                        if a is not b and a != b:  # identity first: a record's == is a Python call
-                            continue  # the shadows differ, so the keys do
-                    k, other = keys[total], keys[prod]
-                if k == other:
+                total, prod = _add(x, y), _mul(x, y)
+                if shadow:  # one shadow per distinct value
+                    if (a := shades.get(total)) is None:
+                        a = shades[total] = shadow(*total)
+                    if (b := shades.get(prod)) is None:
+                        b = shades[prod] = shadow(*prod)
+                    if a is not b and a != b:  # identity first: a record's == is a Python call
+                        continue  # the shadows differ, so the keys do
+                k = keys[total]
+                if k == keys[prod]:
                     self.adj[k, i] = self.adj.get((k, i), 0) | 1 << j
                     row |= 1 << j
-            self.edges.append(row)
+            self.edges[i] |= row
+
+    def _natural_edges(self, naturals: list[Pair]) -> None:
+        """The edges among ``naturals``, the graph's first elements, by kept class pair."""
+        # the head of every v2 a sum or product can have: theta's of 2^e, whose v2 is e
+        heads = [(t.end_parity, t.phi_of_end) for t in map(theta, (1 << e for e in range(
+            2 * max(n for n, _ in naturals).bit_length())))]
+        classes: dict[tuple[int, int], list[int]] = {}  # (v2, top bit) -> its members, ascending
+        for i, (n, _) in enumerate(naturals):
+            classes.setdefault(((n & -n).bit_length() - 1, n.bit_length() - 1), []).append(i)
+        order, members = list(classes), list(classes.values())
+        natural, adj, edges = self.keys.natural, self.adj, self.edges
+        for a, b in _class_pairs(order):
+            head = heads[order[a][0] + order[b][0]]  # v2(xy) = v2(x) + v2(y)
+            pairs = (itertools.combinations(members[a], 2) if a == b
+                     else itertools.product(members[a], members[b]))
+            for i, j in pairs:
+                x, y = naturals[i][0], naturals[j][0]
+                s = x + y
+                if heads[(s & -s).bit_length() - 1] != head:
+                    continue  # the heads of v2(x + y) and v2(x) + v2(y) differ, so the keys do
+                k = natural(s)
+                if k == natural(x * y):
+                    i, j = min(i, j), max(i, j)
+                    adj[k, i] = adj.get((k, i), 0) | 1 << j
+                    edges[i] |= 1 << j
 
     def below(self, root: int) -> Iterator[list[int]]:
         """Monochromatic configurations with least element ``root``, in DFS preorder."""
@@ -491,8 +551,10 @@ def search(
     """Bounded DFS for monochromatic configurations over the universe.
 
     Pair sums and products are coloured once each, or under θ and α once per
-    binary profile, in one pass before the DFS, unless the v2 head test or
-    their shadows rule the pair out (see ``_PairGraph``). Extensions only
+    binary profile, in one pass before the DFS, unless their classes, the v2 head
+    test or their shadows rule the pair out (see ``_PairGraph``). A θ or α universe
+    of naturals (denominator bound 1) holds up to ``NATURAL_CAP`` elements, any
+    other up to ``UNIVERSE_CAP``. Extensions only
     move forward in canonical order, so every subset is visited at most once,
     and ``nodes`` counts the configurations visited. A target above ``term_cap``
     is refused before the universe is listed. Finite mode extends no configuration
@@ -505,7 +567,8 @@ def search(
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
     check_term_count(target_size, mode)
-    elements = universe.elements()
+    naturals = universe.integers_only or universe.denominator_bound == 1
+    elements = universe.elements(NATURAL_CAP if colouring_id in HEADED and naturals else UNIVERSE_CAP)
     graph = _PairGraph(colouring_id, elements, mode)
     preorder = itertools.chain.from_iterable(map(graph.below, range(len(elements))))
     certificates, max_size, nodes = [], 0, 0

@@ -20,7 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcolour import construct, core, oracles, verify
-from qcolour.colourings import SHADOWS, UNARY_COLOURINGS, WALKED, big_phi, colour_key, colouring_fn
+from qcolour.colourings import (
+    SHADOWS, UNARY_COLOURINGS, WALKED, alpha, big_phi, colour_key, colouring_fn, theta,
+)
 from qcolour.core import PRIME_CAP, nth_prime
 from qcolour.digits import DigitExpansion, end2, expand, start2
 from qcolour.errors import DomainError, InternalInvariantError
@@ -676,6 +678,35 @@ class TestUniverse:
 NU_UNIVERSE = UniverseSpec(numerator_bound=10, denominator_bound=4)
 
 
+def _ends(v):
+    """(v2, top bit) of the natural v."""
+    return (v & -v).bit_length() - 1, v.bit_length() - 1
+
+
+def _fixed(end, start):
+    """The theta components a natural's (end, start) fixes, from the oracles: the power flag,
+    the end parity, phi(end) and the pair colours of (end, start) and (end, start + 1)."""
+    pair = colour_key(oracles.big_phi_oracle(end, start)), colour_key(oracles.big_phi_oracle(end, start + 1))
+    return (end == start, end % 2, oracles.phi_oracle(end), *pair)
+
+
+def assert_natural_graph_is_brute(colouring, top):
+    """The pair graph of 1..top under theta or alpha has the edges and masks that keying every
+    pair's sum and product straight from ``colourings`` gives. Tier-1 runs it at top = 1,000,
+    and a step of ``.github/workflows/tests.yml`` at 4,096."""
+    key = {"theta": lambda v: colour_key(theta(v)),
+           "alpha": lambda v: colour_key(alpha(Fraction(v)))}[colouring]
+    sums = {v: key(v) for v in range(3, 2 * top)}  # each sum once; every product is keyed anew
+    adj, edges = {}, [0] * top
+    for i, j in itertools.combinations(range(top), 2):
+        k = sums[i + j + 2]
+        if k == key((i + 1) * (j + 1)):
+            adj[k, i] = adj.get((k, i), 0) | 1 << j
+            edges[i] |= 1 << j
+    graph = verify._PairGraph(colouring, [Fraction(n) for n in range(1, top + 1)], CombinationMode.PAIRWISE)
+    assert (graph.adj, graph.edges) == (adj, edges)
+
+
 def _head(v):
     """(v2 parity, phi(v2)) of the natural v, from its binary digits and the phi oracle."""
     end = _profile(v.numerator)[0]
@@ -685,17 +716,31 @@ def _head(v):
 def _graph_lookups(colouring, elements, mode):
     """(met, stored): the values a search's pair graph looks up, in order, and the set of
     them its table stores. Finite mode's elements come first, then each pair's sum and
-    product unless the pair is dropped. Under theta and alpha a pair of integers is dropped
-    when its sum and product differ in ``_head``, else both are looked up by profile and
-    neither is stored; any other pair is dropped when its two values' shadows differ."""
+    product unless the pair is dropped. Under theta and alpha the pairs of integers come
+    next: class pair by class pair as ``verify._class_pairs`` keeps them, the classes by
+    (v2, top bit) in first-seen order, a pair of one class in ``combinations`` order and of
+    two in ``product`` order. A pair is dropped when its sum and product differ in ``_head``,
+    else both are looked up by profile and neither is stored. Then every other pair in
+    canonical order, dropped when its two values' shadows differ."""
     shadow = SHADOWS.get(colouring)
     met = list(elements) if mode is CombinationMode.FINITE_FSFP else []
     stored = set(met)
+    classes = {}
+    for x in elements if colouring in PROFILED else ():
+        if x.denominator == 1:
+            end, digits, _ = _profile(x.numerator)
+            classes.setdefault((end, digits - 1), []).append(x)
+    groups = list(classes.values())
+    for a, b in verify._class_pairs(list(classes)):
+        pairs = itertools.combinations(groups[a], 2) if a == b else itertools.product(groups[a], groups[b])
+        for x, y in pairs:
+            s, p = x + y, x * y
+            met += [s, p] if _head(s) == _head(p) else []
     for x, y in itertools.combinations(elements, 2):
         s, p = x + y, x * y
         if colouring in PROFILED and x.denominator == 1 == y.denominator:
-            met += [s, p] if _head(s) == _head(p) else []
-        elif shadow is None or shadow(s.numerator, s.denominator) == shadow(p.numerator, p.denominator):
+            continue
+        if shadow is None or shadow(s.numerator, s.denominator) == shadow(p.numerator, p.denominator):
             met += [s, p]
             stored |= {s, p}
     return met, stored
@@ -894,14 +939,55 @@ class TestSearch:
         assert len(graph.keys) == coloured
 
     def test_head_gate_skips_the_profile_lookups(self, monkeypatch):
-        # of theta to 150's 11,175 pairs, 3,987 pass the v2 head test and look their sum and
-        # product up by profile: a pair whose sum has another head than its product is dropped
-        # before either value is built. The lookups colour 346 values, one per profile met
+        # theta to 150's 11,175 pairs lie in 595 pairs of its 34 (v2, top bit) classes. The
+        # class rule keeps 7 of them, with 37 pairs; 23 of those pass the v2 head test and look
+        # their sum and product up by profile, and a pair whose sum has another head than its
+        # product is dropped before either value is built. The lookups colour 23 values, one
+        # per profile met
         calls, real = [], verify.ColourTable.natural
         monkeypatch.setattr(verify.ColourTable, "natural", lambda self, n: calls.append(n) or real(self, n))
-        graph = verify._PairGraph("theta", UniverseSpec(150, integers_only=True).elements(),
-                                  CombinationMode.PAIRWISE)
-        assert (len(calls), len(graph.keys.profiles), len(graph.keys)) == (2 * 3_987, 346, 0)
+        elements = UniverseSpec(150, integers_only=True).elements()
+        graph = verify._PairGraph("theta", elements, CombinationMode.PAIRWISE)
+        assert (len(calls), len(graph.keys.profiles), len(graph.keys)) == (2 * 23, 23, 0)
+        met, _ = _graph_lookups("theta", elements, CombinationMode.PAIRWISE)
+        assert calls == [v.numerator for v in met]
+
+    @pytest.mark.parametrize("colouring", PROFILED)
+    def test_class_route_finds_the_brute_graph(self, colouring):
+        # every pair of 1..1,000 keyed straight from the colourings, apart from the pair graph
+        assert_natural_graph_is_brute(colouring, 1_000)
+
+    def test_skipped_class_pairs_hold_no_agreeing_pair(self):
+        # up to 2,048, no pair of two classes the rule skips has a sum and a product that agree
+        # in the theta components their (v2, top bit) fixes, read from each sum and product
+        classes = {}
+        for n in range(1, 2_049):
+            end, digits, _ = _profile(n)
+            classes.setdefault((end, digits - 1), []).append(n)
+        order, groups = list(classes), list(classes.values())
+        kept = set(verify._class_pairs(order))
+        skipped = [(a, b) for a in range(len(order)) for b in range(a, len(order)) if (a, b) not in kept]
+        assert (len(order), len(kept), len(skipped)) == (67, 60, 2_218)
+        for a, b in skipped:
+            pairs = (itertools.combinations(groups[a], 2) if a == b
+                     else itertools.product(groups[a], groups[b]))
+            sums, prods = set(), set()
+            for x, y in pairs:
+                sums.add(_ends(x + y))
+                prods.add(_ends(x * y))
+            fixed = {_fixed(*es) for es in sums}
+            assert fixed.isdisjoint({_fixed(*es) for es in prods}), (order[a], order[b])
+
+    def test_natural_cap(self):
+        # theta and alpha over the naturals take 65,536 elements; any other universe 512
+        for colouring, spec, cap in [("theta", UniverseSpec(65_537, integers_only=True), 65_536),
+                                     ("alpha", UniverseSpec(65_537), 65_536),
+                                     ("nu", UniverseSpec(513, integers_only=True), 512),
+                                     ("theta", UniverseSpec(400, 2), 512)]:
+            with pytest.raises(DomainError, match=f"^universe has more than {cap} elements"):
+                search(colouring, spec, CombinationMode.PAIRWISE, target_size=2, budget=1)
+        res = search("alpha", UniverseSpec(4_096), CombinationMode.PAIRWISE, target_size=11, budget=10**6)
+        assert (res.max_size, res.exhausted, res.nodes) == (10, True, 13_565)
 
     @pytest.mark.parametrize("colouring, universe, mode", [
         ("nu", NU_UNIVERSE, CombinationMode.PAIRWISE),
