@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Hashable, Iterator
 
-from .colourings import HEADED, SHADOWS, WALKED, colouring_fn, theta, theta_fixed
+from .colourings import HEADED, SHADOWS, WALKED, colouring_fn, theta_fixed
 from .core import (
     DIGIT_LIMIT, PRIME_CAP, PrimeTable, Rational, Record, check_digits, is_dyadic, nth_prime,
     parse_rational, prime_walk, primorial,
@@ -246,14 +246,15 @@ def combinations(xs: list[Rational], mode: CombinationMode) -> list[tuple[str, R
 
 
 class ColourTable(dict):
-    """``Pair -> key``: a missing pair is handed, as one ``Fraction``, to what ``verify.colouring_fn``
-    returned for ``colouring_id`` when the table was made, and its key stored in first-seen order.
-    Under a ``colourings.HEADED`` colouring a missing natural's key comes from ``natural``, and under
-    a ``colourings.WALKED`` one the function also gets ``walk``, which puts each denominator d's
-    ``core.prime_walk(x, d, support)`` in ``walked`` once. ``support`` ({index: prime}) holds the
-    primes the table has met: each walk over the primes meets a new prime or refuses d, so a check
-    walks over them at most once per prime of its terms. A prime put in ``support`` beforehand is
-    only a hint: the (k, u) and refusals are the walk's. Nothing outlives the table."""
+    """``Pair -> key``: only a missing pair is coloured, as one ``Fraction``, by ``fn``, what
+    ``verify.colouring_fn`` returned for ``colouring_id`` when the table was made, and its key stored
+    in first-seen order. Under a ``colourings.HEADED`` colouring a missing natural's key comes from
+    ``natural``; under a ``colourings.WALKED`` one ``fn`` has a ``walk`` bound in, which puts each
+    denominator d's ``core.prime_walk(x, d, support)`` in ``walked`` once. ``support`` ({index:
+    prime}) holds the primes the table has met: each walk over the primes meets a new prime or
+    refuses d, so a check walks over them at most once per prime of its terms. A prime put in
+    ``support`` beforehand is only a hint: the (k, u) and refusals are the walk's. Nothing outlives
+    the table."""
 
     def __init__(self, colouring_id: str):
         self.colouring_id = colouring_id
@@ -266,7 +267,9 @@ class ColourTable(dict):
                 found = walked[d] = prime_walk(x, d, support)
             return found
 
-        self.walk = walk if colouring_id in WALKED else None
+        if colouring_id in WALKED:  # bound once; like ``walk``, it holds no reference to the table
+            fn = self.fn
+            self.fn = lambda x: fn(x, walk=walk)
 
     def natural(self, n: int) -> str:
         """``n``'s key under a ``HEADED`` colouring, coloured once per binary profile and stored by it."""
@@ -275,23 +278,12 @@ class ColourTable(dict):
             key = self.profiles[profile] = self.fn(Fraction(n))._key
         return key
 
-    def colour(self, values: list[Pair] | tuple[Pair, ...]) -> list[str]:
-        """The key of each of ``values``, in order, in one pass that colours each missing value
-        once, as it is first met: ``check`` and ``__missing__`` share it."""
-        get, fn, walk, keys, headed = self.get, self.fn, self.walk, [], self.profiles is not None
-        for v in values:
-            if (key := get(v)) is None:
-                if headed and v[1] == 1:
-                    key = self[v] = self.natural(v[0])
-                elif walk is None:
-                    key = self[v] = fn(Fraction(*v))._key
-                else:
-                    key = self[v] = fn(Fraction(*v), walk=walk)._key
-            keys.append(key)
-        return keys
-
     def __missing__(self, v: Pair) -> str:
-        return self.colour((v,))[0]
+        if v[1] == 1 and self.profiles is not None:
+            key = self[v] = self.natural(v[0])
+        else:
+            key = self[v] = self.fn(Fraction(*v))._key
+        return key
 
 
 def check(
@@ -302,16 +294,16 @@ def check(
 
     The clash cited is the lexicographically first pair in combination order,
     which is always (0, j) for the first j whose key differs from entry 0's.
-    Each distinct value, or under θ and α each distinct binary profile, is coloured
-    once, in first-seen order, into ``keys``: a fresh table unless given; search
-    gives its graph's table, construct one whose prime support it seeded with its
-    blocks' primes. A table of another colouring is refused.
+    Keys are read from ``keys`` in combination order, so each distinct value, or under θ
+    and α each distinct binary profile, is coloured once, where first met. ``keys`` is a
+    fresh table unless given: search gives its graph's table, construct one whose prime
+    support it seeded with its blocks' primes. A table of another colouring is refused.
     """
     tags, values = _pair_combinations(xs, mode)
     keys = ColourTable(colouring_id) if keys is None else keys
     if keys.colouring_id != colouring_id:
         raise InternalInvariantError(f"a {colouring_id} check was given a {keys.colouring_id} colour table")
-    colours = tuple(keys.colour(values))
+    colours = tuple(map(keys.__getitem__, values))
     first = colours[0] if colours else None
     clash_at = next((j for j, key in enumerate(colours) if key != first), None)
     verdict: Verdict = Monochromatic(first, not colours) if clash_at is None else Clash(0, clash_at)
@@ -432,9 +424,9 @@ class _PairGraph:
     v2(xy) = e1 + e2, and xy's top bit is s1 + s2 or s1 + s2 + 1; x + y's top bit is
     max(s) or max(s) + 1, and its v2 is min(e) when e1 != e2, else in [e1 + 1, max(s) + 1].
     Inside a kept class pair an integer pair is dropped before either value is built when
-    (parity, φ) of v2(x + y) and of v2(x) + v2(y), θ's ``end_parity`` and ``phi_of_end`` of
-    its sum and product, differ; else they are compared through ``ColourTable.natural``,
-    which stores neither.
+    the end parity and φ of v2(x + y) and of v2(x) + v2(y), the components of its sum's
+    and its product's keys that ``theta_fixed`` reads from the v2 alone, differ; else they
+    are compared through ``ColourTable.natural``, which stores neither.
 
     Every other pair, one with a member that is not such a natural, is met in canonical
     order, a row of pairs (i, j > i) at a time, each row starting past the naturals paired
@@ -477,9 +469,8 @@ class _PairGraph:
 
     def _natural_edges(self, naturals: list[Pair]) -> None:
         """The edges among ``naturals``, the graph's first elements, by kept class pair."""
-        # the head of every v2 a sum or product can have: theta's of 2^e, whose v2 is e
-        heads = [(t.end_parity, t.phi_of_end) for t in map(theta, (1 << e for e in range(
-            2 * max(n for n, _ in naturals).bit_length())))]
+        # the head of every v2 e a sum or product can have: the end parity and phi(e) it fixes
+        heads = [theta_fixed(e, e)[1:3] for e in range(2 * max(n for n, _ in naturals).bit_length())]
         classes: dict[tuple[int, int], list[int]] = {}  # (v2, top bit) -> its members, ascending
         for i, (n, _) in enumerate(naturals):
             classes.setdefault(((n & -n).bit_length() - 1, n.bit_length() - 1), []).append(i)

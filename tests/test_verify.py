@@ -304,6 +304,37 @@ class TestTableWalk:
             assert cert.keys == tuple(colour_key(fn(Fraction(*v))) for v in cert.values)
 
     @pytest.mark.parametrize("colouring", list(UNARY_COLOURINGS))
+    def test_a_miss_passes_no_keyword_but_the_tables_walk(self, monkeypatch, colouring):
+        # each table's colouring function, called on a miss in a check or in the pair graph, gets
+        # no keyword, or under μ and α only ``walk``, one object per table. The rational universe
+        # holds values below 1, which μ walks, and values above 2, which α walks
+        real, tables = verify.colouring_fn, []
+
+        def recording(colouring_id, table=None):
+            fn, calls = real(colouring_id, table), []
+            tables.append(calls)
+            return lambda x, **kw: calls.append((x, kw)) or fn(x, **kw)
+
+        monkeypatch.setattr(verify, "colouring_fn", recording)
+        if colouring in ("nu", "mu", "alpha"):
+            xs, universe = [Fraction(1, 3), Fraction(7, 3), Fraction(5, 2)], UniverseSpec(24, 12, 3)
+        else:
+            xs, universe = [3, 5, 6], UniverseSpec(512, integers_only=True)
+        check(colouring, xs, CombinationMode.FINITE_FSFP)
+        # its certificates are keyed through ``check`` on the graph's table, which makes no other
+        assert search(colouring, universe, CombinationMode.PAIRWISE, 3, 2_000).certificates
+        assert len(tables) == 2
+        for calls in tables:
+            keywords = [kw for _, kw in calls if kw]
+            if colouring not in WALKED:
+                assert calls and keywords == []
+                continue
+            assert keywords and all(set(kw) == {"walk"} for kw in keywords)
+            assert len({id(kw["walk"]) for kw in keywords}) == 1
+            walked = [x for x, kw in calls if kw and x.denominator > 1]
+            assert any(x < 1 if colouring == "mu" else x > 2 for x in walked)
+
+    @pytest.mark.parametrize("colouring", list(UNARY_COLOURINGS))
     def test_a_used_table_is_freed_by_reference_counting(self, colouring):
         # the walk it hands μ and α holds its dicts, not the table, so no cycle keeps it alive; μ walks
         # the values below 1 and α those above 2, so under both some value here is walked
