@@ -239,6 +239,26 @@ def _mantissa_window(n: int, j: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _chain_bits(n: int, top: int, later: int) -> int:
+    """A lower bound, never falling as n grows, on Σ(n' − 1) over a level at n and the ``later`` after it.
+
+    A window's lo exceeds 2^(n'−1) for j ≥ 1, so a level's block needs more than n' − 1 bits. A later n'
+    exceeds the n before it, and φ admits n' + s for every zone sum s only if n' and n' + Z, Z being the
+    zone's largest sum (``top``, then n and each n' added), lie in one band [2^(2t+1) − 1, 2^(2t+2) − 2]
+    of φ(−·) = 1: the zone's prefix sums step by at most the newest n < n' ≤ 2^(2t+2) − 2, less than the
+    gap 2^(2t+2) above n''s band. The least such n' grows with the n before it and with Z, so the greedy
+    chain is the least.
+    """
+    bits, top = n - 1, top + n
+    for _ in range(later):
+        t = 0
+        while max(n + 1, (2 << 2 * t) - 1) + top > (4 << 2 * t) - 2:
+            t += 1
+        n = max(n + 1, (2 << 2 * t) - 1)
+        bits, top = bits + n - 1, top + n
+    return bits
+
+
 class _Level(Record):
     block: tuple[int, ...]
     y: Rational
@@ -271,7 +291,7 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
     y1 = Fraction(1, 3)
     target = colour_key(nu(y1))
     budget = _Budget(search_budget)
-    best_depth = 1
+    best_depth, refusal = 1, None
 
     def extend(levels: tuple[_Level, ...], sums: list[Pair], products: list[Pair], zone: set[int]):
         """``levels`` holds the accepted terms, ``sums`` and ``products`` their subset sums and products,
@@ -279,16 +299,21 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
         ``levels`` is returned once all m terms are in, else None. The newest term y_t was accepted below
         half of every older sum's openness radius, so only y_t and the newest half of ``sums``, the sums that
         hold it, can set the next bound. Each product with a candidate is built once."""
-        nonlocal best_depth
+        nonlocal best_depth, refusal
         if len(levels) == m:
             return levels
         last = levels[-1]
         bound = min(last.y, *(openness_radius(Fraction(*s)).radius for s in sums[len(sums) // 2 :])) / 2
         first_pos = max(last.block) + 1
         pool = [(t, base_primes[t - 1]) for t in range(first_pos, pool_size + 1)]
-        weight = sum(math.log2(p) for _, p in pool)
-        for n in range(max(last.n + 1, 2 - a_exponent(bound)), int(weight) + 1):
+        bits, top = math.prod(p for _, p in pool).bit_length(), max(zone)
+        for n in range(max(last.n + 1, 2 - a_exponent(bound)), bits):
             if all(phi(-(s + n)) == 1 for s in zone):
+                if (need := _chain_bits(n, top, m - len(levels) - 1)) >= bits:  # later blocks share the pool
+                    if len(levels) == 1:
+                        refusal = f"no {m}-term system fits the pool: from n = {n} its levels need {need} bits"
+                        refusal += f" and the pool holds {bits}"
+                    break
                 for j in (last.j + 3, last.j + 6):
                     lo, hi = _mantissa_window(n, j)
                     for block, prod in _blocks_in_window(pool, lo, hi, budget):
@@ -318,7 +343,7 @@ def extend_sum_closed(m: int, search_budget: int = DEFAULT_SEARCH_BUDGET) -> Con
         ) from exc
     if not levels:
         raise BudgetExhaustedError(
-            f"pool of {pool_size} terms exhausted at depth {best_depth}",
+            refusal or f"pool of {pool_size} terms exhausted at depth {best_depth}",
             best_depth=best_depth,
         )
     ys = [lv.y for lv in levels]

@@ -569,19 +569,26 @@ class TestConstruct:
             " prime index 16385 beyond the cap of 16384 primes\n"
         )
 
-    @pytest.mark.parametrize("terms, budget, depth", [
-        ("4", "208509", 3), ("5", "200000", 3),
-        # ten and a hundred times m = 5's budget, and the 100- and 128-prime pools of six and
-        # eight terms, all stop at depth 4
-        ("5", "2000000", 4), ("5", "20000000", 4), ("6", "3000000", 4), ("8", "5000000", 4),
+    @pytest.mark.parametrize("terms, budget, message, depth", [
+        ("4", "208509", "search budget exhausted at depth 3", 3),
+        # m = 5 spends 2,124 units in level 2's windows at n = 11 and 12, then its chain from
+        # n = 31 outgrows the pool at every larger budget; the 100- and 128-prime pools of six
+        # and eight terms are refused at n = 11, before any window
+        ("5", "200000", "no 5-term system fits the pool: from n = 31 its levels need 2712 bits"
+         " and the pool holds 1080", 1),
+        ("5", "2000000", "no 5-term system fits the pool: from n = 31 its levels need 2712 bits"
+         " and the pool holds 1080", 1),
+        ("5", "20000000", "no 5-term system fits the pool: from n = 31 its levels need 2712 bits"
+         " and the pool holds 1080", 1),
+        ("6", "3000000", "no 6-term system fits the pool: from n = 11 its levels need 2722 bits"
+         " and the pool holds 1300", 1),
+        ("8", "5000000", "no 8-term system fits the pool: from n = 11 its levels need 43678 bits"
+         " and the pool holds 1755", 1),
     ], ids=["4-208509", "5-200000", "5-2000000", "5-20000000", "6-3000000", "8-5000000"])
-    def test_budget_exhaustion_payload_pinned(self, terms, budget, depth):
+    def test_budget_exhaustion_payload_pinned(self, terms, budget, message, depth):
         proc = run_cli("construct", "--terms", terms, "--budget", budget)
         assert (proc.returncode, proc.stderr) == (3, "")
-        assert proc.stdout == (
-            '{"budget_exhausted":{"message":"search budget exhausted at depth %d","best_depth":%d}}\n'
-            % (depth, depth)
-        )
+        assert proc.stdout == '{"budget_exhausted":{"message":"%s","best_depth":%d}}\n' % (message, depth)
 
 
 class TestMain:

@@ -605,19 +605,18 @@ class TestBlocksInWindow:
 
     def test_trace_of_the_m5_exhaustion_is_pinned(self, monkeypatch):
         # the same record for extend_sum_closed(5, 2_000_000), perfbench's fixed
-        # job, which reaches the deep windows of depth 4 before the budget runs
-        # out inside the last call
+        # job: level 2's empty windows at n = 11 and 12, then the chain bound
+        # refuses n = 31 before its windows open
         calls = []
         monkeypatch.setattr(construct, "_blocks_in_window", _recorder(calls))
         with pytest.raises(BudgetExhaustedError) as info:
             extend_sum_closed(5, 2_000_000)
-        assert info.value.best_depth == 4
-        assert [c[2] for c in calls] == [361, 361, 701, 701, 1825, 36735, 1959300]
-        # every unit is on the record: the nodes, one per offered block, and
-        # the node that overdrew the budget
-        assert sum(c[2] + len(c[3]) for c in calls) == 2_000_001
+        assert info.value.best_depth == 1
+        assert [c[2] for c in calls] == [361, 361, 701, 701]
+        # every unit is on the record: the nodes and one per offered block
+        assert sum(c[2] + len(c[3]) for c in calls) == 2_124
         digest = hashlib.sha256(repr(calls).encode()).hexdigest()
-        assert digest == "39b2335eca54bcaec10ed449f1e24eecf9398a9a2bf0e14b649d0411ea939428"
+        assert digest == "73af0a1bae73a1eb0b429334f93559fab312fa1429f61bce309128ea4a7845af"
 
 
 class TestColourCalls:
@@ -736,9 +735,67 @@ def _phi_by_definition(m: int) -> int:
     return (0, 1, 0, 1)[m] if 0 <= m < 4 else 1 - _phi_by_definition(m // 2 + 1)
 
 
+_CHAIN_TOP = 2100  # the largest n the brute chain scans visit: the chain 2, 11, 31, 127, 511, 2047 fits
+_PHI_ONES = sum(1 << k for k in range(4 * _CHAIN_TOP) if _phi_by_definition(-k) == 1)  # bit k: φ(−k) = 1
+
+
+def _zone(chain):
+    """Every subset sum of ``chain``, 0 included."""
+    return {sum(sub) for r in range(len(chain) + 1) for sub in itertools.combinations(chain, r)}
+
+
+def _admitted(zone):
+    """The bitmask of the n with φ(−(s + n)) = 1 for every s in ``zone``. The mask of ``zone`` and
+    ``zone`` + n together is then ``admitted & admitted >> n``."""
+    return functools.reduce(lambda bits, s: bits & (_PHI_ONES >> s), zone, _PHI_ONES)
+
+
+@functools.cache
+def _ones_from(width):
+    """The bitmask of the k with φ(−j) = 1 for every j in [k, k + width): two halves that overlap."""
+    if width == 1:
+        return _PHI_ONES
+    half = (width + 1) // 2
+    return _ones_from(half) & _ones_from(half) >> width - half
+
+
+def _bits_past(mask, after):
+    """The set bits of ``mask`` past ``after`` and up to ``_CHAIN_TOP``, ascending."""
+    mask, n = (mask & (2 << _CHAIN_TOP) - 1) >> after + 1, after
+    while mask:
+        step = (mask & -mask).bit_length()
+        n, mask = n + step, mask >> step
+        yield n
+
+
+def _cheapest_later(admitted, after, later, best=math.inf):
+    """The least Σ(n − 1) over ``later`` levels past ``after``, each n in the mask ``admitted`` of
+    the zone it joins; inf when none fits up to ``_CHAIN_TOP``."""
+    if later == 0:
+        return 0
+    for n in _bits_past(admitted, after):
+        if later * (n - 1) >= best:  # each level left costs at least n − 1
+            break
+        best = min(best, n - 1 + _cheapest_later(admitted & admitted >> n, n, later - 1, best - n + 1))
+    return best
+
+
+def _cheapest_relaxed(after, top, later, best=math.inf):
+    """The same least Σ(n − 1) when each n and n + Z need only lie in one run of φ(−·) = 1, Z being
+    ``top`` plus the n's before it."""
+    if later == 0:
+        return 0
+    for n in _bits_past(_ones_from(top + 1), after):
+        if later * (n - 1) >= best:
+            break
+        best = min(best, n - 1 + _cheapest_relaxed(n, top + n, later - 1, best - n + 1))
+    return best
+
+
 class TestLevelChain:
     """The exponents n of levels 2..5 that φ admits and the bits they need against the m = 5
-    pool: a level's n needs φ(−(s + n)) = 1 for every subset sum s of the earlier levels' n."""
+    pool: a level's n needs φ(−(s + n)) = 1 for every subset sum s of the earlier levels' n.
+    ``construct._chain_bits`` bounds those bits from below for a level and the levels after it."""
 
     def test_level_two_floor_and_the_cheapest_chain(self):
         y1 = Fraction(1, 3)
@@ -755,6 +812,45 @@ class TestLevelChain:
         # levels 2..5 need about Σ(n − 1) bits, and after block (1,) the m = 5 pool holds more
         pool = reciprocal_prime_indices(16 + 14 * 5)[1:]
         assert (sum(n - 1 for n in chain[1:]), int(sum(math.log2(nth_prime(r)) for r in pool))) == (676, 1079)
+
+    def test_the_bound_is_below_every_admissible_chain(self):
+        # prefixes 2, a, b with a, b ≤ 32 (2, 11, 31 among them), a level at n ≤ 140 that φ admits,
+        # and the cheapest 1 or 2 levels after it that every zone sum admits, by a brute scan
+        prefixes, cases = [[2]], []
+        for _ in range(2):
+            prefixes += [c + [n] for c in prefixes if len(c) == len(prefixes[-1])
+                         for n in _bits_past(_admitted(_zone(c)), c[-1]) if n <= 32]
+        for prefix in prefixes:
+            zone = _zone(prefix)
+            admitted = _admitted(zone)
+            for n in itertools.takewhile(lambda n: n <= 140, _bits_past(admitted, prefix[-1])):
+                for later in (1, 2):
+                    bound = construct._chain_bits(n, max(zone), later)
+                    cheapest = n - 1 + _cheapest_later(admitted & admitted >> n, n, later)
+                    assert bound <= cheapest, (prefix, n, later)
+                    cases.append(bound == cheapest)
+        # every case has a chain under _CHAIN_TOP, and on each the bound is the brute minimum
+        assert (len(prefixes), len(cases), all(cases)) == (21, 906, True)
+
+    @pytest.mark.parametrize("top, later", [(0, 1), (2, 1), (2, 4), (13, 3), (171, 2), (700, 3)])
+    def test_the_bound_never_falls_as_n_grows(self, top, later):
+        bounds = [construct._chain_bits(n, top, later) for n in range(1, 3000)]
+        assert bounds == sorted(bounds)
+
+    def test_the_greedy_chain_is_the_cheapest_relaxed_chain(self):
+        # every one of these 1,280 cases has a relaxed chain under _CHAIN_TOP, else the brute reads inf
+        for n, top, later in itertools.product(range(2, 130), (0, 2, 13, 44, 171), (1, 2)):
+            cheapest = n - 1 + _cheapest_relaxed(n, top + n, later)
+            assert construct._chain_bits(n, top, later) == cheapest, (n, top, later)
+
+    def test_the_root_chain_against_the_pools(self):
+        # from level 1 (n = 2), m = 5's level 2 at n = 11 needs 676 bits and at n = 31 needs 2,712,
+        # more than the 1,080 of its pool; m = 6's needs 2,722 at n = 11, more than its 1,300
+        pool_bits = {m: math.prod(map(nth_prime, reciprocal_prime_indices(16 + 14 * m)[1:])).bit_length()
+                     for m in (5, 6)}
+        assert pool_bits == {5: 1080, 6: 1300}
+        assert [construct._chain_bits(n, 2, 3) for n in (11, 12, 31)] == [676, 677, 2712]
+        assert construct._chain_bits(11, 2, 4) == 2722
 
 
 class TestForcedBacktrack:
@@ -799,6 +895,35 @@ class TestBudgetContract:
         with pytest.raises(BudgetExhaustedError) as info:
             extend_sum_closed(4, search_budget=208_509)
         assert info.value.best_depth == 3
+
+
+def _refusal(m, n, need, bits):
+    return f"no {m}-term system fits the pool: from n = {n} its levels need {need} bits and the pool holds {bits}"
+
+
+class TestChainRefusal:
+    """The root stops at the first n that φ admits whose chain of levels needs at least the bits
+    of its pool's product, and refuses with that chain's bits; a budget that runs out first
+    still reads as exhausted."""
+
+    def test_five_terms_need_exactly_2124_units_to_be_refused(self):
+        with pytest.raises(BudgetExhaustedError) as info:
+            extend_sum_closed(5, search_budget=2_124)
+        assert (str(info.value), info.value.best_depth) == (_refusal(5, 31, 2712, 1080), 1)
+        with pytest.raises(BudgetExhaustedError) as info:
+            extend_sum_closed(5, search_budget=2_123)
+        assert (str(info.value), info.value.best_depth) == ("search budget exhausted at depth 1", 1)
+
+    @pytest.mark.parametrize("m, need, bits", [
+        (6, 2722, 1300), (7, 10912, 1525), (8, 43678, 1755),
+        (9, 174748, 1989), (10, 699034, 2227), (11, 2796184, 2469),
+    ])
+    def test_six_to_eleven_terms_open_no_window(self, monkeypatch, m, need, bits):
+        calls = []
+        monkeypatch.setattr(construct, "_blocks_in_window", _recorder(calls))
+        with pytest.raises(BudgetExhaustedError) as info:
+            extend_sum_closed(m, search_budget=1)
+        assert (str(info.value), info.value.best_depth, calls) == (_refusal(m, 11, need, bits), 1, [])
 
 
 def _pow2(e: int) -> Fraction:
